@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import SolverError, ValidationError
 from .params import ModelParams, ParamBounds
-from .regression import FitResult, PredictionErrorEvaluator
+from .regression import PredictionErrorEvaluator
 
 __all__ = [
     "AssimilationConfig",
@@ -59,7 +59,6 @@ class AssimilationConfig:
     c_eps_scale: float = 0.01
     c_eps_floor: float = 1e-12
     fd_rel_step: float = 0.01
-    use_bounds_transform_on_violation: bool = True
 
     def __post_init__(self) -> None:
         if self.lambda0 <= 0 or self.gamma <= 1:
@@ -115,22 +114,27 @@ def _chain_factor(m: np.ndarray, lower: np.ndarray,
     return (upper - m) * (m - lower) / (upper - lower)
 
 
-def fd_gradient(func, m: np.ndarray, bounds: ParamBounds,
-                rel_step: float) -> np.ndarray:
+def fd_gradient(func, x: np.ndarray, bounds: ParamBounds,
+                rel_step: float, transformed: bool = False) -> np.ndarray:
     """Central-difference gradient of a scalar function of m.
 
-    The probe stays a relative step away even at m = 0, falling back to a
-    fraction of the bound span.  ``func`` refits alpha internally, so the
-    result is the total sensitivity of the prediction error.
+    Each probe moves m by ``rel_step`` times |m|, or times the bound span
+    at m = 0.  With ``transformed`` set, ``x`` holds the logit coordinates
+    of m and the same natural steps are divided by dm/ds.  ``func`` refits
+    alpha internally, so the result is the total sensitivity of the
+    prediction error.
     """
-    g = np.zeros(m.size)
-    span = bounds.span()
-    for i in range(m.size):
-        h = rel_step * abs(m[i])
-        if h == 0.0:
-            h = rel_step * span[i]
-        lo = m.copy()
-        hi = m.copy()
+    lower = bounds.lower_array()
+    upper = bounds.upper_array()
+    m = from_unbounded(x, lower, upper) if transformed else x
+    steps = rel_step * np.abs(m)
+    steps = np.where(steps == 0.0, rel_step * bounds.span(), steps)
+    if transformed:
+        steps = steps / np.maximum(_chain_factor(m, lower, upper), 1e-300)
+    g = np.zeros(x.size)
+    for i, h in enumerate(steps):
+        lo = x.copy()
+        hi = x.copy()
         lo[i] -= h
         hi[i] += h
         g[i] = (func(hi) - func(lo)) / (2.0 * h)
@@ -168,8 +172,8 @@ def run_assimilation(evaluator: PredictionErrorEvaluator, m0: ModelParams,
         raise ValidationError("parameter naming mismatch with bounds")
     lower = bounds.lower_array()
     upper = bounds.upper_array()
-    span = bounds.span()
-    c_m_nat = np.diag(span ** 2 / 12.0)
+    prior_var = bounds.span() ** 2 / 12.0
+    m0_vec = m0.as_array()
 
     def pack(vec: np.ndarray) -> ModelParams:
         return ModelParams(names=names, values=tuple(float(v) for v in vec))
@@ -178,23 +182,19 @@ def run_assimilation(evaluator: PredictionErrorEvaluator, m0: ModelParams,
         def to_nat(z):
             return from_unbounded(z, lower, upper)
 
-        def eps_of(z):
-            return evaluator.eps(pack(to_nat(z)))
-
-        x0 = to_unbounded(np.asarray(m0.as_array(), dtype=float), lower, upper)
-        j0 = _chain_factor(np.asarray(m0.as_array(), dtype=float),
-                           lower, upper)
+        x0 = to_unbounded(m0_vec, lower, upper)
         # Prior covariance mapped through the transform at the prior mean.
-        c_m = np.diag((span ** 2 / 12.0) / np.maximum(j0 ** 2, 1e-300))
+        j0 = _chain_factor(m0_vec, lower, upper)
+        prior_var = prior_var / np.maximum(j0 ** 2, 1e-300)
     else:
         def to_nat(z):
             return z
 
-        def eps_of(z):
-            return evaluator.eps(pack(z))
+        x0 = m0_vec
+    c_m = np.diag(prior_var)
 
-        x0 = np.asarray(m0.as_array(), dtype=float)
-        c_m = c_m_nat
+    def eps_of(z):
+        return evaluator.eps(pack(to_nat(z)))
 
     trace = AssimilationTrace(transformed=_transformed)
     x_pr = x0.copy()
@@ -217,23 +217,7 @@ def run_assimilation(evaluator: PredictionErrorEvaluator, m0: ModelParams,
         return trace
 
     def grad_at(z: np.ndarray) -> np.ndarray:
-        if _transformed:
-            # Step in s-space scaled like the natural relative step.
-            g = np.zeros(z.size)
-            for i in range(z.size):
-                m_nat = to_nat(z)
-                jac = _chain_factor(m_nat, lower, upper)[i]
-                h_nat = cfg.fd_rel_step * abs(m_nat[i])
-                if h_nat == 0.0:
-                    h_nat = cfg.fd_rel_step * span[i]
-                h = h_nat / max(jac, 1e-300)
-                hi = z.copy()
-                lo = z.copy()
-                hi[i] += h
-                lo[i] -= h
-                g[i] = (eps_of(hi) - eps_of(lo)) / (2.0 * h)
-            return g
-        return fd_gradient(eps_of, z, bounds, cfg.fd_rel_step)
+        return fd_gradient(eps_of, z, bounds, cfg.fd_rel_step, _transformed)
 
     g = grad_at(x)
     if not np.any(np.abs(g) > 0.0):
@@ -246,6 +230,7 @@ def run_assimilation(evaluator: PredictionErrorEvaluator, m0: ModelParams,
         if proposals >= _PROPOSAL_BUDGET:
             return finish("budget_exhausted")
         proposals += 1
+        x_trial = x
         try:
             x_trial = lm_step(x, x_pr, g, c_m, c_eps, eps, lam)
             eps_trial = eps_of(x_trial)
@@ -263,13 +248,10 @@ def run_assimilation(evaluator: PredictionErrorEvaluator, m0: ModelParams,
             accepted += 1
             trace.records.append(
                 IterationRecord(idx, pack(to_nat(x)), eps, lam, True))
-            m_nat = to_nat(x)
-            if not _transformed and not bounds.contains(pack(m_nat)):
-                if cfg.use_bounds_transform_on_violation:
-                    # Restart once in transformed coordinates from m0.
-                    return run_assimilation(evaluator, m0, bounds, cfg,
-                                            _transformed=True)
-                return finish("left_bounds")
+            if not _transformed and not bounds.contains(x):
+                # Restart once in transformed coordinates from m0.
+                return run_assimilation(evaluator, m0, bounds, cfg,
+                                        _transformed=True)
             if abs(prev_eps - eps) < cfg.tol_rel * prev_eps:
                 return finish("converged")
             if accepted >= cfg.max_accepted:
@@ -286,10 +268,3 @@ def run_assimilation(evaluator: PredictionErrorEvaluator, m0: ModelParams,
             if lam > cfg.lambda_stall:
                 return finish("stalled")
 
-
-def final_fit(evaluator: PredictionErrorEvaluator,
-              trace: AssimilationTrace) -> FitResult:
-    """Refit the coefficients at the assimilated parameters."""
-    if trace.m_final is None:
-        raise SolverError("assimilation produced no final parameters")
-    return evaluator.evaluate(trace.m_final)

@@ -45,7 +45,7 @@ class ExperimentConfig:
     noise_seed: int = 0
     n_restarts: int = 20
     master_seed: int = 0
-    jobs: int = 1
+    jobs: int = 1  # accepted and ignored: restarts run serially
     output_dir: str = "out"
     custom_scenario: dict | None = None
     bounds: dict | None = None
@@ -64,8 +64,6 @@ class ExperimentConfig:
             problems.append(f"noise_delta={self.noise_delta}")
         if self.n_restarts < 1:
             problems.append(f"n_restarts={self.n_restarts}")
-        if self.jobs < 1:
-            problems.append(f"jobs={self.jobs}")
         if problems:
             raise ValidationError("invalid config keys: " + ", ".join(problems))
 
@@ -92,7 +90,7 @@ class ExperimentConfig:
 
     def identify_config(self) -> IdentifyConfig:
         kwargs: dict = dict(n_restarts=self.n_restarts,
-                            master_seed=self.master_seed, jobs=self.jobs)
+                            master_seed=self.master_seed)
         if self.bounds is not None:
             spec = dict(self.bounds)
             try:
@@ -232,7 +230,8 @@ def _add_common(parser: argparse.ArgumentParser, with_identify: bool) -> None:
     if with_identify:
         parser.add_argument("--library", choices=("basic", "extended"))
         parser.add_argument("--restarts", type=int, help="ensemble size")
-        parser.add_argument("--jobs", type=int, help="parallel worker count")
+        parser.add_argument("--jobs", type=int,
+                            help="ignored; restarts run serially")
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -29,14 +29,13 @@ and sign guards:
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .assimilation import AssimilationConfig, AssimilationTrace, run_assimilation
-from .errors import TransportIdError, ValidationError
-from .library import LibrarySpec
+from .errors import SolverError, TransportIdError, ValidationError
+from .library import LibrarySpec, term_by_id
 from .params import ModelParams, ParamBounds
 from .preprocess import (DataSplit, NoiseSpec, SmoothingConfig, add_noise,
                          compute_derivatives, smooth_field, split_train_test)
@@ -74,7 +73,6 @@ class IdentifyConfig:
     screen_factor: float = 1.5
     prune_threshold: float = 0.05
     max_rounds: int = 4
-    jobs: int = 1
     bounds: ParamBounds = field(default_factory=ParamBounds.default)
     assimilation: AssimilationConfig = field(default_factory=AssimilationConfig)
     smoothing: SmoothingConfig = field(default_factory=SmoothingConfig)
@@ -88,8 +86,8 @@ class IdentifyConfig:
             raise ValidationError("screen_factor below 1 screens the median run")
         if not (0.0 < self.prune_threshold < 1.0):
             raise ValidationError("prune_threshold must be in (0, 1)")
-        if self.max_rounds < 1 or self.jobs < 1:
-            raise ValidationError("max_rounds and jobs must be positive")
+        if self.max_rounds < 1:
+            raise ValidationError("max_rounds must be positive")
 
 
 @dataclass
@@ -250,39 +248,31 @@ def sample_prior(n: int, bounds: ParamBounds, seed: int) -> list:
             for row in draws]
 
 
-def run_single(split: DataSplit, library: LibrarySpec, m0: ModelParams,
+def run_single(evaluator: PredictionErrorEvaluator, m0: ModelParams,
                bounds: ParamBounds, assim_cfg: AssimilationConfig,
                run_id: int = 0, seed: int = 0) -> RunResult:
     """One restart: assimilate m from m0, then refit alpha at the result."""
-    evaluator = PredictionErrorEvaluator(split, library)
     trace = run_assimilation(evaluator, m0, bounds, assim_cfg)
     fit = evaluator.evaluate(trace.m_final)
     return RunResult(run_id=run_id, seed=seed, m0=m0, trace=trace, fit=fit,
-                     library_name=library.name)
-
-
-def _run_single_args(args) -> RunResult:
-    return run_single(*args)
+                     library_name=evaluator.library.name)
 
 
 def run_ensemble(split: DataSplit, library: LibrarySpec, cfg: IdentifyConfig):
-    """All restarts for one library; failures are recorded, not fatal."""
+    """All restarts for one library, in order, on one shared evaluator.
+
+    A restart that fails is recorded, not fatal.
+    """
+    evaluator = PredictionErrorEvaluator(split, library)
     m0s = sample_prior(cfg.n_restarts, cfg.bounds, cfg.master_seed)
-    tasks = [(split, library, m0, cfg.bounds, cfg.assimilation, i,
-              cfg.master_seed) for i, m0 in enumerate(m0s)]
     results: list = []
     failures: list = []
-    if cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            for i, outcome in enumerate(pool.map(_run_single_args, tasks)):
-                results.append(outcome)
-    else:
-        for i, task in enumerate(tasks):
-            try:
-                results.append(_run_single_args(task))
-            except TransportIdError as exc:
-                failures.append(FailedRun(run_id=i, error=str(exc)))
-    results.sort(key=lambda r: r.run_id)
+    for i, m0 in enumerate(m0s):
+        try:
+            results.append(run_single(evaluator, m0, cfg.bounds,
+                                      cfg.assimilation, i, cfg.master_seed))
+        except TransportIdError as exc:
+            failures.append(FailedRun(run_id=i, error=str(exc)))
     return results, failures
 
 
@@ -379,7 +369,8 @@ def _candidate_splits(library: LibrarySpec) -> list:
 def _ensemble_round(split: DataSplit, lib: LibrarySpec, cfg: IdentifyConfig):
     results, failures = run_ensemble(split, lib, cfg)
     if not results:
-        raise ValidationError("every restart failed; nothing to aggregate")
+        raise SolverError(f"every restart failed for library {lib.name!r}; "
+                          f"first cause: {failures[0].error}")
     retained, screened = screen_by_prediction_error(results, cfg.screen_factor)
     return aggregate_summary(lib, retained, screened, failures), results
 
@@ -446,29 +437,9 @@ def learned_equation(summary: EnsembleSummary) -> str:
     """Render the aggregate as a readable transport equation."""
     params = dict(zip(summary.param_names, summary.param_mean))
     pieces = []
-    for j, tid in enumerate(summary.term_ids):
-        coef = float(summary.alpha_phys_mean[j])
-        if tid == "adv":
-            body = "dC/dx"
-        elif tid == "dis":
-            body = "d2C/dx2"
-        elif tid == "fsorp":
-            body = f"C^({params.get('a', math.nan):.3f}-1) dC/dt"
-        elif tid == "lsorp":
-            body = f"(1+{params.get('K_l', math.nan):.3f} C)^-2 dC/dt"
-        elif tid == "conc":
-            body = "C"
-        elif tid == "conc_sq":
-            body = "C^2"
-        elif tid == "d3":
-            body = "d3C/dx3"
-        elif tid == "sq_dx":
-            body = "dC^2/dx"
-        elif tid == "sq_dxx":
-            body = "d2C^2/dx2"
-        elif tid == "sq_dxxx":
-            body = "d3C^2/dx3"
-        else:
-            body = tid
-        pieces.append(f"{_format_coef(coef)} {body}")
+    for tid, coef in zip(summary.term_ids, summary.alpha_phys_mean):
+        term = term_by_id(tid)
+        body = term.label.format(**{
+            p: f"{params.get(p, math.nan):.3f}" for p in term.parameter_deps})
+        pieces.append(f"{_format_coef(float(coef))} {body}")
     return "dC/dt = " + " ".join(pieces)

@@ -33,9 +33,6 @@ __all__ = [
 ]
 
 
-# Evaluators are module-level functions so TermSpec instances stay picklable
-# for process-parallel ensembles.
-
 def _eval_advection(d: DerivativeField, m: ModelParams) -> np.ndarray:
     return d.c_x
 
@@ -45,7 +42,8 @@ def _eval_dispersion(d: DerivativeField, m: ModelParams) -> np.ndarray:
 
 
 def _eval_freundlich(d: DerivativeField, m: ModelParams) -> np.ndarray:
-    # C > 0 is guaranteed by the detection floor applied upstream.
+    # The detection floor keeps C > 0; at C = 0 the column is non-finite
+    # and TermSpec.column rejects it.
     return np.power(d.c, m["a"] - 1.0) * d.c_t
 
 
@@ -84,7 +82,8 @@ class TermSpec:
     ``process`` tags the transport process the term models (ADV, DIS,
     F-SORP, L-SORP) or AUX for structure-search extras.  ``parameter_deps``
     lists the embedded parameters the evaluator reads; terms with an empty
-    tuple can be cached across parameter updates.
+    tuple can be cached across parameter updates.  ``label`` is the display
+    form, with each parameter as a ``str.format`` field.
     """
 
     id: str
@@ -97,15 +96,27 @@ class TermSpec:
     def is_sorption(self) -> bool:
         return self.process in ("F-SORP", "L-SORP")
 
+    def column(self, deriv: DerivativeField, m: ModelParams) -> np.ndarray:
+        """Evaluate the term at every point, rejecting non-finite values."""
+        col = np.asarray(self.evaluator(deriv, m), dtype=float)
+        if col.shape != deriv.c.shape:
+            raise TermEvaluationError(f"term {self.id!r} returned wrong shape")
+        if not np.all(np.isfinite(col)):
+            bad = int(np.flatnonzero(~np.isfinite(col))[0])
+            raise TermEvaluationError(
+                f"term {self.id!r} evaluated non-finite at point {bad}")
+        return col
+
 
 _TERMS = {
     t.id: t
     for t in (
         TermSpec("adv", "ADV", _eval_advection, (), "dC/dx"),
         TermSpec("dis", "DIS", _eval_dispersion, (), "d2C/dx2"),
-        TermSpec("fsorp", "F-SORP", _eval_freundlich, ("a",), "C^(a-1) dC/dt"),
+        TermSpec("fsorp", "F-SORP", _eval_freundlich, ("a",),
+                 "C^({a}-1) dC/dt"),
         TermSpec("lsorp", "L-SORP", _eval_langmuir, ("K_l",),
-                 "(1+K_l C)^-2 dC/dt"),
+                 "(1+{K_l} C)^-2 dC/dt"),
         TermSpec("conc", "AUX", _eval_conc, (), "C"),
         TermSpec("conc_sq", "AUX", _eval_conc_sq, (), "C^2"),
         TermSpec("d3", "AUX", _eval_d3, (), "d3C/dx3"),
@@ -183,12 +194,6 @@ class LibrarySpec:
                     deps.append(p)
         return tuple(deps)
 
-    def index_of(self, term_id: str) -> int:
-        for j, t in enumerate(self.terms):
-            if t.id == term_id:
-                return j
-        raise ValidationError(f"term {term_id!r} not in library {self.name!r}")
-
 
 @dataclass
 class DesignMatrix:
@@ -254,16 +259,7 @@ class CoefficientVector:
 def evaluate_terms(deriv: DerivativeField, m: ModelParams,
                    spec: LibrarySpec) -> DesignMatrix:
     """Evaluate Phi(U, m) and the dC/dt target on the given points."""
-    cols = []
-    for t in spec.terms:
-        col = np.asarray(t.evaluator(deriv, m), dtype=float)
-        if col.shape != deriv.c.shape:
-            raise TermEvaluationError(f"term {t.id!r} returned wrong shape")
-        if not np.all(np.isfinite(col)):
-            bad = int(np.flatnonzero(~np.isfinite(col))[0])
-            raise TermEvaluationError(
-                f"term {t.id!r} evaluated non-finite at point {bad}")
-        cols.append(col)
+    cols = [t.column(deriv, m) for t in spec.terms]
     return DesignMatrix(np.column_stack(cols), deriv.c_t.copy(),
                         spec.term_ids)
 

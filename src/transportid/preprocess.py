@@ -109,16 +109,6 @@ def barycentric_weights(nodes: np.ndarray) -> np.ndarray:
     return 1.0 / np.prod(diff, axis=1)
 
 
-def barycentric_eval(nodes: np.ndarray, values: np.ndarray, x: float) -> float:
-    """Evaluate the interpolating polynomial through (nodes, values) at x."""
-    d = x - nodes
-    hit = np.abs(d) < 1e-14
-    if np.any(hit):
-        return float(values[np.argmax(hit)])
-    w = barycentric_weights(nodes) / d
-    return float(np.sum(w * values) / np.sum(w))
-
-
 def _node_fit_weights(node: float, half_window: int, order: int) -> tuple[np.ndarray, int]:
     """FIR weights of a local polynomial fit around ``node`` evaluated at the
     node itself, over the integer offsets within ``half_window`` of it."""

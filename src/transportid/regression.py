@@ -9,7 +9,7 @@ statistics for the transform, so the error is comparable across m).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -79,9 +79,11 @@ def prediction_error(test_dm: DesignMatrix, alpha_norm: CoefficientVector,
 class PredictionErrorEvaluator:
     """Maps m to a full fit (coefficients plus test error) on one split.
 
-    Columns of parameter-independent terms are evaluated once and cached;
+    Columns of parameter-independent terms are evaluated and checked once;
     only the sorption columns are recomputed when m changes, which is what
-    makes the finite-difference gradient of eps(m) affordable.
+    makes the finite-difference gradient of eps(m) affordable.  A library
+    without parameter-dependent terms is fitted once, and every later call
+    returns that fit with ``m`` replaced.
     """
 
     def __init__(self, split: DataSplit, library: LibrarySpec) -> None:
@@ -89,6 +91,7 @@ class PredictionErrorEvaluator:
         self._library = library
         self._static_train = self._static_columns(split.train)
         self._static_test = self._static_columns(split.test)
+        self._fixed_fit: FitResult | None = None
 
     @property
     def library(self) -> LibrarySpec:
@@ -99,33 +102,30 @@ class PredictionErrorEvaluator:
         return self._split
 
     def _static_columns(self, deriv: DerivativeField) -> dict:
-        cols = {}
-        for t in self._library.terms:
-            if not t.parameter_deps:
-                cols[t.id] = np.asarray(
-                    t.evaluator(deriv, None), dtype=float)
-        return cols
+        return {t.id: t.column(deriv, None)
+                for t in self._library.terms if not t.parameter_deps}
 
     def _design(self, deriv: DerivativeField, cache: dict,
                 m: ModelParams) -> DesignMatrix:
-        cols = []
-        for t in self._library.terms:
-            if t.id in cache:
-                cols.append(cache[t.id])
-            else:
-                cols.append(np.asarray(t.evaluator(deriv, m), dtype=float))
+        cols = [cache[t.id] if t.id in cache else t.column(deriv, m)
+                for t in self._library.terms]
         return DesignMatrix(np.column_stack(cols), deriv.c_t,
                             self._library.term_ids)
 
     def evaluate(self, m: ModelParams) -> FitResult:
+        if self._fixed_fit is not None:
+            return replace(self._fixed_fit, m=m)
         train_dm = self._design(self._split.train, self._static_train, m)
         dm_norm, stats = normalize_design(train_dm)
         alpha_norm = least_squares_fit(dm_norm)
         alpha_phys, intercept = denormalize_coefficients(alpha_norm, stats)
         test_dm = self._design(self._split.test, self._static_test, m)
         eps = prediction_error(test_dm, alpha_norm, stats)
-        return FitResult(m=m, alpha_norm=alpha_norm, alpha_phys=alpha_phys,
-                         intercept=intercept, stats=stats, eps=eps)
+        fit = FitResult(m=m, alpha_norm=alpha_norm, alpha_phys=alpha_phys,
+                        intercept=intercept, stats=stats, eps=eps)
+        if not self._library.parameter_deps:
+            self._fixed_fit = fit
+        return fit
 
     def eps(self, m: ModelParams) -> float:
         return self.evaluate(m).eps

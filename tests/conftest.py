@@ -6,13 +6,14 @@ acceptance gate can share them regardless of execution order.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from transportid.assimilation import AssimilationConfig
 from transportid.identification import IdentifyConfig, identify, prepare_dataset
-from transportid.preprocess import DerivativeField, NoiseSpec
+from transportid.preprocess import DerivativeField, NoiseSpec, split_train_test
 from transportid.scenarios import get_scenario
 from transportid.transport import ScenarioConfig, SorptionModel, simulate
 
@@ -69,6 +70,18 @@ def manufactured_field(alpha_by_id, a_star=0.6, kl_star=90.0,
         c2_xx=(2.0 * (d1 ** 2 + conc * d2)).ravel(),
         c2_xxx=(2.0 * (3.0 * d1 * d2 + conc * d3)).ravel(),
     )
+
+
+def zero_conc_split(ratio=0.6):
+    """Freundlich analytic split whose first training point has C = 0.
+
+    C^(a-1) is infinite there for every a < 1, so the Freundlich column
+    cannot be evaluated while the sorption-free columns stay finite.
+    """
+    pts = manufactured_field({"adv": -0.01, "dis": 0.01, "fsorp": -0.15})
+    conc = pts.c.copy()
+    conc[0] = 0.0
+    return split_train_test(replace(pts, c=conc), ratio)
 
 
 def make_tiny(**overrides) -> ScenarioConfig:

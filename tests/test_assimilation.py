@@ -1,14 +1,18 @@
 """Damped iterative parameter estimation: bounded transform, gradients,
 the update formula and full recovery on analytic data."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import transportid.assimilation as assim
 from conftest import (M_STAR, RECOVERY_STARTS, TIGHT_ASSIM,
                       manufactured_field)
-from transportid.assimilation import (AssimilationConfig, fd_gradient,
-                                      from_unbounded, lm_step,
+from transportid.assimilation import (AssimilationConfig, _chain_factor,
+                                      fd_gradient, from_unbounded, lm_step,
                                       run_assimilation, to_unbounded)
 from transportid.errors import SolverError, ValidationError
 from transportid.library import LibrarySpec
@@ -261,15 +265,6 @@ def test_iteration_cap_reports_max_iterations():
     assert tr.n_accepted == 1 + 2
 
 
-def test_unbounded_minimum_leaves_bounds_without_transform():
-    stub = StubObjective(lambda v: 1.0 + (v[0] - 2.0) ** 2)
-    cfg = AssimilationConfig(use_bounds_transform_on_violation=False)
-    tr = run_assimilation(stub, ModelParams.of_sorption(0.5, 90.0), BOUNDS,
-                          cfg)
-    assert tr.status == "left_bounds"
-    assert not BOUNDS.contains(tr.m_final)
-
-
 def test_transform_keeps_iterates_inside_bounds():
     stub = StubObjective(lambda v: 1.0 + (v[0] - 2.0) ** 2)
     tr = run_assimilation(stub, ModelParams.of_sorption(0.5, 90.0), BOUNDS)
@@ -320,6 +315,19 @@ def test_trace_bookkeeping_on_recovery_run():
             assert cur.lam > prev.lam
 
 
+def test_failed_update_step_is_a_rejection():
+    """An infinite probe makes the gradient infinite and the update step
+    raise; each failed step is recorded as a rejection at the current m."""
+    def cliff(v):
+        return 1.0 + (v[0] - 0.3) ** 2 if v[0] <= 0.5 else np.inf
+
+    m0 = ModelParams.of_sorption(0.5, 90.0)
+    tr = run_assimilation(StubObjective(cliff), m0, BOUNDS)
+    assert tr.status == "stalled"
+    assert tr.m_final == m0
+    assert all(r.m == m0 and r.eps == np.inf for r in tr.records[1:])
+
+
 def test_start_point_failure_is_a_solver_error():
     def broken(v):
         raise FloatingPointError("boom")
@@ -327,3 +335,103 @@ def test_start_point_failure_is_a_solver_error():
     with pytest.raises(SolverError):
         run_assimilation(StubObjective(broken),
                          ModelParams.of_sorption(0.5, 90.0), BOUNDS)
+
+
+# ------------------------------------------- gradient against its oracle
+
+ZERO_BOX = ParamBounds(names=("a", "K_l"), lower=(-0.5, 30.0),
+                       upper=(0.75, 150.0))
+
+
+def wavy(v):
+    return (1.0 + 3.0 * (v[0] - 0.6) ** 2 + 1e-4 * (v[1] - 90.0) ** 2
+            + 0.1 * np.sin(7.0 * v[0]) * np.cos(v[1] / 17.0))
+
+
+def inline_gradient(func, z, bounds, rel_step, transformed):
+    """The two central-difference loops run_assimilation used to carry,
+    copied verbatim as the oracle: fd_gradient in natural coordinates and
+    the inline loop in logit-transformed coordinates."""
+    lower = bounds.lower_array()
+    upper = bounds.upper_array()
+    span = bounds.span()
+    g = np.zeros(z.size)
+    if not transformed:
+        for i in range(z.size):
+            h = rel_step * abs(z[i])
+            if h == 0.0:
+                h = rel_step * span[i]
+            lo = z.copy()
+            hi = z.copy()
+            lo[i] -= h
+            hi[i] += h
+            g[i] = (func(hi) - func(lo)) / (2.0 * h)
+        return g
+    for i in range(z.size):
+        m_nat = from_unbounded(z, lower, upper)
+        jac = _chain_factor(m_nat, lower, upper)[i]
+        h_nat = rel_step * abs(m_nat[i])
+        if h_nat == 0.0:
+            h_nat = rel_step * span[i]
+        h = h_nat / max(jac, 1e-300)
+        hi = z.copy()
+        lo = z.copy()
+        hi[i] += h
+        lo[i] -= h
+        g[i] = (func(hi) - func(lo)) / (2.0 * h)
+    return g
+
+
+def first_gradient(fn, m0, bounds, transformed):
+    """The gradient run_assimilation hands to its first update step, or
+    None when it stopped on a zero gradient before proposing one."""
+    seen = []
+
+    def spy(x, x_pr, g, *rest):
+        # Proposing the current point is a rejection, which ends the run
+        # once the damping passes lambda_stall.
+        seen.append(g.copy())
+        return x.copy()
+
+    cfg = AssimilationConfig(lambda_stall=50.0)
+    with mock.patch.object(assim, "lm_step", spy):
+        tr = run_assimilation(StubObjective(fn), m0, bounds, cfg,
+                              _transformed=transformed)
+    if not seen:
+        assert tr.status == "zero_gradient"
+        return None
+    return seen[0]
+
+
+def interior(lo, hi):
+    return st.floats(min_value=lo, max_value=hi, exclude_min=True,
+                     exclude_max=True, allow_nan=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), transformed=st.booleans(),
+       bounds=st.sampled_from([BOUNDS, ZERO_BOX]))
+def test_gradient_matches_inline_oracle(data, transformed, bounds):
+    a_values = interior(bounds.lower[0], bounds.upper[0])
+    if bounds.lower[0] < 0.0 < bounds.upper[0]:
+        a_values = st.one_of(st.just(0.0), a_values)
+    a = data.draw(a_values)
+    k_l = data.draw(interior(bounds.lower[1], bounds.upper[1]))
+    m0 = ModelParams.of_sorption(a, k_l)
+    x0 = np.array([a, k_l])
+    lower, upper = bounds.lower_array(), bounds.upper_array()
+    if transformed:
+        x0 = to_unbounded(x0, lower, upper)
+
+        def func(z):
+            return wavy(from_unbounded(z, lower, upper))
+    else:
+        func = wavy
+    expected = inline_gradient(func, x0, bounds, 0.01, transformed)
+    got = first_gradient(wavy, m0, bounds, transformed)
+    if got is None:
+        assert not np.any(np.abs(expected) > 0.0)
+    else:
+        np.testing.assert_array_equal(got, expected)
+    np.testing.assert_array_equal(
+        fd_gradient(func, x0, bounds, 0.01, transformed), expected)

@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from conftest import make_tiny, tiny_dict
+from conftest import make_tiny, tiny_dict, zero_conc_split
 from transportid.cli import ExperimentConfig, main
+from transportid.identification import PreparedData
 from transportid.errors import SolverError, ValidationError
 from transportid.persist import (read_field_csv, read_metadata, read_runs_csv,
                                  read_summary_json, scenario_from_dict)
@@ -156,6 +157,21 @@ def test_identify_writes_runs_summary_traces(tmp_path, capsys):
     assert "dC/dt = " in printed
 
 
+def test_jobs_key_and_flag_are_accepted(tmp_path):
+    """Saved configs and scripts that set jobs still run; restarts are
+    serial whatever the value."""
+    cfg_path = tiny_config(tmp_path, jobs=2)
+    out = tmp_path / "from_config"
+    assert main(["identify", "--config", str(cfg_path), "--restarts", "2",
+                 "--out", str(out)]) == 0
+    assert read_metadata(out / "metadata.json")["experiment"]["jobs"] == 2
+    cfg_path = tiny_config(tmp_path)
+    out = tmp_path / "from_flag"
+    assert main(["identify", "--config", str(cfg_path), "--restarts", "2",
+                 "--jobs", "2", "--out", str(out)]) == 0
+    assert read_metadata(out / "metadata.json")["experiment"]["jobs"] == 2
+
+
 # -------------------------------------------------------------- report
 
 def test_report_tabulates_summaries(tmp_path, capsys):
@@ -220,6 +236,23 @@ def test_exit_numeric_on_solver_failure(tmp_path, monkeypatch, capsys):
     cfg_path = tiny_config(tmp_path)
     assert main(["identify", "--config", str(cfg_path), "--restarts", "2"]) == 3
     assert "numeric failure: update step diverged" in capsys.readouterr().err
+
+
+def test_exit_numeric_when_every_restart_fails(tmp_path, monkeypatch, capsys):
+    split = zero_conc_split()
+
+    def zero_conc_data(config, name, **kwargs):
+        return PreparedData(scenario_name=name, config=config, split=split,
+                            noise=None, smoothing_passes=0,
+                            n_points=split.train.n_points
+                            + split.test.n_points)
+
+    monkeypatch.setattr("transportid.cli.prepare_dataset", zero_conc_data)
+    cfg_path = tiny_config(tmp_path)
+    assert main(["identify", "--config", str(cfg_path), "--restarts", "2"]) == 3
+    err = capsys.readouterr().err
+    assert "every restart failed" in err and "'fsorp'" in err
+    assert "DLASCL" not in err
 
 
 def test_exit_io_when_output_dir_is_a_file(tmp_path, capsys):

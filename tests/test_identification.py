@@ -6,16 +6,18 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import make_tiny, manufactured_field
-from transportid.errors import ValidationError
+from conftest import make_tiny, manufactured_field, zero_conc_split
+from transportid.errors import SolverError, ValidationError
 from transportid.identification import (EnsembleSummary, IdentifyConfig,
                                         PreparedData, aggregate_summary,
-                                        identify, prune_terms, run_ensemble,
+                                        identify, learned_equation,
+                                        prune_terms, run_ensemble,
                                         run_single, sample_prior,
                                         screen_by_prediction_error)
 from transportid.library import LibrarySpec
 from transportid.params import ModelParams, ParamBounds
 from transportid.preprocess import split_train_test
+from transportid.regression import PredictionErrorEvaluator
 
 ADF_ALPHA = {"adv": -0.01, "dis": 0.01, "fsorp": -0.15}
 
@@ -24,8 +26,8 @@ def adf_split():
     return split_train_test(manufactured_field(ADF_ALPHA), 0.6)
 
 
-def manufactured_data():
-    split = adf_split()
+def manufactured_data(split=None):
+    split = split or adf_split()
     return PreparedData(scenario_name="manufactured", config=make_tiny(),
                         split=split, noise=None, smoothing_passes=0,
                         n_points=split.train.n_points + split.test.n_points)
@@ -158,7 +160,8 @@ def test_run_single_recovers_on_analytic_data():
     split = adf_split()
     lib = LibrarySpec.basic().subset(("adv", "dis", "fsorp"))
     cfg = IdentifyConfig()
-    out = run_single(split, lib, ModelParams.of_sorption(0.45, 60.0),
+    out = run_single(PredictionErrorEvaluator(split, lib),
+                     ModelParams.of_sorption(0.45, 60.0),
                      cfg.bounds, cfg.assimilation, run_id=7, seed=3)
     assert out.run_id == 7 and out.seed == 3
     assert out.library_name == lib.name
@@ -246,6 +249,40 @@ def test_identify_is_deterministic():
                                   b.final_summary.param_mean)
     assert a.equation == b.equation
     assert a.selected_term_ids == b.selected_term_ids
+
+
+def test_every_restart_failing_is_a_solver_error():
+    """When no restart of a candidate evaluates, the experiment fails as a
+    numeric error that names the first restart's cause."""
+    split = zero_conc_split()
+    lib = LibrarySpec.basic().subset(("adv", "dis", "fsorp"))
+    cfg = IdentifyConfig(n_restarts=3)
+    results, failures = run_ensemble(split, lib, cfg)
+    assert results == []
+    assert [f.run_id for f in failures] == [0, 1, 2]
+    assert "term 'fsorp' evaluated non-finite" in failures[0].error
+    with pytest.raises(SolverError, match="every restart failed.*'fsorp'"):
+        identify(make_tiny(), cfg=cfg, data=manufactured_data(split))
+
+
+# ------------------------------------------------------------ rendering
+
+def test_learned_equation_renders_every_extended_term():
+    lib = LibrarySpec.extended()
+    coefs = [-0.01, 0.01, -0.1501, -1.2868, 2e-5, -3.25e-4, 1.0,
+             0.123456789, -7.0, 0.0]
+    summary = make_summary(lib, coefs)
+    summary.param_mean = np.array([0.70349, 98.76543])
+    assert learned_equation(summary) == (
+        "dC/dt = -0.01 dC/dx +0.01 d2C/dx2 -0.1501 C^(0.703-1) dC/dt "
+        "-1.2868 (1+98.765 C)^-2 dC/dt +2e-05 C -0.000325 C^2 "
+        "+1 d3C/dx3 +0.12346 dC^2/dx -7 d2C^2/dx2 +0 d3C^2/dx3")
+    # A parameter missing from the aggregate renders as nan.
+    summary.param_names = ("K_l",)
+    summary.param_mean = np.array([60.0])
+    rendered = learned_equation(summary)
+    assert "C^(nan-1) dC/dt" in rendered
+    assert "(1+60.000 C)^-2 dC/dt" in rendered
 
 
 def test_identify_config_validation():

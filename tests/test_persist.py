@@ -22,6 +22,7 @@ from transportid.persist import (read_field_csv, read_metadata, read_runs_csv,
                                  write_runs_csv, write_summary_json,
                                  write_trace_csv)
 from transportid.preprocess import split_train_test
+from transportid.regression import PredictionErrorEvaluator
 from transportid.scenarios import get_scenario
 from transportid.transport import Field
 
@@ -43,7 +44,8 @@ def adf_runs():
     lib = LibrarySpec.from_name("basic").subset(("adv", "dis", "fsorp"))
     cfg = AssimilationConfig(max_accepted=8)
     starts = [ModelParams.of_sorption(0.3, 40.0), ModelParams.of_sorption(0.7, 120.0)]
-    return [run_single(split, lib, m0, ParamBounds.default(), cfg, run_id=i, seed=5)
+    evaluator = PredictionErrorEvaluator(split, lib)
+    return [run_single(evaluator, m0, ParamBounds.default(), cfg, run_id=i, seed=5)
             for i, m0 in enumerate(starts)]
 
 

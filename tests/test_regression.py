@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
-from conftest import manufactured_field
-from transportid.errors import CollinearityError, ValidationError
+import transportid.regression as regression
+from conftest import manufactured_field, zero_conc_split
+from transportid.errors import (CollinearityError, TermEvaluationError,
+                                ValidationError)
 from transportid.library import (CoefficientVector, DesignMatrix, LibrarySpec,
-                                 normalize_design)
+                                 evaluate_terms, normalize_design)
 from transportid.params import ModelParams
 from transportid.preprocess import split_train_test
 from transportid.regression import (PredictionErrorEvaluator, fit_design,
@@ -144,6 +146,58 @@ def test_evaluator_matches_unsplit_fit_at_true_parameters():
     np.testing.assert_array_equal(fit.alpha_norm.values,
                                   again.alpha_norm.values)
     assert fit.eps == again.eps
+
+
+def test_parameter_free_evaluator_fits_once(monkeypatch):
+    """Without a parameter-dependent term every m gives the same fit: it is
+    computed once, and each result carries the m it was asked for."""
+    calls = []
+    real = regression.normalize_design
+
+    def counting(dm):
+        calls.append(dm.n_points)
+        return real(dm)
+
+    monkeypatch.setattr(regression, "normalize_design", counting)
+    pts = manufactured_field({"adv": -0.01, "dis": 0.01, "fsorp": -0.15})
+    lib = LibrarySpec.basic().subset(("adv", "dis"))
+    ev = PredictionErrorEvaluator(split_train_test(pts, 0.6), lib)
+    m1 = ModelParams.of_sorption(0.3, 40.0)
+    m2 = ModelParams.of_sorption(0.7, 140.0)
+    first = ev.evaluate(m1)
+    second = ev.evaluate(m2)
+    assert first.m == m1 and second.m == m2
+    assert first.eps > 0.0 and first.eps == second.eps == ev.eps(m1)
+    for attr in ("alpha_norm", "alpha_phys"):
+        np.testing.assert_array_equal(getattr(first, attr).values,
+                                      getattr(second, attr).values)
+    assert first.intercept == second.intercept
+    np.testing.assert_array_equal(first.stats.col_std, second.stats.col_std)
+    assert len(calls) == 1
+
+
+def test_evaluator_rejects_non_finite_sorption_column(capfd):
+    """A zero concentration makes C^(a-1) infinite: the evaluator must say
+    which term failed, as evaluate_terms does, before LAPACK sees it."""
+    split = zero_conc_split()
+    lib = LibrarySpec.basic().subset(("adv", "dis", "fsorp"))
+    m = ModelParams.of_sorption(0.6, 90.0)
+    ev = PredictionErrorEvaluator(split, lib)
+    with pytest.raises(TermEvaluationError) as err:
+        ev.evaluate(m)
+    with pytest.raises(TermEvaluationError) as direct:
+        evaluate_terms(split.train, m, lib)
+    assert str(err.value) == str(direct.value)
+    assert "'fsorp'" in str(err.value)
+    assert "DLASCL" not in capfd.readouterr().err
+
+
+def test_evaluator_rejects_non_finite_static_column():
+    split = split_train_test(
+        manufactured_field({"adv": -0.01, "dis": 0.01}), 0.6)
+    split.train.c_x[3] = np.nan
+    with pytest.raises(TermEvaluationError, match="term 'adv'"):
+        PredictionErrorEvaluator(split, LibrarySpec.basic())
 
 
 def test_wrong_exponent_scores_worse_on_real_data(pipeline):

@@ -115,14 +115,16 @@ def _chain_factor(m: np.ndarray, lower: np.ndarray,
 
 
 def fd_gradient(func, x: np.ndarray, bounds: ParamBounds,
-                rel_step: float, transformed: bool = False) -> np.ndarray:
+                rel_step: float, transformed: bool = False,
+                active: tuple | None = None) -> np.ndarray:
     """Central-difference gradient of a scalar function of m.
 
     Each probe moves m by ``rel_step`` times |m|, or times the bound span
     at m = 0.  With ``transformed`` set, ``x`` holds the logit coordinates
     of m and the same natural steps are divided by dm/ds.  ``func`` refits
     alpha internally, so the result is the total sensitivity of the
-    prediction error.
+    prediction error.  When ``active`` names the parameters ``func`` reads,
+    every other coordinate is left unprobed at exactly 0.
     """
     lower = bounds.lower_array()
     upper = bounds.upper_array()
@@ -133,6 +135,8 @@ def fd_gradient(func, x: np.ndarray, bounds: ParamBounds,
         steps = steps / np.maximum(_chain_factor(m, lower, upper), 1e-300)
     g = np.zeros(x.size)
     for i, h in enumerate(steps):
+        if active is not None and bounds.names[i] not in active:
+            continue
         lo = x.copy()
         hi = x.copy()
         lo[i] -= h
@@ -146,7 +150,9 @@ def lm_step(m: np.ndarray, m_pr: np.ndarray, g: np.ndarray,
             lam: float) -> np.ndarray:
     """One damped update; see the module docstring for the formula."""
     gr = g.reshape(1, -1)
-    s = float((1.0 + lam) * c_eps + g @ c_m @ g)
+    # An infinite or overflowing gradient is caught by the check below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = float((1.0 + lam) * c_eps + g @ c_m @ g)
     if s <= 0.0 or not np.isfinite(s):
         raise SolverError("singular innovation scale in update")
     k = (c_m @ gr.T) / s
@@ -162,7 +168,9 @@ def run_assimilation(evaluator: PredictionErrorEvaluator, m0: ModelParams,
                      _transformed: bool = False) -> AssimilationTrace:
     """Drive m from m0 toward the prediction-error minimum.
 
-    Runs in natural coordinates first; if an accepted iterate ever leaves
+    ``evaluator`` needs ``eps(m)`` and ``parameter_deps``, the names of the
+    parameters eps reads; the gradient probes only those.  Runs in natural
+    coordinates first; if an accepted iterate ever leaves
     the prior bounds, the whole loop restarts once in logit-transformed
     coordinates where every real vector maps inside the bounds.
     """
@@ -217,7 +225,8 @@ def run_assimilation(evaluator: PredictionErrorEvaluator, m0: ModelParams,
         return trace
 
     def grad_at(z: np.ndarray) -> np.ndarray:
-        return fd_gradient(eps_of, z, bounds, cfg.fd_rel_step, _transformed)
+        return fd_gradient(eps_of, z, bounds, cfg.fd_rel_step, _transformed,
+                           evaluator.parameter_deps)
 
     g = grad_at(x)
     if not np.any(np.abs(g) > 0.0):

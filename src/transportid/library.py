@@ -27,7 +27,9 @@ __all__ = [
     "DesignMatrix",
     "NormalizationStats",
     "CoefficientVector",
+    "term_columns",
     "evaluate_terms",
+    "zscore_columns",
     "normalize_design",
     "denormalize_coefficients",
 ]
@@ -43,8 +45,9 @@ def _eval_dispersion(d: DerivativeField, m: ModelParams) -> np.ndarray:
 
 def _eval_freundlich(d: DerivativeField, m: ModelParams) -> np.ndarray:
     # The detection floor keeps C > 0; at C = 0 the column is non-finite
-    # and TermSpec.column rejects it.
-    return np.power(d.c, m["a"] - 1.0) * d.c_t
+    # and TermSpec.column rejects it, so numpy need not warn about it.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.power(d.c, m["a"] - 1.0) * d.c_t
 
 
 def _eval_langmuir(d: DerivativeField, m: ModelParams) -> np.ndarray:
@@ -256,27 +259,44 @@ class CoefficientVector:
         raise ValidationError(f"term {term_id!r} not in coefficient vector")
 
 
+def term_columns(terms: tuple, deriv: DerivativeField,
+                 m: ModelParams | None) -> np.ndarray:
+    """The checked columns of ``terms`` as an (n_points, len(terms)) array."""
+    out = np.empty((deriv.n_points, len(terms)))
+    for j, term in enumerate(terms):
+        out[:, j] = term.column(deriv, m)
+    return out
+
+
 def evaluate_terms(deriv: DerivativeField, m: ModelParams,
                    spec: LibrarySpec) -> DesignMatrix:
     """Evaluate Phi(U, m) and the dC/dt target on the given points."""
-    cols = [t.column(deriv, m) for t in spec.terms]
-    return DesignMatrix(np.column_stack(cols), deriv.c_t.copy(),
+    return DesignMatrix(term_columns(spec.terms, deriv, m), deriv.c_t.copy(),
                         spec.term_ids)
+
+
+def zscore_columns(phi: np.ndarray, term_ids: tuple):
+    """Z-score every column of ``phi`` (population std).
+
+    Returns ``(phi_n, col_mean, col_std)``; a zero-variance column raises
+    :class:`DegenerateColumnError` naming its term.
+    """
+    col_mean = phi.mean(axis=0)
+    col_std = phi.std(axis=0)
+    dead = np.flatnonzero(col_std <= 0.0)
+    if dead.size:
+        names = [term_ids[int(j)] for j in dead]
+        raise DegenerateColumnError(f"zero-variance columns: {names}")
+    return (phi - col_mean) / col_std, col_mean, col_std
 
 
 def normalize_design(dm: DesignMatrix):
     """Z-score every column and the target; returns (normalized, stats)."""
-    col_mean = dm.phi.mean(axis=0)
-    col_std = dm.phi.std(axis=0)
+    phi_n, col_mean, col_std = zscore_columns(dm.phi, dm.term_ids)
     y_mean = float(dm.y.mean())
     y_std = float(dm.y.std())
-    dead = np.flatnonzero(col_std <= 0.0)
-    if dead.size:
-        names = [dm.term_ids[int(j)] for j in dead]
-        raise DegenerateColumnError(f"zero-variance columns: {names}")
     if y_std <= 0.0:
         raise DegenerateColumnError("target dC/dt has zero variance")
-    phi_n = (dm.phi - col_mean) / col_std
     y_n = (dm.y - y_mean) / y_std
     stats = NormalizationStats(col_mean=col_mean, col_std=col_std,
                                y_mean=y_mean, y_std=y_std)

@@ -26,6 +26,9 @@ BOUNDS = ParamBounds.default()
 class StubObjective:
     """Duck-typed stand-in for the prediction-error evaluator."""
 
+    # The functions below read both coordinates of m.
+    parameter_deps = ("a", "K_l")
+
     def __init__(self, fn):
         self._fn = fn
 
@@ -160,6 +163,39 @@ def test_gradient_is_zero_along_unused_parameter():
     g = fd_gradient(f, np.array([0.5, 90.0]), BOUNDS, 0.01)
     assert g[0] != 0.0
     assert g[1] == 0.0
+
+
+def test_fd_gradient_probes_only_active_parameters():
+    calls = []
+
+    def f(v):
+        calls.append(v.copy())
+        return float(np.exp(v[0]) + v[1] ** 2)
+
+    x = np.array([0.5, 90.0])
+    g = fd_gradient(f, x, BOUNDS, 0.01, active=("a",))
+    assert len(calls) == 2 and all(c[1] == 90.0 for c in calls)
+    assert g[1] == 0.0
+    assert g[0] == fd_gradient(f, x, BOUNDS, 0.01)[0]
+
+
+def test_assimilation_evaluates_only_parameters_the_library_reads():
+    """A Freundlich run never moves K_l, and a parameter-free run stops
+    after its start point."""
+    for ev, m0 in ((adf_evaluator(), ModelParams.of_sorption(0.3, 130.0)),
+                   (adl_evaluator(), ModelParams.of_sorption(0.3, 130.0))):
+        with mock.patch.object(ev, "evaluate", wraps=ev.evaluate) as spy:
+            tr = run_assimilation(ev, m0, BOUNDS)
+        assert tr.n_accepted >= 2
+        (unused,) = set(m0.names) - set(ev.parameter_deps)
+        assert {call.args[0][unused] for call in spy.call_args_list} == {
+            m0[unused]}
+    pts = manufactured_field({"adv": -0.01, "dis": 0.01})
+    ev = PredictionErrorEvaluator(split_train_test(pts, 0.6),
+                                  LibrarySpec.basic().subset(("adv", "dis")))
+    with mock.patch.object(ev, "evaluate", wraps=ev.evaluate) as spy:
+        tr = run_assimilation(ev, ModelParams.of_sorption(0.5, 90.0), BOUNDS)
+    assert tr.status == "zero_gradient" and spy.call_count == 1
 
 
 # ---------------------------------------------------------- the update

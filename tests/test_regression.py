@@ -1,16 +1,21 @@
 """Least-squares term fitting and the held-out prediction error."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import transportid.regression as regression
 from conftest import manufactured_field, zero_conc_split
-from transportid.errors import (CollinearityError, TermEvaluationError,
-                                ValidationError)
+from transportid.errors import (CollinearityError, DegenerateColumnError,
+                                TermEvaluationError, ValidationError)
 from transportid.library import (CoefficientVector, DesignMatrix, LibrarySpec,
+                                 TermSpec, denormalize_coefficients,
                                  evaluate_terms, normalize_design)
-from transportid.params import ModelParams
-from transportid.preprocess import split_train_test
+from transportid.params import ModelParams, ParamBounds
+from transportid.preprocess import DataSplit, split_train_test
 from transportid.regression import (PredictionErrorEvaluator, fit_design,
                                     least_squares_fit, prediction_error)
 from transportid.scenarios import true_parameters
@@ -209,3 +214,135 @@ def test_wrong_exponent_scores_worse_on_real_data(pipeline):
     good = ev.eps(ModelParams.of_sorption(a_true, 90.0))
     bad = ev.eps(ModelParams.of_sorption(0.4, 90.0))
     assert good < bad / 50.0
+
+
+# ------------------------------------------- evaluator against the plain path
+
+def plain_fit(split, lib, m):
+    """The reference composition the evaluator must reproduce."""
+    dm_norm, stats = normalize_design(evaluate_terms(split.train, m, lib))
+    alpha_norm = least_squares_fit(dm_norm)
+    alpha_phys, intercept = denormalize_coefficients(alpha_norm, stats)
+    eps = prediction_error(evaluate_terms(split.test, m, lib), alpha_norm,
+                           stats)
+    return regression.FitResult(m=m, alpha_norm=alpha_norm,
+                                alpha_phys=alpha_phys, intercept=intercept,
+                                stats=stats, eps=eps)
+
+
+def assert_same_fit(fast, plain, rtol=1e-9):
+    assert fast.m == plain.m
+    assert fast.eps == pytest.approx(plain.eps, rel=rtol, abs=1e-20)
+    for attr in ("alpha_norm", "alpha_phys"):
+        assert getattr(fast, attr).term_ids == getattr(plain, attr).term_ids
+        np.testing.assert_allclose(getattr(fast, attr).values,
+                                   getattr(plain, attr).values, rtol=rtol)
+    # The intercept is a difference of O(y_mean) terms that cancel.
+    assert fast.intercept == pytest.approx(
+        plain.intercept, rel=rtol, abs=rtol * abs(plain.stats.y_mean))
+    for attr in ("col_mean", "col_std"):
+        np.testing.assert_allclose(getattr(fast.stats, attr),
+                                   getattr(plain.stats, attr), rtol=rtol)
+    assert fast.stats.y_mean == pytest.approx(plain.stats.y_mean, rel=rtol)
+    assert fast.stats.y_std == pytest.approx(plain.stats.y_std, rel=rtol)
+
+
+ORACLE_SPLIT = split_train_test(manufactured_field(
+    {"adv": -0.01, "dis": 0.01, "fsorp": -0.15, "lsorp": -1.2}), 0.6)
+# q = 0, 1 and 2 parameter-dependent terms, k = 0 static ones, and
+# static terms after a sorption term in library order.
+ORACLE_LIBRARIES = (("adv", "dis"), ("adv", "dis", "fsorp"),
+                    ("dis", "lsorp"), ("adv", "dis", "fsorp", "lsorp"),
+                    ("fsorp",), ("fsorp", "lsorp"), ("adv", "fsorp", "conc"),
+                    ("dis", "lsorp", "conc", "d3"))
+BOUNDS = ParamBounds.default()
+M_MID = ModelParams.of_sorption(0.5, 90.0)
+ADF = LibrarySpec.basic().subset(("adv", "dis", "fsorp"))
+
+
+@settings(max_examples=80, deadline=None)
+@given(ids=st.sampled_from(ORACLE_LIBRARIES),
+       a=st.floats(BOUNDS.lower[0], BOUNDS.upper[0]),
+       k_l=st.floats(BOUNDS.lower[1], BOUNDS.upper[1]))
+def test_evaluator_matches_plain_path(ids, a, k_l):
+    lib = LibrarySpec.extended().subset(ids)
+    m = ModelParams.of_sorption(a, k_l)
+    ev = PredictionErrorEvaluator(ORACLE_SPLIT, lib)
+    assert_same_fit(ev.evaluate(m), plain_fit(ORACLE_SPLIT, lib, m))
+
+
+def test_evaluator_matches_plain_path_on_real_data(pipeline):
+    split = pipeline.dataset("s2").split
+    for ids in (("adv", "dis"), ("adv", "dis", "fsorp"),
+                ("adv", "dis", "lsorp")):
+        lib = LibrarySpec.basic().subset(ids)
+        ev = PredictionErrorEvaluator(split, lib)
+        for a, k_l in ((0.3, 40.0), (0.6, 90.0), (0.74, 149.0)):
+            m = ModelParams.of_sorption(a, k_l)
+            assert_same_fit(ev.evaluate(m), plain_fit(split, lib, m))
+
+
+def test_evaluator_matches_plain_path_near_collinearity():
+    """A parameter-dependent column within 1e-4 of a static one: its
+    projection off the static factor must stay orthogonal to it."""
+    def near_adv(d, m):
+        wiggle = np.sin(40.0 * d.x + 3.0 * d.t)
+        return d.c_x + 1e-4 * np.std(d.c_x) * m["a"] * wiggle
+
+    near = TermSpec("near", "AUX", near_adv, ("a",))
+    lib = LibrarySpec("near", LibrarySpec.basic().terms[:2] + (near,))
+    split = split_train_test(
+        manufactured_field({"adv": -0.01, "dis": 0.01, "fsorp": -0.15}), 0.6)
+    ev = PredictionErrorEvaluator(split, lib)
+    assert_same_fit(ev.evaluate(M_MID), plain_fit(split, lib, M_MID))
+
+
+def raised_by_both(split, lib, m, exc_type):
+    """Run the plain path and the evaluator, each expected to raise."""
+    with pytest.raises(exc_type) as plain:
+        plain_fit(split, lib, m)
+    with pytest.raises(exc_type) as fast:
+        PredictionErrorEvaluator(split, lib).evaluate(m)
+    assert type(fast.value) is type(plain.value) is exc_type
+    return str(plain.value), str(fast.value)
+
+
+def test_evaluator_error_parity_duplicate_static_columns():
+    pts = manufactured_field({"adv": -0.01, "dis": 0.01, "fsorp": -0.15})
+    split = split_train_test(replace(pts, c_xx=2.0 * pts.c_x), 0.6)
+    for msg in raised_by_both(split, ADF, M_MID, CollinearityError):
+        assert "'adv'" in msg and "'dis'" in msg
+
+
+def test_evaluator_error_parity_sorption_collinear_with_static():
+    """At a = 1 the Freundlich column is C_t itself; with C_t = -0.4 C_x
+    it duplicates the advection column."""
+    pts = manufactured_field({"adv": -0.01, "dis": 0.01})
+    split = split_train_test(replace(pts, c_t=-0.4 * pts.c_x), 0.6)
+    m = ModelParams.of_sorption(1.0, 90.0)
+    for msg in raised_by_both(split, ADF, m, CollinearityError):
+        assert "'adv'" in msg or "'fsorp'" in msg
+
+
+def test_evaluator_error_parity_zero_variance_sorption_column():
+    flat = TermSpec("flat", "AUX", lambda d, m: np.full(d.c.shape, m["a"]),
+                    ("a",))
+    lib = LibrarySpec("flat", LibrarySpec.basic().terms[:2] + (flat,))
+    split = split_train_test(
+        manufactured_field({"adv": -0.01, "dis": 0.01}), 0.6)
+    plain, fast = raised_by_both(split, lib, M_MID, DegenerateColumnError)
+    assert plain == fast == "zero-variance columns: ['flat']"
+
+
+def test_evaluator_error_parity_too_few_points_and_empty_test():
+    pts = manufactured_field({"adv": -0.01, "dis": 0.01, "fsorp": -0.15})
+    lib = LibrarySpec.basic()
+    order = np.arange(pts.n_points)
+    few = DataSplit(train=pts.select(order < 3), test=pts.select(order >= 3),
+                    ratio=0.6, n_train_steps=1, n_test_steps=1)
+    assert raised_by_both(few, lib, M_MID, ValidationError) == (
+        "fewer points than candidate terms",) * 2
+    empty = DataSplit(train=pts, test=pts.select(order < 0), ratio=0.6,
+                      n_train_steps=1, n_test_steps=0)
+    assert raised_by_both(empty, lib, M_MID, ValidationError) == (
+        "empty test set",) * 2

@@ -115,16 +115,14 @@ def _chain_factor(m: np.ndarray, lower: np.ndarray,
 
 
 def fd_gradient(func, x: np.ndarray, bounds: ParamBounds,
-                rel_step: float, transformed: bool = False,
-                active: tuple | None = None) -> np.ndarray:
+                rel_step: float, transformed: bool = False) -> np.ndarray:
     """Central-difference gradient of a scalar function of m.
 
     Each probe moves m by ``rel_step`` times |m|, or times the bound span
     at m = 0.  With ``transformed`` set, ``x`` holds the logit coordinates
     of m and the same natural steps are divided by dm/ds.  ``func`` refits
     alpha internally, so the result is the total sensitivity of the
-    prediction error.  When ``active`` names the parameters ``func`` reads,
-    every other coordinate is left unprobed at exactly 0.
+    prediction error.
     """
     lower = bounds.lower_array()
     upper = bounds.upper_array()
@@ -135,8 +133,6 @@ def fd_gradient(func, x: np.ndarray, bounds: ParamBounds,
         steps = steps / np.maximum(_chain_factor(m, lower, upper), 1e-300)
     g = np.zeros(x.size)
     for i, h in enumerate(steps):
-        if active is not None and bounds.names[i] not in active:
-            continue
         lo = x.copy()
         hi = x.copy()
         lo[i] -= h
@@ -168,11 +164,10 @@ def run_assimilation(evaluator: PredictionErrorEvaluator, m0: ModelParams,
                      _transformed: bool = False) -> AssimilationTrace:
     """Drive m from m0 toward the prediction-error minimum.
 
-    ``evaluator`` needs ``eps(m)`` and ``parameter_deps``, the names of the
-    parameters eps reads; the gradient probes only those.  Runs in natural
-    coordinates first; if an accepted iterate ever leaves
-    the prior bounds, the whole loop restarts once in logit-transformed
-    coordinates where every real vector maps inside the bounds.
+    ``evaluator`` needs only ``eps(m)``.  Runs in natural coordinates
+    first; if an accepted iterate ever leaves the prior bounds, the whole
+    loop restarts once in logit-transformed coordinates where every real
+    vector maps inside the bounds.
     """
     cfg = cfg or AssimilationConfig()
     names = m0.names
@@ -180,7 +175,7 @@ def run_assimilation(evaluator: PredictionErrorEvaluator, m0: ModelParams,
         raise ValidationError("parameter naming mismatch with bounds")
     lower = bounds.lower_array()
     upper = bounds.upper_array()
-    prior_var = bounds.span() ** 2 / 12.0
+    c_m = bounds.prior_covariance()
     m0_vec = m0.as_array()
 
     def pack(vec: np.ndarray) -> ModelParams:
@@ -193,13 +188,12 @@ def run_assimilation(evaluator: PredictionErrorEvaluator, m0: ModelParams,
         x0 = to_unbounded(m0_vec, lower, upper)
         # Prior covariance mapped through the transform at the prior mean.
         j0 = _chain_factor(m0_vec, lower, upper)
-        prior_var = prior_var / np.maximum(j0 ** 2, 1e-300)
+        c_m = c_m / np.maximum(j0 ** 2, 1e-300)
     else:
         def to_nat(z):
             return z
 
         x0 = m0_vec
-    c_m = np.diag(prior_var)
 
     def eps_of(z):
         return evaluator.eps(pack(to_nat(z)))
@@ -225,8 +219,7 @@ def run_assimilation(evaluator: PredictionErrorEvaluator, m0: ModelParams,
         return trace
 
     def grad_at(z: np.ndarray) -> np.ndarray:
-        return fd_gradient(eps_of, z, bounds, cfg.fd_rel_step, _transformed,
-                           evaluator.parameter_deps)
+        return fd_gradient(eps_of, z, bounds, cfg.fd_rel_step, _transformed)
 
     g = grad_at(x)
     if not np.any(np.abs(g) > 0.0):

@@ -261,15 +261,21 @@ def run_single(evaluator: PredictionErrorEvaluator, m0: ModelParams,
 def run_ensemble(split: DataSplit, library: LibrarySpec, cfg: IdentifyConfig):
     """All restarts for one library, in order, on one shared evaluator.
 
-    A restart that fails is recorded, not fatal.
+    Each restart carries only the parameters the library reads; its start
+    point is the prior draw over ``cfg.bounds`` with the other columns
+    dropped.  A library that reads none has nothing to assimilate and is
+    fitted once.  A restart that fails is recorded, not fatal.
     """
+    bounds = cfg.bounds.restrict(library.parameter_deps)
     evaluator = PredictionErrorEvaluator(split, library)
-    m0s = sample_prior(cfg.n_restarts, cfg.bounds, cfg.master_seed)
+    n = cfg.n_restarts if bounds.names else 1
+    m0s = [ModelParams(bounds.names, tuple(m[p] for p in bounds.names))
+           for m in sample_prior(n, cfg.bounds, cfg.master_seed)]
     results: list = []
     failures: list = []
     for i, m0 in enumerate(m0s):
         try:
-            results.append(run_single(evaluator, m0, cfg.bounds,
+            results.append(run_single(evaluator, m0, bounds,
                                       cfg.assimilation, i, cfg.master_seed))
         except TransportIdError as exc:
             failures.append(FailedRun(run_id=i, error=str(exc)))

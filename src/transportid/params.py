@@ -73,6 +73,16 @@ class ParamBounds:
     def default(cls) -> "ParamBounds":
         return cls(names=DEFAULT_PARAM_NAMES, lower=(0.25, 30.0), upper=(0.75, 150.0))
 
+    def restrict(self, names) -> "ParamBounds":
+        """The bounds of ``names`` alone, in this box's order."""
+        missing = [n for n in names if n not in self.names]
+        if missing:
+            raise ValidationError(f"no bounds for parameters {missing}")
+        keep = [i for i, n in enumerate(self.names) if n in names]
+        return ParamBounds(names=tuple(self.names[i] for i in keep),
+                           lower=tuple(self.lower[i] for i in keep),
+                           upper=tuple(self.upper[i] for i in keep))
+
     def lower_array(self) -> np.ndarray:
         return np.array(self.lower, dtype=float)
 

@@ -17,7 +17,7 @@ and each evaluation adds only the columns that depend on m.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,7 +56,8 @@ def least_squares_fit(dm_norm: DesignMatrix) -> CoefficientVector:
     """Solve min ||y - Phi alpha|| on a normalized design matrix."""
     if dm_norm.n_points < dm_norm.n_terms:
         raise ValidationError("fewer points than candidate terms")
-    coef, _, rank, sv = np.linalg.lstsq(dm_norm.phi, dm_norm.y, rcond=None)
+    coef, _, rank, sv = np.linalg.lstsq(dm_norm.phi, dm_norm.y,
+                                        rcond=1.0 / _COND_LIMIT)
     if rank < dm_norm.n_terms or sv[0] > _COND_LIMIT * sv[-1]:
         # Identify the terms dominating the near-null direction.
         _, _, vt = np.linalg.svd(dm_norm.phi, full_matrices=False)
@@ -102,14 +103,9 @@ class PredictionErrorEvaluator:
     a (k+q)-square triangle with the singular values and right singular
     vectors of the normalized design.  ``least_squares_fit`` on R and Q'y
     therefore returns the same coefficients, and its condition limit and
-    ``CollinearityError`` name the same terms, as on the full design.  (On
-    the full design of N points, lstsq's default rank cut-off also treats
-    a condition above 1/(machine eps * N) as rank deficient; on R only
-    the 1e12 limit applies.)  The test window is scored from the cached
-    static block plus the new columns.
-
-    A library without parameter-dependent terms takes the same path once;
-    every later call returns that fit with ``m`` replaced.
+    ``CollinearityError`` name the same terms, as on the full design.  The
+    test window is scored from the cached static block plus the new
+    columns.
     """
 
     def __init__(self, split: DataSplit, library: LibrarySpec) -> None:
@@ -139,7 +135,6 @@ class PredictionErrorEvaluator:
         self._static_test = ((term_columns(static_terms, split.test, None)
                               - st.col_mean) / st.col_std)
         self._y_test = (split.test.c_t - st.y_mean) / st.y_std
-        self._fixed_fit: FitResult | None = None
 
     @property
     def library(self) -> LibrarySpec:
@@ -149,14 +144,7 @@ class PredictionErrorEvaluator:
     def split(self) -> DataSplit:
         return self._split
 
-    @property
-    def parameter_deps(self) -> tuple:
-        """The embedded parameters eps(m) depends on."""
-        return self._library.parameter_deps
-
     def evaluate(self, m: ModelParams) -> FitResult:
-        if self._fixed_fit is not None:
-            return replace(self._fixed_fit, m=m)
         d_n, d_mean, d_std = zscore_columns(
             term_columns(self._dep_terms, self._split.train, m),
             self._dep_ids)
@@ -185,12 +173,9 @@ class PredictionErrorEvaluator:
                   - d_mean) / d_std
         resid = self._y_test - self._static_test @ a[self._static]
         resid -= d_test @ a[self._dep]
-        fit = FitResult(m=m, alpha_norm=alpha_norm, alpha_phys=alpha_phys,
-                        intercept=intercept, stats=stats,
-                        eps=float(np.dot(resid, resid)))
-        if not self._dep_terms:
-            self._fixed_fit = fit
-        return fit
+        return FitResult(m=m, alpha_norm=alpha_norm, alpha_phys=alpha_phys,
+                         intercept=intercept, stats=stats,
+                         eps=float(np.dot(resid, resid)))
 
     def eps(self, m: ModelParams) -> float:
         return self.evaluate(m).eps

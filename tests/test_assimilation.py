@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import transportid.assimilation as assim
@@ -15,6 +15,7 @@ from transportid.assimilation import (AssimilationConfig, _chain_factor,
                                       fd_gradient, from_unbounded, lm_step,
                                       run_assimilation, to_unbounded)
 from transportid.errors import SolverError, ValidationError
+from transportid.identification import IdentifyConfig, run_ensemble
 from transportid.library import LibrarySpec
 from transportid.params import ModelParams, ParamBounds
 from transportid.preprocess import split_train_test
@@ -25,9 +26,6 @@ BOUNDS = ParamBounds.default()
 
 class StubObjective:
     """Duck-typed stand-in for the prediction-error evaluator."""
-
-    # The functions below read both coordinates of m.
-    parameter_deps = ("a", "K_l")
 
     def __init__(self, fn):
         self._fn = fn
@@ -80,6 +78,16 @@ def test_param_bounds_contracts():
     assert b.contains(np.array([0.76, 90.0]), margin=0.02)
     with pytest.raises(ValidationError):
         ParamBounds(names=("a",), lower=(1.0,), upper=(0.5,))
+
+
+def test_param_bounds_restrict_keeps_box_order():
+    b = ParamBounds.default()
+    assert b.restrict(("K_l", "a")) == b
+    assert b.restrict(("K_l",)) == ParamBounds(("K_l",), (30.0,), (150.0,))
+    assert b.restrict(()).names == ()
+    with pytest.raises(ValidationError,
+                       match=r"no bounds for parameters \['rho'\]"):
+        b.restrict(("a", "rho"))
 
 
 def test_assimilation_config_validation():
@@ -165,37 +173,46 @@ def test_gradient_is_zero_along_unused_parameter():
     assert g[1] == 0.0
 
 
-def test_fd_gradient_probes_only_active_parameters():
-    calls = []
-
-    def f(v):
-        calls.append(v.copy())
-        return float(np.exp(v[0]) + v[1] ** 2)
-
-    x = np.array([0.5, 90.0])
-    g = fd_gradient(f, x, BOUNDS, 0.01, active=("a",))
-    assert len(calls) == 2 and all(c[1] == 90.0 for c in calls)
-    assert g[1] == 0.0
-    assert g[0] == fd_gradient(f, x, BOUNDS, 0.01)[0]
+EXTENDED = LibrarySpec.extended()
+ADF_SPLIT = split_train_test(
+    manufactured_field({"adv": -0.01, "dis": 0.01, "fsorp": -0.15}), 0.6)
 
 
-def test_assimilation_evaluates_only_parameters_the_library_reads():
-    """A Freundlich run never moves K_l, and a parameter-free run stops
-    after its start point."""
-    for ev, m0 in ((adf_evaluator(), ModelParams.of_sorption(0.3, 130.0)),
-                   (adl_evaluator(), ModelParams.of_sorption(0.3, 130.0))):
-        with mock.patch.object(ev, "evaluate", wraps=ev.evaluate) as spy:
-            tr = run_assimilation(ev, m0, BOUNDS)
-        assert tr.n_accepted >= 2
-        (unused,) = set(m0.names) - set(ev.parameter_deps)
-        assert {call.args[0][unused] for call in spy.call_args_list} == {
-            m0[unused]}
-    pts = manufactured_field({"adv": -0.01, "dis": 0.01})
-    ev = PredictionErrorEvaluator(split_train_test(pts, 0.6),
-                                  LibrarySpec.basic().subset(("adv", "dis")))
-    with mock.patch.object(ev, "evaluate", wraps=ev.evaluate) as spy:
-        tr = run_assimilation(ev, ModelParams.of_sorption(0.5, 90.0), BOUNDS)
-    assert tr.status == "zero_gradient" and spy.call_count == 1
+@settings(max_examples=30, deadline=None)
+@given(static=st.sets(st.sampled_from(
+           [t.id for t in EXTENDED.terms if not t.is_sorption])),
+       sorption=st.sampled_from(
+           [None] + [t.id for t in EXTENDED.terms if t.is_sorption]))
+def test_assimilation_evaluates_only_parameters_the_library_reads(static,
+                                                                  sorption):
+    """Every evaluation of an ensemble sees exactly the parameters its
+    library reads, in bounds order; a parameter-free library is one run
+    of two evaluations (start point and final refit)."""
+    ids = tuple(t.id for t in EXTENDED.terms
+                if t.id in static or t.id == sorption)
+    assume(ids)
+    lib = EXTENDED.subset(ids)
+    cfg = IdentifyConfig(n_restarts=3,
+                         assimilation=AssimilationConfig(max_accepted=3))
+    expected = tuple(n for n in cfg.bounds.names if n in lib.parameter_deps)
+    seen = []
+    evaluate = PredictionErrorEvaluator.evaluate
+
+    def spy(self, m):
+        seen.append(m.names)
+        return evaluate(self, m)
+
+    with mock.patch.object(PredictionErrorEvaluator, "evaluate", spy):
+        results, failures = run_ensemble(ADF_SPLIT, lib, cfg)
+    assert not failures
+    assert set(seen) == {expected}
+    assert all(r.m0.names == r.trace.m_final.names == expected
+               for r in results)
+    if expected:
+        assert len(results) == cfg.n_restarts
+    else:
+        assert len(results) == 1 and len(seen) == 2
+        assert results[0].trace.status == "zero_gradient"
 
 
 # ---------------------------------------------------------- the update

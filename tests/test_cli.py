@@ -133,20 +133,23 @@ def test_identify_writes_runs_summary_traces(tmp_path, capsys):
     assert main(["identify", "--config", str(cfg_path), "--restarts", "3",
                  "--seed", "1", "--out", str(out)]) == 0
 
+    # The tiny scenario ends on the parameter-free library (adv, dis),
+    # which is fitted once.
     rows = read_runs_csv(out / "runs.csv")
-    assert len(rows) == 3
-    assert sorted(r["run_id"] for r in rows) == [0, 1, 2]
+    assert len(rows) == 1
+    assert rows[0]["run_id"] == 0
 
     summary = read_summary_json(out / "summary.json")
     assert summary["scenario"] == "custom"
     assert summary["equation"].startswith("dC/dt = ")
     assert {"adv", "dis"} <= set(summary["selected_terms"])
-    assert summary["runs"]["total"] == 3
+    assert summary["runs"]["total"] == 1
+    assert summary["params"] == []
 
     traces = sorted(p.name for p in (out / "traces").iterdir())
-    assert traces == ["run_000.csv", "run_001.csv", "run_002.csv"]
+    assert traces == ["run_000.csv"]
     first_line = (out / "traces" / "run_000.csv").read_text().splitlines()[0]
-    assert first_line == "iteration,accepted,lambda,eps,m_a,m_K_l"
+    assert first_line == "iteration,accepted,lambda,eps"
 
     record = read_metadata(out / "metadata.json")
     assert record["experiment"]["n_restarts"] == 3
@@ -253,6 +256,16 @@ def test_exit_numeric_when_every_restart_fails(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "every restart failed" in err and "'fsorp'" in err
     assert "DLASCL" not in err
+
+
+def test_exit_validation_when_bounds_omit_a_parameter(tmp_path, capsys):
+    """A bounds block without ``a`` cannot drive the Freundlich candidate:
+    that is a configuration error (exit 2), not a restart failure (exit 3)."""
+    bounds = {"names": ["K_l"], "lower": [30.0], "upper": [150.0]}
+    cfg_path = tiny_config(tmp_path, bounds=bounds)
+    assert main(["identify", "--config", str(cfg_path), "--restarts", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: no bounds for parameters ['a']\n"
 
 
 def test_exit_io_when_output_dir_is_a_file(tmp_path, capsys):

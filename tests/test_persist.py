@@ -277,7 +277,7 @@ def test_summary_json_round_trip(adf_report, tmp_path):
     for j, term in enumerate(record["terms"]):
         assert term["alpha_phys_mean"] == float(summary.alpha_phys_mean[j])
         assert term["alpha_norm_std"] == float(summary.alpha_norm_std[j])
-    assert [p["name"] for p in record["params"]] == ["a", "K_l"]
+    assert [p["name"] for p in record["params"]] == ["a"]
     assert record["runs"]["total"] == summary.n_runs
     assert [c["name"] for c in record["candidates"]] == ["none", "fsorp", "lsorp"]
 
@@ -314,6 +314,22 @@ def test_report_table_single_summary(adf_report):
         assert row[tid] == float(summary.alpha_phys_mean[j])
     assert row["a"] == float(summary.param_mean[0])
     assert row["equation"] == report.equation
+
+
+def test_summaries_carry_only_the_parameters_read(pipeline):
+    """s1 ends parameter-free, s2 on Freundlich and s3 on Langmuir: each
+    summary lists only its final library's parameters, and the table
+    leaves the others blank."""
+    records = [summary_dict(pipeline.report(name), pipeline.dataset(name))
+               for name in ("s1", "s2", "s3")]
+    assert [[p["name"] for p in rec["params"]] for rec in records] == [
+        [], ["a"], ["K_l"]]
+    assert records[0]["runs"]["total"] == 1
+    rows = report_table(records)
+    assert [(row["a"], row["K_l"]) for row in rows] == [
+        ("", ""),
+        (records[1]["params"][0]["mean"], ""),
+        ("", records[2]["params"][0]["mean"])]
 
 
 def test_report_table_merges_term_columns():

@@ -153,9 +153,10 @@ def test_evaluator_matches_unsplit_fit_at_true_parameters():
     assert fit.eps == again.eps
 
 
-def test_parameter_free_evaluator_fits_once(monkeypatch):
-    """Without a parameter-dependent term every m gives the same fit: it is
-    computed once, and each result carries the m it was asked for."""
+def test_parameter_free_evaluator_normalizes_once(monkeypatch):
+    """Without a parameter-dependent term every m gives the same fit, the
+    design is z-scored once, at construction, and each result carries the
+    m it was asked for."""
     calls = []
     real = regression.normalize_design
 
@@ -282,19 +283,43 @@ def test_evaluator_matches_plain_path_on_real_data(pipeline):
             assert_same_fit(ev.evaluate(m), plain_fit(split, lib, m))
 
 
+def near_adv_library(offset):
+    """adv, dis and an a-dependent column ``offset`` stds away from adv."""
+    def near_adv(d, m):
+        wiggle = np.sin(40.0 * d.x + 3.0 * d.t)
+        return d.c_x + offset * np.std(d.c_x) * m["a"] * wiggle
+
+    near = TermSpec("near", "AUX", near_adv, ("a",))
+    return LibrarySpec("near", LibrarySpec.basic().terms[:2] + (near,))
+
+
 def test_evaluator_matches_plain_path_near_collinearity():
     """A parameter-dependent column within 1e-4 of a static one: its
     projection off the static factor must stay orthogonal to it."""
-    def near_adv(d, m):
-        wiggle = np.sin(40.0 * d.x + 3.0 * d.t)
-        return d.c_x + 1e-4 * np.std(d.c_x) * m["a"] * wiggle
-
-    near = TermSpec("near", "AUX", near_adv, ("a",))
-    lib = LibrarySpec("near", LibrarySpec.basic().terms[:2] + (near,))
+    lib = near_adv_library(1e-4)
     split = split_train_test(
         manufactured_field({"adv": -0.01, "dis": 0.01, "fsorp": -0.15}), 0.6)
     ev = PredictionErrorEvaluator(split, lib)
     assert_same_fit(ev.evaluate(M_MID), plain_fit(split, lib, M_MID))
+
+
+def test_condition_limit_holds_on_tall_designs():
+    """With 12,000 training points lstsq's default rank cut-off would
+    reject conditions above about 3.8e11; the plain path and the evaluator
+    both follow the documented 1e12 limit instead."""
+    split = split_train_test(manufactured_field(
+        {"adv": -0.01, "dis": 0.01}, n_x=100, n_t=200), 0.6)
+    default_limit = 1.0 / (np.finfo(float).eps * split.train.n_points)
+    for offset in (6e-12, 1e-11):
+        lib = near_adv_library(offset)
+        dm, _ = normalize_design(evaluate_terms(split.train, M_MID, lib))
+        sv = np.linalg.svd(dm.phi, compute_uv=False)
+        assert default_limit < sv[0] / sv[-1] < 1e12
+        least_squares_fit(dm)
+        PredictionErrorEvaluator(split, lib).evaluate(M_MID)
+    for msg in raised_by_both(split, near_adv_library(1e-12), M_MID,
+                              CollinearityError):
+        assert "'near'" in msg
 
 
 def raised_by_both(split, lib, m, exc_type):

@@ -23,8 +23,7 @@ from .preprocess import NoiseSpec, SmoothingConfig, add_noise
 from .persist import (read_summary_json, report_table, scenario_from_dict,
                       write_field_csv, write_metadata, write_runs_csv,
                       write_summary_json, write_trace_csv)
-from .scenarios import (get_scenario, scenario_names,
-                        with_noise_floor_disabled)
+from .scenarios import get_scenario, scenario_names
 from .transport import sample_measurements, simulate
 
 __all__ = ["ExperimentConfig", "main"]
@@ -162,8 +161,7 @@ def cmd_simulate(args) -> int:
     written = ["measurements_clean.csv"]
     noise = cfg.noise_spec()
     if noise is not None:
-        full = sample_measurements(sim, with_noise_floor_disabled(scen))
-        noisy = add_noise(full, noise)
+        noisy = add_noise(sim, noise)
         write_field_csv(noisy, out / "measurements_noisy.csv")
         written.append("measurements_noisy.csv")
     write_metadata(out / "metadata.json", scen,

@@ -29,7 +29,7 @@ and sign guards:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -185,11 +185,6 @@ class IdentificationReport:
         raise ValidationError(f"no candidate model named {name!r}")
 
     @property
-    def selection_summary(self) -> EnsembleSummary:
-        """Aggregate of the winning candidate before pruning."""
-        return self.candidate(self.winner_name).summary
-
-    @property
     def final_summary(self) -> EnsembleSummary:
         return self.rounds[-1].summary
 
@@ -213,8 +208,8 @@ def prepare_dataset(config: ScenarioConfig, scenario_name: str = "custom",
     """Simulate, sample, optionally perturb and smooth, differentiate, split.
 
     Clean data skip smoothing entirely and are floored at sampling time.
-    Noisy data are sampled without the floor so every series can support
-    the smoothing windows; the clean sampled field serves as the
+    Noisy data perturb the unfloored simulated field, so every series can
+    support the smoothing windows; the simulated field serves as the
     fluctuation reference, and the floor is enforced on the smoothed
     output before derivatives are taken.
     """
@@ -223,12 +218,10 @@ def prepare_dataset(config: ScenarioConfig, scenario_name: str = "custom",
     if noise is None or noise.delta == 0.0:
         meas = sample_measurements(sim, config)
     else:
-        full = sample_measurements(sim, replace(config, conc_floor=0.0))
-        noisy = add_noise(full, noise)
-        smoothing = smoothing or SmoothingConfig()
-        meas, passes = smooth_field(noisy, smoothing,
+        noisy = add_noise(sim, noise)
+        meas, passes = smooth_field(noisy, smoothing or SmoothingConfig(),
                                     conc_floor=config.conc_floor,
-                                    reference=full, return_passes=True)
+                                    reference=sim)
     deriv = compute_derivatives(meas)
     split = split_train_test(deriv, split_ratio)
     return PreparedData(scenario_name=scenario_name, config=config,
@@ -251,7 +244,16 @@ def sample_prior(n: int, bounds: ParamBounds, seed: int) -> list:
 def run_single(evaluator: PredictionErrorEvaluator, m0: ModelParams,
                bounds: ParamBounds, assim_cfg: AssimilationConfig,
                run_id: int = 0, seed: int = 0) -> RunResult:
-    """One restart: assimilate m from m0, then refit alpha at the result."""
+    """One restart: assimilate m from m0, then refit alpha at the result.
+
+    ``bounds`` must name exactly the parameters the evaluator's library
+    reads (``ParamBounds.restrict`` selects them).
+    """
+    reads = evaluator.library.parameter_deps
+    if set(bounds.names) != set(reads):
+        raise ValidationError(
+            f"bounds name parameters {list(bounds.names)}, but library "
+            f"{evaluator.library.name!r} reads {list(reads)}")
     trace = run_assimilation(evaluator, m0, bounds, assim_cfg)
     fit = evaluator.evaluate(trace.m_final)
     return RunResult(run_id=run_id, seed=seed, m0=m0, trace=trace, fit=fit,

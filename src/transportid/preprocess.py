@@ -190,9 +190,10 @@ def _d3_scatter(field: Field) -> float:
 
 
 def smooth_field(field: Field, cfg: SmoothingConfig, conc_floor: float = 0.0,
-                 reference: Field | None = None,
-                 return_passes: bool = False):
+                 reference: Field | None = None) -> tuple[Field, int]:
     """Smooth along t (per location) then along x (per time).
+
+    Returns the smoothed field and the number of passes applied.
 
     With a ``reference`` field (the same measurement layout without noise),
     the pass is repeated while the scatter of the third spatial derivative
@@ -237,9 +238,7 @@ def smooth_field(field: Field, cfg: SmoothingConfig, conc_floor: float = 0.0,
             break
         if _d3_scatter(out) <= cfg.fluctuation_factor * ref_scatter:
             break
-    if return_passes:
-        return out, passes
-    return out
+    return out, passes
 
 
 @dataclass

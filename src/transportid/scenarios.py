@@ -8,8 +8,6 @@ groundwater velocity and measurement window.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from .errors import ValidationError
 from .transport import ScenarioConfig, SorptionModel
 
@@ -87,11 +85,3 @@ def true_parameters(name: str) -> dict:
         return {"K_l": s.k_l}
     return {}
 
-
-def with_noise_floor_disabled(cfg: ScenarioConfig) -> ScenarioConfig:
-    """Same scenario with the detection floor off.
-
-    Noisy pipelines sample the full field first so the smoother sees
-    every series; the floor is applied after smoothing instead.
-    """
-    return replace(cfg, conc_floor=0.0)

@@ -16,8 +16,8 @@ backward Euler.  The sorption slope is handled by Picard iteration; every
 sweep solves one tridiagonal system.  The scheme conserves mass discretely,
 which the simulator tracks through a running flux audit.
 
-A measurement sampler restricts a simulated field to the coarser monitoring
-grid and masks entries at or below the detection floor.
+The solver records the concentration only on the coarser monitoring grid;
+the measurement sampler masks entries at or below the detection floor.
 """
 
 from __future__ import annotations
@@ -118,6 +118,10 @@ class ScenarioConfig:
     Lengths are cm, times are s, concentrations are mg/l.  ``t_pulse`` is the
     duration of the inlet source pulse and ``c0`` its feed concentration; the
     inlet mass flux during the pulse is q * c0 with q = v_x * theta.
+
+    The monitoring grid is every ``meas_dx / sim_dx``-th solver node at
+    every ``meas_dt / sim_dt``-th step from ``meas_t_start``; both ratios
+    must be integers.  ``sim_store_dt`` sets the mass-audit cadence.
     """
 
     v_x: float
@@ -150,6 +154,7 @@ class ScenarioConfig:
             "sim_dt": self.sim_dt,
             "meas_dx": self.meas_dx,
             "meas_dt": self.meas_dt,
+            "sim_store_dt": self.store_dt,
         }
         for name, value in positive.items():
             if not (np.isfinite(value) and value > 0.0):
@@ -170,17 +175,19 @@ class ScenarioConfig:
                 "sim_length must be at least twice the measured extent "
                 f"({self.sim_length} < 2 * {meas_extent})"
             )
-        if not self.meas_t_start < self.meas_t_end:
-            raise ValidationError("meas_t_start must precede meas_t_end")
+        if not 0.0 <= self.meas_t_start < self.meas_t_end:
+            raise ValidationError("need 0 <= meas_t_start < meas_t_end")
         for label, span, step in (
             ("sim_length/sim_dx", self.sim_length, self.sim_dx),
+            ("meas_dx/sim_dx", self.meas_dx, self.sim_dx),
             ("meas_t_end/sim_dt", self.meas_t_end, self.sim_dt),
             ("meas window/meas_dt", self.meas_t_end - self.meas_t_start, self.meas_dt),
             ("store_dt/sim_dt", self.store_dt, self.sim_dt),
             ("meas_dt/store_dt", self.meas_dt, self.store_dt),
             ("meas_t_start/store_dt", self.meas_t_start, self.store_dt),
         ):
-            if abs(span / step - round(span / step)) > 1e-9:
+            ratio = span / step
+            if abs(ratio - round(ratio)) > 1e-9 or (span > 0.0 and round(ratio) == 0):
                 raise ValidationError(f"{label} must be an integer ratio")
 
     @property
@@ -195,6 +202,7 @@ class ScenarioConfig:
 
     @property
     def store_dt(self) -> float:
+        """Mass-audit cadence of ``simulate``: ``sim_store_dt``, else meas_dt."""
         return self.meas_dt if self.sim_store_dt is None else self.sim_store_dt
 
     @property
@@ -252,7 +260,7 @@ class Field:
 
 @dataclass
 class SimDiagnostics:
-    """Mass-audit trail of one simulation, snapshotted at stored times."""
+    """Mass-audit trail of one simulation, taken every ``store_dt`` from t = 0."""
 
     times: np.ndarray
     aqueous_mass: np.ndarray
@@ -276,12 +284,21 @@ def _slope_for_solver(c: np.ndarray, model: SorptionModel) -> np.ndarray:
     return isotherm_slope(np.maximum(c, 0.0), model)
 
 
-def simulate(config: ScenarioConfig, return_diagnostics: bool = False):
-    """Run the transport solver and return the stored field.
 
-    Returns the Field on the simulation x-grid at the storage time stride
-    (``config.store_dt``), starting at t = 0.  With ``return_diagnostics``
-    a SimDiagnostics record with the mass audit is returned as well.
+
+def _measurement_shape(config: ScenarioConfig) -> tuple:
+    n_t = int(round((config.meas_t_end - config.meas_t_start) / config.meas_dt)) + 1
+    return config.meas_x_count, n_t
+
+
+def simulate(config: ScenarioConfig, return_diagnostics: bool = False):
+    """Run the transport solver and return the field on the measurement grid.
+
+    The concentration at every ``meas_dx / sim_dx``-th solver node (x = 0 ..
+    (meas_x_count - 1) * meas_dx) is recorded at t = meas_t_start ..
+    meas_t_end in steps of meas_dt, clamped at 0; nothing is masked.  With
+    ``return_diagnostics`` a SimDiagnostics record with the mass audit,
+    taken every ``config.store_dt``, is returned as well.
     """
     if config.d_l <= 0.0:
         raise ValidationError("central differencing requires D_L > 0")
@@ -293,8 +310,12 @@ def simulate(config: ScenarioConfig, return_diagnostics: bool = False):
 
     n_nodes = int(round(config.sim_length / config.sim_dx)) + 1
     n_steps = int(round(config.meas_t_end / config.sim_dt))
-    store_every = int(round(config.store_dt / config.sim_dt))
-    n_store = n_steps // store_every + 1
+    audit_every = int(round(config.store_dt / config.sim_dt))
+    n_audit = n_steps // audit_every + 1
+    x_every = int(round(config.meas_dx / config.sim_dx))
+    x_stop = (config.meas_x_count - 1) * x_every + 1
+    t_first = int(round(config.meas_t_start / config.sim_dt))
+    t_every = int(round(config.meas_dt / config.sim_dt))
 
     dx = config.sim_dx
     dt = config.sim_dt
@@ -311,27 +332,31 @@ def simulate(config: ScenarioConfig, return_diagnostics: bool = False):
     vol_over_dt = vol / dt
 
     c = np.zeros(n_nodes)
-    stored = np.zeros((n_nodes, n_store))
-    stored_times = np.zeros(n_store)
+    measured = np.zeros(_measurement_shape(config))
 
     injected = 0.0
     outflowed = 0.0
     max_sweeps = 0
 
-    aqueous = np.zeros(n_store)
-    sorbed = np.zeros(n_store)
-    injected_track = np.zeros(n_store)
-    outflowed_track = np.zeros(n_store)
+    audit_times = np.zeros(n_audit)
+    aqueous = np.zeros(n_audit)
+    sorbed = np.zeros(n_audit)
+    injected_track = np.zeros(n_audit)
+    outflowed_track = np.zeros(n_audit)
 
-    def snapshot(slot: int, t_now: float) -> None:
-        stored[:, slot] = c
-        stored_times[slot] = t_now
-        aqueous[slot] = theta * float(vol @ c)
-        sorbed[slot] = rho_b * float(vol @ isotherm_value(np.maximum(c, 0.0), model))
-        injected_track[slot] = injected
-        outflowed_track[slot] = outflowed
+    def record(steps_done: int) -> None:
+        if steps_done % audit_every == 0:
+            slot = steps_done // audit_every
+            audit_times[slot] = steps_done * dt
+            aqueous[slot] = theta * float(vol @ c)
+            sorbed[slot] = rho_b * float(vol @ isotherm_value(np.maximum(c, 0.0), model))
+            injected_track[slot] = injected
+            outflowed_track[slot] = outflowed
+        if steps_done >= t_first and (steps_done - t_first) % t_every == 0:
+            col = (steps_done - t_first) // t_every
+            np.maximum(c[:x_stop:x_every], 0.0, out=measured[:, col])
 
-    snapshot(0, 0.0)
+    record(0)
 
     # Off-diagonals are constant; the diagonal changes with the sorption slope.
     lower = np.full(n_nodes, -(a_face + b_face))
@@ -373,15 +398,14 @@ def simulate(config: ScenarioConfig, return_diagnostics: bool = False):
         c = c_k
         injected += flux_in * dt
         outflowed += config.q * c[-1] * dt
+        record(step + 1)
 
-        if (step + 1) % store_every == 0:
-            snapshot((step + 1) // store_every, t_next)
-
-    field = Field(stored, x0=0.0, dx=dx, t0=0.0, dt=config.store_dt)
+    field = Field(measured, x0=0.0, dx=config.meas_dx, t0=config.meas_t_start,
+                  dt=config.meas_dt)
     if not return_diagnostics:
         return field
     diag = SimDiagnostics(
-        times=stored_times,
+        times=audit_times,
         aqueous_mass=aqueous,
         sorbed_mass=sorbed,
         injected_mass=injected_track,
@@ -391,44 +415,24 @@ def simulate(config: ScenarioConfig, return_diagnostics: bool = False):
     return field, diag
 
 
-def _axis_restrict(values: np.ndarray, src0: float, src_step: float, dst: np.ndarray, axis: int) -> np.ndarray:
-    """Restrict one axis of a grid to target coordinates, interpolating only
-    when a target point does not coincide with a source node."""
-    idx_real = (dst - src0) / src_step
-    idx_round = np.round(idx_real)
-    n_src = values.shape[axis]
-    if np.any(idx_real < -1e-6) or np.any(idx_real > n_src - 1 + 1e-6):
-        raise ValidationError("measurement grid extends beyond the simulated field")
-    if np.max(np.abs(idx_real - idx_round)) < 1e-6:
-        take = idx_round.astype(int)
-        return np.take(values, take, axis=axis)
-    lo = np.clip(np.floor(idx_real).astype(int), 0, n_src - 2)
-    w = idx_real - lo
-    moved = np.moveaxis(values, axis, 0)
-    out = (1.0 - w)[:, None] * moved[lo] + w[:, None] * moved[lo + 1]
-    return np.moveaxis(out, 0, axis)
-
-
 def sample_measurements(sim_field: Field, config: ScenarioConfig) -> Field:
-    """Restrict a simulated field to the measurement grid and apply the
-    detection floor.
+    """Apply the detection floor to a field on the measurement grid.
 
-    The monitoring network spans x = 0 .. (meas_x_count - 1) * meas_dx and
-    t = meas_t_start .. meas_t_end.  Entries at or below ``conc_floor`` are
-    masked out (with a zero floor nothing is masked).
+    ``sim_field`` must lie on the config's monitoring grid, as ``simulate``
+    returns it: x = 0 .. (meas_x_count - 1) * meas_dx and t = meas_t_start
+    .. meas_t_end.  Entries at or below ``conc_floor`` are masked out (with
+    a zero floor nothing is masked).  The values are shared, not copied.
     """
-    if not np.all(sim_field.mask):
-        raise ValidationError("sample_measurements expects a fully valid source field")
-    xs = config.meas_dx * np.arange(config.meas_x_count)
-    n_t = int(round((config.meas_t_end - config.meas_t_start) / config.meas_dt)) + 1
-    ts = config.meas_t_start + config.meas_dt * np.arange(n_t)
-
-    vals = _axis_restrict(sim_field.values, sim_field.x0, sim_field.dx, xs, axis=0)
-    vals = _axis_restrict(vals, sim_field.t0, sim_field.dt, ts, axis=1)
-    vals = np.maximum(vals, 0.0)
-
+    grid = (sim_field.x0, sim_field.dx, sim_field.t0, sim_field.dt)
+    expected = (0.0, config.meas_dx, config.meas_t_start, config.meas_dt)
+    if (sim_field.values.shape != _measurement_shape(config)
+            or not np.allclose(grid, expected, rtol=1e-9, atol=1e-12)):
+        raise ValidationError(
+            f"field of shape {sim_field.values.shape} at (x0, dx, t0, dt) = {grid} "
+            f"is not on the measurement grid {_measurement_shape(config)} at {expected}"
+        )
+    mask = sim_field.mask
     if config.conc_floor > 0.0:
-        mask = vals > config.conc_floor
-    else:
-        mask = np.ones_like(vals, dtype=bool)
-    return Field(vals, x0=0.0, dx=config.meas_dx, t0=config.meas_t_start, dt=config.meas_dt, mask=mask)
+        mask = mask & (sim_field.values > config.conc_floor)
+    return Field(sim_field.values, x0=0.0, dx=config.meas_dx, t0=config.meas_t_start,
+                 dt=config.meas_dt, mask=mask)

@@ -161,12 +161,33 @@ def test_run_single_recovers_on_analytic_data():
     lib = LibrarySpec.basic().subset(("adv", "dis", "fsorp"))
     cfg = IdentifyConfig()
     out = run_single(PredictionErrorEvaluator(split, lib),
-                     ModelParams.of_sorption(0.45, 60.0),
-                     cfg.bounds, cfg.assimilation, run_id=7, seed=3)
+                     ModelParams(("a",), (0.45,)),
+                     cfg.bounds.restrict(("a",)), cfg.assimilation,
+                     run_id=7, seed=3)
     assert out.run_id == 7 and out.seed == 3
     assert out.library_name == lib.name
     assert out.fit.m == out.trace.m_final
     assert abs(out.trace.m_final["a"] - 0.6) < 0.01
+
+
+def test_run_single_rejects_bounds_the_library_does_not_read():
+    """Bounds must name exactly the parameters the library reads: an extra
+    one would be probed and reported as an estimate, a missing one could
+    not be evaluated."""
+    split = adf_split()
+    lib = LibrarySpec.basic().subset(("adv", "dis", "fsorp"))
+    cfg = IdentifyConfig()
+    evaluator = PredictionErrorEvaluator(split, lib)
+    with pytest.raises(ValidationError, match="reads \\['a'\\]"):
+        run_single(evaluator, ModelParams.of_sorption(0.3, 40.0),
+                   ParamBounds.default(), cfg.assimilation)
+    with pytest.raises(ValidationError, match="reads \\['a'\\]"):
+        run_single(evaluator, ModelParams(("K_l",), (40.0,)),
+                   cfg.bounds.restrict(("K_l",)), cfg.assimilation)
+    free = PredictionErrorEvaluator(split, LibrarySpec.basic().subset(("adv", "dis")))
+    with pytest.raises(ValidationError, match="reads \\[\\]"):
+        run_single(free, ModelParams(("a",), (0.3,)),
+                   cfg.bounds.restrict(("a",)), cfg.assimilation)
 
 
 def test_run_ensemble_layout_and_determinism():

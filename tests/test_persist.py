@@ -43,9 +43,10 @@ def adf_runs():
     split = split_train_test(manufactured_field(ADF_ALPHA), 0.6)
     lib = LibrarySpec.from_name("basic").subset(("adv", "dis", "fsorp"))
     cfg = AssimilationConfig(max_accepted=8)
-    starts = [ModelParams.of_sorption(0.3, 40.0), ModelParams.of_sorption(0.7, 120.0)]
+    starts = [ModelParams(("a",), (0.3,)), ModelParams(("a",), (0.7,))]
     evaluator = PredictionErrorEvaluator(split, lib)
-    return [run_single(evaluator, m0, ParamBounds.default(), cfg, run_id=i, seed=5)
+    bounds = ParamBounds.default().restrict(("a",))
+    return [run_single(evaluator, m0, bounds, cfg, run_id=i, seed=5)
             for i, m0 in enumerate(starts)]
 
 
@@ -204,7 +205,7 @@ def test_runs_csv_round_trip(adf_runs, tmp_path):
 
     header = path.read_text().splitlines()[0]
     assert header == ("run_id,seed,n_iterations,termination,eps_final,"
-                      "m_a,m_K_l,"
+                      "m_a,"
                       "alpha_norm_adv,alpha_norm_dis,alpha_norm_fsorp,"
                       "alpha_phys_adv,alpha_phys_dis,alpha_phys_fsorp")
 
@@ -217,7 +218,7 @@ def test_runs_csv_round_trip(adf_runs, tmp_path):
         assert rec["termination"] == res.trace.status
         assert rec["eps_final"] == res.trace.eps_final
         assert rec["m_a"] == res.trace.m_final.values[0]
-        assert rec["m_K_l"] == res.trace.m_final.values[1]
+        assert "m_K_l" not in rec
         for j, tid in enumerate(res.fit.alpha_norm.term_ids):
             assert rec[f"alpha_norm_{tid}"] == res.fit.alpha_norm.values[j]
             assert rec[f"alpha_phys_{tid}"] == res.fit.alpha_phys.values[j]
@@ -239,7 +240,7 @@ def test_trace_csv_layout(adf_runs, tmp_path):
     write_trace_csv(result, path)
 
     lines = path.read_text().splitlines()
-    assert lines[0] == "iteration,accepted,lambda,eps,m_a,m_K_l"
+    assert lines[0] == "iteration,accepted,lambda,eps,m_a"
     assert len(lines) == 1 + len(result.trace.records)
 
     first = lines[1].split(",")

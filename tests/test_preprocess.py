@@ -11,18 +11,12 @@ from transportid.preprocess import (DerivativeField, NoiseSpec, SmoothingConfig,
                                     composite_filter, compute_derivatives,
                                     smooth_field, smooth_series,
                                     split_train_test)
-from transportid.scenarios import get_scenario, with_noise_floor_disabled
-from transportid.transport import Field, sample_measurements
+from transportid.scenarios import get_scenario
+from transportid.transport import Field
 
 
 def grid_field(values, x0=0.0, dx=1.0, t0=0.0, dt=1.0, mask=None):
     return Field(np.asarray(values, dtype=float), x0, dx, t0, dt, mask)
-
-
-def clean_sample(pipeline, name):
-    cfg = get_scenario(name)
-    field, _ = pipeline.simulation(name)
-    return sample_measurements(field, with_noise_floor_disabled(cfg))
 
 
 # ---------------------------------------------------------------- noise
@@ -64,7 +58,7 @@ def test_noise_realisation_independent_of_mask():
 
 def test_noise_is_mean_preserving(pipeline):
     """Multiplicative U[-1, 1] noise leaves the expected value unchanged."""
-    clean = clean_sample(pipeline, "s1")
+    clean, _ = pipeline.simulation("s1")
     i, j = 30, 800
     target = clean.values[i, j]
     draws = [add_noise(clean, NoiseSpec(0.1, seed=s)).values[i, j]
@@ -164,8 +158,9 @@ def test_smooth_series_mask_hole_blocks_support():
 
 def test_smooth_field_nearly_preserves_clean_data(pipeline):
     """One pass over noise-free data must not distort the field."""
-    clean = clean_sample(pipeline, "s1")
-    out = smooth_field(clean.copy(), SmoothingConfig(max_passes=1))
+    clean, _ = pipeline.simulation("s1")
+    out, passes = smooth_field(clean.copy(), SmoothingConfig(max_passes=1))
+    assert passes == 1
     assert 0.5 < out.mask.mean() < 1.0
     diff = np.abs(out.values - clean.values)
     assert np.sqrt(np.mean(diff[out.mask] ** 2)) / clean.values.max() < 1e-4
@@ -178,10 +173,10 @@ def test_smooth_field_restores_second_derivative(pipeline):
     """Smoothing must cut the curvature error of 5% noisy data by well
     over an order of magnitude."""
     cfg = get_scenario("s1")
-    clean = clean_sample(pipeline, "s1")
+    clean, _ = pipeline.simulation("s1")
     noisy = add_noise(clean, NoiseSpec(0.05, seed=0))
-    smoothed = smooth_field(noisy.copy(), SmoothingConfig(),
-                            conc_floor=cfg.conc_floor, reference=clean)
+    smoothed, _ = smooth_field(noisy.copy(), SmoothingConfig(),
+                               conc_floor=cfg.conc_floor, reference=clean)
     ref = compute_derivatives(clean)
     lookup = {}
     for n in range(ref.n_points):
@@ -200,10 +195,10 @@ def test_smooth_field_restores_second_derivative(pipeline):
 
 def test_smooth_field_zero_stays_zero():
     zero = grid_field(np.zeros((40, 60)))
-    out = smooth_field(zero, SmoothingConfig(half_window_cheb_t=6,
-                                             half_window_ls_t=6,
-                                             half_window_cheb_x=6,
-                                             half_window_ls_x=6))
+    out, _ = smooth_field(zero, SmoothingConfig(half_window_cheb_t=6,
+                                                half_window_ls_t=6,
+                                                half_window_cheb_x=6,
+                                                half_window_ls_x=6))
     assert np.all(out.values[out.mask] == 0.0)
 
 

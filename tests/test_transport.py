@@ -1,17 +1,18 @@
 """Solver-level checks: isotherms, configuration guards, mass accounting,
 grid convergence and measurement sampling."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from conftest import make_tiny
 from transportid.errors import ValidationError
 from transportid.scenarios import (get_scenario, scenario_names,
-                                   true_coefficients, true_parameters,
-                                   with_noise_floor_disabled)
-from transportid.transport import (ScenarioConfig, SorptionModel,
-                                   isotherm_slope, isotherm_value,
-                                   sample_measurements, simulate)
+                                   true_coefficients, true_parameters)
+from transportid.transport import (Field, SorptionModel, isotherm_slope,
+                                   isotherm_value, sample_measurements,
+                                   simulate)
 
 
 def test_isotherm_values_match_hand_calculation():
@@ -68,6 +69,16 @@ def test_scenario_config_guards():
         make_tiny(theta=1.2)
     with pytest.raises(ValidationError):
         make_tiny(c0=-0.01)
+    with pytest.raises(ValidationError):
+        make_tiny(meas_t_start=-2.0)  # window starts before the simulation
+    with pytest.raises(ValidationError, match="sim_store_dt"):
+        make_tiny(sim_store_dt=0.0)
+    with pytest.raises(ValidationError, match="sim_store_dt"):
+        make_tiny(sim_store_dt=-2.0)
+    with pytest.raises(ValidationError, match="meas_dt/store_dt"):
+        make_tiny(meas_dt=1e-12)  # a ratio that rounds to zero steps
+    with pytest.raises(ValidationError, match="meas_dx/sim_dx"):
+        make_tiny(sim_dx=0.4)  # measurement nodes between solver nodes
 
 
 def test_derived_scenario_quantities():
@@ -104,6 +115,7 @@ def test_zero_source_stays_zero():
 
 
 def test_concentration_bounded_by_feed():
+    """Checked on the recorded window only: the solver keeps no other node."""
     cfg = get_scenario("s1")
     field = simulate(cfg)
     assert field.values.max() <= cfg.c0 * (1.0 + 1e-9)
@@ -152,8 +164,41 @@ def test_floor_masks_low_concentrations(pipeline):
     meas = sample_measurements(field, cfg)
     assert not meas.mask.all()
     assert np.all(meas.values[meas.mask] > cfg.conc_floor)
-    open_cfg = with_noise_floor_disabled(cfg)
+    assert field.mask.all()
+    open_cfg = replace(cfg, conc_floor=0.0)
     assert sample_measurements(field, open_cfg).mask.all()
+
+
+def test_finer_measurement_grid_contains_the_coarse_one():
+    """Every other node and time of a twice-finer monitoring grid is the
+    coarse grid's record, bit for bit."""
+    coarse = make_tiny()
+    fine = make_tiny(meas_dx=0.32, meas_x_count=49, meas_dt=1.0,
+                     sim_store_dt=1.0)
+    mc = sample_measurements(simulate(coarse), coarse)
+    mf = sample_measurements(simulate(fine), fine)
+    assert np.array_equal(mf.values[::2, ::2], mc.values)
+    assert np.array_equal(mf.mask[::2, ::2], mc.mask)
+
+
+def test_window_from_time_zero_starts_with_initial_condition():
+    cfg = make_tiny(meas_t_start=0.0)
+    field = simulate(cfg)
+    assert field.values.shape == (25, 351)
+    assert field.t0 == 0.0 and field.dt == 2.0
+    assert np.all(field.values[:, 0] == 0.0)
+    assert field.values[0, 1] > 0.0
+
+
+def test_sampling_rejects_a_field_off_the_measurement_grid():
+    cfg = make_tiny()
+    field = simulate(cfg)
+    with pytest.raises(ValidationError, match="measurement grid"):
+        sample_measurements(field, make_tiny(meas_dt=4.0))
+    shifted = Field(field.values, x0=0.0, dx=field.dx, t0=field.t0 + 2.0,
+                    dt=field.dt)
+    with pytest.raises(ValidationError, match="measurement grid"):
+        sample_measurements(shifted, cfg)
 
 
 def test_floor_masks_everything_on_zero_field():

@@ -13,8 +13,10 @@ zero-gradient boundary placed far from the plume.
 The discretization is a vertex-centred finite-volume scheme with central
 second-order face fluxes for both advection and dispersion, marched with
 backward Euler.  The sorption slope is handled by Picard iteration; every
-sweep solves one tridiagonal system.  The scheme conserves mass discretely,
-which the simulator tracks through a running flux audit.
+sweep solves one tridiagonal system with LAPACK ``gtsv``.  Without sorption
+the system does not depend on C, so each step is a single solve.  The scheme
+conserves mass discretely, which the simulator can track through a running
+flux audit.
 
 The solver records the concentration only on the coarser monitoring grid;
 the measurement sampler masks entries at or below the detection floor.
@@ -22,10 +24,11 @@ the measurement sampler masks entries at or below the detection floor.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from .errors import SolverError, ValidationError
 
@@ -76,17 +79,42 @@ class SorptionModel:
         return cls(kind="langmuir", k_l=float(k_l), s_bar=float(s_bar))
 
 
+# Unchecked isotherm kernels, C -> C* and C -> dC*/dC, one pair per kind.
+# Callers guarantee the domain: C >= 0, and C > 0 for the Freundlich slope.
+
+def _zero(c, model: SorptionModel):
+    return np.zeros_like(c)
+
+
+def _freundlich_value(c, model: SorptionModel):
+    return model.k_f * np.power(c, model.a)
+
+
+def _freundlich_slope(c, model: SorptionModel):
+    return model.a * model.k_f * np.power(c, model.a - 1.0)
+
+
+def _langmuir_value(c, model: SorptionModel):
+    return model.k_l * model.s_bar * c / (1.0 + model.k_l * c)
+
+
+def _langmuir_slope(c, model: SorptionModel):
+    return model.k_l * model.s_bar / (1.0 + model.k_l * c) ** 2
+
+
+_KERNELS = {
+    "none": (_zero, _zero),
+    "freundlich": (_freundlich_value, _freundlich_slope),
+    "langmuir": (_langmuir_value, _langmuir_slope),
+}
+
+
 def isotherm_value(c, model: SorptionModel):
     """Sorbed concentration C*(C).  Raises on negative concentrations."""
     arr = np.asarray(c, dtype=float)
     if np.any(arr < 0.0):
         raise ValueError("isotherm_value requires C >= 0")
-    if model.kind == "none":
-        out = np.zeros_like(arr)
-    elif model.kind == "freundlich":
-        out = model.k_f * np.power(arr, model.a)
-    else:
-        out = model.k_l * model.s_bar * arr / (1.0 + model.k_l * arr)
+    out = _KERNELS[model.kind][0](arr, model)
     return float(out) if np.isscalar(c) else out
 
 
@@ -98,16 +126,11 @@ def isotherm_slope(c, model: SorptionModel):
     model accept C >= 0.
     """
     arr = np.asarray(c, dtype=float)
-    if model.kind == "none":
-        out = np.zeros_like(arr)
-    elif model.kind == "freundlich":
-        if np.any(arr <= 0.0):
-            raise ValueError("Freundlich slope requires C > 0 (singular at C = 0)")
-        out = model.a * model.k_f * np.power(arr, model.a - 1.0)
-    else:
-        if np.any(arr < 0.0):
-            raise ValueError("isotherm_slope requires C >= 0")
-        out = model.k_l * model.s_bar / (1.0 + model.k_l * arr) ** 2
+    if model.kind == "freundlich" and np.any(arr <= 0.0):
+        raise ValueError("Freundlich slope requires C > 0 (singular at C = 0)")
+    if model.kind == "langmuir" and np.any(arr < 0.0):
+        raise ValueError("isotherm_slope requires C >= 0")
+    out = _KERNELS[model.kind][1](arr, model)
     return float(out) if np.isscalar(c) else out
 
 
@@ -161,10 +184,9 @@ class ScenarioConfig:
                 raise ValidationError(f"{name} must be positive, got {value}")
         if self.theta > 1.0:
             raise ValidationError(f"porosity theta must be <= 1, got {self.theta}")
-        if self.c0 < 0.0:
-            raise ValidationError("c0 must be >= 0")
-        if self.conc_floor < 0.0:
-            raise ValidationError("conc_floor must be >= 0")
+        for name, value in (("c0", self.c0), ("conc_floor", self.conc_floor)):
+            if not (np.isfinite(value) and value >= 0.0):
+                raise ValidationError(f"{name} must be finite and >= 0, got {value}")
         if self.meas_x_count < 2:
             raise ValidationError("meas_x_count must be >= 2")
         if self.sim_dx > self.meas_dx + 1e-12:
@@ -260,7 +282,8 @@ class Field:
 
 @dataclass
 class SimDiagnostics:
-    """Mass-audit trail of one simulation, taken every ``store_dt`` from t = 0."""
+    """Mass-audit trail of one simulation, taken every ``store_dt`` from t = 0,
+    with the solver's total tridiagonal solves and most Picard sweeps in a step."""
 
     times: np.ndarray
     aqueous_mass: np.ndarray
@@ -268,6 +291,7 @@ class SimDiagnostics:
     injected_mass: np.ndarray
     outflowed_mass: np.ndarray
     max_picard_sweeps: int
+    solves: int
 
     def balance_error(self) -> np.ndarray:
         """Relative closure error of stored + sorbed + outflow vs injected."""
@@ -276,14 +300,18 @@ class SimDiagnostics:
         return np.abs(closure - self.injected_mass) / scale
 
 
-def _slope_for_solver(c: np.ndarray, model: SorptionModel) -> np.ndarray:
-    if model.kind == "none":
-        return np.zeros_like(c)
-    if model.kind == "freundlich":
-        return isotherm_slope(np.maximum(c, _SLOPE_EVAL_FLOOR), model)
-    return isotherm_slope(np.maximum(c, 0.0), model)
+def solve_banded(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
+                 rhs: np.ndarray) -> np.ndarray:
+    """Solve a tridiagonal system with LAPACK ``gtsv``.
 
-
+    ``lower`` and ``upper`` are the n - 1 sub- and super-diagonal entries,
+    ``diag`` the n diagonal ones.  ``rhs`` is overwritten.  No finiteness
+    check is made; a singular system raises SolverError.
+    """
+    _, _, _, x, info = dgtsv(lower, diag, upper, rhs, overwrite_b=1)
+    if info != 0:
+        raise SolverError(f"tridiagonal solve failed (LAPACK gtsv info = {info})")
+    return x
 
 
 def _measurement_shape(config: ScenarioConfig) -> tuple:
@@ -298,7 +326,9 @@ def simulate(config: ScenarioConfig, return_diagnostics: bool = False):
     (meas_x_count - 1) * meas_dx) is recorded at t = meas_t_start ..
     meas_t_end in steps of meas_dt, clamped at 0; nothing is masked.  With
     ``return_diagnostics`` a SimDiagnostics record with the mass audit,
-    taken every ``config.store_dt``, is returned as well.
+    taken every ``config.store_dt``, and the solve counts is returned as
+    well; without it no audit is taken.  A singular system or a non-finite
+    concentration raises SolverError.
     """
     if config.d_l <= 0.0:
         raise ValidationError("central differencing requires D_L > 0")
@@ -331,12 +361,19 @@ def simulate(config: ScenarioConfig, return_diagnostics: bool = False):
     vol[0] = vol[-1] = 0.5 * dx
     vol_over_dt = vol / dt
 
+    value, slope = _KERNELS[model.kind]
+    nonlinear = model.kind != "none"
+    # The Freundlich slope is singular at C = 0, so it is taken at a floor.
+    slope_floor = _SLOPE_EVAL_FLOOR if model.kind == "freundlich" else 0.0
+
     c = np.zeros(n_nodes)
+    cs = value(c, model)  # isotherm value of max(c, 0), carried along with c
     measured = np.zeros(_measurement_shape(config))
 
     injected = 0.0
     outflowed = 0.0
     max_sweeps = 0
+    solves = 0
 
     audit_times = np.zeros(n_audit)
     aqueous = np.zeros(n_audit)
@@ -345,11 +382,11 @@ def simulate(config: ScenarioConfig, return_diagnostics: bool = False):
     outflowed_track = np.zeros(n_audit)
 
     def record(steps_done: int) -> None:
-        if steps_done % audit_every == 0:
+        if return_diagnostics and steps_done % audit_every == 0:
             slot = steps_done // audit_every
             audit_times[slot] = steps_done * dt
             aqueous[slot] = theta * float(vol @ c)
-            sorbed[slot] = rho_b * float(vol @ isotherm_value(np.maximum(c, 0.0), model))
+            sorbed[slot] = rho_b * float(vol @ cs)
             injected_track[slot] = injected
             outflowed_track[slot] = outflowed
         if steps_done >= t_first and (steps_done - t_first) % t_every == 0:
@@ -358,44 +395,48 @@ def simulate(config: ScenarioConfig, return_diagnostics: bool = False):
 
     record(0)
 
-    # Off-diagonals are constant; the diagonal changes with the sorption slope.
-    lower = np.full(n_nodes, -(a_face + b_face))
-    upper = np.full(n_nodes, -(a_face - b_face))
+    # Off-diagonals are constant.  The diagonal and the sorbed-mass change of
+    # the right-hand side follow the sorption slope; without sorption they
+    # are the constants below.
+    lower = np.full(n_nodes - 1, -(a_face + b_face))
+    upper = np.full(n_nodes - 1, -(a_face - b_face))
     diag_flux = np.full(n_nodes, 2.0 * a_face)
     diag_flux[0] = a_face + b_face
     diag_flux[-1] = a_face + b_face
-    ab = np.zeros((3, n_nodes))
-    ab[0, 1:] = upper[:-1]
-    ab[2, :-1] = lower[1:]
+    diag = vol_over_dt * theta + diag_flux
+    sorbed_change = 0.0
 
     for step in range(n_steps):
         t_next = (step + 1) * dt
         flux_in = f0 if t_next <= config.t_pulse + 1e-9 * dt else 0.0
 
-        c_old = c
-        cs_old = isotherm_value(np.maximum(c_old, 0.0), model)
-        c_k = c_old.copy()
-        converged = False
+        # cs_k is the isotherm value of iterate c_k, computed once per sweep
+        # after its solve; the last one becomes the next step's cs_old.
+        c_old, cs_old = c, cs
+        c_k, cs_k = c, cs
         for sweep in range(1, _PICARD_MAX_SWEEPS + 1):
-            s = _slope_for_solver(c_k, model)
-            cs_k = isotherm_value(np.maximum(c_k, 0.0), model)
-            storage = vol_over_dt * (theta + rho_b * s)
-            rhs = vol_over_dt * (theta * c_old + rho_b * (cs_old - cs_k + s * c_k))
+            if nonlinear:
+                s = slope(np.maximum(c_k, slope_floor), model)
+                diag = vol_over_dt * (theta + rho_b * s) + diag_flux
+                sorbed_change = rho_b * (cs_old - cs_k + s * c_k)
+            rhs = vol_over_dt * (theta * c_old + sorbed_change)
             rhs[0] += flux_in
-            ab[1, :] = storage + diag_flux
-            c_new = solve_banded((1, 1), ab, rhs)
+            c_new = solve_banded(lower, diag, upper, rhs)
+            solves += 1
             delta = float(np.max(np.abs(c_new - c_k)))
+            if not math.isfinite(delta):
+                raise SolverError(f"non-finite concentration at t = {t_next:.3f} s")
             c_k = c_new
-            if delta <= _PICARD_TOL:
-                converged = True
+            cs_k = value(np.maximum(c_k, 0.0), model)
+            if not nonlinear or delta <= _PICARD_TOL:
                 break
-        if not converged:
+        else:
             raise SolverError(
                 f"Picard iteration failed at t = {t_next:.3f} s "
                 f"(last sweep change {delta:.3e} after {_PICARD_MAX_SWEEPS} sweeps)"
             )
         max_sweeps = max(max_sweeps, sweep)
-        c = c_k
+        c, cs = c_k, cs_k
         injected += flux_in * dt
         outflowed += config.q * c[-1] * dt
         record(step + 1)
@@ -411,6 +452,7 @@ def simulate(config: ScenarioConfig, return_diagnostics: bool = False):
         injected_mass=injected_track,
         outflowed_mass=outflowed_track,
         max_picard_sweeps=max_sweeps,
+        solves=solves,
     )
     return field, diag
 

@@ -222,6 +222,16 @@ def test_exit_validation_on_bad_config(tmp_path):
     assert main(["simulate", "--config", str(extra_key)]) == 2
 
 
+@pytest.mark.parametrize("key", ["c0", "conc_floor"])
+def test_exit_validation_on_non_finite_scenario_value(tmp_path, capsys, key):
+    scenario = tiny_dict()
+    scenario[key] = float("nan")
+    cfg_path = tiny_config(tmp_path, custom_scenario=scenario)
+    assert main(["simulate", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {key} must be finite")
+    assert not (tmp_path / "out" / "measurements_clean.csv").exists()
+
+
 def test_exit_validation_message_goes_to_stderr(tmp_path, capsys):
     unknown = tmp_path / "unknown.json"
     unknown.write_text(json.dumps({"scenario": "s9"}))

@@ -5,9 +5,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_tiny
-from transportid.errors import ValidationError
+from reference_solver import reference_simulate
+from transportid import transport
+from transportid.errors import SolverError, ValidationError
 from transportid.scenarios import (get_scenario, scenario_names,
                                    true_coefficients, true_parameters)
 from transportid.transport import (Field, SorptionModel, isotherm_slope,
@@ -69,6 +73,12 @@ def test_scenario_config_guards():
         make_tiny(theta=1.2)
     with pytest.raises(ValidationError):
         make_tiny(c0=-0.01)
+    with pytest.raises(ValidationError, match="c0"):
+        make_tiny(c0=float("nan"))
+    with pytest.raises(ValidationError, match="c0"):
+        make_tiny(c0=float("inf"))
+    with pytest.raises(ValidationError, match="conc_floor"):
+        make_tiny(conc_floor=float("nan"))  # would silently disable the floor
     with pytest.raises(ValidationError):
         make_tiny(meas_t_start=-2.0)  # window starts before the simulation
     with pytest.raises(ValidationError, match="sim_store_dt"):
@@ -228,3 +238,105 @@ def test_cell_peclet_guard():
     cfg = make_tiny(alpha_l=0.1)  # D_L drops tenfold, Pe = 3.2
     with pytest.raises(ValidationError):
         simulate(cfg)
+
+
+# ------------------------------------------- fast path vs reference solver
+
+TINY_FREUNDLICH = SorptionModel.freundlich(k_f=0.05, a=0.7)
+
+_AUDIT_ARRAYS = ("times", "aqueous_mass", "sorbed_mass", "injected_mass",
+                 "outflowed_mass")
+
+
+def assert_matches_reference(cfg):
+    """Measured values (every bit, signed zeros included) and every audit
+    array equal the reference solver's; returns both diagnostics."""
+    field, diag = simulate(cfg, return_diagnostics=True)
+    ref_field, ref_diag = reference_simulate(cfg)
+    assert np.array_equal(field.values.view(np.uint64),
+                          ref_field.values.view(np.uint64))
+    assert (field.x0, field.dx, field.t0, field.dt) == (
+        ref_field.x0, ref_field.dx, ref_field.t0, ref_field.dt)
+    for name in _AUDIT_ARRAYS:
+        assert np.array_equal(getattr(diag, name).view(np.uint64),
+                              getattr(ref_diag, name).view(np.uint64)), name
+    n_steps = int(round(cfg.meas_t_end / cfg.sim_dt))
+    if cfg.sorption.kind == "none":
+        # One solve per step: the reference's confirming sweep is not run.
+        assert (diag.solves, diag.max_picard_sweeps) == (n_steps, 1)
+        assert n_steps <= ref_diag.solves <= 2 * n_steps
+    else:
+        assert diag.solves == ref_diag.solves
+        assert diag.max_picard_sweeps == ref_diag.max_picard_sweeps
+    return diag, ref_diag
+
+
+_SORPTION = st.one_of(
+    st.just(SorptionModel.none()),
+    st.builds(SorptionModel.freundlich,
+              k_f=st.floats(0.0, 0.2), a=st.floats(0.3, 1.0)),
+    st.builds(SorptionModel.langmuir,
+              k_l=st.floats(0.0, 300.0), s_bar=st.floats(0.0, 0.01)),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(sorption=_SORPTION,
+       v_x=st.floats(0.002, 0.05),
+       alpha_l=st.floats(0.16, 3.0),  # grid Peclet 0.32/alpha_l <= 2
+       theta=st.floats(0.2, 0.6),
+       rho_b=st.floats(0.5, 2.5),
+       t_pulse=st.sampled_from([50.0, 200.0, 350.0, 1000.0]),
+       c0=st.floats(0.0, 0.2))
+def test_fast_path_is_bit_identical_to_reference(sorption, v_x, alpha_l, theta,
+                                                 rho_b, t_pulse, c0):
+    cfg = make_tiny(sorption=sorption, v_x=v_x, alpha_l=alpha_l, theta=theta,
+                    rho_b=rho_b, t_pulse=t_pulse, c0=c0, meas_t_start=100.0,
+                    meas_t_end=400.0)
+    assert_matches_reference(cfg)
+
+
+@pytest.mark.parametrize("name", ["s2-fast", "s3-fast"])
+def test_fast_presets_match_reference(name):
+    assert_matches_reference(get_scenario(name))
+
+
+def test_solve_counts():
+    _, diag = simulate(make_tiny(), return_diagnostics=True)
+    assert diag.solves == 700 and diag.max_picard_sweeps == 1
+    diag, ref_diag = assert_matches_reference(make_tiny(sorption=TINY_FREUNDLICH))
+    assert diag.solves == ref_diag.solves > 2 * 700
+
+
+def test_solve_banded_rejects_singular_system():
+    x = transport.solve_banded(np.array([1.0]), np.array([2.0, 4.0]),
+                               np.array([1.0]), np.array([3.0, 6.0]))
+    np.testing.assert_allclose(x, [6.0 / 7.0, 9.0 / 7.0], rtol=1e-15)
+    with pytest.raises(SolverError, match="gtsv"):
+        transport.solve_banded(np.zeros(2), np.zeros(3), np.zeros(2),
+                               np.ones(3))
+    with pytest.raises(SolverError, match="gtsv"):
+        # Rows 1 and 2 are equal: singular although no pivot starts at 0.
+        transport.solve_banded(np.array([1.0, 1.0]), np.array([1.0, 1.0, 1.0]),
+                               np.array([1.0, 0.0]), np.ones(3))
+
+
+@pytest.mark.parametrize("sorption", [SorptionModel.none(), TINY_FREUNDLICH])
+def test_non_finite_solution_raises_at_once(monkeypatch, sorption):
+    calls = []
+
+    def nan_solve(lower, diag, upper, rhs):
+        calls.append(1)
+        return np.full_like(rhs, np.nan)
+
+    monkeypatch.setattr(transport, "solve_banded", nan_solve)
+    with pytest.raises(SolverError, match="non-finite concentration at t = 1.000 s"):
+        simulate(make_tiny(sorption=sorption))
+    assert len(calls) == 1
+
+
+def test_field_does_not_depend_on_the_audit():
+    cfg = make_tiny(sorption=TINY_FREUNDLICH)
+    audited, _ = simulate(cfg, return_diagnostics=True)
+    assert np.array_equal(simulate(cfg).values.view(np.uint64),
+                          audited.values.view(np.uint64))

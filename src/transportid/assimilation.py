@@ -6,16 +6,21 @@ prior covariance C_M, a scalar observation covariance C_eps, and a
 finite-difference sensitivity G = d eps / d m (the coefficients alpha are
 refit at every probed m, so G is a total derivative).
 
-Update for one iteration at damping lambda:
+The update runs in the logit coordinates s = ln((m - l)/(u - m)) of the
+prior box [l, u], so every iterate maps inside the box.  G is taken in m
+and carried to s by the chain rule, and C_M is mapped through dm/ds at
+the start point.  Update for one iteration at damping lambda:
 
     S = (1 + lambda) * C_eps + G C_M G^T
-    m_next = m - (1/(1+lambda)) * (C_M - C_M G^T S^-1 G C_M) C_M^-1 (m - m_pr)
+    s_next = s - (1/(1+lambda)) * (C_M - C_M G^T S^-1 G C_M) C_M^-1 (s - s_pr)
              - C_M G^T S^-1 * eps
 
 Accepted steps (eps strictly decreases) relax the damping by a factor
-gamma; rejected steps tighten it and retry.  The loop stops on relative
-eps stagnation between accepted steps, on an accepted-iteration budget,
-or when the damping exceeds a stall guard.
+gamma; rejected steps tighten it and retry.  The loop stops when an
+accepted step or a rejected finite trial changes eps by less than a
+relative tolerance, on an accepted-iteration budget, on a zero gradient
+(a flat surface, or m saturated on a bound), or when the damping exceeds
+a stall guard.
 """
 
 from __future__ import annotations
@@ -48,7 +53,8 @@ class AssimilationConfig:
 
     ``c_eps_scale`` sets the observation covariance relative to the
     starting error: C_eps = (c_eps_scale * max(eps0, c_eps_floor))^2.
-    ``tol_rel`` is judged between consecutive accepted steps.
+    ``tol_rel`` bounds the relative change of eps that ends a run
+    ``converged``: an accepted step, or a rejected finite trial.
     """
 
     lambda0: float = 10.0
@@ -86,7 +92,8 @@ class AssimilationTrace:
     m_final: ModelParams | None = None
     eps_final: float = float("nan")
     status: str = "running"
-    transformed: bool = False
+    # Every run is in logit coordinates; perfbench's tracer still reads this.
+    transformed = True
 
     @property
     def n_accepted(self) -> int:
@@ -115,22 +122,15 @@ def _chain_factor(m: np.ndarray, lower: np.ndarray,
 
 
 def fd_gradient(func, x: np.ndarray, bounds: ParamBounds,
-                rel_step: float, transformed: bool = False) -> np.ndarray:
+                rel_step: float) -> np.ndarray:
     """Central-difference gradient of a scalar function of m.
 
     Each probe moves m by ``rel_step`` times |m|, or times the bound span
-    at m = 0.  With ``transformed`` set, ``x`` holds the logit coordinates
-    of m and the same natural steps are divided by dm/ds.  ``func`` refits
-    alpha internally, so the result is the total sensitivity of the
-    prediction error.
+    at m = 0.  ``func`` refits alpha internally, so the result is the
+    total sensitivity of the prediction error.
     """
-    lower = bounds.lower_array()
-    upper = bounds.upper_array()
-    m = from_unbounded(x, lower, upper) if transformed else x
-    steps = rel_step * np.abs(m)
+    steps = rel_step * np.abs(x)
     steps = np.where(steps == 0.0, rel_step * bounds.span(), steps)
-    if transformed:
-        steps = steps / np.maximum(_chain_factor(m, lower, upper), 1e-300)
     g = np.zeros(x.size)
     for i, h in enumerate(steps):
         lo = x.copy()
@@ -160,14 +160,17 @@ def lm_step(m: np.ndarray, m_pr: np.ndarray, g: np.ndarray,
 
 def run_assimilation(evaluator: PredictionErrorEvaluator, m0: ModelParams,
                      bounds: ParamBounds,
-                     cfg: AssimilationConfig | None = None,
-                     _transformed: bool = False) -> AssimilationTrace:
+                     cfg: AssimilationConfig | None = None) -> AssimilationTrace:
     """Drive m from m0 toward the prediction-error minimum.
 
-    ``evaluator`` needs only ``eps(m)``.  Runs in natural coordinates
-    first; if an accepted iterate ever leaves the prior bounds, the whole
-    loop restarts once in logit-transformed coordinates where every real
-    vector maps inside the bounds.
+    ``evaluator`` needs only ``eps(m)``, and m0 must lie strictly inside
+    ``bounds``.  The loop runs in the logit coordinates of m, so every
+    iterate stays inside the box.  It ends ``converged`` when an accepted
+    step, or a rejected finite trial, changes eps by less than
+    ``tol_rel * eps``; ``zero_gradient`` when the gradient vanishes, which
+    also happens once m saturates on a bound; ``stalled`` when the damping
+    passes ``lambda_stall``.  ``converged`` says eps stopped moving, not
+    that m reached the minimum: the prior pull toward m0 can stop it short.
     """
     cfg = cfg or AssimilationConfig()
     names = m0.names
@@ -175,53 +178,54 @@ def run_assimilation(evaluator: PredictionErrorEvaluator, m0: ModelParams,
         raise ValidationError("parameter naming mismatch with bounds")
     lower = bounds.lower_array()
     upper = bounds.upper_array()
-    c_m = bounds.prior_covariance()
     m0_vec = m0.as_array()
+    if not np.all((lower < m0_vec) & (m0_vec < upper)):
+        raise ValidationError(
+            f"start point {dict(zip(names, m0.values))} is not strictly "
+            f"inside the bounds")
+    s0 = to_unbounded(m0_vec, lower, upper)
+    # Prior covariance mapped through the transform at the prior mean.
+    c_m = bounds.prior_covariance() / np.maximum(
+        _chain_factor(m0_vec, lower, upper) ** 2, 1e-300)
 
     def pack(vec: np.ndarray) -> ModelParams:
         return ModelParams(names=names, values=tuple(float(v) for v in vec))
 
-    if _transformed:
-        def to_nat(z):
-            return from_unbounded(z, lower, upper)
+    def to_nat(s: np.ndarray) -> np.ndarray:
+        return from_unbounded(s, lower, upper)
 
-        x0 = to_unbounded(m0_vec, lower, upper)
-        # Prior covariance mapped through the transform at the prior mean.
-        j0 = _chain_factor(m0_vec, lower, upper)
-        c_m = c_m / np.maximum(j0 ** 2, 1e-300)
-    else:
-        def to_nat(z):
-            return z
+    def eps_of_m(m: np.ndarray) -> float:
+        return evaluator.eps(pack(m))
 
-        x0 = m0_vec
+    def eps_of(s: np.ndarray) -> float:
+        return eps_of_m(to_nat(s))
 
-    def eps_of(z):
-        return evaluator.eps(pack(to_nat(z)))
+    def grad_at(s: np.ndarray) -> np.ndarray:
+        # Chain rule: d eps/ds = d eps/dm * dm/ds.
+        m = to_nat(s)
+        return (fd_gradient(eps_of_m, m, bounds, cfg.fd_rel_step)
+                * _chain_factor(m, lower, upper))
 
-    trace = AssimilationTrace(transformed=_transformed)
-    x_pr = x0.copy()
+    trace = AssimilationTrace()
     try:
-        eps0 = eps_of(x0)
+        eps0 = eps_of(s0)
     except Exception as exc:  # noqa: BLE001 - starting point must evaluate
         raise SolverError(f"objective failed at the start point: {exc}")
     c_eps = (cfg.c_eps_scale * max(eps0, cfg.c_eps_floor)) ** 2
 
-    x = x0.copy()
+    s = s0.copy()
     eps = eps0
     lam = cfg.lambda0
     idx = 0
-    trace.records.append(IterationRecord(idx, pack(to_nat(x)), eps, lam, True))
+    trace.records.append(IterationRecord(idx, pack(to_nat(s)), eps, lam, True))
 
     def finish(status: str) -> AssimilationTrace:
         trace.status = status
-        trace.m_final = pack(to_nat(x))
+        trace.m_final = pack(to_nat(s))
         trace.eps_final = eps
         return trace
 
-    def grad_at(z: np.ndarray) -> np.ndarray:
-        return fd_gradient(eps_of, z, bounds, cfg.fd_rel_step, _transformed)
-
-    g = grad_at(x)
+    g = grad_at(s)
     if not np.any(np.abs(g) > 0.0):
         # Parameter-free library: the error surface is flat in m.
         return finish("zero_gradient")
@@ -232,10 +236,10 @@ def run_assimilation(evaluator: PredictionErrorEvaluator, m0: ModelParams,
         if proposals >= _PROPOSAL_BUDGET:
             return finish("budget_exhausted")
         proposals += 1
-        x_trial = x
+        s_trial = s
         try:
-            x_trial = lm_step(x, x_pr, g, c_m, c_eps, eps, lam)
-            eps_trial = eps_of(x_trial)
+            s_trial = lm_step(s, s0, g, c_m, c_eps, eps, lam)
+            eps_trial = eps_of(s_trial)
             ok = np.isfinite(eps_trial)
         except Exception:  # noqa: BLE001 - failed trial is a rejection
             ok = False
@@ -244,29 +248,27 @@ def run_assimilation(evaluator: PredictionErrorEvaluator, m0: ModelParams,
 
         if ok and eps_trial < eps:
             prev_eps = eps
-            x = x_trial
+            s = s_trial
             eps = eps_trial
             lam = lam / cfg.gamma
             accepted += 1
             trace.records.append(
-                IterationRecord(idx, pack(to_nat(x)), eps, lam, True))
-            if not _transformed and not bounds.contains(x):
-                # Restart once in transformed coordinates from m0.
-                return run_assimilation(evaluator, m0, bounds, cfg,
-                                        _transformed=True)
+                IterationRecord(idx, pack(to_nat(s)), eps, lam, True))
             if abs(prev_eps - eps) < cfg.tol_rel * prev_eps:
                 return finish("converged")
             if accepted >= cfg.max_accepted:
                 return finish("max_iterations")
-            g = grad_at(x)
+            g = grad_at(s)
             if not np.any(np.abs(g) > 0.0):
                 return finish("zero_gradient")
         else:
             lam = lam * cfg.gamma
             trace.records.append(
-                IterationRecord(idx, pack(to_nat(x_trial)),
+                IterationRecord(idx, pack(to_nat(s_trial)),
                                 eps_trial if ok else float("inf"),
                                 lam, False))
+            if ok and eps_trial - eps < cfg.tol_rel * eps:
+                # Flat to within tol_rel, as for an accepted step.
+                return finish("converged")
             if lam > cfg.lambda_stall:
                 return finish("stalled")
-

@@ -92,10 +92,6 @@ class ParamBounds:
     def span(self) -> np.ndarray:
         return self.upper_array() - self.lower_array()
 
-    def contains(self, m: ModelParams | np.ndarray, margin: float = 0.0) -> bool:
-        v = m.as_array() if isinstance(m, ModelParams) else np.asarray(m, dtype=float)
-        return bool(np.all(v >= self.lower_array() - margin) and np.all(v <= self.upper_array() + margin))
-
     def midpoint(self) -> np.ndarray:
         return 0.5 * (self.lower_array() + self.upper_array())
 

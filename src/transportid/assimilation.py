@@ -29,9 +29,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SolverError, ValidationError
+from .errors import SolverError, ValidationError, check_numbers
 from .params import ModelParams, ParamBounds
-from .regression import PredictionErrorEvaluator
+from .regression import FitResult, PredictionErrorEvaluator
 
 __all__ = [
     "AssimilationConfig",
@@ -44,7 +44,11 @@ __all__ = [
     "from_unbounded",
 ]
 
-_PROPOSAL_BUDGET = 400
+_PROPOSAL_BUDGET = 400  # trials per run
+_GAMMA = 10.0  # damping factor per accepted or rejected trial
+_LAMBDA_STALL = 1e15  # damping that ends a run ``stalled``
+_C_EPS_FLOOR = 1e-12  # floor of the starting error in C_eps
+_FD_REL_STEP = 0.01  # relative finite-difference step
 
 
 @dataclass(frozen=True)
@@ -52,29 +56,26 @@ class AssimilationConfig:
     """Knobs for the update loop.
 
     ``c_eps_scale`` sets the observation covariance relative to the
-    starting error: C_eps = (c_eps_scale * max(eps0, c_eps_floor))^2.
-    ``tol_rel`` bounds the relative change of eps that ends a run
-    ``converged``: an accepted step, or a rejected finite trial.
+    starting error: C_eps = (c_eps_scale * eps0)^2.  ``tol_rel`` bounds
+    the relative change of eps that ends a run ``converged``: an accepted
+    step, or a rejected finite trial.
     """
 
     lambda0: float = 10.0
-    gamma: float = 10.0
     tol_rel: float = 1e-3
     max_accepted: int = 25
-    lambda_stall: float = 1e15
     c_eps_scale: float = 0.01
-    c_eps_floor: float = 1e-12
-    fd_rel_step: float = 0.01
 
     def __post_init__(self) -> None:
-        if self.lambda0 <= 0 or self.gamma <= 1:
-            raise ValidationError("need lambda0 > 0 and gamma > 1")
+        check_numbers(self)
+        if self.lambda0 <= 0:
+            raise ValidationError("lambda0 must be positive")
         if not (0 < self.tol_rel < 1):
             raise ValidationError("tol_rel must be in (0, 1)")
         if self.max_accepted < 1:
             raise ValidationError("max_accepted must be positive")
-        if self.c_eps_scale <= 0 or self.fd_rel_step <= 0:
-            raise ValidationError("scales must be positive")
+        if self.c_eps_scale <= 0:
+            raise ValidationError("c_eps_scale must be positive")
 
 
 @dataclass
@@ -92,6 +93,7 @@ class AssimilationTrace:
     m_final: ModelParams | None = None
     eps_final: float = float("nan")
     status: str = "running"
+    fit: FitResult | None = None
     # Every run is in logit coordinates; perfbench's tracer still reads this.
     transformed = True
 
@@ -163,14 +165,15 @@ def run_assimilation(evaluator: PredictionErrorEvaluator, m0: ModelParams,
                      cfg: AssimilationConfig | None = None) -> AssimilationTrace:
     """Drive m from m0 toward the prediction-error minimum.
 
-    ``evaluator`` needs only ``eps(m)``, and m0 must lie strictly inside
-    ``bounds``.  The loop runs in the logit coordinates of m, so every
-    iterate stays inside the box.  It ends ``converged`` when an accepted
-    step, or a rejected finite trial, changes eps by less than
+    ``evaluator.evaluate(m)`` returns a result with an ``eps``; the one at
+    the last accepted point is kept as ``trace.fit``.  m0 must lie strictly
+    inside ``bounds``.  The loop runs in the logit coordinates of m, so
+    every iterate stays inside the box.  It ends ``converged`` when an
+    accepted step, or a rejected finite trial, changes eps by less than
     ``tol_rel * eps``; ``zero_gradient`` when the gradient vanishes, which
     also happens once m saturates on a bound; ``stalled`` when the damping
-    passes ``lambda_stall``.  ``converged`` says eps stopped moving, not
-    that m reached the minimum: the prior pull toward m0 can stop it short.
+    passes 1e15.  ``converged`` says eps stopped moving, not that m
+    reached the minimum: the prior pull toward m0 can stop it short.
     """
     cfg = cfg or AssimilationConfig()
     names = m0.names
@@ -195,34 +198,32 @@ def run_assimilation(evaluator: PredictionErrorEvaluator, m0: ModelParams,
         return from_unbounded(s, lower, upper)
 
     def eps_of_m(m: np.ndarray) -> float:
-        return evaluator.eps(pack(m))
-
-    def eps_of(s: np.ndarray) -> float:
-        return eps_of_m(to_nat(s))
+        return evaluator.evaluate(pack(m)).eps
 
     def grad_at(s: np.ndarray) -> np.ndarray:
         # Chain rule: d eps/ds = d eps/dm * dm/ds.
         m = to_nat(s)
-        return (fd_gradient(eps_of_m, m, bounds, cfg.fd_rel_step)
+        return (fd_gradient(eps_of_m, m, bounds, _FD_REL_STEP)
                 * _chain_factor(m, lower, upper))
 
     trace = AssimilationTrace()
     try:
-        eps0 = eps_of(s0)
+        fit = evaluator.evaluate(pack(to_nat(s0)))
     except Exception as exc:  # noqa: BLE001 - starting point must evaluate
         raise SolverError(f"objective failed at the start point: {exc}")
-    c_eps = (cfg.c_eps_scale * max(eps0, cfg.c_eps_floor)) ** 2
+    c_eps = (cfg.c_eps_scale * max(fit.eps, _C_EPS_FLOOR)) ** 2
 
     s = s0.copy()
-    eps = eps0
     lam = cfg.lambda0
     idx = 0
-    trace.records.append(IterationRecord(idx, pack(to_nat(s)), eps, lam, True))
+    trace.records.append(
+        IterationRecord(idx, pack(to_nat(s)), fit.eps, lam, True))
 
     def finish(status: str) -> AssimilationTrace:
         trace.status = status
         trace.m_final = pack(to_nat(s))
-        trace.eps_final = eps
+        trace.eps_final = fit.eps
+        trace.fit = fit
         return trace
 
     g = grad_at(s)
@@ -238,23 +239,23 @@ def run_assimilation(evaluator: PredictionErrorEvaluator, m0: ModelParams,
         proposals += 1
         s_trial = s
         try:
-            s_trial = lm_step(s, s0, g, c_m, c_eps, eps, lam)
-            eps_trial = eps_of(s_trial)
+            s_trial = lm_step(s, s0, g, c_m, c_eps, fit.eps, lam)
+            trial = evaluator.evaluate(pack(to_nat(s_trial)))
+            eps_trial = trial.eps
             ok = np.isfinite(eps_trial)
         except Exception:  # noqa: BLE001 - failed trial is a rejection
             ok = False
             eps_trial = float("inf")
         idx += 1
 
-        if ok and eps_trial < eps:
-            prev_eps = eps
-            s = s_trial
-            eps = eps_trial
-            lam = lam / cfg.gamma
+        if ok and eps_trial < fit.eps:
+            prev_eps = fit.eps
+            s, fit = s_trial, trial
+            lam = lam / _GAMMA
             accepted += 1
             trace.records.append(
-                IterationRecord(idx, pack(to_nat(s)), eps, lam, True))
-            if abs(prev_eps - eps) < cfg.tol_rel * prev_eps:
+                IterationRecord(idx, pack(to_nat(s)), fit.eps, lam, True))
+            if abs(prev_eps - fit.eps) < cfg.tol_rel * prev_eps:
                 return finish("converged")
             if accepted >= cfg.max_accepted:
                 return finish("max_iterations")
@@ -262,13 +263,13 @@ def run_assimilation(evaluator: PredictionErrorEvaluator, m0: ModelParams,
             if not np.any(np.abs(g) > 0.0):
                 return finish("zero_gradient")
         else:
-            lam = lam * cfg.gamma
+            lam = lam * _GAMMA
             trace.records.append(
                 IterationRecord(idx, pack(to_nat(s_trial)),
                                 eps_trial if ok else float("inf"),
                                 lam, False))
-            if ok and eps_trial - eps < cfg.tol_rel * eps:
+            if ok and eps_trial - fit.eps < cfg.tol_rel * fit.eps:
                 # Flat to within tol_rel, as for an accepted step.
                 return finish("converged")
-            if lam > cfg.lambda_stall:
+            if lam > _LAMBDA_STALL:
                 return finish("stalled")

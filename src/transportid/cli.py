@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .assimilation import AssimilationConfig
-from .errors import TransportIdError, ValidationError
+from .errors import TransportIdError, ValidationError, check_numbers
 from .identification import IdentifyConfig, identify, prepare_dataset
 from .params import ParamBounds
 from .preprocess import NoiseSpec, SmoothingConfig, add_noise
@@ -52,6 +52,7 @@ class ExperimentConfig:
     smoothing: dict | None = None
 
     def __post_init__(self) -> None:
+        check_numbers(self)
         problems = []
         if self.scenario != "custom" and self.scenario not in scenario_names():
             problems.append(f"scenario={self.scenario!r}")

@@ -34,7 +34,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assimilation import AssimilationConfig, AssimilationTrace, run_assimilation
-from .errors import SolverError, TransportIdError, ValidationError
+from .errors import (SolverError, TransportIdError, ValidationError,
+                     check_numbers)
 from .library import LibrarySpec, term_by_id
 from .params import ModelParams, ParamBounds
 from .preprocess import (DataSplit, NoiseSpec, SmoothingConfig, add_noise,
@@ -78,6 +79,7 @@ class IdentifyConfig:
     smoothing: SmoothingConfig = field(default_factory=SmoothingConfig)
 
     def __post_init__(self) -> None:
+        check_numbers(self)
         if self.n_restarts < 1:
             raise ValidationError("need at least one restart")
         if not (0.0 < self.split_ratio < 1.0):
@@ -244,7 +246,8 @@ def sample_prior(n: int, bounds: ParamBounds, seed: int) -> list:
 def run_single(evaluator: PredictionErrorEvaluator, m0: ModelParams,
                bounds: ParamBounds, assim_cfg: AssimilationConfig,
                run_id: int = 0, seed: int = 0) -> RunResult:
-    """One restart: assimilate m from m0, then refit alpha at the result.
+    """One restart: assimilate m from m0; its fit is the evaluation the
+    loop accepted last.
 
     ``bounds`` must name exactly the parameters the evaluator's library
     reads (``ParamBounds.restrict`` selects them).
@@ -255,9 +258,8 @@ def run_single(evaluator: PredictionErrorEvaluator, m0: ModelParams,
             f"bounds name parameters {list(bounds.names)}, but library "
             f"{evaluator.library.name!r} reads {list(reads)}")
     trace = run_assimilation(evaluator, m0, bounds, assim_cfg)
-    fit = evaluator.evaluate(trace.m_final)
-    return RunResult(run_id=run_id, seed=seed, m0=m0, trace=trace, fit=fit,
-                     library_name=evaluator.library.name)
+    return RunResult(run_id=run_id, seed=seed, m0=m0, trace=trace,
+                     fit=trace.fit, library_name=evaluator.library.name)
 
 
 def run_ensemble(split: DataSplit, library: LibrarySpec, cfg: IdentifyConfig):

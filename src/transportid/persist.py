@@ -62,6 +62,14 @@ def write_field_csv(field: Field, path) -> None:
 
 
 def read_field_csv(path) -> Field:
+    """Read a field written by ``write_field_csv`` (or a three-column file).
+
+    Each axis spacing is the span between its end points over n - 1.  The
+    steps must agree with it to within 1e-9 of the step plus 8 ulp of the
+    largest coordinate, the rounding the written coordinates carry.  A
+    one-sample axis has no spacing in this format and reads back with
+    spacing 1.0; only its origin is kept.
+    """
     path = Path(path)
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
@@ -79,11 +87,16 @@ def read_field_csv(path) -> Field:
     t_axis = np.unique(np.array(ts))
     if len(xs) != x_axis.size * t_axis.size:
         raise ValidationError(f"{path}: grid is not rectangular")
+    spacing = []
     for axis, label in ((x_axis, "x"), (t_axis, "t")):
-        if axis.size > 1:
-            steps = np.diff(axis)
-            if not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
-                raise ValidationError(f"{path}: non-uniform {label} axis")
+        if axis.size == 1:
+            spacing.append(1.0)
+            continue
+        step = float(axis[-1] - axis[0]) / (axis.size - 1)
+        tol = 1e-9 * step + 8.0 * np.spacing(np.max(np.abs(axis)))
+        if np.any(np.abs(np.diff(axis) - step) > tol):
+            raise ValidationError(f"{path}: non-uniform {label} axis")
+        spacing.append(step)
     values = np.full((x_axis.size, t_axis.size), np.nan)
     mask = np.zeros(values.shape, dtype=bool)
     xi = {v: i for i, v in enumerate(x_axis)}
@@ -91,10 +104,8 @@ def read_field_csv(path) -> Field:
     for xv, tv, cv, mv in zip(xs, ts, cs, ms):
         values[xi[xv], ti[tv]] = cv
         mask[xi[xv], ti[tv]] = mv
-    dx = float(x_axis[1] - x_axis[0]) if x_axis.size > 1 else 1.0
-    dt = float(t_axis[1] - t_axis[0]) if t_axis.size > 1 else 1.0
-    return Field(values=values, x0=float(x_axis[0]), dx=dx,
-                 t0=float(t_axis[0]), dt=dt, mask=mask)
+    return Field(values=values, x0=float(x_axis[0]), dx=spacing[0],
+                 t0=float(t_axis[0]), dt=spacing[1], mask=mask)
 
 
 def scenario_to_dict(config: ScenarioConfig) -> dict:

@@ -28,7 +28,7 @@ from dataclasses import dataclass, fields as dc_fields
 import numpy as np
 from scipy.ndimage import correlate1d, minimum_filter1d
 
-from .errors import ValidationError
+from .errors import ValidationError, check_numbers
 from .transport import Field
 
 
@@ -40,6 +40,7 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        check_numbers(self)
         if not 0.0 <= self.delta < 1.0:
             raise ValidationError(f"noise delta must be in [0, 1), got {self.delta}")
 
@@ -82,6 +83,7 @@ class SmoothingConfig:
     fluctuation_factor: float = 1.3
 
     def __post_init__(self) -> None:
+        check_numbers(self)
         if self.degree_cheb < 1 or self.order_ls < 0:
             raise ValidationError("smoothing degrees must be positive")
         for n in (self.half_window_cheb_t, self.half_window_ls_t,

@@ -177,9 +177,6 @@ class PredictionErrorEvaluator:
                          intercept=intercept, stats=stats,
                          eps=float(np.dot(resid, resid)))
 
-    def eps(self, m: ModelParams) -> float:
-        return self.evaluate(m).eps
-
 
 def fit_design(deriv: DerivativeField, m: ModelParams,
                library: LibrarySpec) -> FitResult:

@@ -1,6 +1,7 @@
 """Damped iterative parameter estimation: bounded transform, gradients,
 the update formula and full recovery on analytic data."""
 
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -30,8 +31,8 @@ class StubObjective:
     def __init__(self, fn):
         self._fn = fn
 
-    def eps(self, m: ModelParams) -> float:
-        return float(self._fn(m.as_array()))
+    def evaluate(self, m: ModelParams) -> SimpleNamespace:
+        return SimpleNamespace(m=m, eps=float(self._fn(m.as_array())))
 
 
 def adf_evaluator():
@@ -89,11 +90,13 @@ def test_param_bounds_restrict_keeps_box_order():
 
 def test_assimilation_config_validation():
     with pytest.raises(ValidationError):
-        AssimilationConfig(gamma=1.0)
-    with pytest.raises(ValidationError):
         AssimilationConfig(tol_rel=0.0)
     with pytest.raises(ValidationError):
         AssimilationConfig(c_eps_scale=0.0)
+    for bad in ({"c_eps_scale": np.inf}, {"lambda0": np.nan},
+                {"tol_rel": -np.inf}, {"max_accepted": 2.5}):
+        with pytest.raises(ValidationError, match=next(iter(bad))):
+            AssimilationConfig(**bad)
 
 
 # --------------------------------------------------- bounded transform
@@ -163,7 +166,7 @@ def test_gradient_is_zero_along_unused_parameter():
     ev = adf_evaluator()
 
     def f(v):
-        return ev.eps(ModelParams.from_array(v))
+        return ev.evaluate(ModelParams.from_array(v)).eps
 
     g = fd_gradient(f, np.array([0.5, 90.0]), BOUNDS, 0.01)
     assert g[0] != 0.0
@@ -184,7 +187,7 @@ def test_assimilation_evaluates_only_parameters_the_library_reads(static,
                                                                   sorption):
     """Every evaluation of an ensemble sees exactly the parameters its
     library reads, in bounds order; a parameter-free library is one run
-    of two evaluations (start point and final refit)."""
+    of one evaluation, whose fit is the run's result."""
     ids = tuple(t.id for t in EXTENDED.terms
                 if t.id in static or t.id == sorption)
     assume(ids)
@@ -208,7 +211,7 @@ def test_assimilation_evaluates_only_parameters_the_library_reads(static,
     if expected:
         assert len(results) == cfg.n_restarts
     else:
-        assert len(results) == 1 and len(seen) == 2
+        assert len(results) == 1 and len(seen) == 1
         assert results[0].trace.status == "zero_gradient"
 
 
@@ -293,9 +296,9 @@ def test_proposal_budget_guard(monkeypatch):
         return 1.0 + (3.0 * d if d >= 0.0 else -d)
 
     monkeypatch.setattr(assim, "_PROPOSAL_BUDGET", 5)
-    cfg = AssimilationConfig(lambda_stall=1e300)
+    monkeypatch.setattr(assim, "_LAMBDA_STALL", 1e300)
     tr = run_assimilation(StubObjective(vee),
-                          ModelParams.of_sorption(0.5, 90.0), BOUNDS, cfg)
+                          ModelParams.of_sorption(0.5, 90.0), BOUNDS)
     assert tr.status == "budget_exhausted"
     assert len(tr.records) == 1 + 5
 

@@ -62,8 +62,10 @@ def test_experiment_config_builds_identify_overrides():
     assert id_cfg.assimilation.max_accepted == 9
     assert id_cfg.smoothing.half_window_cheb_x == 4
 
-    with pytest.raises(ValidationError, match="unknown assimilation keys: turbo"):
-        ExperimentConfig(assimilation={"turbo": 1}).identify_config()
+    for removed in ("turbo", "gamma"):
+        with pytest.raises(ValidationError,
+                           match=f"unknown assimilation keys: {removed}"):
+            ExperimentConfig(assimilation={removed: 5}).identify_config()
     with pytest.raises(ValidationError, match="bounds block missing"):
         ExperimentConfig(bounds={"names": ["a", "K_l"],
                                  "lower": [0.3, 40.0]}).identify_config()
@@ -220,6 +222,26 @@ def test_exit_validation_on_bad_config(tmp_path):
     extra_key = tmp_path / "extra.json"
     extra_key.write_text(json.dumps({"scenario": "s1", "speed": "fast"}))
     assert main(["simulate", "--config", str(extra_key)]) == 2
+
+
+# json.loads reads NaN, Infinity and 2.5 where a finite float or a whole
+# count belongs, and gamma is no longer a setting; each must stop the run
+# before any work is done.
+@pytest.mark.parametrize("text", [
+    '{"assimilation": {"lambda0": NaN}}',
+    '{"assimilation": {"c_eps_scale": Infinity}}',
+    '{"assimilation": {"max_accepted": 2.5}}',
+    '{"assimilation": {"gamma": 5}}',
+    '{"smoothing": {"half_window_ls_x": NaN}}',
+    '{"n_restarts": 2.5}',
+    '{"master_seed": 1.5}',
+])
+def test_exit_validation_on_bad_numbers(tmp_path, capsys, text):
+    record = {"n_restarts": 2, **json.loads(text)}
+    cfg_path = tiny_config(tmp_path, **record)
+    assert main(["identify", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "out" / "summary.json").exists()
 
 
 @pytest.mark.parametrize("key", ["c0", "conc_floor"])

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import transportid.identification as identification
 from conftest import make_tiny, manufactured_field, zero_conc_split
 from transportid.errors import SolverError, ValidationError
 from transportid.identification import (EnsembleSummary, IdentifyConfig,
@@ -170,6 +171,39 @@ def test_run_single_recovers_on_analytic_data():
     assert abs(out.trace.m_final["a"] - 0.6) < 0.01
 
 
+def test_run_single_takes_the_fit_the_loop_accepted(monkeypatch):
+    """A restart's fit is the evaluation its loop accepted: run_single
+    evaluates nothing after run_assimilation returns."""
+    split = adf_split()
+    lib = LibrarySpec.basic().subset(("adv", "dis", "fsorp"))
+    cfg = IdentifyConfig()
+    events = []
+    evaluate = PredictionErrorEvaluator.evaluate
+    assimilate = identification.run_assimilation
+
+    def counted_evaluate(self, m):
+        events.append("evaluate")
+        return evaluate(self, m)
+
+    def marked_assimilation(*args, **kwargs):
+        trace = assimilate(*args, **kwargs)
+        events.append("returned")
+        return trace
+
+    monkeypatch.setattr(PredictionErrorEvaluator, "evaluate",
+                        counted_evaluate)
+    monkeypatch.setattr(identification, "run_assimilation",
+                        marked_assimilation)
+    out = run_single(PredictionErrorEvaluator(split, lib),
+                     ModelParams(("a",), (0.45,)),
+                     cfg.bounds.restrict(("a",)), cfg.assimilation)
+    assert events.count("evaluate") > 1
+    assert events[-1] == "returned"
+    assert out.fit is out.trace.fit
+    assert out.fit.m == out.trace.m_final
+    assert out.fit.eps == out.trace.eps_final
+
+
 def test_run_single_rejects_bounds_the_library_does_not_read():
     """Bounds must name exactly the parameters the library reads: an extra
     one would be probed and reported as an estimate, a missing one could
@@ -307,6 +341,10 @@ def test_learned_equation_renders_every_extended_term():
 
 
 def test_identify_config_validation():
+    for bad in ({"screen_factor": float("nan")}, {"n_restarts": 2.5},
+                {"master_seed": 1.5}, {"max_rounds": "4"}):
+        with pytest.raises(ValidationError, match=next(iter(bad))):
+            IdentifyConfig(**bad)
     with pytest.raises(ValidationError):
         IdentifyConfig(n_restarts=0)
     with pytest.raises(ValidationError):

@@ -8,6 +8,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from conftest import make_tiny, manufactured_field
 from transportid.errors import ValidationError
@@ -77,6 +79,49 @@ def test_field_csv_round_trip_is_byte_identical(tmp_path):
     second = tmp_path / "again.csv"
     write_field_csv(back, second)
     assert first.read_bytes() == second.read_bytes()
+
+
+coordinate_origins = st.floats(min_value=-1e9, max_value=1e9,
+                               allow_nan=False)
+steps = st.floats(min_value=1e-3, max_value=1e3)
+
+
+@st.composite
+def fields(draw):
+    """Fields whose masked-out entries may hold NaN."""
+    n_x = draw(st.integers(1, 5))
+    n_t = draw(st.integers(1, 5))
+    mask = np.array(draw(st.lists(st.booleans(), min_size=n_x * n_t,
+                                  max_size=n_x * n_t))).reshape(n_x, n_t)
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    values = np.array([draw(finite if ok else st.one_of(finite,
+                                                        st.just(np.nan)))
+                       for ok in mask.ravel()]).reshape(n_x, n_t)
+    return Field(values=values, x0=draw(coordinate_origins), dx=draw(steps),
+                 t0=draw(coordinate_origins), dt=draw(steps), mask=mask)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(field=fields())
+@example(field=Field(values=np.ones((2, 3)), x0=0.0, dx=0.5,
+                     t0=1e8, dt=0.1))
+@example(field=Field(values=np.ones((2, 3)), x0=0.0, dx=0.5,
+                     t0=1e6, dt=0.1))
+def test_field_csv_round_trip_property(tmp_path, field):
+    """Mask and values come back exactly (NaN where an entry is masked
+    out), origins exactly, and every coordinate within 4 ulp of the
+    largest written one; a one-sample axis keeps only its origin."""
+    path = tmp_path / "field.csv"
+    write_field_csv(field, path)
+    back = read_field_csv(path)
+    assert np.array_equal(back.mask, field.mask)
+    assert np.array_equal(back.values, field.values, equal_nan=True)
+    assert back.x0 == field.x0 and back.t0 == field.t0
+    for read, written in ((back.x, field.x), (back.t, field.t)):
+        assert read.size == written.size
+        ulp = np.spacing(np.max(np.abs(written)))
+        assert np.all(np.abs(read - written) <= 4.0 * ulp)
 
 
 def test_field_csv_layout(tmp_path):

@@ -71,6 +71,16 @@ def test_noise_spec_validation():
         NoiseSpec(-0.01)
     with pytest.raises(ValidationError):
         NoiseSpec(1.0)
+    with pytest.raises(ValidationError, match="seed=1.5"):
+        NoiseSpec(0.05, seed=1.5)
+
+
+def test_smoothing_config_rejects_bad_numbers():
+    for bad in ({"fluctuation_factor": float("nan")},
+                {"half_window_ls_x": float("nan")},
+                {"half_window_cheb_t": 120.5}, {"max_passes": float("inf")}):
+        with pytest.raises(ValidationError, match=next(iter(bad))):
+            SmoothingConfig(**bad)
 
 
 # ------------------------------------------------------------- filter

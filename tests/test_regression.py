@@ -143,7 +143,7 @@ def test_evaluator_matches_unsplit_fit_at_true_parameters():
     m_star = ModelParams.of_sorption(0.6, 90.0)
     fit = ev.evaluate(m_star)
     assert fit.eps < 1e-18
-    assert fit.eps == ev.eps(m_star)
+    assert fit.eps == ev.evaluate(m_star).eps
     np.testing.assert_allclose(
         fit.alpha_phys.values, [-0.01, 0.01, -0.15], rtol=1e-8)
     # Repeated evaluation must be bit-stable (cached static columns).
@@ -173,7 +173,7 @@ def test_parameter_free_evaluator_normalizes_once(monkeypatch):
     first = ev.evaluate(m1)
     second = ev.evaluate(m2)
     assert first.m == m1 and second.m == m2
-    assert first.eps > 0.0 and first.eps == second.eps == ev.eps(m1)
+    assert first.eps > 0.0 and first.eps == second.eps == ev.evaluate(m1).eps
     for attr in ("alpha_norm", "alpha_phys"):
         np.testing.assert_array_equal(getattr(first, attr).values,
                                       getattr(second, attr).values)
@@ -212,8 +212,8 @@ def test_wrong_exponent_scores_worse_on_real_data(pipeline):
     lib = LibrarySpec.basic().subset(("adv", "dis", "fsorp"))
     ev = PredictionErrorEvaluator(data.split, lib)
     a_true = true_parameters("s2")["a"]
-    good = ev.eps(ModelParams.of_sorption(a_true, 90.0))
-    bad = ev.eps(ModelParams.of_sorption(0.4, 90.0))
+    good = ev.evaluate(ModelParams.of_sorption(a_true, 90.0)).eps
+    bad = ev.evaluate(ModelParams.of_sorption(0.4, 90.0)).eps
     assert good < bad / 50.0
 
 

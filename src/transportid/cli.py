@@ -64,6 +64,10 @@ class ExperimentConfig:
             problems.append(f"noise_delta={self.noise_delta}")
         if self.n_restarts < 1:
             problems.append(f"n_restarts={self.n_restarts}")
+        for block in ("custom_scenario", "bounds", "assimilation", "smoothing"):
+            value = getattr(self, block)
+            if value is not None and not isinstance(value, dict):
+                problems.append(f"{block}={value!r} (must be a JSON object)")
         if problems:
             raise ValidationError("invalid config keys: " + ", ".join(problems))
 
@@ -93,16 +97,19 @@ class ExperimentConfig:
                             master_seed=self.master_seed)
         if self.bounds is not None:
             spec = dict(self.bounds)
-            try:
-                kwargs["bounds"] = ParamBounds(
-                    names=tuple(spec.pop("names")),
-                    lower=tuple(spec.pop("lower")),
-                    upper=tuple(spec.pop("upper")))
-            except KeyError as exc:
-                raise ValidationError(f"bounds block missing {exc}") from None
+            parts = {}
+            for key in ("names", "lower", "upper"):
+                if key not in spec:
+                    raise ValidationError(f"bounds block missing {key!r}")
+                value = spec.pop(key)
+                if not isinstance(value, list):
+                    raise ValidationError(
+                        f"bounds {key} must be a list, got {value!r}")
+                parts[key] = tuple(value)
             if spec:
                 raise ValidationError(
                     f"unknown bounds keys: {', '.join(sorted(spec))}")
+            kwargs["bounds"] = ParamBounds(**parts)
         for block, target in (("assimilation", AssimilationConfig),
                               ("smoothing", SmoothingConfig)):
             overrides = getattr(self, block)

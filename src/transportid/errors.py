@@ -32,20 +32,26 @@ class CollinearityError(TransportIdError):
     """The normalized design matrix is numerically rank deficient."""
 
 
-def check_numbers(config) -> None:
-    """Reject a non-finite ``float`` field or a non-integral ``int`` field.
+def is_real(value) -> bool:
+    """A real number, not a bool (which Python counts as an int)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
-    JSON configs can carry ``NaN``, ``Infinity`` and ``2.5`` where the
-    dataclass declares a float or an int; each such field is named in one
-    ``ValidationError``.
+
+def check_numbers(config) -> None:
+    """Reject a non-finite ``float`` field, a non-integral ``int`` field and
+    a bool in either.
+
+    JSON configs can carry ``NaN``, ``Infinity``, ``2.5`` and ``true`` where
+    the dataclass declares a float or an int; each such field is named in
+    one ``ValidationError``.
     """
     bad = []
     for f in dataclasses.fields(config):
         value = getattr(config, f.name)
         if f.type in ("int", int):
-            ok = isinstance(value, numbers.Integral)
+            ok = is_real(value) and isinstance(value, numbers.Integral)
         elif f.type in ("float", float):
-            ok = isinstance(value, numbers.Real) and math.isfinite(value)
+            ok = is_real(value) and math.isfinite(value)
         else:
             continue
         if not ok:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, is_real
 
 DEFAULT_PARAM_NAMES = ("a", "K_l")
 
@@ -66,7 +66,8 @@ class ParamBounds:
         if not (len(self.names) == len(self.lower) == len(self.upper)):
             raise ValidationError("bounds and names differ in length")
         for name, lo, hi in zip(self.names, self.lower, self.upper):
-            if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+            if not (is_real(lo) and is_real(hi) and np.isfinite(lo)
+                    and np.isfinite(hi) and lo < hi):
                 raise ValidationError(f"invalid bounds for {name!r}: [{lo}, {hi}]")
 
     @classmethod

@@ -224,9 +224,9 @@ def test_exit_validation_on_bad_config(tmp_path):
     assert main(["simulate", "--config", str(extra_key)]) == 2
 
 
-# json.loads reads NaN, Infinity and 2.5 where a finite float or a whole
-# count belongs, and gamma is no longer a setting; each must stop the run
-# before any work is done.
+# json.loads reads NaN, Infinity, 2.5 and true where a finite float or a
+# whole count belongs, gamma is no longer a setting, and a block or a bound
+# can be any JSON value; each must stop the run before any work is done.
 @pytest.mark.parametrize("text", [
     '{"assimilation": {"lambda0": NaN}}',
     '{"assimilation": {"c_eps_scale": Infinity}}',
@@ -235,6 +235,18 @@ def test_exit_validation_on_bad_config(tmp_path):
     '{"smoothing": {"half_window_ls_x": NaN}}',
     '{"n_restarts": 2.5}',
     '{"master_seed": 1.5}',
+    '{"assimilation": {"lambda0": true}}',
+    '{"n_restarts": true}',
+    '{"assimilation": [1]}',
+    '{"smoothing": 3}',
+    '{"bounds": [0.3, 0.7]}',
+    '{"bounds": {"names": ["a", "K_l"], "lower": ["x", 40.0], '
+    '"upper": [0.7, 140.0]}}',
+    '{"bounds": {"names": ["a", "K_l"], "lower": [false, 40.0], '
+    '"upper": [0.7, 140.0]}}',
+    '{"bounds": {"names": ["a", "K_l"], "lower": 0.3, '
+    '"upper": [0.7, 140.0]}}',
+    '{"custom_scenario": [1]}',
 ])
 def test_exit_validation_on_bad_numbers(tmp_path, capsys, text):
     record = {"n_restarts": 2, **json.loads(text)}
@@ -251,6 +263,23 @@ def test_exit_validation_on_non_finite_scenario_value(tmp_path, capsys, key):
     cfg_path = tiny_config(tmp_path, custom_scenario=scenario)
     assert main(["simulate", "--config", str(cfg_path)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {key} must be finite")
+    assert not (tmp_path / "out" / "measurements_clean.csv").exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("c0", True),
+    ("sim_store_dt", True),
+    ("meas_x_count", 25.5),
+    ("sorption", {"kind": "none", "k_f": True, "a": 1.0, "k_l": 0.0,
+                  "s_bar": 0.0}),
+])
+def test_exit_validation_on_mistyped_scenario_value(tmp_path, capsys, key,
+                                                    value):
+    scenario = tiny_dict()
+    scenario[key] = value
+    cfg_path = tiny_config(tmp_path, custom_scenario=scenario)
+    assert main(["simulate", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
     assert not (tmp_path / "out" / "measurements_clean.csv").exists()
 
 

@@ -38,6 +38,7 @@ __all__ = [
     "IterationRecord",
     "AssimilationTrace",
     "fd_gradient",
+    "probe_box",
     "lm_step",
     "run_assimilation",
     "to_unbounded",
@@ -123,6 +124,31 @@ def _chain_factor(m: np.ndarray, lower: np.ndarray,
     return (upper - m) * (m - lower) / (upper - lower)
 
 
+def _fd_steps(x: np.ndarray, bounds: ParamBounds,
+              rel_step: float) -> np.ndarray:
+    steps = rel_step * np.abs(x)
+    return np.where(steps == 0.0, rel_step * bounds.span(), steps)
+
+
+def probe_box(bounds: ParamBounds) -> tuple:
+    """(lower, upper) arrays of the box that ``run_assimilation``'s
+    gradient probes reach from any m in ``bounds``.
+
+    Each bound moves out by its own probe step.  m - step(m) grows with m
+    except at m = 0, whose step is a share of the span, so the box also
+    covers the probes from 0 when 0 lies in ``bounds``.
+    """
+    lower = bounds.lower_array()
+    upper = bounds.upper_array()
+    lo = lower - _fd_steps(lower, bounds, _FD_REL_STEP)
+    hi = upper + _fd_steps(upper, bounds, _FD_REL_STEP)
+    at_zero = (lower <= 0.0) & (0.0 <= upper)
+    reach = _FD_REL_STEP * bounds.span()
+    lo = np.where(at_zero, np.minimum(lo, -reach), lo)
+    hi = np.where(at_zero, np.maximum(hi, reach), hi)
+    return lo, hi
+
+
 def fd_gradient(func, x: np.ndarray, bounds: ParamBounds,
                 rel_step: float) -> np.ndarray:
     """Central-difference gradient of a scalar function of m.
@@ -131,10 +157,8 @@ def fd_gradient(func, x: np.ndarray, bounds: ParamBounds,
     at m = 0.  ``func`` refits alpha internally, so the result is the
     total sensitivity of the prediction error.
     """
-    steps = rel_step * np.abs(x)
-    steps = np.where(steps == 0.0, rel_step * bounds.span(), steps)
     g = np.zeros(x.size)
-    for i, h in enumerate(steps):
+    for i, h in enumerate(_fd_steps(x, bounds, rel_step)):
         lo = x.copy()
         hi = x.copy()
         lo[i] -= h

@@ -44,7 +44,6 @@ class ExperimentConfig:
     noise_seed: int = 0
     n_restarts: int = 20
     master_seed: int = 0
-    jobs: int = 1  # accepted and ignored: restarts run serially
     output_dir: str = "out"
     custom_scenario: dict | None = None
     bounds: dict | None = None
@@ -144,7 +143,6 @@ def _load_config(args) -> ExperimentConfig:
         "noise_seed": args.noise_seed,
         "n_restarts": getattr(args, "restarts", None),
         "master_seed": args.seed,
-        "jobs": getattr(args, "jobs", None),
         "output_dir": args.out,
     }
     for key, value in overrides.items():
@@ -236,8 +234,6 @@ def _add_common(parser: argparse.ArgumentParser, with_identify: bool) -> None:
     if with_identify:
         parser.add_argument("--library", choices=("basic", "extended"))
         parser.add_argument("--restarts", type=int, help="ensemble size")
-        parser.add_argument("--jobs", type=int,
-                            help="ignored; restarts run serially")
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -28,12 +28,15 @@ and sign guards:
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assimilation import AssimilationConfig, AssimilationTrace, run_assimilation
+from .assimilation import (AssimilationConfig, AssimilationTrace, probe_box,
+                           run_assimilation)
+from .chebyshev import ChebyshevInterpolant, adaptive_interpolant
 from .errors import (SolverError, TransportIdError, ValidationError,
                      check_numbers)
 from .library import LibrarySpec, term_by_id
@@ -44,10 +47,14 @@ from .regression import FitResult, PredictionErrorEvaluator
 from .scenarios import get_scenario
 from .transport import ScenarioConfig, sample_measurements, simulate
 
+logger = logging.getLogger(__name__)
+
 __all__ = [
     "IdentifyConfig",
     "PreparedData",
     "RunResult",
+    "EpsProxy",
+    "build_proxy",
     "EnsembleSummary",
     "ModelCandidate",
     "IdentificationRound",
@@ -243,14 +250,70 @@ def sample_prior(n: int, bounds: ParamBounds, seed: int) -> list:
             for row in draws]
 
 
-def run_single(evaluator: PredictionErrorEvaluator, m0: ModelParams,
-               bounds: ParamBounds, assim_cfg: AssimilationConfig,
-               run_id: int = 0, seed: int = 0) -> RunResult:
-    """One restart: assimilate m from m0; its fit is the evaluation the
-    loop accepted last.
+@dataclass
+class ProxyValue:
+    """What the assimilation loop reads of one proxy evaluation."""
 
-    ``bounds`` must name exactly the parameters the evaluator's library
-    reads (``ParamBounds.restrict`` selects them).
+    m: ModelParams
+    eps: float
+
+
+class EpsProxy:
+    """eps(m) of a one-parameter evaluator, read off a Chebyshev
+    interpolant of it.
+
+    ``evaluate(m)`` returns a ``ProxyValue``; ``exact`` is the evaluator
+    the interpolant was sampled from.
+    """
+
+    def __init__(self, exact: PredictionErrorEvaluator,
+                 interpolant: ChebyshevInterpolant) -> None:
+        self.exact = exact
+        self.interpolant = interpolant
+
+    @property
+    def library(self) -> LibrarySpec:
+        return self.exact.library
+
+    def evaluate(self, m: ModelParams) -> ProxyValue:
+        (value,) = m.values
+        return ProxyValue(m=m, eps=self.interpolant(value))
+
+
+def build_proxy(evaluator: PredictionErrorEvaluator,
+                bounds: ParamBounds) -> EpsProxy | None:
+    """The proxy of ``evaluator``'s eps over ``bounds`` (one parameter),
+    widened so that every gradient probe lands inside.
+
+    Returns None when 257 samples do not resolve eps.  A sample that
+    raises or is not finite raises ``SolverError`` naming its cause.
+    """
+    (name,) = bounds.names
+    lo, hi = (float(v[0]) for v in probe_box(bounds))
+
+    def eps_at(x: float) -> float:
+        try:
+            return evaluator.evaluate(ModelParams((name,), (x,))).eps
+        except Exception as exc:  # noqa: BLE001 - every sample must evaluate
+            raise SolverError(
+                f"objective failed at {name} = {x!r}: {exc}") from exc
+
+    interpolant = adaptive_interpolant(eps_at, lo, hi)
+    if interpolant is None:
+        return None
+    return EpsProxy(evaluator, interpolant)
+
+
+def run_single(evaluator, m0: ModelParams, bounds: ParamBounds,
+               assim_cfg: AssimilationConfig, run_id: int = 0,
+               seed: int = 0) -> RunResult:
+    """One restart: assimilate m from m0.
+
+    On a ``PredictionErrorEvaluator`` its fit is the evaluation the loop
+    accepted last.  On an ``EpsProxy`` the loop runs on proxy values, and
+    the fit, with ``trace.eps_final``, is one exact evaluation at
+    ``m_final``.  ``bounds`` must name exactly the parameters the
+    evaluator's library reads (``ParamBounds.restrict`` selects them).
     """
     reads = evaluator.library.parameter_deps
     if set(bounds.names) != set(reads):
@@ -258,6 +321,9 @@ def run_single(evaluator: PredictionErrorEvaluator, m0: ModelParams,
             f"bounds name parameters {list(bounds.names)}, but library "
             f"{evaluator.library.name!r} reads {list(reads)}")
     trace = run_assimilation(evaluator, m0, bounds, assim_cfg)
+    if isinstance(evaluator, EpsProxy):
+        trace.fit = evaluator.exact.evaluate(trace.m_final)
+        trace.eps_final = trace.fit.eps
     return RunResult(run_id=run_id, seed=seed, m0=m0, trace=trace,
                      fit=trace.fit, library_name=evaluator.library.name)
 
@@ -268,18 +334,31 @@ def run_ensemble(split: DataSplit, library: LibrarySpec, cfg: IdentifyConfig):
     Each restart carries only the parameters the library reads; its start
     point is the prior draw over ``cfg.bounds`` with the other columns
     dropped.  A library that reads none has nothing to assimilate and is
-    fitted once.  A restart that fails is recorded, not fatal.
+    fitted once.  A library that reads one parameter runs every restart on
+    one ``EpsProxy``, unless 257 samples do not resolve eps, and then on
+    the evaluator; a proxy sample that fails fails every restart.  A
+    restart that fails is recorded, not fatal.
     """
     bounds = cfg.bounds.restrict(library.parameter_deps)
     evaluator = PredictionErrorEvaluator(split, library)
     n = cfg.n_restarts if bounds.names else 1
     m0s = [ModelParams(bounds.names, tuple(m[p] for p in bounds.names))
            for m in sample_prior(n, cfg.bounds, cfg.master_seed)]
+    objective = evaluator
+    if len(bounds.names) == 1:
+        try:
+            objective = build_proxy(evaluator, bounds) or evaluator
+        except SolverError as exc:
+            return [], [FailedRun(run_id=i, error=str(exc))
+                        for i in range(n)]
+        if objective is evaluator:
+            logger.debug("eps of %r not resolved by 257 Chebyshev samples; "
+                         "restarts run on the exact evaluator", library.name)
     results: list = []
     failures: list = []
     for i, m0 in enumerate(m0s):
         try:
-            results.append(run_single(evaluator, m0, bounds,
+            results.append(run_single(objective, m0, bounds,
                                       cfg.assimilation, i, cfg.master_seed))
         except TransportIdError as exc:
             failures.append(FailedRun(run_id=i, error=str(exc)))

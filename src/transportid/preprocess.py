@@ -26,8 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass, fields as dc_fields
 
 import numpy as np
-from scipy.ndimage import correlate1d, minimum_filter1d
 
+from .chebyshev import barycentric_weights, chebyshev_nodes
 from .errors import ValidationError, check_numbers
 from .transport import Field
 
@@ -98,19 +98,6 @@ class SmoothingConfig:
             raise ValidationError("fluctuation_factor must be positive")
 
 
-def chebyshev_nodes(count: int) -> np.ndarray:
-    """Roots of the degree-``count`` Chebyshev polynomial of the first kind,
-    on [-1, 1], in descending order."""
-    i = np.arange(1, count + 1)
-    return np.cos((2 * i - 1) * np.pi / (2 * count))
-
-
-def barycentric_weights(nodes: np.ndarray) -> np.ndarray:
-    diff = nodes[:, None] - nodes[None, :]
-    np.fill_diagonal(diff, 1.0)
-    return 1.0 / np.prod(diff, axis=1)
-
-
 def _node_fit_weights(node: float, half_window: int, order: int) -> tuple[np.ndarray, int]:
     """FIR weights of a local polynomial fit around ``node`` evaluated at the
     node itself, over the integer offsets within ``half_window`` of it."""
@@ -170,6 +157,9 @@ def smooth_series(values: np.ndarray, half_window_cheb: int, half_window_ls: int
 
 
 def _filter_axis(values: np.ndarray, mask: np.ndarray, w: np.ndarray, axis: int):
+    # Imported here, not with the module: it is about a third of the
+    # package's import time, and clean data are never smoothed.
+    from scipy.ndimage import correlate1d, minimum_filter1d
     filled = np.where(mask, values, 0.0)
     smoothed = correlate1d(filled, w, axis=axis, mode="constant", cval=0.0)
     interior = minimum_filter1d(mask.astype(np.uint8), size=w.size,

@@ -14,7 +14,8 @@ from conftest import (M_STAR, RECOVERY_STARTS, TIGHT_ASSIM,
                       manufactured_field)
 from transportid.assimilation import (AssimilationConfig, _chain_factor,
                                       fd_gradient, from_unbounded, lm_step,
-                                      run_assimilation, to_unbounded)
+                                      probe_box, run_assimilation,
+                                      to_unbounded)
 from transportid.errors import SolverError, ValidationError
 from transportid.identification import IdentifyConfig, run_ensemble
 from transportid.library import LibrarySpec
@@ -403,6 +404,8 @@ def test_start_point_failure_is_a_solver_error():
 
 ZERO_BOX = ParamBounds(names=("a", "K_l"), lower=(-0.5, 30.0),
                        upper=(0.75, 150.0))
+NEAR_ZERO_BOX = ParamBounds(names=("a", "K_l"), lower=(-1e-3, 30.0),
+                            upper=(0.75, 150.0))
 
 
 def wavy(v):
@@ -480,6 +483,41 @@ def test_gradient_matches_inline_oracle(data, bounds):
         assert not np.any(np.abs(expected) > 0.0)
     else:
         np.testing.assert_array_equal(got, expected)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(),
+       bounds=st.sampled_from([BOUNDS, ZERO_BOX, NEAR_ZERO_BOX]))
+def test_every_evaluated_point_lies_in_the_probe_box(data, bounds):
+    """Start points, trials and gradient probes of a whole run, from
+    starts next to either bound and from 0, stay inside probe_box: the
+    interval an eps proxy must cover."""
+    a_values = starts(bounds.lower[0], bounds.upper[0])
+    if bounds.lower[0] < 0.0 < bounds.upper[0]:
+        a_values = st.one_of(st.just(0.0), a_values)
+    m0 = ModelParams.of_sorption(
+        data.draw(a_values), data.draw(starts(bounds.lower[1],
+                                              bounds.upper[1])))
+    seen = []
+
+    def recorded(v):
+        seen.append(v.copy())
+        return wavy(v)
+
+    run_assimilation(StubObjective(recorded), m0, bounds)
+    lo, hi = probe_box(bounds)
+    points = np.array(seen)
+    assert np.all((lo <= points) & (points <= hi))
+
+
+def test_probe_box_reaches_the_farthest_probe():
+    lo, hi = probe_box(BOUNDS)
+    np.testing.assert_allclose(lo, [0.25 * 0.99, 30.0 * 0.99], rtol=1e-15)
+    np.testing.assert_allclose(hi, [0.75 * 1.01, 150.0 * 1.01], rtol=1e-15)
+    # From m = 0 the step is 1 % of the span, farther than from -1e-3.
+    lo, hi = probe_box(NEAR_ZERO_BOX)
+    np.testing.assert_allclose(lo, [-0.01 * 0.751, 30.0 * 0.99], rtol=1e-15)
+    np.testing.assert_allclose(hi, [0.75 * 1.01, 150.0 * 1.01], rtol=1e-15)
 
 
 def test_gradient_sign_near_upper_bound():

@@ -162,19 +162,20 @@ def test_identify_writes_runs_summary_traces(tmp_path, capsys):
     assert "dC/dt = " in printed
 
 
-def test_jobs_key_and_flag_are_accepted(tmp_path):
-    """Saved configs and scripts that set jobs still run; restarts are
-    serial whatever the value."""
+def test_jobs_key_and_flag_exit_2(tmp_path, capsys):
+    """The ``jobs`` key and ``--jobs`` flag are gone: restarts always ran
+    serially, so a config or script that still sets them is a
+    configuration error."""
     cfg_path = tiny_config(tmp_path, jobs=2)
-    out = tmp_path / "from_config"
-    assert main(["identify", "--config", str(cfg_path), "--restarts", "2",
-                 "--out", str(out)]) == 0
-    assert read_metadata(out / "metadata.json")["experiment"]["jobs"] == 2
+    assert main(["identify", "--config", str(cfg_path), "--restarts", "2"]) == 2
+    assert capsys.readouterr().err == "error: unknown config keys: jobs\n"
     cfg_path = tiny_config(tmp_path)
-    out = tmp_path / "from_flag"
-    assert main(["identify", "--config", str(cfg_path), "--restarts", "2",
-                 "--jobs", "2", "--out", str(out)]) == 0
-    assert read_metadata(out / "metadata.json")["experiment"]["jobs"] == 2
+    with pytest.raises(SystemExit) as exit_info:
+        main(["identify", "--config", str(cfg_path), "--restarts", "2",
+              "--jobs", "2"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 # -------------------------------------------------------------- report

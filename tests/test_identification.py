@@ -1,16 +1,22 @@
 """Restart ensembles, screening, pruning and the candidate-model
 selection loop, exercised on analytic data."""
 
+import dataclasses
+import logging
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import transportid.identification as identification
 from conftest import make_tiny, manufactured_field, zero_conc_split
+from transportid.assimilation import probe_box
 from transportid.errors import SolverError, ValidationError
-from transportid.identification import (EnsembleSummary, IdentifyConfig,
-                                        PreparedData, aggregate_summary,
+from transportid.identification import (EnsembleSummary, EpsProxy,
+                                        IdentifyConfig, PreparedData,
+                                        aggregate_summary, build_proxy,
                                         identify, learned_equation,
                                         prune_terms, run_ensemble,
                                         run_single, sample_prior,
@@ -318,6 +324,111 @@ def test_every_restart_failing_is_a_solver_error():
     assert "term 'fsorp' evaluated non-finite" in failures[0].error
     with pytest.raises(SolverError, match="every restart failed.*'fsorp'"):
         identify(make_tiny(), cfg=cfg, data=manufactured_data(split))
+
+
+# --------------------------------------------------------------- proxy
+
+@pytest.fixture(scope="session")
+def sorption_proxy(pipeline):
+    """(source, term) -> the proxy of the ``adv, dis, term`` candidate on
+    the analytic split or a preset's clean split, built once."""
+    built = {}
+
+    def get(source: str, term: str) -> EpsProxy:
+        if (source, term) not in built:
+            split = (adf_split() if source == "manufactured"
+                     else pipeline.dataset(source).split)
+            lib = LibrarySpec.basic().subset(("adv", "dis", term))
+            bounds = IdentifyConfig().bounds.restrict(lib.parameter_deps)
+            built[source, term] = build_proxy(
+                PredictionErrorEvaluator(split, lib), bounds)
+        return built[source, term]
+
+    return get
+
+
+@pytest.mark.parametrize("source, term", [
+    ("manufactured", "fsorp"), ("manufactured", "lsorp"),
+    ("s2", "fsorp"), ("s3", "lsorp")])
+@settings(max_examples=25, deadline=None)
+@given(u=st.floats(min_value=0.0, max_value=1.0))
+def test_proxy_matches_the_evaluator(sorption_proxy, source, term, u):
+    """Anywhere in the widened interval the proxy is within twice the
+    chop's accepted tail of the exact eps: once for the series it dropped,
+    once for eps's own departure from the series it kept."""
+    proxy = sorption_proxy(source, term)
+    interp = proxy.interpolant
+    x = min(max(interp.lo + u * (interp.hi - interp.lo), interp.lo),
+            interp.hi)
+    m = ModelParams(proxy.library.parameter_deps, (x,))
+    exact = proxy.exact.evaluate(m).eps
+    assert abs(proxy.evaluate(m).eps - exact) <= 2.0 * interp.tail
+
+
+@pytest.mark.parametrize("source, term", [("s2", "fsorp"), ("s3", "lsorp")])
+def test_restarts_on_the_proxy_match_the_exact_path(sorption_proxy, source,
+                                                    term):
+    """The same restarts through run_single end with the same statuses
+    and, to 1e-8, the same m_final; the proxy run's fit is exact."""
+    proxy = sorption_proxy(source, term)
+    cfg = IdentifyConfig()
+    bounds = cfg.bounds.restrict(proxy.library.parameter_deps)
+    for m in sample_prior(5, cfg.bounds, cfg.master_seed):
+        m0 = ModelParams(bounds.names, (m[bounds.names[0]],))
+        exact = run_single(proxy.exact, m0, bounds, cfg.assimilation)
+        fast = run_single(proxy, m0, bounds, cfg.assimilation)
+        assert fast.trace.status == exact.trace.status
+        np.testing.assert_allclose(fast.trace.m_final.values,
+                                   exact.trace.m_final.values, rtol=1e-8)
+        assert fast.fit.m == fast.trace.m_final
+        assert fast.trace.eps_final == fast.fit.eps
+        assert fast.fit.eps == proxy.exact.evaluate(fast.trace.m_final).eps
+
+
+def test_proxy_refuses_points_outside_its_interval():
+    lib = LibrarySpec.basic().subset(("adv", "dis", "fsorp"))
+    bounds = IdentifyConfig().bounds.restrict(("a",))
+    proxy = build_proxy(PredictionErrorEvaluator(adf_split(), lib), bounds)
+    lo, hi = (float(v[0]) for v in probe_box(bounds))
+    assert (proxy.interpolant.lo, proxy.interpolant.hi) == (lo, hi)
+    assert lo < 0.25 and hi > 0.75
+    proxy.evaluate(ModelParams(("a",), (lo,)))
+    proxy.evaluate(ModelParams(("a",), (hi,)))
+    for a in (np.nextafter(lo, 0.0), np.nextafter(hi, 1.0)):
+        with pytest.raises(ValidationError, match="outside"):
+            proxy.evaluate(ModelParams(("a",), (a,)))
+
+
+def test_unresolved_eps_falls_back_to_the_exact_path(monkeypatch, caplog):
+    """An eps with a kink is not resolved by 257 samples: every restart
+    then runs on the exact evaluator, as run_single does by hand."""
+    evaluate = PredictionErrorEvaluator.evaluate
+    calls = []
+
+    def kinked(self, m):
+        calls.append(m)
+        fit = evaluate(self, m)
+        return dataclasses.replace(
+            fit, eps=fit.eps * (1.0 + abs(m.values[0] - 0.5)))
+
+    monkeypatch.setattr(PredictionErrorEvaluator, "evaluate", kinked)
+    split = adf_split()
+    lib = LibrarySpec.basic().subset(("adv", "dis", "fsorp"))
+    cfg = IdentifyConfig(n_restarts=3)
+    bounds = cfg.bounds.restrict(("a",))
+    evaluator = PredictionErrorEvaluator(split, lib)
+    assert build_proxy(evaluator, bounds) is None
+    assert len(calls) == 257
+    with caplog.at_level(logging.DEBUG, logger="transportid.identification"):
+        results, failures = run_ensemble(split, lib, cfg)
+    assert not failures
+    assert "not resolved by 257 Chebyshev samples" in caplog.text
+    for res in results:
+        by_hand = run_single(evaluator, res.m0, bounds, cfg.assimilation)
+        assert res.trace.status == by_hand.trace.status
+        assert res.trace.m_final == by_hand.trace.m_final
+        assert res.fit.eps == by_hand.fit.eps
+        assert res.fit is res.trace.fit
 
 
 # ------------------------------------------------------------ rendering

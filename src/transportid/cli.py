@@ -194,6 +194,8 @@ def cmd_identify(args) -> int:
         write_trace_csv(res, trace_dir / f"run_{res.run_id:03d}.csv")
     write_summary_json(report, out / "summary.json", data=data)
     write_metadata(out / "metadata.json", scen, experiment=cfg.to_dict())
+    for failed in report.failed_candidates:
+        print(f"candidate {failed.name} failed: {failed.error}")
     print(f"selected terms: {', '.join(report.selected_term_ids)}")
     print(report.equation)
     print(f"wrote runs.csv, summary.json, {len(report.final_results)} traces to {out}")

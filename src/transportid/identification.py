@@ -57,6 +57,7 @@ __all__ = [
     "build_proxy",
     "EnsembleSummary",
     "ModelCandidate",
+    "FailedCandidate",
     "IdentificationRound",
     "IdentificationReport",
     "prepare_dataset",
@@ -170,6 +171,15 @@ class ModelCandidate:
 
 
 @dataclass
+class FailedCandidate:
+    """A candidate model left out of selection because its ensemble failed."""
+
+    name: str
+    term_ids: tuple
+    error: str
+
+
+@dataclass
 class IdentificationRound:
     library: LibrarySpec
     summary: EnsembleSummary
@@ -186,6 +196,7 @@ class IdentificationReport:
     winner_name: str
     rounds: list
     stable: bool
+    failed_candidates: list
 
     def candidate(self, name: str) -> ModelCandidate:
         for cand in self.candidates:
@@ -472,7 +483,9 @@ def identify(scenario, library="basic", noise: NoiseSpec | None = None,
     ``scenario`` is a preset name or a ScenarioConfig; ``data`` can carry
     a previously prepared dataset to share across experiments.  Every
     ensemble reuses the same master seed, so rerunning with an unchanged
-    term set reproduces identical coefficients.
+    term set reproduces identical coefficients.  A candidate model whose
+    every restart fails is recorded in ``failed_candidates`` with its cause
+    and left out of selection; if every candidate fails, SolverError.
     """
     cfg = cfg or IdentifyConfig()
     if isinstance(library, str):
@@ -488,12 +501,19 @@ def identify(scenario, library="basic", noise: NoiseSpec | None = None,
                                split_ratio=cfg.split_ratio)
 
     candidates: list = []
+    failed: list = []
     for name, ids in _candidate_splits(library):
         lib_c = (library if ids == library.term_ids
                  else library.subset(ids, name=f"{library.name}-{name}"))
-        summary, results = _ensemble_round(data.split, lib_c, cfg)
+        try:
+            summary, results = _ensemble_round(data.split, lib_c, cfg)
+        except SolverError as exc:
+            failed.append(FailedCandidate(name=name, term_ids=ids, error=str(exc)))
+            continue
         candidates.append(ModelCandidate(name=name, library=lib_c,
                                          summary=summary, results=results))
+    if not candidates:
+        raise SolverError(f"every candidate model failed; first cause: {failed[0].error}")
     winner = min(candidates, key=lambda c: c.mean_eps)
 
     rounds: list = []
@@ -515,7 +535,8 @@ def identify(scenario, library="basic", noise: NoiseSpec | None = None,
                                 library_name=library.name, noise=noise,
                                 candidates=candidates,
                                 winner_name=winner.name,
-                                rounds=rounds, stable=stable)
+                                rounds=rounds, stable=stable,
+                                failed_candidates=failed)
 
 
 def _format_coef(value: float) -> str:

@@ -239,6 +239,11 @@ def summary_dict(report: IdentificationReport,
             for c in report.candidates
         ],
     }
+    if report.failed_candidates:
+        record["failed_candidates"] = [
+            {"name": f.name, "term_ids": list(f.term_ids), "error": f.error}
+            for f in report.failed_candidates
+        ]
     if data is not None:
         record["smoothing_passes"] = data.smoothing_passes
         record["n_points"] = data.n_points

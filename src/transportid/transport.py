@@ -13,10 +13,11 @@ zero-gradient boundary placed far from the plume.
 The discretization is a vertex-centred finite-volume scheme with central
 second-order face fluxes for both advection and dispersion, marched with
 backward Euler.  The sorption slope is handled by Picard iteration; every
-sweep solves one tridiagonal system with LAPACK ``gtsv``.  Without sorption
-the system does not depend on C, so each step is a single solve.  The scheme
-conserves mass discretely, which the simulator can track through a running
-flux audit.
+sweep solves one tridiagonal system with LAPACK ``gtsv`` on work buffers.
+Without sorption the system does not depend on C: it is factored once with
+``gttrf`` (a grid Peclet number <= 2 rules out row interchanges) and each
+step is a single ``gttrs`` solve.  The scheme conserves mass discretely,
+which the simulator can track through a running flux audit.
 
 Each step solves only the active window [0, hi), which ends _GUARD nodes
 past the last node with |C| > _TAIL * c0.  The nodes from hi on are held
@@ -44,7 +45,7 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
+from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs
 
 from .errors import SolverError, ValidationError, check_numbers, is_real
 
@@ -103,25 +104,29 @@ class SorptionModel:
 
 # Unchecked isotherm kernels, C -> C* and C -> dC*/dC, one pair per kind.
 # Callers guarantee the domain: C >= 0, and C > 0 for the Freundlich slope.
+# Given ``out`` (which may be c) a kernel works in place.  A Langmuir value
+# given ``den`` leaves 1 + K_l * C there; a Langmuir slope given it reads it.
 
-def _zero(c, model: SorptionModel):
+def _zero(c, model: SorptionModel, out=None, den=None):
     return np.zeros_like(c)
 
 
-def _freundlich_value(c, model: SorptionModel):
-    return model.k_f * np.power(c, model.a)
+def _freundlich_value(c, model: SorptionModel, out=None, den=None):
+    return np.multiply(np.power(c, model.a, out=out), model.k_f, out=out)
 
 
-def _freundlich_slope(c, model: SorptionModel):
-    return model.a * model.k_f * np.power(c, model.a - 1.0)
+def _freundlich_slope(c, model: SorptionModel, out=None, den=None):
+    return np.multiply(np.power(c, model.a - 1.0, out=out), model.a * model.k_f, out=out)
 
 
-def _langmuir_value(c, model: SorptionModel):
-    return model.k_l * model.s_bar * c / (1.0 + model.k_l * c)
+def _langmuir_value(c, model: SorptionModel, out=None, den=None):
+    den = np.add(np.multiply(c, model.k_l, out=den), 1.0, out=den)
+    return np.divide(np.multiply(c, model.k_l * model.s_bar, out=out), den, out=out)
 
 
-def _langmuir_slope(c, model: SorptionModel):
-    return model.k_l * model.s_bar / (1.0 + model.k_l * c) ** 2
+def _langmuir_slope(c, model: SorptionModel, out=None, den=None):
+    den = np.add(np.multiply(c, model.k_l), 1.0) if den is None else den
+    return np.divide(model.k_l * model.s_bar, np.multiply(den, den, out=out), out=out)
 
 
 _KERNELS = {
@@ -330,13 +335,38 @@ def solve_banded(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
     """Solve a tridiagonal system with LAPACK ``gtsv``.
 
     ``lower`` and ``upper`` are the n - 1 sub- and super-diagonal entries,
-    ``diag`` the n diagonal ones.  ``rhs`` is overwritten.  No finiteness
-    check is made; a singular system raises SolverError.
+    ``diag`` the n diagonal ones.  ``diag`` and ``rhs`` are overwritten.  No
+    finiteness check is made; a singular system raises SolverError.
     """
-    _, _, _, x, info = dgtsv(lower, diag, upper, rhs, overwrite_b=1)
+    _, _, _, x, info = dgtsv(lower, diag, upper, rhs, overwrite_d=1, overwrite_b=1)
     if info != 0:
         raise SolverError(f"tridiagonal solve failed (LAPACK gtsv info = {info})")
     return x
+
+
+def factor_banded(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray) -> tuple:
+    """LU factors (dl, d, du, du2, ipiv) of a tridiagonal matrix by LAPACK
+    ``gttrf``.  A singular matrix, or one whose elimination exchanged rows,
+    raises SolverError: without interchanges ``leading_factors`` factor the
+    leading blocks."""
+    *factors, info = dgttrf(lower, diag, upper)
+    if info != 0 or not np.array_equal(factors[4], np.arange(1, diag.size + 1)):
+        raise SolverError("tridiagonal factorization failed or exchanged rows "
+                          f"(LAPACK gttrf info = {info})")
+    return tuple(factors)
+
+
+def leading_factors(factors: tuple, hi: int) -> tuple:
+    """``factor_banded``'s factors of the leading hi x hi block (hi >= 3)."""
+    dl, d, du, du2, ipiv = factors
+    return dl[:hi - 1], d[:hi], du[:hi - 1], du2[:hi - 2], ipiv[:hi]
+
+
+def solve_factored(factors: tuple, rhs: np.ndarray) -> np.ndarray:
+    """Solve with ``factor_banded``'s factors by LAPACK ``gttrs``, whose only
+    failure is a malformed argument.  ``rhs`` is overwritten.  No finiteness
+    check is made."""
+    return dgttrs(*factors, rhs, overwrite_b=1)[0]
 
 
 def _measurement_shape(config: ScenarioConfig) -> tuple:
@@ -388,13 +418,12 @@ def simulate(config: ScenarioConfig, return_diagnostics: bool = False):
 
     value, slope = _KERNELS[model.kind]
     nonlinear = model.kind != "none"
-    # The Freundlich slope is singular at C = 0, so it is taken at a floor.
-    slope_floor = _SLOPE_EVAL_FLOOR if model.kind == "freundlich" else 0.0
+    langmuir = model.kind == "langmuir"
 
     # c and cs hold the whole column; only the window [0, hi) is solved, and
     # the nodes from hi on stay exactly 0 (the isotherms all vanish at 0).
     c = np.zeros(n_nodes)
-    cs = value(c, model)  # isotherm value of max(c, 0), carried along with c
+    cs = np.zeros(n_nodes)  # isotherm value of max(c, 0), carried along with c
     measured = np.zeros(_measurement_shape(config))
     tail = _TAIL * config.c0
 
@@ -432,38 +461,66 @@ def simulate(config: ScenarioConfig, return_diagnostics: bool = False):
     diag_flux = np.full(n_nodes, 2.0 * a_face)
     diag_flux[0] = a_face + b_face
     diag_flux[-1] = a_face + b_face
-    linear_diag = vol_over_dt * theta + diag_flux
-
-    full_grid = (vol_over_dt, diag_flux, lower, upper, linear_diag)
+    # Without sorption the matrix is constant and is factored once.  A grid
+    # Peclet number <= 2 gives a = a_face >= b = b_face, so elimination never
+    # exchanges rows: with V = vol_over_dt * theta > 0, each pivot d'_(k+1) =
+    # V + 2a - (a + b)(a - b) / d'_k >= V + a + b > |lower| = a + b by
+    # induction.  The leading part of the factors then factors a window.
+    lu = None if nonlinear else factor_banded(lower, vol_over_dt * theta + diag_flux, upper)
+    # Work buffers; a window uses their leading entries.  A solve returns the
+    # iterate in its right-hand side, so two alternate: no sweep overwrites
+    # the iterate it reads.
+    work = np.empty((8, n_nodes))
 
     def system(hi: int) -> tuple:
-        """The constant arrays of the window [0, hi)."""
+        """The constant arrays and the work buffers of the window [0, hi)."""
         return (vol_over_dt[:hi], diag_flux[:hi], lower[:hi - 1], upper[:hi - 1],
-                linear_diag[:hi])
+                None if lu is None else leading_factors(lu, hi), tuple(work[:, :hi]))
+
+    full_grid = system(n_nodes)
 
     def picard(c_old, cs_old, window: tuple, flux_in: float, t_next: float):
-        """Backward-Euler step on ``window``'s nodes: (c, cs, sweeps)."""
+        """Backward-Euler step on ``window``'s nodes: (c, cs, sweeps), valid
+        until the next call."""
         nonlocal solves
-        vdt, flux, low, up, diag = window
-        sorbed_change = 0.0
-        # cs_k is the isotherm value of iterate c_k, computed once per sweep
-        # after its solve; the last one becomes the next step's cs_old.
-        c_k, cs_k = c_old, cs_old
+        vdt, flux, low, up, factors, buffers = window
+        theta_c, s, diag, cs_k, den, diff, *rhs_pair = buffers
+        np.multiply(c_old, theta, out=theta_c)  # theta * c^n, once per step
+        if factors is not None:  # rhs = vdt * (theta * c^n + 0.0), which turns -0 into +0
+            rhs = np.multiply(np.add(theta_c, 0.0, out=diff), vdt, out=diff)
+            rhs[0] += flux_in
+            c_new = solve_factored(factors, rhs)
+            solves += 1
+            if not np.isfinite(c_new).all():
+                raise SolverError(f"non-finite concentration at t = {t_next:.3f} s")
+            return c_new, cs_old, 1
+        if langmuir:  # den of c_old for the first sweep's slope
+            value(np.maximum(c_old, 0.0, out=diff), model, diff, den)
+        c_k = c_old
         for sweep in range(1, _PICARD_MAX_SWEEPS + 1):
-            if nonlinear:
-                s = slope(np.maximum(c_k, slope_floor), model)
-                diag = vdt * (theta + rho_b * s) + flux
-                sorbed_change = rho_b * (cs_old - cs_k + s * c_k)
-            rhs = vdt * (theta * c_old + sorbed_change)
+            # diag = vdt * (theta + rho_b * s) + flux and rhs = vdt * (theta *
+            # c_old + rho_b * (cs_old - cs_k + s * c_k)), cs_k = cs_old at first;
+            # the Freundlich slope, singular at C = 0, is taken at a floor.
+            slope(c_k if langmuir else np.maximum(c_k, _SLOPE_EVAL_FLOOR, out=s), model, s, den)
+            np.multiply(s, rho_b, out=diag)
+            diag += theta
+            diag *= vdt
+            diag += flux
+            s *= c_k
+            rhs = np.subtract(cs_old, cs_k if sweep > 1 else cs_old, out=rhs_pair[sweep % 2])
+            rhs += s
+            rhs *= rho_b
+            rhs += theta_c
+            rhs *= vdt
             rhs[0] += flux_in
             c_new = solve_banded(low, diag, up, rhs)
             solves += 1
-            delta = float(np.max(np.abs(c_new - c_k)))
+            delta = float(np.abs(np.subtract(c_new, c_k, out=diff), out=diff).max())
             if not math.isfinite(delta):
                 raise SolverError(f"non-finite concentration at t = {t_next:.3f} s")
             c_k = c_new
-            cs_k = value(np.maximum(c_k, 0.0), model)
-            if not nonlinear or delta <= _PICARD_TOL:
+            value(np.maximum(c_k, 0.0, out=cs_k), model, cs_k, den)
+            if delta <= _PICARD_TOL:
                 return c_k, cs_k, sweep
         raise SolverError(
             f"Picard iteration failed at t = {t_next:.3f} s "
@@ -487,7 +544,8 @@ def simulate(config: ScenarioConfig, return_diagnostics: bool = False):
         flux_in = f0 if t_next <= config.t_pulse + 1e-9 * dt else 0.0
 
         if hi == n_nodes:
-            c, cs, sweeps = picard(c, cs, full_grid, flux_in, t_next)
+            c_k, cs_k, sweeps = picard(c, cs, full_grid, flux_in, t_next)
+            c[:], cs[:] = c_k, cs_k
             if scanning:
                 previous, last = last, last_above_tail()
                 if last + 1 + _GUARD >= n_nodes:
@@ -506,12 +564,12 @@ def simulate(config: ScenarioConfig, return_diagnostics: bool = False):
             grow = int(band[-1]) + 1 if band.size else 0
             if grow > _GUARD // 2:
                 # The plume outran the edge band: redo the step unwindowed.
-                c, cs, sweeps = picard(c, cs, full_grid, flux_in, t_next)
+                c_k, cs_k, sweeps = picard(c, cs, full_grid, flux_in, t_next)
+                c[:], cs[:] = c_k, cs_k
                 last = last_above_tail()
                 hi = n_nodes
             else:
-                c[:hi] = c_k
-                cs[:hi] = cs_k
+                c[:hi], cs[:hi] = c_k, cs_k
                 if grow:
                     hi = min(n_nodes, hi + grow)
                     window = system(hi)

@@ -303,21 +303,38 @@ def test_exit_numeric_on_solver_failure(tmp_path, monkeypatch, capsys):
     assert "numeric failure: update step diverged" in capsys.readouterr().err
 
 
-def test_exit_numeric_when_every_restart_fails(tmp_path, monkeypatch, capsys):
+def zero_conc_data(config, name, **kwargs):
+    """``prepare_dataset`` on data whose first point has C = 0, where the
+    Freundlich candidate cannot be evaluated."""
     split = zero_conc_split()
+    return PreparedData(scenario_name=name, config=config, split=split,
+                        noise=None, smoothing_passes=0,
+                        n_points=split.train.n_points + split.test.n_points)
 
-    def zero_conc_data(config, name, **kwargs):
-        return PreparedData(scenario_name=name, config=config, split=split,
-                            noise=None, smoothing_passes=0,
-                            n_points=split.train.n_points
-                            + split.test.n_points)
 
+def test_exit_numeric_when_every_restart_fails(tmp_path, monkeypatch, capsys):
+    """With the Freundlich model as the only candidate, no restart of any
+    candidate evaluates."""
     monkeypatch.setattr("transportid.cli.prepare_dataset", zero_conc_data)
+    monkeypatch.setattr("transportid.identification._candidate_splits",
+                        lambda library: [("fsorp", ("adv", "dis", "fsorp"))])
     cfg_path = tiny_config(tmp_path)
     assert main(["identify", "--config", str(cfg_path), "--restarts", "2"]) == 3
     err = capsys.readouterr().err
     assert "every restart failed" in err and "'fsorp'" in err
     assert "DLASCL" not in err
+
+
+def test_identify_records_a_failed_candidate(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr("transportid.cli.prepare_dataset", zero_conc_data)
+    cfg_path = tiny_config(tmp_path)
+    assert main(["identify", "--config", str(cfg_path), "--restarts", "2"]) == 0
+    captured = capsys.readouterr()
+    assert "candidate fsorp failed: every restart failed" in captured.out
+    assert captured.err == ""
+    record = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert [f["name"] for f in record["failed_candidates"]] == ["fsorp"]
+    assert [c["name"] for c in record["candidates"]] == ["none", "lsorp"]
 
 
 def test_exit_validation_when_bounds_omit_a_parameter(tmp_path, capsys):

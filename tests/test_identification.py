@@ -23,8 +23,10 @@ from transportid.identification import (EnsembleSummary, EpsProxy,
                                         screen_by_prediction_error)
 from transportid.library import LibrarySpec
 from transportid.params import ModelParams, ParamBounds
+from transportid.persist import summary_dict
 from transportid.preprocess import split_train_test
 from transportid.regression import PredictionErrorEvaluator
+from transportid.scenarios import get_scenario
 
 ADF_ALPHA = {"adv": -0.01, "dis": 0.01, "fsorp": -0.15}
 
@@ -313,8 +315,9 @@ def test_identify_is_deterministic():
 
 
 def test_every_restart_failing_is_a_solver_error():
-    """When no restart of a candidate evaluates, the experiment fails as a
-    numeric error that names the first restart's cause."""
+    """When no restart of any candidate evaluates, the experiment fails as
+    a numeric error that names the first restart's cause.  A library of the
+    Freundlich term alone has that one candidate."""
     split = zero_conc_split()
     lib = LibrarySpec.basic().subset(("adv", "dis", "fsorp"))
     cfg = IdentifyConfig(n_restarts=3)
@@ -322,8 +325,38 @@ def test_every_restart_failing_is_a_solver_error():
     assert results == []
     assert [f.run_id for f in failures] == [0, 1, 2]
     assert "term 'fsorp' evaluated non-finite" in failures[0].error
-    with pytest.raises(SolverError, match="every restart failed.*'fsorp'"):
-        identify(make_tiny(), cfg=cfg, data=manufactured_data(split))
+    only_fsorp = LibrarySpec.basic().subset(("fsorp",))
+    with pytest.raises(SolverError, match="every candidate model failed; "
+                       "first cause: every restart failed.*'fsorp'"):
+        identify(make_tiny(), only_fsorp, cfg=cfg, data=manufactured_data(split))
+
+
+def test_a_failed_candidate_is_left_out_of_selection():
+    """The Freundlich candidate cannot be evaluated at C = 0; the others
+    are compared without it, and the report and summary name its cause."""
+    report = identify(make_tiny(), cfg=IdentifyConfig(n_restarts=3),
+                      data=manufactured_data(zero_conc_split()))
+    assert [c.name for c in report.candidates] == ["none", "lsorp"]
+    assert report.winner_name in ("none", "lsorp")
+    (failed,) = report.failed_candidates
+    assert (failed.name, failed.term_ids) == ("fsorp", ("adv", "dis", "fsorp"))
+    assert "term 'fsorp' evaluated non-finite" in failed.error
+    record = summary_dict(report)
+    assert record["failed_candidates"] == [
+        {"name": "fsorp", "term_ids": ["adv", "dis", "fsorp"], "error": failed.error}]
+    assert "failed_candidates" not in summary_dict(
+        identify(make_tiny(), cfg=IdentifyConfig(n_restarts=3), data=manufactured_data()))
+
+
+def test_unfloored_short_s2_identifies_without_its_freundlich_candidate():
+    """Without a detection floor, C = 0 reaches the data and every
+    Freundlich restart fails; the valid candidates still identify."""
+    scen = dataclasses.replace(get_scenario("s2"), conc_floor=0.0, meas_t_end=700.0)
+    report = identify(scen, cfg=IdentifyConfig(n_restarts=4))
+    assert [c.name for c in report.candidates] == ["none", "lsorp"]
+    assert [f.name for f in report.failed_candidates] == ["fsorp"]
+    assert "every restart failed for library 'basic-fsorp'" in report.failed_candidates[0].error
+    assert report.winner_name in ("none", "lsorp")
 
 
 # --------------------------------------------------------------- proxy

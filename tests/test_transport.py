@@ -273,19 +273,25 @@ def _assert_values_match_reference(cfg):
 
 @contextmanager
 def recorded_solve_sizes():
-    """Record the size of every system ``transport.solve_banded`` solves."""
+    """Record the size of every system ``transport.solve_banded`` or
+    ``transport.solve_factored`` solves."""
     sizes = []
-    solve = transport.solve_banded
+    banded, factored = transport.solve_banded, transport.solve_factored
 
-    def recording(lower, diag, upper, rhs):
+    def recording_banded(lower, diag, upper, rhs):
         sizes.append(diag.size)
-        return solve(lower, diag, upper, rhs)
+        return banded(lower, diag, upper, rhs)
 
-    transport.solve_banded = recording
+    def recording_factored(factors, rhs):
+        sizes.append(rhs.size)
+        return factored(factors, rhs)
+
+    transport.solve_banded = recording_banded
+    transport.solve_factored = recording_factored
     try:
         yield sizes
     finally:
-        transport.solve_banded = solve
+        transport.solve_banded, transport.solve_factored = banded, factored
 
 
 def assert_matches_reference(cfg, sizes=None):
@@ -344,9 +350,18 @@ def test_fast_path_is_bit_identical_to_reference(sorption, v_x, alpha_l, theta,
         assert_matches_reference(cfg, sizes)
 
 
-@pytest.mark.parametrize("name", ["s2-fast", "s3-fast"])
-def test_fast_presets_match_reference(name):
-    assert_matches_reference(get_scenario(name))
+@pytest.mark.parametrize("cfg", [
+    pytest.param(get_scenario("s2-fast"), id="s2-fast"),
+    pytest.param(get_scenario("s3-fast"), id="s3-fast"),
+    # The linear model on the 1,001-node column, while its window grows to
+    # the outlet.
+    pytest.param(replace(get_scenario("s1"), meas_t_end=400.0), id="s1-until-400s"),
+])
+def test_fast_presets_match_reference(cfg):
+    with recorded_solve_sizes() as sizes:
+        assert_matches_reference(cfg, sizes)
+    if cfg.sorption.kind == "none":
+        assert min(sizes) < sizes[-1] == 1001
 
 
 def test_window_narrows_ahead_of_a_freundlich_front():
@@ -408,15 +423,52 @@ def test_solve_banded_rejects_singular_system():
                                np.array([1.0, 0.0]), np.ones(3))
 
 
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(3, 400), hi_frac=st.floats(0.0, 1.0),
+       peclet=st.floats(0.0, 2.0), dispersion=st.floats(1e-4, 10.0),
+       storage=st.floats(1e-3, 1e3), seed=st.integers(0, 2**32 - 1))
+@example(n=3, hi_frac=0.0, peclet=2.0, dispersion=10.0, storage=1e-3, seed=0)
+def test_leading_factors_solve_like_gtsv(n, hi_frac, peclet, dispersion, storage, seed):
+    """At grid Peclet numbers <= 2 the linear matrix, assembled as simulate
+    does, factors without row interchanges, and a solve with the leading part
+    of its factors equals gtsv on the leading block bit for bit."""
+    a_face = dispersion
+    b_face = 0.5 * peclet * dispersion  # b / a is half the grid Peclet number
+    vol_over_dt = np.full(n, storage)
+    vol_over_dt[0] = vol_over_dt[-1] = 0.5 * storage
+    lower = np.full(n - 1, -(a_face + b_face))
+    upper = np.full(n - 1, -(a_face - b_face))
+    diag = np.full(n, 2.0 * a_face)
+    diag[0] = diag[-1] = a_face + b_face
+    diag += vol_over_dt
+    factors = transport.factor_banded(lower, diag, upper)
+    assert np.array_equal(factors[4], np.arange(1, n + 1))
+    hi = 3 + int(hi_frac * (n - 3))
+    rhs = np.random.default_rng(seed).normal(size=hi)
+    x = transport.solve_factored(transport.leading_factors(factors, hi), rhs.copy())
+    ref = transport.solve_banded(lower[:hi - 1], diag[:hi].copy(), upper[:hi - 1], rhs.copy())
+    assert np.array_equal(x.view(np.uint64), ref.view(np.uint64))
+
+
+def test_factor_banded_rejects_row_interchanges_and_singular_matrices():
+    with pytest.raises(SolverError, match="exchanged rows"):
+        transport.factor_banded(np.array([4.0, 1.0]), np.array([1.0, 1.0, 1.0]),
+                                np.array([1.0, 1.0]))
+    with pytest.raises(SolverError, match="gttrf info"):
+        transport.factor_banded(np.zeros(2), np.zeros(3), np.zeros(2))
+
+
 @pytest.mark.parametrize("sorption", [SorptionModel.none(), TINY_FREUNDLICH])
 def test_non_finite_solution_raises_at_once(monkeypatch, sorption):
+    """The linear model solves with its factors, the others with gtsv."""
     calls = []
 
-    def nan_solve(lower, diag, upper, rhs):
+    def nan_solve(*args):
         calls.append(1)
-        return np.full_like(rhs, np.nan)
+        return np.full_like(args[-1], np.nan)
 
-    monkeypatch.setattr(transport, "solve_banded", nan_solve)
+    solver = "solve_factored" if sorption.kind == "none" else "solve_banded"
+    monkeypatch.setattr(transport, solver, nan_solve)
     with pytest.raises(SolverError, match="non-finite concentration at t = 1.000 s"):
         simulate(make_tiny(sorption=sorption))
     assert len(calls) == 1

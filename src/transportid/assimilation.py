@@ -102,9 +102,6 @@ class AssimilationTrace:
     def n_accepted(self) -> int:
         return sum(1 for r in self.records if r.accepted)
 
-    def accepted_eps(self) -> list:
-        return [r.eps for r in self.records if r.accepted]
-
 
 def to_unbounded(m: np.ndarray, lower: np.ndarray,
                  upper: np.ndarray) -> np.ndarray:

@@ -31,6 +31,7 @@ __all__ = [
 
 _FIRST_N = 16  # 17 points
 _MAX_N = 256  # 257 points
+_TOL = np.finfo(float).eps  # standard_chop's relative tolerance
 
 
 def chebyshev_nodes(count: int) -> np.ndarray:
@@ -63,14 +64,14 @@ def chebyshev_coefficients(values: np.ndarray) -> np.ndarray:
     return coeffs
 
 
-def standard_chop(coeffs: np.ndarray, tol: float = np.finfo(float).eps) -> int:
+def standard_chop(coeffs: np.ndarray) -> int:
     """How many leading Chebyshev coefficients resolve the function.
 
     The ``standardChop`` rule of Aurentz & Trefethen: find a plateau of
-    the normalized coefficient envelope at or above ``tol`` and cut where
-    envelope plus a linear bias toward fewer terms is least.  Returns
-    ``len(coeffs)`` when no plateau shows (the function is not resolved),
-    and always so below 17 coefficients.
+    the normalized coefficient envelope at or above machine epsilon and
+    cut where envelope plus a linear bias toward fewer terms is least.
+    Returns ``len(coeffs)`` when no plateau shows (the function is not
+    resolved), and always so below 17 coefficients.
     """
     n = coeffs.size
     if n < 17:
@@ -86,18 +87,18 @@ def standard_chop(coeffs: np.ndarray, tol: float = np.finfo(float).eps) -> int:
             return n
         e1 = envelope[j - 1]
         e2 = envelope[j2 - 1]
-        if e1 == 0.0 or e2 / e1 > 3.0 * (1.0 - math.log(e1) / math.log(tol)):
+        if e1 == 0.0 or e2 / e1 > 3.0 * (1.0 - math.log(e1) / math.log(_TOL)):
             plateau = j - 1
             break
     if envelope[plateau - 1] == 0.0:
         return plateau
-    floor = tol ** (7.0 / 6.0)
+    floor = _TOL ** (7.0 / 6.0)
     j3 = int(np.sum(envelope >= floor))
     if j3 < j2:
         j2 = j3 + 1
         envelope[j2 - 1] = floor
     biased = (np.log10(envelope[:j2])
-              + np.linspace(0.0, -np.log10(tol) / 3.0, j2))
+              + np.linspace(0.0, -np.log10(_TOL) / 3.0, j2))
     return max(int(np.argmin(biased)), 1)
 
 

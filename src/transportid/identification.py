@@ -49,6 +49,10 @@ from .transport import ScenarioConfig, sample_measurements, simulate
 
 logger = logging.getLogger(__name__)
 
+_SCREEN_FACTOR = 1.5  # runs above this multiple of the median eps are screened
+_PRUNE_THRESHOLD = 0.05  # relative mean magnitude below which a term is pruned
+_MAX_ROUNDS = 4  # pruning rounds, the candidates' own included
+
 __all__ = [
     "IdentifyConfig",
     "PreparedData",
@@ -79,9 +83,6 @@ class IdentifyConfig:
     n_restarts: int = 20
     master_seed: int = 0
     split_ratio: float = 0.6
-    screen_factor: float = 1.5
-    prune_threshold: float = 0.05
-    max_rounds: int = 4
     bounds: ParamBounds = field(default_factory=ParamBounds.default)
     assimilation: AssimilationConfig = field(default_factory=AssimilationConfig)
     smoothing: SmoothingConfig = field(default_factory=SmoothingConfig)
@@ -92,12 +93,6 @@ class IdentifyConfig:
             raise ValidationError("need at least one restart")
         if not (0.0 < self.split_ratio < 1.0):
             raise ValidationError("split_ratio must be in (0, 1)")
-        if self.screen_factor < 1.0:
-            raise ValidationError("screen_factor below 1 screens the median run")
-        if not (0.0 < self.prune_threshold < 1.0):
-            raise ValidationError("prune_threshold must be in (0, 1)")
-        if self.max_rounds < 1:
-            raise ValidationError("max_rounds must be positive")
 
 
 @dataclass
@@ -265,7 +260,6 @@ def sample_prior(n: int, bounds: ParamBounds, seed: int) -> list:
 class ProxyValue:
     """What the assimilation loop reads of one proxy evaluation."""
 
-    m: ModelParams
     eps: float
 
 
@@ -288,7 +282,7 @@ class EpsProxy:
 
     def evaluate(self, m: ModelParams) -> ProxyValue:
         (value,) = m.values
-        return ProxyValue(m=m, eps=self.interpolant(value))
+        return ProxyValue(eps=self.interpolant(value))
 
 
 def build_proxy(evaluator: PredictionErrorEvaluator,
@@ -376,16 +370,16 @@ def run_ensemble(split: DataSplit, library: LibrarySpec, cfg: IdentifyConfig):
     return results, failures
 
 
-def screen_by_prediction_error(results: list, factor: float = 1.5):
+def screen_by_prediction_error(results: list):
     """Split runs into (retained, screened) by final prediction error.
 
-    Runs above ``factor`` times the median error are set aside; with
-    fewer than three runs everything is retained.
+    Runs above 1.5 times the median error are set aside; with fewer than
+    three runs everything is retained.
     """
     if len(results) < 3:
         return list(results), []
     eps = np.array([r.fit.eps for r in results])
-    cutoff = factor * float(np.median(eps))
+    cutoff = _SCREEN_FACTOR * float(np.median(eps))
     retained = [r for r, e in zip(results, eps) if e <= cutoff]
     screened = [r for r, e in zip(results, eps) if e > cutoff]
     return retained, screened
@@ -418,14 +412,14 @@ def aggregate_summary(library: LibrarySpec, retained: list, screened: list,
     )
 
 
-def prune_terms(library: LibrarySpec, summary: EnsembleSummary,
-                threshold: float = 0.05) -> tuple:
+def prune_terms(library: LibrarySpec, summary: EnsembleSummary) -> tuple:
     """Select the terms worth keeping, in library order.
 
     Sorption terms with a positive ensemble-mean coefficient are dropped
-    first (wrong retardation sign); the relative threshold is then taken
-    against the largest surviving mean magnitude, so a spurious dominant
-    term cannot define the scale; at most one sorption model survives.
+    first (wrong retardation sign); a term is then kept when its mean
+    magnitude is at least 0.05 of the largest surviving one, so a spurious
+    dominant term cannot define the scale; at most one sorption model
+    survives.
     """
     ids = list(library.term_ids)
     signed = {tid: float(summary.alpha_norm_mean[j])
@@ -439,7 +433,7 @@ def prune_terms(library: LibrarySpec, summary: EnsembleSummary,
     if survivors:
         scale = max(magnitude[tid] for tid in survivors)
         survivors = [tid for tid in survivors
-                     if magnitude[tid] >= threshold * scale]
+                     if magnitude[tid] >= _PRUNE_THRESHOLD * scale]
     kept_sorption = [tid for tid in survivors if tid in sorption]
     if len(kept_sorption) > 1:
         best = max(kept_sorption, key=lambda tid: magnitude[tid])
@@ -471,7 +465,7 @@ def _ensemble_round(split: DataSplit, lib: LibrarySpec, cfg: IdentifyConfig):
     if not results:
         raise SolverError(f"every restart failed for library {lib.name!r}; "
                           f"first cause: {failures[0].error}")
-    retained, screened = screen_by_prediction_error(results, cfg.screen_factor)
+    retained, screened = screen_by_prediction_error(results)
     return aggregate_summary(lib, retained, screened, failures), results
 
 
@@ -521,8 +515,8 @@ def identify(scenario, library="basic", noise: NoiseSpec | None = None,
     summary = winner.summary
     results = winner.results
     stable = False
-    for _ in range(cfg.max_rounds):
-        selected = prune_terms(current, summary, cfg.prune_threshold)
+    for _ in range(_MAX_ROUNDS):
+        selected = prune_terms(current, summary)
         rounds.append(IdentificationRound(library=current, summary=summary,
                                           selected_term_ids=selected,
                                           results=results))

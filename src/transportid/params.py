@@ -36,10 +36,6 @@ class ModelParams:
     def of_sorption(cls, a: float, k_l: float) -> "ModelParams":
         return cls(names=DEFAULT_PARAM_NAMES, values=(float(a), float(k_l)))
 
-    @classmethod
-    def from_array(cls, values: np.ndarray, names: tuple[str, ...] = DEFAULT_PARAM_NAMES) -> "ModelParams":
-        return cls(names=names, values=tuple(float(v) for v in np.asarray(values, dtype=float)))
-
     def __getitem__(self, name: str) -> float:
         try:
             return self.values[self.names.index(name)]
@@ -48,10 +44,6 @@ class ModelParams:
 
     def as_array(self) -> np.ndarray:
         return np.array(self.values, dtype=float)
-
-    @property
-    def n(self) -> int:
-        return len(self.names)
 
 
 @dataclass(frozen=True)
@@ -92,9 +84,6 @@ class ParamBounds:
 
     def span(self) -> np.ndarray:
         return self.upper_array() - self.lower_array()
-
-    def midpoint(self) -> np.ndarray:
-        return 0.5 * (self.lower_array() + self.upper_array())
 
     def prior_covariance(self) -> np.ndarray:
         """Diagonal covariance of a uniform prior over the box."""

@@ -2,7 +2,7 @@
 
 All floats are written with ``repr``, which round-trips exactly, so a
 rerun with the same configuration produces byte-identical files.  Every
-writer has a matching reader in this module.
+writer but ``write_trace_csv`` has a matching reader in this module.
 """
 
 from __future__ import annotations

@@ -210,22 +210,21 @@ def smooth_field(field: Field, cfg: SmoothingConfig, conc_floor: float = 0.0,
     if reference is not None and reference.values.shape != field.values.shape:
         raise ValidationError("reference field layout does not match")
 
+    def floored(vals, support) -> Field:
+        return Field(vals, field.x0, field.dx, field.t0, field.dt,
+                     support & (vals > conc_floor))
+
     vals, support = field.values, field.mask
     if reference is not None:
         ref_vals, ref_support = reference.values, reference.mask
-    out = None
-    passes = 0
-    for _ in range(cfg.max_passes):
+    for passes in range(1, cfg.max_passes + 1):
         vals, support = _one_pass(vals, support, w_t, w_x)
-        passes += 1
-        out = Field(vals, field.x0, field.dx, field.t0, field.dt,
-                    support & (vals > conc_floor))
-        if reference is None:
+        out = floored(vals, support)
+        # After the last allowed pass nothing reads the comparison.
+        if reference is None or passes == cfg.max_passes:
             continue
         ref_vals, ref_support = _one_pass(ref_vals, ref_support, w_t, w_x)
-        ref_out = Field(ref_vals, field.x0, field.dx, field.t0, field.dt,
-                        ref_support & (ref_vals > conc_floor))
-        ref_scatter = _d3_scatter(ref_out)
+        ref_scatter = _d3_scatter(floored(ref_vals, ref_support))
         if ref_scatter <= 0.0:
             break
         if _d3_scatter(out) <= cfg.fluctuation_factor * ref_scatter:

@@ -15,17 +15,17 @@ second-order face fluxes for both advection and dispersion, marched with
 backward Euler.  The sorption slope is handled by Picard iteration; every
 sweep solves one tridiagonal system with LAPACK ``gtsv`` on work buffers.
 Without sorption the system does not depend on C: it is factored once with
-``gttrf`` (a grid Peclet number <= 2 rules out row interchanges) and each
-step is a single ``gttrs`` solve.  The scheme conserves mass discretely,
-which the simulator can track through a running flux audit.
+``gttrf`` and each step is a single ``gttrs`` solve on the whole column.
+The scheme conserves mass discretely, which the simulator can track through
+a running flux audit.
 
-Each step solves only the active window [0, hi), which ends _GUARD nodes
-past the last node with |C| > _TAIL * c0.  The nodes from hi on are held
-at exactly 0, so the window's last row is an interior row against a fixed
-zero.  Steps run on the whole column, scanning it after each step, until
-the plume has settled: its last node above the tail moved by at most
-_GUARD // 4 nodes, in a step that took more than one Picard sweep if the
-model is nonlinear.  After that only the guard band is read: the window
+With sorption each step solves only the active window [0, hi), which ends
+_GUARD nodes past the last node with |C| > _TAIL * c0.  The nodes from hi
+on are held at exactly 0, so the window's last row is an interior row
+against a fixed zero.  Steps run on the whole column, scanning it after
+each step, until the plume has settled: its last node above the tail moved
+by at most _GUARD // 4 nodes, in a step that took more than one Picard
+sweep.  After that only the guard band is read: the window
 grows to keep _GUARD negligible nodes past the plume, and a step whose
 plume reached the far half of the band is solved again on the full grid,
 which starts the settling scan anew.  Past hi a full-grid solve holds only
@@ -257,10 +257,6 @@ class ScenarioConfig:
         """Mass-audit cadence of ``simulate``: ``sim_store_dt``, else meas_dt."""
         return self.meas_dt if self.sim_store_dt is None else self.sim_store_dt
 
-    @property
-    def retardation_factor(self) -> float:
-        return self.rho_b / self.theta
-
 
 @dataclass
 class Field:
@@ -346,20 +342,11 @@ def solve_banded(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
 
 def factor_banded(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray) -> tuple:
     """LU factors (dl, d, du, du2, ipiv) of a tridiagonal matrix by LAPACK
-    ``gttrf``.  A singular matrix, or one whose elimination exchanged rows,
-    raises SolverError: without interchanges ``leading_factors`` factor the
-    leading blocks."""
+    ``gttrf``.  A singular matrix raises SolverError."""
     *factors, info = dgttrf(lower, diag, upper)
-    if info != 0 or not np.array_equal(factors[4], np.arange(1, diag.size + 1)):
-        raise SolverError("tridiagonal factorization failed or exchanged rows "
-                          f"(LAPACK gttrf info = {info})")
+    if info != 0:
+        raise SolverError(f"tridiagonal factorization failed (LAPACK gttrf info = {info})")
     return tuple(factors)
-
-
-def leading_factors(factors: tuple, hi: int) -> tuple:
-    """``factor_banded``'s factors of the leading hi x hi block (hi >= 3)."""
-    dl, d, du, du2, ipiv = factors
-    return dl[:hi - 1], d[:hi], du[:hi - 1], du2[:hi - 2], ipiv[:hi]
 
 
 def solve_factored(factors: tuple, rhs: np.ndarray) -> np.ndarray:
@@ -461,11 +448,8 @@ def simulate(config: ScenarioConfig, return_diagnostics: bool = False):
     diag_flux = np.full(n_nodes, 2.0 * a_face)
     diag_flux[0] = a_face + b_face
     diag_flux[-1] = a_face + b_face
-    # Without sorption the matrix is constant and is factored once.  A grid
-    # Peclet number <= 2 gives a = a_face >= b = b_face, so elimination never
-    # exchanges rows: with V = vol_over_dt * theta > 0, each pivot d'_(k+1) =
-    # V + 2a - (a + b)(a - b) / d'_k >= V + a + b > |lower| = a + b by
-    # induction.  The leading part of the factors then factors a window.
+    # Without sorption the matrix is constant, factored once, and solved on
+    # the whole column.
     lu = None if nonlinear else factor_banded(lower, vol_over_dt * theta + diag_flux, upper)
     # Work buffers; a window uses their leading entries.  A solve returns the
     # iterate in its right-hand side, so two alternate: no sweep overwrites
@@ -473,9 +457,10 @@ def simulate(config: ScenarioConfig, return_diagnostics: bool = False):
     work = np.empty((8, n_nodes))
 
     def system(hi: int) -> tuple:
-        """The constant arrays and the work buffers of the window [0, hi)."""
+        """The constant arrays, the linear model's factors (None with
+        sorption) and the work buffers of the window [0, hi)."""
         return (vol_over_dt[:hi], diag_flux[:hi], lower[:hi - 1], upper[:hi - 1],
-                None if lu is None else leading_factors(lu, hi), tuple(work[:, :hi]))
+                lu, tuple(work[:, :hi]))
 
     full_grid = system(n_nodes)
 
@@ -531,13 +516,14 @@ def simulate(config: ScenarioConfig, return_diagnostics: bool = False):
         above = np.flatnonzero(np.abs(c) > tail)
         return int(above[-1]) if above.size else -1
 
-    # The window opens after a full-grid step in which the plume settled: its
-    # last node above the tail moved by at most _GUARD // 4, and a nonlinear
-    # step took more than one Picard sweep (one sweep means the iterate is
-    # still at the Freundlich slope floor, from which the front can jump).
-    # Until then, and after a step solved again, each step scans the grid.
+    # A nonlinear model's window opens after a full-grid step in which the
+    # plume settled: its last node above the tail moved by at most
+    # _GUARD // 4, and the step took more than one Picard sweep (one sweep
+    # means the iterate is still at the Freundlich slope floor, from which
+    # the front can jump).  Until then, and after a step solved again, each
+    # step scans the grid.  The linear model never scans.
     hi = n_nodes
-    scanning = True
+    scanning = nonlinear
     last = -1
     for step in range(n_steps):
         t_next = (step + 1) * dt
@@ -550,7 +536,7 @@ def simulate(config: ScenarioConfig, return_diagnostics: bool = False):
                 previous, last = last, last_above_tail()
                 if last + 1 + _GUARD >= n_nodes:
                     scanning = False  # the window would reach the outlet
-                elif last - previous <= _GUARD // 4 and (sweeps > 1 or not nonlinear):
+                elif last - previous <= _GUARD // 4 and sweeps > 1:
                     hi = last + 1 + _GUARD
                     c[hi:] = 0.0
                     cs[hi:] = 0.0

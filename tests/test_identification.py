@@ -88,32 +88,32 @@ def test_prior_draws_reproducible():
 # ----------------------------------------------------------- screening
 
 def test_screening_keeps_equal_runs():
-    retained, screened = screen_by_prediction_error(fake_runs([2.0] * 6), 1.5)
+    retained, screened = screen_by_prediction_error(fake_runs([2.0] * 6))
     assert len(retained) == 6 and not screened
 
 
 def test_screening_drops_the_outlier():
     runs = fake_runs([1.0, 1.0, 1.0, 10.0])
-    retained, screened = screen_by_prediction_error(runs, 1.5)
+    retained, screened = screen_by_prediction_error(runs)
     assert [r.run_id for r in screened] == [3]
     assert [r.run_id for r in retained] == [0, 1, 2]
 
 
 def test_screening_skips_tiny_ensembles():
     runs = fake_runs([1.0, 50.0])
-    retained, screened = screen_by_prediction_error(runs, 1.5)
+    retained, screened = screen_by_prediction_error(runs)
     assert len(retained) == 2 and not screened
 
 
 def test_screening_is_order_invariant():
     eps = [0.5, 3.0, 0.6, 0.55, 9.0, 0.58]
-    fwd_ret, fwd_scr = screen_by_prediction_error(fake_runs(eps), 1.5)
+    fwd_ret, fwd_scr = screen_by_prediction_error(fake_runs(eps))
     rng = np.random.default_rng(0)
     perm = rng.permutation(len(eps))
     shuffled = fake_runs([eps[i] for i in perm])
     for stub, i in zip(shuffled, perm):
         stub.run_id = int(i)
-    rev_ret, rev_scr = screen_by_prediction_error(shuffled, 1.5)
+    rev_ret, rev_scr = screen_by_prediction_error(shuffled)
     assert {r.run_id for r in fwd_ret} == {r.run_id for r in rev_ret}
     assert {r.run_id for r in fwd_scr} == {r.run_id for r in rev_scr}
 
@@ -122,7 +122,7 @@ def test_screening_is_order_invariant():
 
 def test_prune_keeps_comparable_terms():
     lib = LibrarySpec.basic()
-    kept = prune_terms(lib, make_summary(lib, [-0.5, 0.4, -0.45, 0.1]), 0.05)
+    kept = prune_terms(lib, make_summary(lib, [-0.5, 0.4, -0.45, 0.1]))
     # Both sorption candidates negative would violate the one-model rule,
     # so here only fsorp is negative and survives.
     assert kept == ("adv", "dis", "fsorp")
@@ -130,7 +130,7 @@ def test_prune_keeps_comparable_terms():
 
 def test_prune_drops_wrong_signed_sorption():
     lib = LibrarySpec.basic()
-    kept = prune_terms(lib, make_summary(lib, [-0.5, 0.4, 0.3, -0.45]), 0.05)
+    kept = prune_terms(lib, make_summary(lib, [-0.5, 0.4, 0.3, -0.45]))
     assert kept == ("adv", "dis", "lsorp")
 
 
@@ -139,14 +139,14 @@ def test_prune_drops_small_terms_relative_to_largest():
     # Threshold is 5% of the largest magnitude (0.04 here): 0.06 stays,
     # 0.002 goes.
     summary = make_summary(lib, [-0.8, 0.6, 0.06, 0.002])
-    assert prune_terms(lib, summary, 0.05) == ("adv", "dis", "conc")
+    assert prune_terms(lib, summary) == ("adv", "dis", "conc")
 
 
 def test_prune_keeps_single_strongest_sorption():
     lib = LibrarySpec.basic()
-    kept = prune_terms(lib, make_summary(lib, [-0.5, 0.4, -0.2, -0.45]), 0.05)
+    kept = prune_terms(lib, make_summary(lib, [-0.5, 0.4, -0.2, -0.45]))
     assert kept == ("adv", "dis", "lsorp")
-    kept = prune_terms(lib, make_summary(lib, [-0.5, 0.4, -0.45, -0.2]), 0.05)
+    kept = prune_terms(lib, make_summary(lib, [-0.5, 0.4, -0.45, -0.2]))
     assert kept == ("adv", "dis", "fsorp")
 
 
@@ -154,13 +154,13 @@ def test_prune_scale_ignores_discarded_sorption():
     """A wrong-signed dominant sorption term must not set the size scale."""
     lib = LibrarySpec.basic().subset(("adv", "dis", "fsorp"))
     summary = make_summary(lib, [-0.04, 0.03, 5.0])
-    assert prune_terms(lib, summary, 0.05) == ("adv", "dis")
+    assert prune_terms(lib, summary) == ("adv", "dis")
 
 
 def test_prune_refuses_to_empty_the_model():
     lib = LibrarySpec.basic().subset(("fsorp",))
     with pytest.raises(ValidationError):
-        prune_terms(lib, make_summary(lib, [0.9]), 0.05)
+        prune_terms(lib, make_summary(lib, [0.9]))
 
 
 # ------------------------------------------------------------ ensemble
@@ -485,15 +485,11 @@ def test_learned_equation_renders_every_extended_term():
 
 
 def test_identify_config_validation():
-    for bad in ({"screen_factor": float("nan")}, {"n_restarts": 2.5},
-                {"master_seed": 1.5}, {"max_rounds": "4"}):
+    for bad in ({"split_ratio": float("nan")}, {"n_restarts": 2.5},
+                {"master_seed": 1.5}, {"n_restarts": "20"}):
         with pytest.raises(ValidationError, match=next(iter(bad))):
             IdentifyConfig(**bad)
     with pytest.raises(ValidationError):
         IdentifyConfig(n_restarts=0)
-    with pytest.raises(ValidationError):
-        IdentifyConfig(screen_factor=0.5)
-    with pytest.raises(ValidationError):
-        IdentifyConfig(prune_threshold=0.0)
     with pytest.raises(ValidationError):
         IdentifyConfig(split_ratio=1.0)

@@ -4,7 +4,9 @@ Every writer emits repr-formatted floats, so rewriting a freshly read
 artifact must reproduce the original file byte for byte.
 """
 
+import dataclasses
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,7 +15,8 @@ from hypothesis import strategies as st
 
 from conftest import make_tiny, manufactured_field
 from transportid.errors import ValidationError
-from transportid.identification import IdentifyConfig, PreparedData, identify, run_single
+from transportid.identification import (FailedCandidate, IdentifyConfig,
+                                        PreparedData, identify, run_single)
 from transportid.library import LibrarySpec
 from transportid.assimilation import AssimilationConfig
 from transportid.params import ModelParams, ParamBounds
@@ -23,7 +26,7 @@ from transportid.persist import (read_field_csv, read_metadata, read_runs_csv,
                                  summary_dict, write_field_csv, write_metadata,
                                  write_runs_csv, write_summary_json,
                                  write_trace_csv)
-from transportid.preprocess import split_train_test
+from transportid.preprocess import NoiseSpec, split_train_test
 from transportid.regression import PredictionErrorEvaluator
 from transportid.scenarios import get_scenario
 from transportid.transport import Field
@@ -279,6 +282,62 @@ def test_runs_csv_guards(adf_runs, tmp_path):
         read_runs_csv(other)
 
 
+# repr round-trips every float but NaN; ModelParams holds finite values.
+_ANY_FLOAT = st.floats(allow_nan=False)
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_STATUSES = ("converged", "stalled", "zero_gradient", "max_iterations",
+             "budget_exhausted")
+
+
+@st.composite
+def run_tables(draw):
+    """Restarts as ``write_runs_csv`` reads them, with arbitrary values."""
+    names = draw(st.sampled_from([(), ("a",), ("K_l",), ("a", "K_l")]))
+    term_ids = tuple(draw(st.lists(st.sampled_from(("adv", "dis", "fsorp",
+                                                    "lsorp", "conc")),
+                                   min_size=1, unique=True)))
+    runs = []
+    for run_id in range(draw(st.integers(1, 4))):
+        trace = SimpleNamespace(
+            n_accepted=draw(st.integers(1, 400)),
+            status=draw(st.sampled_from(_STATUSES)),
+            eps_final=draw(_ANY_FLOAT),
+            m_final=ModelParams(names, tuple(draw(_FINITE) for _ in names)))
+        coefficients = [tuple(draw(_ANY_FLOAT) for _ in term_ids)
+                        for _ in range(2)]
+        fit = SimpleNamespace(
+            alpha_norm=SimpleNamespace(term_ids=term_ids,
+                                       values=coefficients[0]),
+            alpha_phys=SimpleNamespace(values=coefficients[1]))
+        runs.append(SimpleNamespace(run_id=run_id,
+                                    seed=draw(st.integers(0, 2**63)),
+                                    trace=trace, fit=fit))
+    return runs
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(runs=run_tables())
+def test_runs_csv_round_trip_property(tmp_path, runs):
+    """Every cell comes back with its type and its exact value (signed
+    zeros and infinities included), in the written column order."""
+    path = tmp_path / "runs.csv"
+    write_runs_csv(runs, path)
+    rows = read_runs_csv(path)
+    for row, res in zip(rows, runs, strict=True):
+        expected = {"run_id": res.run_id, "seed": res.seed,
+                    "n_iterations": res.trace.n_accepted,
+                    "termination": res.trace.status,
+                    "eps_final": res.trace.eps_final}
+        expected.update(zip((f"m_{n}" for n in res.trace.m_final.names),
+                            res.trace.m_final.values))
+        for kind in ("alpha_norm", "alpha_phys"):
+            expected.update(zip((f"{kind}_{t}" for t in res.fit.alpha_norm.term_ids),
+                                getattr(res.fit, kind).values))
+        assert [(k, repr(v)) for k, v in row.items()] == [
+            (k, repr(v)) for k, v in expected.items()]
+
+
 def test_trace_csv_layout(adf_runs, tmp_path):
     result = adf_runs[0]
     path = tmp_path / "trace.csv"
@@ -330,6 +389,46 @@ def test_summary_json_round_trip(adf_report, tmp_path):
     again = tmp_path / "again.json"
     write_summary_json(report, again, data=data)
     assert path.read_bytes() == again.read_bytes()
+
+
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(draw=st.data(),
+       noise=st.one_of(st.none(),
+                       st.builds(NoiseSpec, delta=st.floats(0.0, 0.99),
+                                 seed=st.integers(0, 2**32))),
+       with_data=st.booleans(), failure=st.one_of(st.none(), st.text()))
+def test_summary_json_round_trip_property(adf_report, tmp_path, draw, noise,
+                                          with_data, failure):
+    """``read_summary_json`` returns exactly ``summary_dict``'s digest, for
+    arbitrary ensemble statistics, with or without noise, prepared data and
+    a failed candidate."""
+    report, data = adf_report
+    summary = report.final_summary
+    k, p = len(summary.term_ids), len(summary.param_names)
+
+    def floats(size):
+        return np.array(draw.draw(st.lists(_ANY_FLOAT, min_size=size,
+                                           max_size=size)))
+
+    arrays = {name: floats(k) for name in (
+        "alpha_phys_mean", "alpha_phys_std", "alpha_norm_mean",
+        "alpha_norm_std", "alpha_abs_norm_mean")}
+    arrays.update(param_mean=floats(p), param_std=floats(p))
+    last = dataclasses.replace(report.rounds[-1],
+                               summary=dataclasses.replace(summary, **arrays))
+    failed = ([] if failure is None
+              else [FailedCandidate("lsorp", ("adv", "lsorp"), failure)])
+    changed = dataclasses.replace(report, rounds=report.rounds[:-1] + [last],
+                                  noise=noise, failed_candidates=failed)
+    data = data if with_data else None
+    path = tmp_path / "summary.json"
+    write_summary_json(changed, path, data=data)
+    back = read_summary_json(path)
+    expected = summary_dict(changed, data)
+    assert back == expected
+    # Signed zeros, and ints against floats.
+    assert json.dumps(back, sort_keys=True) == json.dumps(expected, sort_keys=True)
 
 
 def test_summary_json_reader_guards(adf_report, tmp_path):

@@ -4,6 +4,7 @@ chronological train/test split."""
 import numpy as np
 import pytest
 
+import transportid.preprocess as preprocess
 from transportid.errors import ValidationError
 from transportid.preprocess import (DerivativeField, NoiseSpec, SmoothingConfig,
                                     add_noise, barycentric_weights,
@@ -222,6 +223,27 @@ def test_noisy_pipeline_pass_counts(pipeline):
     """Light noise settles in one pass, heavier noise takes the second."""
     assert pipeline.dataset("s2", 0.01).smoothing_passes == 1
     assert pipeline.dataset("s2", 0.05).smoothing_passes == 2
+
+
+def test_smoothing_compares_only_before_its_last_pass(pipeline, monkeypatch):
+    """s2 at delta = 0.05 takes both allowed passes: the field is smoothed
+    twice and the reference once, for the one comparison that can stop
+    the smoothing early."""
+    cfg = get_scenario("s2")
+    clean, _ = pipeline.simulation("s2")
+    noisy = add_noise(clean, NoiseSpec(0.05, seed=0))
+    calls = []
+    one_pass = preprocess._one_pass
+
+    def counting_pass(*args):
+        calls.append(1)
+        return one_pass(*args)
+
+    monkeypatch.setattr(preprocess, "_one_pass", counting_pass)
+    _, passes = smooth_field(noisy, SmoothingConfig(),
+                             conc_floor=cfg.conc_floor, reference=clean)
+    assert passes == 2 == SmoothingConfig().max_passes
+    assert len(calls) == 3
 
 
 def test_prepared_noisy_points_respect_floor(pipeline):

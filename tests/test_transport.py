@@ -96,7 +96,7 @@ def test_derived_scenario_quantities():
     s = get_scenario("s1")
     assert s.d_l == pytest.approx(s.alpha_l * s.v_x, rel=1e-15)
     assert s.q == pytest.approx(s.v_x * s.theta, rel=1e-15)
-    assert s.retardation_factor == pytest.approx(1.587 / 0.37, rel=1e-12)
+    assert s.rho_b / s.theta == pytest.approx(1.587 / 0.37, rel=1e-12)
 
 
 def test_preset_catalogue_and_true_values():
@@ -353,15 +353,14 @@ def test_fast_path_is_bit_identical_to_reference(sorption, v_x, alpha_l, theta,
 @pytest.mark.parametrize("cfg", [
     pytest.param(get_scenario("s2-fast"), id="s2-fast"),
     pytest.param(get_scenario("s3-fast"), id="s3-fast"),
-    # The linear model on the 1,001-node column, while its window grows to
-    # the outlet.
+    # The linear model solves the whole 1,001-node column every step.
     pytest.param(replace(get_scenario("s1"), meas_t_end=400.0), id="s1-until-400s"),
 ])
 def test_fast_presets_match_reference(cfg):
     with recorded_solve_sizes() as sizes:
         assert_matches_reference(cfg, sizes)
     if cfg.sorption.kind == "none":
-        assert min(sizes) < sizes[-1] == 1001
+        assert set(sizes) == {1001}
 
 
 def test_window_narrows_ahead_of_a_freundlich_front():
@@ -424,14 +423,13 @@ def test_solve_banded_rejects_singular_system():
 
 
 @settings(max_examples=60, deadline=None)
-@given(n=st.integers(3, 400), hi_frac=st.floats(0.0, 1.0),
+@given(n=st.integers(3, 400),
        peclet=st.floats(0.0, 2.0), dispersion=st.floats(1e-4, 10.0),
        storage=st.floats(1e-3, 1e3), seed=st.integers(0, 2**32 - 1))
-@example(n=3, hi_frac=0.0, peclet=2.0, dispersion=10.0, storage=1e-3, seed=0)
-def test_leading_factors_solve_like_gtsv(n, hi_frac, peclet, dispersion, storage, seed):
-    """At grid Peclet numbers <= 2 the linear matrix, assembled as simulate
-    does, factors without row interchanges, and a solve with the leading part
-    of its factors equals gtsv on the leading block bit for bit."""
+@example(n=3, peclet=2.0, dispersion=10.0, storage=1e-3, seed=0)
+def test_factored_solve_like_gtsv(n, peclet, dispersion, storage, seed):
+    """At grid Peclet numbers <= 2 a solve with the factors of the linear
+    matrix, assembled as simulate does, equals gtsv bit for bit."""
     a_face = dispersion
     b_face = 0.5 * peclet * dispersion  # b / a is half the grid Peclet number
     vol_over_dt = np.full(n, storage)
@@ -442,18 +440,13 @@ def test_leading_factors_solve_like_gtsv(n, hi_frac, peclet, dispersion, storage
     diag[0] = diag[-1] = a_face + b_face
     diag += vol_over_dt
     factors = transport.factor_banded(lower, diag, upper)
-    assert np.array_equal(factors[4], np.arange(1, n + 1))
-    hi = 3 + int(hi_frac * (n - 3))
-    rhs = np.random.default_rng(seed).normal(size=hi)
-    x = transport.solve_factored(transport.leading_factors(factors, hi), rhs.copy())
-    ref = transport.solve_banded(lower[:hi - 1], diag[:hi].copy(), upper[:hi - 1], rhs.copy())
+    rhs = np.random.default_rng(seed).normal(size=n)
+    x = transport.solve_factored(factors, rhs.copy())
+    ref = transport.solve_banded(lower, diag.copy(), upper, rhs.copy())
     assert np.array_equal(x.view(np.uint64), ref.view(np.uint64))
 
 
-def test_factor_banded_rejects_row_interchanges_and_singular_matrices():
-    with pytest.raises(SolverError, match="exchanged rows"):
-        transport.factor_banded(np.array([4.0, 1.0]), np.array([1.0, 1.0, 1.0]),
-                                np.array([1.0, 1.0]))
+def test_factor_banded_rejects_singular_matrices():
     with pytest.raises(SolverError, match="gttrf info"):
         transport.factor_banded(np.zeros(2), np.zeros(3), np.zeros(2))
 

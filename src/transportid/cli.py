@@ -128,7 +128,7 @@ def _load_config(args) -> ExperimentConfig:
         path = Path(args.config)
         try:
             text = path.read_text()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ValidationError(f"cannot read config {path}: {exc}") from None
         try:
             data = json.loads(text)
@@ -203,9 +203,7 @@ def cmd_identify(args) -> int:
 
 
 def cmd_report(args) -> int:
-    summaries = [read_summary_json(p) for p in args.summaries]
-    rows = report_table(summaries)
-    header = list(rows[0].keys())
+    rows = report_table([read_summary_json(p) for p in args.summaries])
     if args.out is not None:
         out_path = Path(args.out)
         out_path.parent.mkdir(parents=True, exist_ok=True)
@@ -213,10 +211,9 @@ def cmd_report(args) -> int:
     else:
         fh = sys.stdout
     try:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([row[k] for k in header])
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
     finally:
         if fh is not sys.stdout:
             fh.close()

@@ -79,14 +79,19 @@ def read_field_csv(path) -> Field:
         has_valid = len(header) > 3 and header[3] == "valid"
         xs, ts, cs, ms = [], [], [], []
         for row in reader:
-            xs.append(float(row[0]))
-            ts.append(float(row[1]))
-            cs.append(float(row[2]))
-            ms.append(row[3] == "1" if has_valid else True)
+            try:
+                xs.append(float(row[0]))
+                ts.append(float(row[1]))
+                cs.append(float(row[2]))
+                ms.append(row[3] == "1" if has_valid else True)
+            except (IndexError, ValueError) as exc:
+                raise ValidationError(f"{path}:{reader.line_num}: {exc}") from None
     x_axis = np.unique(np.array(xs))
     t_axis = np.unique(np.array(ts))
-    if len(xs) != x_axis.size * t_axis.size:
-        raise ValidationError(f"{path}: grid is not rectangular")
+    at = (np.searchsorted(x_axis, xs), np.searchsorted(t_axis, ts))
+    cells = np.unique(at[0] * t_axis.size + at[1]).size
+    if not 0 < len(xs) == cells == x_axis.size * t_axis.size:
+        raise ValidationError(f"{path}: grid is empty or not rectangular")
     spacing = []
     for axis, label in ((x_axis, "x"), (t_axis, "t")):
         if axis.size == 1:
@@ -98,12 +103,9 @@ def read_field_csv(path) -> Field:
             raise ValidationError(f"{path}: non-uniform {label} axis")
         spacing.append(step)
     values = np.full((x_axis.size, t_axis.size), np.nan)
+    values[at] = cs
     mask = np.zeros(values.shape, dtype=bool)
-    xi = {v: i for i, v in enumerate(x_axis)}
-    ti = {v: k for k, v in enumerate(t_axis)}
-    for xv, tv, cv, mv in zip(xs, ts, cs, ms):
-        values[xi[xv], ti[tv]] = cv
-        mask[xi[xv], ti[tv]] = mv
+    mask[at] = ms
     return Field(values=values, x0=float(x_axis[0]), dx=spacing[0],
                  t0=float(t_axis[0]), dt=spacing[1], mask=mask)
 
@@ -129,12 +131,19 @@ def write_metadata(path, config: ScenarioConfig, **extra) -> None:
     Path(path).write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
 
 
-def read_metadata(path) -> dict:
+def _read_json_object(path) -> dict:
     path = Path(path)
     try:
         record = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except (OSError, ValueError) as exc:
         raise ValidationError(f"{path}: {exc}") from None
+    if not isinstance(record, dict):
+        raise ValidationError(f"{path}: not a JSON object")
+    return record
+
+
+def read_metadata(path) -> dict:
+    record = _read_json_object(path)
     if "scenario_config" not in record:
         raise ValidationError(f"{path}: missing scenario_config")
     return record
@@ -164,6 +173,10 @@ def write_runs_csv(results: list, path) -> None:
             writer.writerow(row)
 
 
+_RUN_TYPES = {"run_id": int, "seed": int, "n_iterations": int,
+              "termination": str}
+
+
 def read_runs_csv(path) -> list:
     """Rows back as dicts with numeric fields converted."""
     path = Path(path)
@@ -173,15 +186,11 @@ def read_runs_csv(path) -> list:
             raise ValidationError(f"{path}: not a runs CSV")
         out = []
         for raw in reader:
-            rec = {}
-            for key, val in raw.items():
-                if key in ("run_id", "seed", "n_iterations"):
-                    rec[key] = int(val)
-                elif key == "termination":
-                    rec[key] = val
-                else:
-                    rec[key] = float(val)
-            out.append(rec)
+            try:
+                out.append({key: _RUN_TYPES.get(key, float)(val)
+                            for key, val in raw.items()})
+            except (TypeError, ValueError) as exc:
+                raise ValidationError(f"{path}:{reader.line_num}: {exc}") from None
     return out
 
 
@@ -261,14 +270,17 @@ _SUMMARY_KEYS = ("scenario", "noise_delta", "selected_terms", "terms",
 
 
 def read_summary_json(path) -> dict:
-    path = Path(path)
-    try:
-        record = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ValidationError(f"{path}: {exc}") from None
+    record = _read_json_object(path)
     missing = [k for k in _SUMMARY_KEYS if k not in record]
     if missing:
         raise ValidationError(f"{path}: summary missing keys {missing}")
+    for key, label, value in (("terms", "id", "alpha_phys_mean"),
+                              ("params", "name", "mean")):
+        if not isinstance(record[key], list) or not all(
+                isinstance(i, dict) and isinstance(i.get(label), str)
+                and value in i for i in record[key]):
+            raise ValidationError(f"{path}: {key} must list objects with a "
+                                  f"string {label!r} and a {value!r}")
     return record
 
 
@@ -280,15 +292,10 @@ def report_table(summaries: list) -> list:
     """
     if not summaries:
         raise ValidationError("no summaries to tabulate")
-    term_order: list = []
-    param_order: list = []
-    for rec in summaries:
-        for term in rec["terms"]:
-            if term["id"] not in term_order:
-                term_order.append(term["id"])
-        for par in rec["params"]:
-            if par["name"] not in param_order:
-                param_order.append(par["name"])
+    term_order = list(dict.fromkeys(
+        term["id"] for rec in summaries for term in rec["terms"]))
+    param_order = list(dict.fromkeys(
+        par["name"] for rec in summaries for par in rec["params"]))
     rows = []
     for rec in summaries:
         by_id = {t["id"]: t for t in rec["terms"]}

@@ -152,19 +152,15 @@ def smooth_series(values: np.ndarray, half_window_cheb: int, half_window_ls: int
         raise ValidationError(
             f"series of length {v.size} shorter than the smoothing window ({w.size})"
         )
-    smoothed, supported = _filter_axis(v[None, :], m[None, :], w, axis=1)
-    return smoothed[0], supported[0]
+    return _filter_axis(v, m, w, axis=0)
 
 
 def _filter_axis(values: np.ndarray, mask: np.ndarray, w: np.ndarray, axis: int):
-    # Imported here, not with the module: it is about a third of the
-    # package's import time, and clean data are never smoothed.
-    from scipy.ndimage import correlate1d, minimum_filter1d
     filled = np.where(mask, values, 0.0)
-    smoothed = correlate1d(filled, w, axis=axis, mode="constant", cval=0.0)
-    interior = minimum_filter1d(mask.astype(np.uint8), size=w.size,
-                                axis=axis, mode="constant", cval=0).astype(bool)
-    return smoothed, interior
+    smoothed = np.apply_along_axis(np.correlate, axis, filled, w, "same")
+    count = np.apply_along_axis(np.correlate, axis, mask.astype(float),
+                                np.ones(w.size), "same")
+    return smoothed, count == w.size
 
 
 def _one_pass(vals: np.ndarray, support: np.ndarray, w_t: np.ndarray,

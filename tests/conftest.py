@@ -5,12 +5,16 @@ identification runs) are memoized per session so that unit tests and the
 acceptance gate can share them regardless of execution order.
 """
 
+import json
+import os
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import transportid
 from transportid.assimilation import AssimilationConfig
 from transportid.identification import IdentifyConfig, identify, prepare_dataset
 from transportid.preprocess import DerivativeField, NoiseSpec, split_train_test
@@ -82,6 +86,41 @@ def zero_conc_split(ratio=0.6):
     conc = pts.c.copy()
     conc[0] = 0.0
     return split_train_test(replace(pts, c=conc), ratio)
+
+
+def package_env() -> dict:
+    """The environment with this transportid first on PYTHONPATH, for tests
+    that run it in a fresh interpreter."""
+    src = str(Path(transportid.__file__).parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+
+def summary_record(**changes) -> dict:
+    """The least summary record ``read_summary_json`` accepts, changed."""
+    record = {"scenario": "s2", "noise_delta": 0.0,
+              "selected_terms": ["adv"],
+              "terms": [{"id": "adv", "alpha_phys_mean": -0.01}],
+              "params": [{"name": "a", "mean": 0.7}],
+              "equation": "dC/dt = -0.01 dC/dx"}
+    record.update(changes)
+    return record
+
+
+# JSON texts that are not summaries.  The reader must reject each with a
+# ValidationError, before report_table indexes into it.
+MALFORMED_SUMMARIES = {
+    "number": "5",
+    "list": "[1, 2]",
+    "string": '"scenario noise_delta selected_terms terms params equation"',
+    "terms-number": json.dumps(summary_record(terms=5)),
+    "terms-of-numbers": json.dumps(summary_record(terms=[5])),
+    "term-without-value": json.dumps(summary_record(terms=[{"id": "adv"}])),
+    "term-list-id": json.dumps(summary_record(
+        terms=[{"id": ["adv"], "alpha_phys_mean": -0.01}])),
+    "params-object": json.dumps(summary_record(params={"a": 0.7})),
+    "param-without-name": json.dumps(summary_record(params=[{"mean": 0.7}])),
+}
 
 
 def make_tiny(**overrides) -> ScenarioConfig:

@@ -1,10 +1,13 @@
 """Command-line surface: config handling, artifact layout, exit codes."""
 
 import json
+import subprocess
+import sys
 
 import pytest
 
-from conftest import make_tiny, tiny_dict, zero_conc_split
+from conftest import (MALFORMED_SUMMARIES, make_tiny, package_env,
+                      summary_record, tiny_dict, zero_conc_split)
 from transportid.cli import ExperimentConfig, main
 from transportid.identification import PreparedData
 from transportid.errors import SolverError, ValidationError
@@ -203,6 +206,30 @@ def test_report_tabulates_summaries(tmp_path, capsys):
     assert printed[0] == lines[0]
 
 
+@pytest.mark.parametrize("name", sorted(MALFORMED_SUMMARIES))
+def test_report_exits_2_on_a_malformed_summary(tmp_path, capsys, name):
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(summary_record()))
+    bad = tmp_path / "bad.json"
+    bad.write_text(MALFORMED_SUMMARIES[name])
+    table = tmp_path / "table.csv"
+    assert main(["report", str(good), str(bad), "--out", str(table)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {bad}: ")
+    assert captured.err.count("\n") == 1
+    assert not table.exists()
+
+
+def test_report_process_exits_2_without_a_traceback(tmp_path):
+    bad = tmp_path / "num.json"
+    bad.write_text("5")
+    proc = subprocess.run([sys.executable, "-m", "transportid.cli", "report",
+                           str(bad)], env=package_env(), capture_output=True,
+                          text=True)
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: {bad}: not a JSON object\n"
+
+
 # ----------------------------------------------------------- exit codes
 
 def test_exit_validation_on_bad_config(tmp_path):
@@ -215,6 +242,10 @@ def test_exit_validation_on_bad_config(tmp_path):
     not_object = tmp_path / "list.json"
     not_object.write_text("[1, 2]")
     assert main(["simulate", "--config", str(not_object)]) == 2
+
+    not_utf8 = tmp_path / "latin1.json"
+    not_utf8.write_bytes(b'{"scenario": "s\xff"}')
+    assert main(["simulate", "--config", str(not_utf8)]) == 2
 
     unknown_scenario = tmp_path / "unknown.json"
     unknown_scenario.write_text(json.dumps({"scenario": "s9"}))

@@ -6,6 +6,7 @@ artifact must reproduce the original file byte for byte.
 
 import dataclasses
 import json
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,7 +14,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_tiny, manufactured_field
+from conftest import (MALFORMED_SUMMARIES, make_tiny, manufactured_field,
+                      summary_record)
 from transportid.errors import ValidationError
 from transportid.identification import (FailedCandidate, IdentifyConfig,
                                         PreparedData, identify, run_single)
@@ -181,6 +183,27 @@ def test_field_csv_reader_rejects_bad_files(tmp_path):
         read_field_csv(uneven)
 
 
+_FIELD_HEAD = "x_cm,t_s,C_mg_per_l,valid\n0.0,0.0,1.0,1\n"
+
+
+@pytest.mark.parametrize("text, where", [
+    (_FIELD_HEAD + "1.0,0.0\n", ":3:"),
+    (_FIELD_HEAD + "1.0,0.0,1.0\n", ":3:"),
+    (_FIELD_HEAD + "1.0,0.0,high,1\n", ":3:"),
+    ("x_cm,t_s,C_mg_per_l,valid\n", ": grid is empty"),
+    (_FIELD_HEAD + "1.0,0.0,1.0,1\n1.0,0.0,1.0,1\n0.0,1.0,1.0,1\n",
+     ": grid is empty or not rectangular"),
+], ids=["short-row", "no-valid-flag", "non-numeric", "no-rows",
+        "repeated-point"])
+def test_field_csv_reader_rejects_malformed_rows_and_grids(tmp_path, text, where):
+    """A short row, a word for a number, an empty grid and a grid that
+    repeats one point in place of another are input errors."""
+    path = tmp_path / "field.csv"
+    path.write_text(text)
+    with pytest.raises(ValidationError, match=re.escape(f"{path}{where}")):
+        read_field_csv(path)
+
+
 def test_field_csv_singleton_axes_use_unit_spacing(tmp_path):
     path = tmp_path / "point.csv"
     path.write_text("x_cm,t_s,C_mg_per_l,valid\n4.0,9.0,0.125,1\n")
@@ -233,6 +256,15 @@ def test_metadata_round_trip(tmp_path):
     assert path.read_text().endswith("\n")
 
 
+@pytest.mark.parametrize("text", ["5", "[1]", '"scenario_config"'],
+                         ids=["number", "list", "string"])
+def test_metadata_reader_rejects_non_objects(tmp_path, text):
+    path = tmp_path / "metadata.json"
+    path.write_text(text)
+    with pytest.raises(ValidationError, match=re.escape(str(path))):
+        read_metadata(path)
+
+
 def test_metadata_reader_guards(tmp_path):
     broken = tmp_path / "broken.json"
     broken.write_text("{not json")
@@ -280,6 +312,25 @@ def test_runs_csv_guards(adf_runs, tmp_path):
     write_field_csv(small_field(), other)
     with pytest.raises(ValidationError, match="not a runs CSV"):
         read_runs_csv(other)
+
+
+_RUNS_HEAD = "run_id,seed,n_iterations,termination,eps_final,m_a\n"
+
+
+@pytest.mark.parametrize("row", [
+    "1.5,0,3,converged,0.1,0.6",
+    "1,seed,3,converged,0.1,0.6",
+    "1,0,3.0,converged,0.1,0.6",
+    "1,0,3,converged,low,0.6",
+    "1,0,3,converged,0.1",
+    "1,0,3,converged,0.1,0.6,0.7",
+], ids=["run_id", "seed", "n_iterations", "float-cell", "short-row",
+        "long-row"])
+def test_runs_csv_reader_names_the_bad_file_and_line(tmp_path, row):
+    path = tmp_path / "runs.csv"
+    path.write_text(_RUNS_HEAD + "0,0,3,converged,0.1,0.6\n" + row + "\n")
+    with pytest.raises(ValidationError, match=re.escape(f"{path}:3:")):
+        read_runs_csv(path)
 
 
 # repr round-trips every float but NaN; ModelParams holds finite values.
@@ -445,6 +496,22 @@ def test_summary_json_reader_guards(adf_report, tmp_path):
     garbled.write_text("[1, 2")
     with pytest.raises(ValidationError):
         read_summary_json(garbled)
+
+
+def test_least_summary_record_tabulates(tmp_path):
+    path = tmp_path / "summary.json"
+    path.write_text(json.dumps(summary_record()))
+    [row] = report_table([read_summary_json(path)])
+    assert row == {"scenario": "s2", "noise_delta": 0.0, "adv": -0.01,
+                   "a": 0.7, "equation": "dC/dt = -0.01 dC/dx"}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_SUMMARIES))
+def test_summary_json_reader_rejects_malformed_records(tmp_path, name):
+    path = tmp_path / "summary.json"
+    path.write_text(MALFORMED_SUMMARIES[name])
+    with pytest.raises(ValidationError, match=re.escape(str(path))):
+        read_summary_json(path)
 
 
 def test_report_table_single_summary(adf_report):

@@ -1,9 +1,17 @@
 """Noise model, composite smoothing filter, derivative stencils and the
 chronological train/test split."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.ndimage import correlate1d, minimum_filter1d
 
+from conftest import package_env
 import transportid.preprocess as preprocess
 from transportid.errors import ValidationError
 from transportid.preprocess import (DerivativeField, NoiseSpec, SmoothingConfig,
@@ -165,6 +173,90 @@ def test_smooth_series_mask_hole_blocks_support():
     assert not supported[40 - half:40 + half + 1].any()
     assert supported[half:40 - half].all()
     assert supported[40 + half + 1:-half].all()
+
+
+def scipy_filter_axis(values, mask, w, axis):
+    """The scipy.ndimage filter that ``_filter_axis`` replaced, kept as its
+    reference."""
+    filled = np.where(mask, values, 0.0)
+    smoothed = correlate1d(filled, w, axis=axis, mode="constant", cval=0.0)
+    interior = minimum_filter1d(mask.astype(np.uint8), size=w.size,
+                                axis=axis, mode="constant", cval=0).astype(bool)
+    return smoothed, interior
+
+
+@st.composite
+def filter_cases(draw):
+    order_ls = draw(st.integers(0, 3))
+    w = composite_filter(draw(st.integers(1, 6)),
+                         draw(st.integers(max(1, (order_ls + 1) // 2), 6)),
+                         draw(st.integers(1, 5)), order_ls)
+    axis = draw(st.integers(0, 1))
+    shape = [draw(st.integers(1, 3))] * 2
+    shape[axis] = draw(st.integers(w.size, w.size + 20))
+    # Products with |x| >= 1e-100 stay clear of underflow, where the
+    # relative rounding bound below would not hold.
+    values = draw(arrays(float, shape, elements=st.floats(-1e3, 1e3).map(
+        lambda v: 0.0 if abs(v) < 1e-100 else v)))
+    mask = draw(arrays(bool, shape))
+    return values, mask, w, axis
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=filter_cases())
+def test_filter_axis_matches_scipy_within_the_dot_product_bound(case):
+    """Each filter sums L = w.size products in its own order, so each is
+    within gamma_L (|x| correlated with its taps' magnitudes) of its exact
+    sum, gamma_L = L u / (1 - L u).  correlate1d also counts a filter as
+    symmetric when mirrored taps agree within DBL_EPSILON and then applies
+    one half's taps to both sides; its taps then differ from w by at most
+    d = |w - w[::-1]|.  Together:
+
+        |numpy - scipy| <= 2 gamma_L (|x| * |w|) + (1 + gamma_L) (|x| * d)
+
+    with * the correlation.  The support masks are integer counts and
+    agree exactly."""
+    values, mask, w, axis = case
+    smoothed, supported = preprocess._filter_axis(values, mask, w, axis)
+    ref, ref_supported = scipy_filter_axis(values, mask, w, axis)
+    np.testing.assert_array_equal(supported, ref_supported)
+
+    def correlate_abs(taps):
+        return correlate1d(np.abs(np.where(mask, values, 0.0)), taps,
+                           axis=axis, mode="constant", cval=0.0)
+
+    gamma = w.size * 2.0 ** -53 / (1.0 - w.size * 2.0 ** -53)
+    d = np.abs(w - w[::-1])
+    if d.max() > np.finfo(float).eps:
+        d[:] = 0.0
+    bound = (2.0 * gamma * correlate_abs(np.abs(w))
+             + (1.0 + gamma) * correlate_abs(d))
+    assert np.all(np.abs(smoothed - ref) <= bound)
+
+
+def test_smoothing_does_not_import_scipy_ndimage():
+    """Smoothing runs on numpy alone: a fresh interpreter that smooths a
+    noisy field against its reference never loads scipy.ndimage."""
+    script = """
+import sys
+import numpy as np
+import transportid
+from transportid.preprocess import (NoiseSpec, SmoothingConfig, add_noise,
+                                    smooth_field)
+from transportid.transport import Field
+x = np.linspace(0.0, 1.0, 40)[:, None]
+t = np.linspace(0.0, 1.0, 60)[None, :]
+clean = Field(1.5 + np.sin(3.0 * x - 2.0 * t), 0.0, 1.0, 0.0, 1.0)
+cfg = SmoothingConfig(half_window_cheb_t=3, half_window_ls_t=3,
+                      half_window_cheb_x=3, half_window_ls_x=3)
+out, passes = smooth_field(add_noise(clean, NoiseSpec(0.05)), cfg,
+                           reference=clean)
+assert passes >= 1 and out.mask.any()
+assert "scipy.ndimage" not in sys.modules
+"""
+    proc = subprocess.run([sys.executable, "-c", script], env=package_env(),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_smooth_field_nearly_preserves_clean_data(pipeline):

@@ -9,20 +9,18 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
-import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .assimilation import AssimilationConfig
-from .errors import TransportIdError, ValidationError, check_numbers
+from .errors import TransportIdError, ValidationError, check_numbers, from_record
 from .identification import IdentifyConfig, identify, prepare_dataset
 from .params import ParamBounds
 from .preprocess import NoiseSpec, SmoothingConfig, add_noise
-from .persist import (read_summary_json, report_table, scenario_from_dict,
-                      write_field_csv, write_metadata, write_runs_csv,
-                      write_summary_json, write_trace_csv)
+from .persist import (read_json_object, read_summary_json, report_table,
+                      scenario_from_dict, write_field_csv, write_metadata,
+                      write_runs_csv, write_summary_json, write_trace_csv)
 from .scenarios import get_scenario, scenario_names
 from .transport import sample_measurements, simulate
 
@@ -36,7 +34,8 @@ EXIT_IO = 4
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Declarative description of one experiment."""
+    """Declarative description of one experiment.  Its JSON blocks are
+    built, and so checked, here; ``to_dict`` gives them back as given."""
 
     scenario: str = "s1"
     library: str = "basic"
@@ -63,27 +62,30 @@ class ExperimentConfig:
             problems.append(f"noise_delta={self.noise_delta}")
         if self.n_restarts < 1:
             problems.append(f"n_restarts={self.n_restarts}")
-        for block in ("custom_scenario", "bounds", "assimilation", "smoothing"):
-            value = getattr(self, block)
-            if value is not None and not isinstance(value, dict):
-                problems.append(f"{block}={value!r} (must be a JSON object)")
         if problems:
             raise ValidationError("invalid config keys: " + ", ".join(problems))
+        custom = (None if self.custom_scenario is None
+                  else scenario_from_dict(self.custom_scenario))
+        blocks = {block: from_record(cls, getattr(self, block), block)
+                  for block, cls in (("bounds", ParamBounds),
+                                     ("assimilation", AssimilationConfig),
+                                     ("smoothing", SmoothingConfig))
+                  if getattr(self, block) is not None}
+        built = IdentifyConfig(n_restarts=self.n_restarts,
+                               master_seed=self.master_seed, **blocks)
+        object.__setattr__(self, "_custom", custom)
+        object.__setattr__(self, "_identify", built)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ValidationError(f"unknown config keys: {', '.join(unknown)}")
-        return cls(**data)
+        return from_record(cls, data, "config")
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        return asdict(self)
 
     def scenario_config(self):
         if self.scenario == "custom":
-            return scenario_from_dict(self.custom_scenario)
+            return self._custom
         return get_scenario(self.scenario)
 
     def noise_spec(self) -> NoiseSpec | None:
@@ -92,50 +94,11 @@ class ExperimentConfig:
         return NoiseSpec(delta=self.noise_delta, seed=self.noise_seed)
 
     def identify_config(self) -> IdentifyConfig:
-        kwargs: dict = dict(n_restarts=self.n_restarts,
-                            master_seed=self.master_seed)
-        if self.bounds is not None:
-            spec = dict(self.bounds)
-            parts = {}
-            for key in ("names", "lower", "upper"):
-                if key not in spec:
-                    raise ValidationError(f"bounds block missing {key!r}")
-                value = spec.pop(key)
-                if not isinstance(value, list):
-                    raise ValidationError(
-                        f"bounds {key} must be a list, got {value!r}")
-                parts[key] = tuple(value)
-            if spec:
-                raise ValidationError(
-                    f"unknown bounds keys: {', '.join(sorted(spec))}")
-            kwargs["bounds"] = ParamBounds(**parts)
-        for block, target in (("assimilation", AssimilationConfig),
-                              ("smoothing", SmoothingConfig)):
-            overrides = getattr(self, block)
-            if overrides is not None:
-                known = {f.name for f in dataclasses.fields(target)}
-                unknown = sorted(set(overrides) - known)
-                if unknown:
-                    raise ValidationError(
-                        f"unknown {block} keys: {', '.join(unknown)}")
-                kwargs[block] = target(**overrides)
-        return IdentifyConfig(**kwargs)
+        return self._identify
 
 
 def _load_config(args) -> ExperimentConfig:
-    data: dict = {}
-    if args.config is not None:
-        path = Path(args.config)
-        try:
-            text = path.read_text()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ValidationError(f"cannot read config {path}: {exc}") from None
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: {exc}") from None
-        if not isinstance(data, dict):
-            raise ValidationError(f"{path}: config must be a JSON object")
+    data = {} if args.config is None else read_json_object(args.config)
     overrides = {
         "scenario": args.scenario,
         "library": getattr(args, "library", None),
@@ -161,11 +124,11 @@ def cmd_simulate(args) -> int:
     cfg = _load_config(args)
     out = _ensure_outdir(cfg)
     scen = cfg.scenario_config()
+    noise = cfg.noise_spec()
     sim = simulate(scen)
     clean = sample_measurements(sim, scen)
     write_field_csv(clean, out / "measurements_clean.csv")
     written = ["measurements_clean.csv"]
-    noise = cfg.noise_spec()
     if noise is not None:
         noisy = add_noise(sim, noise)
         write_field_csv(noisy, out / "measurements_noisy.csv")

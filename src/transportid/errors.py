@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and the number check that
-every config dataclass runs on its fields."""
+"""Exception types shared across the package, the type check that every
+config dataclass runs on its fields, and the builder that turns a JSON
+record into a config dataclass."""
 
 from __future__ import annotations
 
@@ -38,13 +39,10 @@ def is_real(value) -> bool:
 
 
 def check_numbers(config) -> None:
-    """Reject a non-finite ``float`` field, a non-integral ``int`` field and
-    a bool in either.
-
-    JSON configs can carry ``NaN``, ``Infinity``, ``2.5`` and ``true`` where
-    the dataclass declares a float or an int; each such field is named in
-    one ``ValidationError``.
-    """
+    """Reject a non-finite ``float`` field, a non-integral ``int`` field, a
+    bool in either and a ``str`` field that holds no string, as a JSON
+    ``NaN``, ``Infinity``, ``2.5``, ``true`` or ``null`` can; each such
+    field is named in one ``ValidationError``."""
     bad = []
     for f in dataclasses.fields(config):
         value = getattr(config, f.name)
@@ -52,10 +50,33 @@ def check_numbers(config) -> None:
             ok = is_real(value) and isinstance(value, numbers.Integral)
         elif f.type in ("float", float):
             ok = is_real(value) and math.isfinite(value)
+        elif f.type in ("str", str):
+            ok = isinstance(value, str)
         else:
             continue
         if not ok:
             bad.append(f"{f.name}={value!r}")
     if bad:
-        raise ValidationError(f"{type(config).__name__} needs finite "
-                              f"numbers and whole counts: {', '.join(bad)}")
+        raise ValidationError(f"{type(config).__name__} needs finite numbers, "
+                              f"whole counts and strings: {', '.join(bad)}")
+
+
+def from_record(cls, record, what: str):
+    """Build the config dataclass ``cls`` from a JSON object that holds
+    every key ``cls`` requires and no other; arrays become the tuples the
+    frozen configs hold.  ``what`` names the record in each error."""
+    if not isinstance(record, dict):
+        raise ValidationError(f"{what} must be a JSON object, got {record!r}")
+    fields = dataclasses.fields(cls)
+    unknown = sorted(set(record) - {f.name for f in fields})
+    if unknown:
+        raise ValidationError(f"unknown {what} keys: {', '.join(unknown)}")
+    missing = [f.name for f in fields if f.name not in record
+               and f.default is f.default_factory is dataclasses.MISSING]
+    if missing:
+        raise ValidationError(f"{what} block missing {', '.join(missing)}")
+    try:
+        return cls(**{key: tuple(value) if isinstance(value, list) else value
+                      for key, value in record.items()})
+    except TypeError as exc:
+        raise ValidationError(f"bad {what} record: {exc}") from None

@@ -91,6 +91,8 @@ class IdentifyConfig:
         check_numbers(self)
         if self.n_restarts < 1:
             raise ValidationError("need at least one restart")
+        if self.master_seed < 0:
+            raise ValidationError(f"master_seed must be >= 0, got {self.master_seed}")
         if not (0.0 < self.split_ratio < 1.0):
             raise ValidationError("split_ratio must be in (0, 1)")
 

@@ -55,6 +55,8 @@ class ParamBounds:
     upper: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        if not all(isinstance(v, tuple) for v in (self.names, self.lower, self.upper)):
+            raise ValidationError("bounds names, lower and upper must be tuples")
         if not (len(self.names) == len(self.lower) == len(self.upper)):
             raise ValidationError("bounds and names differ in length")
         for name, lo, hi in zip(self.names, self.lower, self.upper):

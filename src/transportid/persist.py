@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import io
 import json
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, from_record
 from .identification import IdentificationReport, PreparedData, RunResult
 from .transport import Field, ScenarioConfig, SorptionModel
 
@@ -23,6 +24,7 @@ __all__ = [
     "read_field_csv",
     "write_metadata",
     "read_metadata",
+    "read_json_object",
     "scenario_to_dict",
     "scenario_from_dict",
     "write_runs_csv",
@@ -39,6 +41,16 @@ _FIELD_HEADER = ("x_cm", "t_s", "C_mg_per_l", "valid")
 
 def _fmt(value: float) -> str:
     return repr(float(value))
+
+
+def _read_utf8(path: Path) -> io.StringIO:
+    """``path`` as UTF-8 text; any other byte is an error naming its line."""
+    data = path.read_bytes()
+    try:
+        return io.StringIO(data.decode("utf-8"), newline="")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ValidationError(f"{path}:{line}: not UTF-8: {exc.reason}") from None
 
 
 def write_field_csv(field: Field, path) -> None:
@@ -71,21 +83,20 @@ def read_field_csv(path) -> Field:
     spacing 1.0; only its origin is kept.
     """
     path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header[:3]) != _FIELD_HEADER[:3]:
-            raise ValidationError(f"{path}: not a field CSV (bad header)")
-        has_valid = len(header) > 3 and header[3] == "valid"
-        xs, ts, cs, ms = [], [], [], []
-        for row in reader:
-            try:
-                xs.append(float(row[0]))
-                ts.append(float(row[1]))
-                cs.append(float(row[2]))
-                ms.append(row[3] == "1" if has_valid else True)
-            except (IndexError, ValueError) as exc:
-                raise ValidationError(f"{path}:{reader.line_num}: {exc}") from None
+    reader = csv.reader(_read_utf8(path))
+    header = next(reader, None)
+    if header is None or tuple(header[:3]) != _FIELD_HEADER[:3]:
+        raise ValidationError(f"{path}: not a field CSV (bad header)")
+    has_valid = len(header) > 3 and header[3] == "valid"
+    xs, ts, cs, ms = [], [], [], []
+    for row in reader:
+        try:
+            xs.append(float(row[0]))
+            ts.append(float(row[1]))
+            cs.append(float(row[2]))
+            ms.append(row[3] == "1" if has_valid else True)
+        except (IndexError, ValueError) as exc:
+            raise ValidationError(f"{path}:{reader.line_num}: {exc}") from None
     x_axis = np.unique(np.array(xs))
     t_axis = np.unique(np.array(ts))
     at = (np.searchsorted(x_axis, xs), np.searchsorted(t_axis, ts))
@@ -115,14 +126,11 @@ def scenario_to_dict(config: ScenarioConfig) -> dict:
 
 
 def scenario_from_dict(data: dict) -> ScenarioConfig:
-    data = dict(data)
-    sorption = data.pop("sorption", None)
-    if not isinstance(sorption, dict):
-        raise ValidationError("scenario record lacks a sorption block")
-    try:
-        return ScenarioConfig(sorption=SorptionModel(**sorption), **data)
-    except TypeError as exc:
-        raise ValidationError(f"bad scenario record: {exc}") from None
+    """Build a scenario, and its ``sorption`` block, from a JSON record."""
+    if isinstance(data, dict) and "sorption" in data:
+        sorption = from_record(SorptionModel, data["sorption"], "sorption")
+        data = {**data, "sorption": sorption}
+    return from_record(ScenarioConfig, data, "scenario")
 
 
 def write_metadata(path, config: ScenarioConfig, **extra) -> None:
@@ -131,10 +139,11 @@ def write_metadata(path, config: ScenarioConfig, **extra) -> None:
     Path(path).write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
 
 
-def _read_json_object(path) -> dict:
+def read_json_object(path) -> dict:
+    """The JSON object in ``path``; anything else is a ``ValidationError``."""
     path = Path(path)
     try:
-        record = json.loads(path.read_text())
+        record = json.load(_read_utf8(path))
     except (OSError, ValueError) as exc:
         raise ValidationError(f"{path}: {exc}") from None
     if not isinstance(record, dict):
@@ -143,7 +152,7 @@ def _read_json_object(path) -> dict:
 
 
 def read_metadata(path) -> dict:
-    record = _read_json_object(path)
+    record = read_json_object(path)
     if "scenario_config" not in record:
         raise ValidationError(f"{path}: missing scenario_config")
     return record
@@ -180,17 +189,16 @@ _RUN_TYPES = {"run_id": int, "seed": int, "n_iterations": int,
 def read_runs_csv(path) -> list:
     """Rows back as dicts with numeric fields converted."""
     path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or "run_id" not in reader.fieldnames:
-            raise ValidationError(f"{path}: not a runs CSV")
-        out = []
-        for raw in reader:
-            try:
-                out.append({key: _RUN_TYPES.get(key, float)(val)
-                            for key, val in raw.items()})
-            except (TypeError, ValueError) as exc:
-                raise ValidationError(f"{path}:{reader.line_num}: {exc}") from None
+    reader = csv.DictReader(_read_utf8(path))
+    if reader.fieldnames is None or "run_id" not in reader.fieldnames:
+        raise ValidationError(f"{path}: not a runs CSV")
+    out = []
+    for raw in reader:
+        try:
+            out.append({key: _RUN_TYPES.get(key, float)(val)
+                        for key, val in raw.items()})
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"{path}:{reader.line_num}: {exc}") from None
     return out
 
 
@@ -270,7 +278,7 @@ _SUMMARY_KEYS = ("scenario", "noise_delta", "selected_terms", "terms",
 
 
 def read_summary_json(path) -> dict:
-    record = _read_json_object(path)
+    record = read_json_object(path)
     missing = [k for k in _SUMMARY_KEYS if k not in record]
     if missing:
         raise ValidationError(f"{path}: summary missing keys {missing}")

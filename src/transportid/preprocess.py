@@ -43,6 +43,8 @@ class NoiseSpec:
         check_numbers(self)
         if not 0.0 <= self.delta < 1.0:
             raise ValidationError(f"noise delta must be in [0, 1), got {self.delta}")
+        if self.seed < 0:
+            raise ValidationError(f"noise seed must be >= 0, got {self.seed}")
 
 
 def add_noise(field: Field, spec: NoiseSpec) -> Field:

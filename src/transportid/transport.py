@@ -236,7 +236,8 @@ class ScenarioConfig:
             ("meas_t_start/store_dt", self.meas_t_start, self.store_dt),
         ):
             ratio = span / step
-            if abs(ratio - round(ratio)) > 1e-9 or (span > 0.0 and round(ratio) == 0):
+            if not np.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-9 or (
+                    span > 0.0 and round(ratio) == 0):
                 raise ValidationError(f"{label} must be an integer ratio")
         # Last, so that the checks above name their own field; this one
         # catches a fractional meas_x_count and a bool in the fields left.

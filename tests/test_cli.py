@@ -1,18 +1,23 @@
 """Command-line surface: config handling, artifact layout, exit codes."""
 
+import dataclasses
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from conftest import (MALFORMED_SUMMARIES, make_tiny, package_env,
                       summary_record, tiny_dict, zero_conc_split)
+from transportid.assimilation import AssimilationConfig
 from transportid.cli import ExperimentConfig, main
-from transportid.identification import PreparedData
+from transportid.identification import IdentifyConfig, PreparedData
 from transportid.errors import SolverError, ValidationError
 from transportid.persist import (read_field_csv, read_metadata, read_runs_csv,
                                  read_summary_json, scenario_from_dict)
+from transportid.preprocess import SmoothingConfig
+from transportid.transport import ScenarioConfig
 
 
 def tiny_config(tmp_path, **overrides):
@@ -22,6 +27,18 @@ def tiny_config(tmp_path, **overrides):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(record))
     return path
+
+
+def full_record(tmp_path) -> dict:
+    """A valid tiny config that sets every key of every block."""
+    return {"scenario": "custom", "library": "basic", "noise_delta": 0.0,
+            "noise_seed": 0, "n_restarts": 2, "master_seed": 0,
+            "output_dir": str(tmp_path / "out"),
+            "custom_scenario": tiny_dict(),
+            "bounds": {"names": ["a", "K_l"], "lower": [0.3, 40.0],
+                       "upper": [0.7, 140.0]},
+            "assimilation": dataclasses.asdict(AssimilationConfig()),
+            "smoothing": dataclasses.asdict(SmoothingConfig())}
 
 
 # -------------------------------------------------- experiment config
@@ -76,6 +93,53 @@ def test_experiment_config_builds_identify_overrides():
         ExperimentConfig(bounds={"names": ["a", "K_l"], "lower": [0.3, 40.0],
                                  "upper": [0.7, 140.0],
                                  "slack": 2}).identify_config()
+
+
+# One key at a time is set to each of these JSON values; a string
+# output_dir is left out, as it names a real directory.
+_CONFIG_VALUES = [None, True, False, 0, 1, -1, 2.5, 1e308, float("nan"),
+                  float("inf"), float("-inf"), "", "x", "0.01", [], [1],
+                  [0.3, 40.0], {}, {"a": 1}]
+
+
+def _block(record, name):
+    if name == "config":
+        return record
+    if name == "sorption":
+        return record["custom_scenario"]["sorption"]
+    return record[name]
+
+
+def _load(record):
+    """What every subcommand does with a config before its own work."""
+    cfg = ExperimentConfig.from_dict(json.loads(json.dumps(record)))
+    assert isinstance(cfg.scenario_config(), ScenarioConfig)
+    assert isinstance(cfg.identify_config(), IdentifyConfig)
+    cfg.noise_spec()
+    Path(cfg.output_dir)
+
+
+@pytest.mark.parametrize("name", ["config", "custom_scenario", "sorption",
+                                  "bounds", "assimilation", "smoothing"])
+def test_every_config_value_loads_or_fails_validation(tmp_path, name):
+    """Any one key of any block set to any value of the grid either loads,
+    with every block built, or raises ValidationError; nothing else
+    escapes."""
+    _load(full_record(tmp_path))
+    escapes = []
+    for key in list(_block(full_record(tmp_path), name)):
+        for value in _CONFIG_VALUES:
+            if key == "output_dir" and isinstance(value, str):
+                continue
+            record = full_record(tmp_path)
+            _block(record, name)[key] = value
+            try:
+                _load(record)
+            except ValidationError:
+                pass
+            except Exception as exc:
+                escapes.append(f"{key}={value!r}: {type(exc).__name__}: {exc}")
+    assert escapes == []
 
 
 def test_noise_spec_only_built_when_delta_positive():
@@ -279,6 +343,15 @@ def test_exit_validation_on_bad_config(tmp_path):
     '{"bounds": {"names": ["a", "K_l"], "lower": 0.3, '
     '"upper": [0.7, 140.0]}}',
     '{"custom_scenario": [1]}',
+    '{"output_dir": 5}',
+    '{"output_dir": null}',
+    '{"output_dir": true}',
+    '{"output_dir": ["out"]}',
+    '{"output_dir": {}}',
+    '{"bounds": {"names": "aK", "lower": [0.3, 40.0], '
+    '"upper": [0.7, 140.0]}}',
+    '{"master_seed": -1}',
+    '{"noise_delta": 0.05, "noise_seed": -1}',
 ])
 def test_exit_validation_on_bad_numbers(tmp_path, capsys, text):
     record = {"n_restarts": 2, **json.loads(text)}
@@ -304,6 +377,8 @@ def test_exit_validation_on_non_finite_scenario_value(tmp_path, capsys, key):
     ("meas_x_count", 25.5),
     ("sorption", {"kind": "none", "k_f": True, "a": 1.0, "k_l": 0.0,
                   "s_bar": 0.0}),
+    ("meas_t_end", float("inf")),
+    ("sim_length", 1e308),
 ])
 def test_exit_validation_on_mistyped_scenario_value(tmp_path, capsys, key,
                                                     value):
@@ -313,6 +388,37 @@ def test_exit_validation_on_mistyped_scenario_value(tmp_path, capsys, key,
     assert main(["simulate", "--config", str(cfg_path)]) == 2
     assert capsys.readouterr().err.startswith("error:")
     assert not (tmp_path / "out" / "measurements_clean.csv").exists()
+
+
+# Every block is built when the config is loaded, so each subcommand
+# rejects the same malformed block before it does any work.
+_MALFORMED_BLOCKS = {
+    "scenario-key": {"custom_scenario": tiny_dict() | {"bogus": 1}},
+    "sorption-key": {"custom_scenario": tiny_dict() | {
+        "sorption": {"kind": "none", "bogus": 1}}},
+    "bounds-key": {"bounds": {"names": ["a"], "lower": [0.3],
+                              "upper": [0.7], "slack": 2}},
+    "assimilation-key": {"assimilation": {"bogus": 1}},
+    "smoothing-key": {"smoothing": {"bogus": 1}},
+    "scenario-missing-key": {"custom_scenario": {"v_x": 0.01}},
+    "bounds-missing-key": {"bounds": {"names": ["a"], "lower": [0.3]}},
+    "scenario-not-object": {"custom_scenario": [1]},
+    "sorption-not-object": {"custom_scenario": tiny_dict() | {
+        "sorption": "none"}},
+    "bounds-not-object": {"bounds": [0.3]},
+    "assimilation-not-object": {"assimilation": 5},
+    "smoothing-not-object": {"smoothing": "wide"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MALFORMED_BLOCKS))
+def test_every_subcommand_rejects_a_malformed_block(tmp_path, capsys, name):
+    cfg_path = tiny_config(tmp_path, **_MALFORMED_BLOCKS[name])
+    for command in ("simulate", "identify"):
+        assert main([command, "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_exit_validation_message_goes_to_stderr(tmp_path, capsys):

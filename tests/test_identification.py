@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import transportid.identification as identification
 from conftest import make_tiny, manufactured_field, zero_conc_split
 from transportid.assimilation import probe_box
-from transportid.errors import SolverError, ValidationError
+from transportid.errors import SolverError, TransportIdError, ValidationError
 from transportid.identification import (EnsembleSummary, EpsProxy,
                                         IdentifyConfig, PreparedData,
                                         aggregate_summary, build_proxy,
@@ -27,6 +27,7 @@ from transportid.persist import summary_dict
 from transportid.preprocess import split_train_test
 from transportid.regression import PredictionErrorEvaluator
 from transportid.scenarios import get_scenario
+from transportid.transport import SorptionModel
 
 ADF_ALPHA = {"adv": -0.01, "dis": 0.01, "fsorp": -0.15}
 
@@ -346,6 +347,40 @@ def test_a_failed_candidate_is_left_out_of_selection():
         {"name": "fsorp", "term_ids": ["adv", "dis", "fsorp"], "error": failed.error}]
     assert "failed_candidates" not in summary_dict(
         identify(make_tiny(), cfg=IdentifyConfig(n_restarts=3), data=manufactured_data()))
+
+
+@st.composite
+def tiny_columns(draw):
+    """A tiny column with random transport constants, inlet and sorption."""
+    kind = draw(st.sampled_from(("none", "freundlich", "langmuir")))
+    if kind == "freundlich":
+        sorption = SorptionModel.freundlich(k_f=draw(st.floats(0.0, 0.2)),
+                                            a=draw(st.floats(0.3, 1.0)))
+    elif kind == "langmuir":
+        sorption = SorptionModel.langmuir(k_l=draw(st.floats(0.0, 200.0)),
+                                          s_bar=draw(st.floats(0.0, 0.005)))
+    else:
+        sorption = SorptionModel.none()
+    return make_tiny(sorption=sorption, v_x=draw(st.floats(0.005, 0.05)),
+                     alpha_l=draw(st.floats(0.2, 2.0)),
+                     theta=draw(st.floats(0.2, 0.5)),
+                     rho_b=draw(st.floats(1.2, 2.0)),
+                     t_pulse=draw(st.floats(50.0, 400.0)),
+                     c0=draw(st.just(0.0) | st.floats(0.005, 0.1)),
+                     conc_floor=draw(st.sampled_from((0.0, 5e-5))))
+
+
+@settings(max_examples=25, deadline=None)
+@given(scenario=tiny_columns())
+def test_identify_reports_or_raises_a_package_error(scenario):
+    """Any valid tiny column identifies or fails with a TransportIdError,
+    never a bare numpy or LAPACK error or a RuntimeWarning (which the
+    suite turns into an error)."""
+    try:
+        report = identify(scenario, cfg=IdentifyConfig(n_restarts=2))
+    except TransportIdError:
+        return
+    assert report.equation.startswith("dC/dt = ")
 
 
 def test_unfloored_short_s2_identifies_without_its_freundlich_candidate():

@@ -193,13 +193,16 @@ _FIELD_HEAD = "x_cm,t_s,C_mg_per_l,valid\n0.0,0.0,1.0,1\n"
     ("x_cm,t_s,C_mg_per_l,valid\n", ": grid is empty"),
     (_FIELD_HEAD + "1.0,0.0,1.0,1\n1.0,0.0,1.0,1\n0.0,1.0,1.0,1\n",
      ": grid is empty or not rectangular"),
+    ("x_cm\xff,t_s,C_mg_per_l,valid\n0.0,0.0,1.0,1\n", ":1: not UTF-8"),
+    (_FIELD_HEAD + "1.0,0.0,\xff,1\n", ":3: not UTF-8"),
 ], ids=["short-row", "no-valid-flag", "non-numeric", "no-rows",
-        "repeated-point"])
+        "repeated-point", "non-utf8-header", "non-utf8-row"])
 def test_field_csv_reader_rejects_malformed_rows_and_grids(tmp_path, text, where):
-    """A short row, a word for a number, an empty grid and a grid that
-    repeats one point in place of another are input errors."""
+    """A short row, a word for a number, an empty grid, a grid that
+    repeats one point in place of another and a byte that is not UTF-8
+    are input errors."""
     path = tmp_path / "field.csv"
-    path.write_text(text)
+    path.write_text(text, encoding="latin-1")  # "\xff" is that one byte
     with pytest.raises(ValidationError, match=re.escape(f"{path}{where}")):
         read_field_csv(path)
 
@@ -240,7 +243,7 @@ def test_scenario_from_dict_guards():
 
     extra = dict(record)
     extra["bogus"] = 1
-    with pytest.raises(ValidationError, match="bad scenario record"):
+    with pytest.raises(ValidationError, match="unknown scenario keys: bogus"):
         scenario_from_dict(extra)
 
 
@@ -324,11 +327,13 @@ _RUNS_HEAD = "run_id,seed,n_iterations,termination,eps_final,m_a\n"
     "1,0,3,converged,low,0.6",
     "1,0,3,converged,0.1",
     "1,0,3,converged,0.1,0.6,0.7",
+    "1,0,3,conv\xffged,0.1,0.6",
 ], ids=["run_id", "seed", "n_iterations", "float-cell", "short-row",
-        "long-row"])
+        "long-row", "non-utf8"])
 def test_runs_csv_reader_names_the_bad_file_and_line(tmp_path, row):
     path = tmp_path / "runs.csv"
-    path.write_text(_RUNS_HEAD + "0,0,3,converged,0.1,0.6\n" + row + "\n")
+    path.write_text(_RUNS_HEAD + "0,0,3,converged,0.1,0.6\n" + row + "\n",
+                    encoding="latin-1")  # "\xff" is that one byte
     with pytest.raises(ValidationError, match=re.escape(f"{path}:3:")):
         read_runs_csv(path)
 

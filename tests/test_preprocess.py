@@ -6,7 +6,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.ndimage import correlate1d, minimum_filter1d
@@ -202,15 +202,28 @@ def filter_cases(draw):
     return values, mask, w, axis
 
 
+def _unit_impulse_case():
+    """A 7-tap filter within rounding of the identity whose mirrored taps
+    sum to within DBL_EPSILON, so correlate1d applies it as antisymmetric."""
+    values = np.zeros((13, 1))
+    values[6, 0] = 1.0
+    mask = np.ones((13, 1), dtype=bool)
+    return values, mask, composite_filter(3, 1, 2, 2), 0
+
+
 @settings(max_examples=200, deadline=None)
 @given(case=filter_cases())
+@example(case=_unit_impulse_case())
 def test_filter_axis_matches_scipy_within_the_dot_product_bound(case):
     """Each filter sums L = w.size products in its own order, so each is
     within gamma_L (|x| correlated with its taps' magnitudes) of its exact
     sum, gamma_L = L u / (1 - L u).  correlate1d also counts a filter as
     symmetric when mirrored taps agree within DBL_EPSILON and then applies
-    one half's taps to both sides; its taps then differ from w by at most
-    d = |w - w[::-1]|.  Together:
+    one half's taps to both sides; failing that, as antisymmetric when
+    mirrored taps sum to within DBL_EPSILON, and then applies one half's
+    negated taps on the other side.  Its taps then differ from w by at most
+    d = |w - w[::-1]| or d = |w + w[::-1]| (centre tap exact), in the order
+    correlate1d checks them.  Together:
 
         |numpy - scipy| <= 2 gamma_L (|x| * |w|) + (1 + gamma_L) (|x| * d)
 
@@ -226,9 +239,13 @@ def test_filter_axis_matches_scipy_within_the_dot_product_bound(case):
                            axis=axis, mode="constant", cval=0.0)
 
     gamma = w.size * 2.0 ** -53 / (1.0 - w.size * 2.0 ** -53)
+    eps = np.finfo(float).eps
     d = np.abs(w - w[::-1])
-    if d.max() > np.finfo(float).eps:
-        d[:] = 0.0
+    if d.max() > eps:
+        d = np.abs(w + w[::-1])
+        d[w.size // 2] = 0.0
+        if d.max() > eps:
+            d[:] = 0.0
     bound = (2.0 * gamma * correlate_abs(np.abs(w))
              + (1.0 + gamma) * correlate_abs(d))
     assert np.all(np.abs(smoothed - ref) <= bound)

@@ -228,7 +228,8 @@ def prepare_dataset(config: ScenarioConfig, scenario_name: str = "custom",
     Noisy data perturb the unfloored simulated field, so every series can
     support the smoothing windows; the simulated field serves as the
     fluctuation reference, and the floor is enforced on the smoothed
-    output before derivatives are taken.
+    output before derivatives are taken.  Either way every value at or
+    below ``conc_floor`` is masked.
     """
     sim = simulate(config)
     passes = 0
@@ -236,9 +237,8 @@ def prepare_dataset(config: ScenarioConfig, scenario_name: str = "custom",
         meas = sample_measurements(sim, config)
     else:
         noisy = add_noise(sim, noise)
-        meas, passes = smooth_field(noisy, smoothing or SmoothingConfig(),
-                                    conc_floor=config.conc_floor,
-                                    reference=sim)
+        meas, passes = smooth_field(noisy, smoothing or SmoothingConfig(), sim,
+                                    config.conc_floor)
     deriv = compute_derivatives(meas)
     split = split_train_test(deriv, split_ratio)
     return PreparedData(scenario_name=scenario_name, config=config,
@@ -477,7 +477,8 @@ def identify(scenario, library="basic", noise: NoiseSpec | None = None,
     """Full pipeline: prepare data, compare candidate models, prune, refit.
 
     ``scenario`` is a preset name or a ScenarioConfig; ``data`` can carry
-    a previously prepared dataset to share across experiments.  Every
+    a previously prepared dataset to share across experiments; the report
+    records the noise of the data it ran on, not ``noise``.  Every
     ensemble reuses the same master seed, so rerunning with an unchanged
     term set reproduces identical coefficients.  A candidate model whose
     every restart fails is recorded in ``failed_candidates`` with its cause
@@ -528,7 +529,7 @@ def identify(scenario, library="basic", noise: NoiseSpec | None = None,
         current = current.subset(selected)
         summary, results = _ensemble_round(data.split, current, cfg)
     return IdentificationReport(scenario_name=data.scenario_name,
-                                library_name=library.name, noise=noise,
+                                library_name=library.name, noise=data.noise,
                                 candidates=candidates,
                                 winner_name=winner.name,
                                 rounds=rounds, stable=stable,

@@ -56,8 +56,8 @@ def _read_utf8(path: Path) -> io.StringIO:
 def write_field_csv(field: Field, path) -> None:
     """Dump a field row-major by time then space, full precision.
 
-    The ``valid`` column carries the measurement mask; entries below the
-    detection floor or outside the smoothing support are kept in the
+    The ``valid`` column carries the measurement mask; entries at or below
+    the detection floor or outside the smoothing support are kept in the
     file (flag 0) so the grid stays rectangular.
     """
     path = Path(path)

@@ -65,39 +65,20 @@ def add_noise(field: Field, spec: NoiseSpec) -> Field:
 
 @dataclass(frozen=True)
 class SmoothingConfig:
-    """Window layout of the two-stage smoother.
+    """Half-windows of the two-stage smoother, in grid steps along t and
+    along x.  Each sets both the Chebyshev node spread and the local
+    least-squares window on its axis."""
 
-    ``degree_cheb`` is the interpolation degree (degree + 1 Chebyshev nodes),
-    ``order_ls`` the local polynomial order.  Half-window sizes are in grid
-    steps, separately for the time and space passes.
-    """
-
-    degree_cheb: int = 5
-    order_ls: int = 3
-    half_window_cheb_t: int = 120
-    half_window_ls_t: int = 120
-    half_window_cheb_x: int = 6
-    half_window_ls_x: int = 6
-    # Each pass discards a full support window at both ends of every series,
-    # so deeper budgets trade usable data for smoothness; two passes is the
-    # most this measurement layout can afford.
-    max_passes: int = 2
-    fluctuation_factor: float = 1.3
+    half_window_t: int = 120
+    half_window_x: int = 6
 
     def __post_init__(self) -> None:
         check_numbers(self)
-        if self.degree_cheb < 1 or self.order_ls < 0:
-            raise ValidationError("smoothing degrees must be positive")
-        for n in (self.half_window_cheb_t, self.half_window_ls_t,
-                  self.half_window_cheb_x, self.half_window_ls_x):
-            if n < 1:
-                raise ValidationError("smoothing half-windows must be >= 1 step")
-        if 2 * min(self.half_window_ls_t, self.half_window_ls_x) < self.order_ls:
-            raise ValidationError("local fit window too short for the polynomial order")
-        if self.max_passes < 1:
-            raise ValidationError("max_passes must be >= 1")
-        if self.fluctuation_factor <= 0.0:
-            raise ValidationError("fluctuation_factor must be positive")
+        # A local cubic fit around a node between two samples needs a
+        # half-window of two steps to span four of them.
+        if min(self.half_window_t, self.half_window_x) < 2:
+            raise ValidationError("smoothing half-windows must be >= 2 steps, got "
+                                  f"{self.half_window_t} and {self.half_window_x}")
 
 
 def _node_fit_weights(node: float, half_window: int, order: int) -> tuple[np.ndarray, int]:
@@ -111,6 +92,17 @@ def _node_fit_weights(node: float, half_window: int, order: int) -> tuple[np.nda
     # Row of the pseudo-inverse that yields the fitted value at local coord 0.
     weights = np.linalg.pinv(design)[0]
     return weights, j_lo
+
+
+# Interpolation degree (degree + 1 Chebyshev nodes) and local polynomial
+# order of every smoothing window.
+_DEGREE_CHEB = 5
+_ORDER_LS = 3
+# A second pass runs when the third-derivative scatter of the once-smoothed
+# data exceeds this multiple of the once-smoothed reference's.  Each pass
+# discards a full support window at both ends of every series, so two
+# passes are the most this measurement layout can afford.
+_FLUCTUATION_FACTOR = 1.3
 
 
 def composite_filter(half_window_cheb: int, half_window_ls: int,
@@ -137,26 +129,6 @@ def composite_filter(half_window_cheb: int, half_window_ls: int,
     return w
 
 
-def smooth_series(values: np.ndarray, half_window_cheb: int, half_window_ls: int,
-                  degree_cheb: int = 5, order_ls: int = 3,
-                  mask: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Smooth a 1-D series; returns (smoothed, supported) arrays.
-
-    ``supported`` is False where the full filter window is unavailable
-    (series edge or masked sample); the smoothed value there is meaningless.
-    """
-    v = np.asarray(values, dtype=float)
-    if v.ndim != 1:
-        raise ValidationError("smooth_series expects a 1-D array")
-    m = np.ones(v.shape, bool) if mask is None else np.asarray(mask, bool)
-    w = composite_filter(half_window_cheb, half_window_ls, degree_cheb, order_ls)
-    if v.size < w.size:
-        raise ValidationError(
-            f"series of length {v.size} shorter than the smoothing window ({w.size})"
-        )
-    return _filter_axis(v, m, w, axis=0)
-
-
 def _filter_axis(values: np.ndarray, mask: np.ndarray, w: np.ndarray, axis: int):
     filled = np.where(mask, values, 0.0)
     smoothed = np.apply_along_axis(np.correlate, axis, filled, w, "same")
@@ -179,55 +151,45 @@ def _d3_scatter(field: Field) -> float:
     return float(np.std(pts.c_xxx))
 
 
-def smooth_field(field: Field, cfg: SmoothingConfig, conc_floor: float = 0.0,
-                 reference: Field | None = None) -> tuple[Field, int]:
-    """Smooth along t (per location) then along x (per time).
+def smooth_field(field: Field, cfg: SmoothingConfig, reference: Field,
+                 conc_floor: float) -> tuple[Field, int]:
+    """Smooth along t (per location) then along x (per time), once or twice.
 
     Returns the smoothed field and the number of passes applied.
 
-    With a ``reference`` field (the same measurement layout without noise),
-    the pass is repeated while the scatter of the third spatial derivative
-    of the smoothed data exceeds ``fluctuation_factor`` times the scatter
-    of the identically smoothed reference, up to ``max_passes``; the
-    reference is smoothed in lockstep so the comparison is between equal
-    treatments.  Without a reference the field gets exactly ``max_passes``
-    passes.
+    ``reference`` is the same measurement layout without noise.  After the
+    first pass, a second runs only if the scatter of the third spatial
+    derivative of the smoothed data exceeds ``_FLUCTUATION_FACTOR`` times
+    the scatter of the reference smoothed once the same way.
 
     The input mask marks which samples exist and may support a window; the
     detection floor is a validity judgment applied to the output only, so
-    low-concentration series still contribute smoothing support.
+    low-concentration series still contribute smoothing support.  As in
+    ``sample_measurements``, every value at or below ``conc_floor`` is
+    masked.
     """
-    w_t = composite_filter(cfg.half_window_cheb_t, cfg.half_window_ls_t,
-                           cfg.degree_cheb, cfg.order_ls)
-    w_x = composite_filter(cfg.half_window_cheb_x, cfg.half_window_ls_x,
-                           cfg.degree_cheb, cfg.order_ls)
+    w_t = composite_filter(cfg.half_window_t, cfg.half_window_t,
+                           _DEGREE_CHEB, _ORDER_LS)
+    w_x = composite_filter(cfg.half_window_x, cfg.half_window_x,
+                           _DEGREE_CHEB, _ORDER_LS)
     if field.n_t < w_t.size:
         raise ValidationError("field has too few time steps for the smoothing window")
     if field.n_x < w_x.size:
         raise ValidationError("field has too few locations for the smoothing window")
-    if reference is not None and reference.values.shape != field.values.shape:
+    if reference.values.shape != field.values.shape:
         raise ValidationError("reference field layout does not match")
 
     def floored(vals, support) -> Field:
         return Field(vals, field.x0, field.dx, field.t0, field.dt,
                      support & (vals > conc_floor))
 
-    vals, support = field.values, field.mask
-    if reference is not None:
-        ref_vals, ref_support = reference.values, reference.mask
-    for passes in range(1, cfg.max_passes + 1):
-        vals, support = _one_pass(vals, support, w_t, w_x)
-        out = floored(vals, support)
-        # After the last allowed pass nothing reads the comparison.
-        if reference is None or passes == cfg.max_passes:
-            continue
-        ref_vals, ref_support = _one_pass(ref_vals, ref_support, w_t, w_x)
-        ref_scatter = _d3_scatter(floored(ref_vals, ref_support))
-        if ref_scatter <= 0.0:
-            break
-        if _d3_scatter(out) <= cfg.fluctuation_factor * ref_scatter:
-            break
-    return out, passes
+    vals, support = _one_pass(field.values, field.mask, w_t, w_x)
+    out = floored(vals, support)
+    ref_scatter = _d3_scatter(floored(*_one_pass(reference.values, reference.mask,
+                                                  w_t, w_x)))
+    if ref_scatter <= 0.0 or _d3_scatter(out) <= _FLUCTUATION_FACTOR * ref_scatter:
+        return out, 1
+    return floored(*_one_pass(vals, support, w_t, w_x)), 2
 
 
 @dataclass

@@ -61,6 +61,10 @@ _PICARD_MAX_SWEEPS = 50
 _TAIL = 1e-100
 _GUARD = 32
 
+# Largest inlet concentration accepted, in mg/l: 1 kg/l, above any solute
+# concentration and far below where the library's squared terms overflow.
+_C0_MAX = 1e6
+
 
 @dataclass(frozen=True)
 class SorptionModel:
@@ -166,8 +170,9 @@ class ScenarioConfig:
     """Physical and numerical setup of one transport experiment.
 
     Lengths are cm, times are s, concentrations are mg/l.  ``t_pulse`` is the
-    duration of the inlet source pulse and ``c0`` its feed concentration; the
-    inlet mass flux during the pulse is q * c0 with q = v_x * theta.
+    duration of the inlet source pulse and ``c0`` its feed concentration, at
+    most 1e6 mg/l; the inlet mass flux during the pulse is q * c0 with
+    q = v_x * theta.
 
     The monitoring grid is every ``meas_dx / sim_dx``-th solver node at
     every ``meas_dt / sim_dt``-th step from ``meas_t_start``; both ratios
@@ -214,6 +219,8 @@ class ScenarioConfig:
         for name, value in (("c0", self.c0), ("conc_floor", self.conc_floor)):
             if not (is_real(value) and np.isfinite(value) and value >= 0.0):
                 raise ValidationError(f"{name} must be finite and >= 0, got {value}")
+        if self.c0 > _C0_MAX:
+            raise ValidationError(f"c0 must be at most {_C0_MAX:g} mg/l, got {self.c0}")
         if self.meas_x_count < 2:
             raise ValidationError("meas_x_count must be >= 2")
         if self.sim_dx > self.meas_dx + 1e-12:
@@ -587,8 +594,9 @@ def sample_measurements(sim_field: Field, config: ScenarioConfig) -> Field:
 
     ``sim_field`` must lie on the config's monitoring grid, as ``simulate``
     returns it: x = 0 .. (meas_x_count - 1) * meas_dx and t = meas_t_start
-    .. meas_t_end.  Entries at or below ``conc_floor`` are masked out (with
-    a zero floor nothing is masked).  The values are shared, not copied.
+    .. meas_t_end.  Entries at or below ``conc_floor`` are masked out,
+    whatever the floor, as ``smooth_field`` masks smoothed data.  The values
+    are shared, not copied.
     """
     grid = (sim_field.x0, sim_field.dx, sim_field.t0, sim_field.dt)
     expected = (0.0, config.meas_dx, config.meas_t_start, config.meas_dt)
@@ -598,8 +606,6 @@ def sample_measurements(sim_field: Field, config: ScenarioConfig) -> Field:
             f"field of shape {sim_field.values.shape} at (x0, dx, t0, dt) = {grid} "
             f"is not on the measurement grid {_measurement_shape(config)} at {expected}"
         )
-    mask = sim_field.mask
-    if config.conc_floor > 0.0:
-        mask = mask & (sim_field.values > config.conc_floor)
     return Field(sim_field.values, x0=0.0, dx=config.meas_dx, t0=config.meas_t_start,
-                 dt=config.meas_dt, mask=mask)
+                 dt=config.meas_dt,
+                 mask=sim_field.mask & (sim_field.values > config.conc_floor))

@@ -74,18 +74,26 @@ def test_experiment_config_builds_identify_overrides():
         bounds={"names": ["a", "K_l"], "lower": [0.3, 40.0],
                 "upper": [0.7, 140.0]},
         assimilation={"lambda0": 5.0, "max_accepted": 9},
-        smoothing={"half_window_cheb_x": 4, "half_window_ls_x": 4})
+        smoothing={"half_window_x": 4})
     id_cfg = cfg.identify_config()
     assert id_cfg.bounds.lower == (0.3, 40.0)
     assert id_cfg.bounds.upper == (0.7, 140.0)
     assert id_cfg.assimilation.lambda0 == 5.0
     assert id_cfg.assimilation.max_accepted == 9
-    assert id_cfg.smoothing.half_window_cheb_x == 4
+    assert id_cfg.smoothing.half_window_x == 4
 
-    for removed in ("turbo", "gamma"):
+    for block, removed in (("assimilation", "turbo"), ("assimilation", "gamma"),
+                           ("smoothing", "half_window_cheb_t"),
+                           ("smoothing", "half_window_ls_t"),
+                           ("smoothing", "half_window_cheb_x"),
+                           ("smoothing", "half_window_ls_x"),
+                           ("smoothing", "degree_cheb"),
+                           ("smoothing", "order_ls"),
+                           ("smoothing", "max_passes"),
+                           ("smoothing", "fluctuation_factor")):
         with pytest.raises(ValidationError,
-                           match=f"unknown assimilation keys: {removed}"):
-            ExperimentConfig(assimilation={removed: 5}).identify_config()
+                           match=f"unknown {block} keys: {removed}"):
+            ExperimentConfig(**{block: {removed: 5}}).identify_config()
     with pytest.raises(ValidationError, match="bounds block missing"):
         ExperimentConfig(bounds={"names": ["a", "K_l"],
                                  "lower": [0.3, 40.0]}).identify_config()
@@ -321,14 +329,16 @@ def test_exit_validation_on_bad_config(tmp_path):
 
 
 # json.loads reads NaN, Infinity, 2.5 and true where a finite float or a
-# whole count belongs, gamma is no longer a setting, and a block or a bound
-# can be any JSON value; each must stop the run before any work is done.
+# whole count belongs, gamma and half_window_ls_x are no longer settings,
+# and a block or a bound can be any JSON value; each must stop the run
+# before any work is done.
 @pytest.mark.parametrize("text", [
     '{"assimilation": {"lambda0": NaN}}',
     '{"assimilation": {"c_eps_scale": Infinity}}',
     '{"assimilation": {"max_accepted": 2.5}}',
     '{"assimilation": {"gamma": 5}}',
     '{"smoothing": {"half_window_ls_x": NaN}}',
+    '{"smoothing": {"half_window_x": NaN}}',
     '{"n_restarts": 2.5}',
     '{"master_seed": 1.5}',
     '{"assimilation": {"lambda0": true}}',
@@ -379,6 +389,8 @@ def test_exit_validation_on_non_finite_scenario_value(tmp_path, capsys, key):
                   "s_bar": 0.0}),
     ("meas_t_end", float("inf")),
     ("sim_length", 1e308),
+    ("c0", 1e7),
+    ("c0", 1e308),
 ])
 def test_exit_validation_on_mistyped_scenario_value(tmp_path, capsys, key,
                                                     value):

@@ -18,13 +18,14 @@ from transportid.identification import (EnsembleSummary, EpsProxy,
                                         IdentifyConfig, PreparedData,
                                         aggregate_summary, build_proxy,
                                         identify, learned_equation,
-                                        prune_terms, run_ensemble,
-                                        run_single, sample_prior,
+                                        prepare_dataset, prune_terms,
+                                        run_ensemble, run_single,
+                                        sample_prior,
                                         screen_by_prediction_error)
 from transportid.library import LibrarySpec
 from transportid.params import ModelParams, ParamBounds
 from transportid.persist import summary_dict
-from transportid.preprocess import split_train_test
+from transportid.preprocess import NoiseSpec, split_train_test
 from transportid.regression import PredictionErrorEvaluator
 from transportid.scenarios import get_scenario
 from transportid.transport import SorptionModel
@@ -366,7 +367,8 @@ def tiny_columns(draw):
                      theta=draw(st.floats(0.2, 0.5)),
                      rho_b=draw(st.floats(1.2, 2.0)),
                      t_pulse=draw(st.floats(50.0, 400.0)),
-                     c0=draw(st.just(0.0) | st.floats(0.005, 0.1)),
+                     c0=draw(st.just(0.0) | st.floats(np.log10(0.005), 6.0).map(
+                         lambda e: 10.0 ** e)),
                      conc_floor=draw(st.sampled_from((0.0, 5e-5))))
 
 
@@ -383,15 +385,23 @@ def test_identify_reports_or_raises_a_package_error(scenario):
     assert report.equation.startswith("dC/dt = ")
 
 
-def test_unfloored_short_s2_identifies_without_its_freundlich_candidate():
-    """Without a detection floor, C = 0 reaches the data and every
-    Freundlich restart fails; the valid candidates still identify."""
+def test_unfloored_short_s2_identifies_its_freundlich_model():
+    """A zero floor still masks C = 0, where the Freundlich term is not
+    finite, so every candidate runs and the generating model wins."""
     scen = dataclasses.replace(get_scenario("s2"), conc_floor=0.0, meas_t_end=700.0)
     report = identify(scen, cfg=IdentifyConfig(n_restarts=4))
-    assert [c.name for c in report.candidates] == ["none", "lsorp"]
-    assert [f.name for f in report.failed_candidates] == ["fsorp"]
-    assert "every restart failed for library 'basic-fsorp'" in report.failed_candidates[0].error
-    assert report.winner_name in ("none", "lsorp")
+    assert [c.name for c in report.candidates] == ["none", "fsorp", "lsorp"]
+    assert report.failed_candidates == []
+    assert report.selected_term_ids == ("adv", "dis", "fsorp")
+
+
+def test_identify_records_the_noise_of_the_data_it_ran_on():
+    noise = NoiseSpec(0.05)
+    data = prepare_dataset(get_scenario("s2-fast"), "s2-fast", noise=noise)
+    report = identify("s2-fast", cfg=IdentifyConfig(n_restarts=2), data=data)
+    assert data.smoothing_passes == 2
+    assert report.noise == noise
+    assert summary_dict(report, data=data)["noise_delta"] == 0.05
 
 
 # --------------------------------------------------------------- proxy

@@ -11,17 +11,16 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.ndimage import correlate1d, minimum_filter1d
 
-from conftest import package_env
+from conftest import make_tiny, package_env
 import transportid.preprocess as preprocess
 from transportid.errors import ValidationError
 from transportid.preprocess import (DerivativeField, NoiseSpec, SmoothingConfig,
                                     add_noise, barycentric_weights,
                                     chebyshev_nodes,
                                     composite_filter, compute_derivatives,
-                                    smooth_field, smooth_series,
-                                    split_train_test)
+                                    smooth_field, split_train_test)
 from transportid.scenarios import get_scenario
-from transportid.transport import Field
+from transportid.transport import Field, sample_measurements
 
 
 def grid_field(values, x0=0.0, dx=1.0, t0=0.0, dt=1.0, mask=None):
@@ -85,9 +84,8 @@ def test_noise_spec_validation():
 
 
 def test_smoothing_config_rejects_bad_numbers():
-    for bad in ({"fluctuation_factor": float("nan")},
-                {"half_window_ls_x": float("nan")},
-                {"half_window_cheb_t": 120.5}, {"max_passes": float("inf")}):
+    for bad in ({"half_window_x": float("nan")},
+                {"half_window_t": 120.5}, {"half_window_x": float("inf")}):
         with pytest.raises(ValidationError, match=next(iter(bad))):
             SmoothingConfig(**bad)
 
@@ -132,7 +130,8 @@ def test_composite_filter_moment_conditions():
 def test_smooth_series_exact_on_cubic():
     x = np.linspace(0.0, 4.0, 120)
     series = 1.0 + 0.3 * x - 0.2 * x ** 2 + 0.05 * x ** 3
-    smoothed, supported = smooth_series(series, 6, 6)
+    smoothed, supported = preprocess._filter_axis(
+        series, np.ones(series.size, bool), composite_filter(6, 6, 5, 3), 0)
     assert supported.sum() == 120 - 2 * filter_half_width()
     np.testing.assert_allclose(smoothed[supported], series[supported],
                                rtol=1e-9)
@@ -141,7 +140,8 @@ def test_smooth_series_exact_on_cubic():
 def test_smooth_series_constant_and_support_layout():
     series = np.full(60, 3.7)
     half = filter_half_width()
-    smoothed, supported = smooth_series(series, 6, 6)
+    smoothed, supported = preprocess._filter_axis(
+        series, np.ones(series.size, bool), composite_filter(6, 6, 5, 3), 0)
     assert not supported[:half].any() and not supported[-half:].any()
     assert supported[half:-half].all()
     np.testing.assert_allclose(smoothed[supported], 3.7, rtol=1e-12)
@@ -155,7 +155,8 @@ def test_smooth_series_attenuates_white_noise_like_its_l2_gain():
     clean = np.sin(x)
     sigma = 0.1
     noisy = clean + rng.normal(0.0, sigma, size=x.size)
-    smoothed, supported = smooth_series(noisy, 6, 6)
+    smoothed, supported = preprocess._filter_axis(
+        noisy, np.ones(noisy.size, bool), composite_filter(6, 6, 5, 3), 0)
     resid_before = np.std(noisy[supported] - clean[supported])
     resid_after = np.std(smoothed[supported] - clean[supported])
     gain = np.sqrt(np.sum(composite_filter(6, 6, 5, 3) ** 2))
@@ -169,7 +170,8 @@ def test_smooth_series_mask_hole_blocks_support():
     mask = np.ones(80, dtype=bool)
     mask[40] = False
     half = filter_half_width()
-    _, supported = smooth_series(series, 6, 6, mask=mask)
+    _, supported = preprocess._filter_axis(
+        series, mask, composite_filter(6, 6, 5, 3), 0)
     assert not supported[40 - half:40 + half + 1].any()
     assert supported[half:40 - half].all()
     assert supported[40 + half + 1:-half].all()
@@ -264,10 +266,8 @@ from transportid.transport import Field
 x = np.linspace(0.0, 1.0, 40)[:, None]
 t = np.linspace(0.0, 1.0, 60)[None, :]
 clean = Field(1.5 + np.sin(3.0 * x - 2.0 * t), 0.0, 1.0, 0.0, 1.0)
-cfg = SmoothingConfig(half_window_cheb_t=3, half_window_ls_t=3,
-                      half_window_cheb_x=3, half_window_ls_x=3)
-out, passes = smooth_field(add_noise(clean, NoiseSpec(0.05)), cfg,
-                           reference=clean)
+cfg = SmoothingConfig(half_window_t=3, half_window_x=3)
+out, passes = smooth_field(add_noise(clean, NoiseSpec(0.05)), cfg, clean, 0.0)
 assert passes >= 1 and out.mask.any()
 assert "scipy.ndimage" not in sys.modules
 """
@@ -279,7 +279,7 @@ assert "scipy.ndimage" not in sys.modules
 def test_smooth_field_nearly_preserves_clean_data(pipeline):
     """One pass over noise-free data must not distort the field."""
     clean, _ = pipeline.simulation("s1")
-    out, passes = smooth_field(clean.copy(), SmoothingConfig(max_passes=1))
+    out, passes = smooth_field(clean.copy(), SmoothingConfig(), clean, 0.0)
     assert passes == 1
     assert 0.5 < out.mask.mean() < 1.0
     diff = np.abs(out.values - clean.values)
@@ -314,18 +314,58 @@ def test_smooth_field_restores_second_derivative(pipeline):
 
 
 def test_smooth_field_zero_stays_zero():
+    """A zero field smooths to zero in one pass (its reference has no
+    scatter), and zero is at the floor, so nothing is kept."""
     zero = grid_field(np.zeros((40, 60)))
-    out, _ = smooth_field(zero, SmoothingConfig(half_window_cheb_t=6,
-                                                half_window_ls_t=6,
-                                                half_window_cheb_x=6,
-                                                half_window_ls_x=6))
-    assert np.all(out.values[out.mask] == 0.0)
+    out, passes = smooth_field(zero, SmoothingConfig(half_window_t=6, half_window_x=6),
+                               zero, 0.0)
+    assert np.all(out.values == 0.0)
+    assert passes == 1
+    assert not out.mask.any()
 
 
 def test_smooth_field_window_guard():
     small = grid_field(np.zeros((10, 10)))
     with pytest.raises(ValidationError):
-        smooth_field(small, SmoothingConfig())
+        smooth_field(small, SmoothingConfig(), small, 0.0)
+
+
+@st.composite
+def floored_fields(draw):
+    """A field on a tiny scenario's measurement grid with a few holes and
+    values that include exact zeros, negatives and the floor itself, and a
+    floor that may be 0."""
+    floor = draw(st.sampled_from((0.0, 5e-5)) | st.floats(0.0, 1.0))
+    n_x, n_t = draw(st.integers(7, 12)), draw(st.integers(7, 16))
+    values = draw(arrays(float, (n_x, n_t), elements=st.sampled_from(
+        (0.0, -0.0, floor)) | st.floats(-1.0, 1.0)))
+    mask = np.ones((n_x, n_t), dtype=bool)
+    for i, k in draw(st.lists(st.tuples(st.integers(0, n_x - 1),
+                                        st.integers(0, n_t - 1)), max_size=3)):
+        mask[i, k] = False
+    cfg = make_tiny(meas_x_count=n_x, meas_t_end=300.0 + 2.0 * (n_t - 1),
+                    conc_floor=floor)
+    return Field(values, 0.0, cfg.meas_dx, cfg.meas_t_start, cfg.meas_dt, mask), cfg
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=floored_fields())
+def test_sampling_and_smoothing_mask_exactly_what_is_at_or_below_the_floor(case):
+    """Clean and smoothed data follow one floor rule, whatever the floor:
+    a value is masked if it is at or below it, and kept otherwise where
+    the input mask or the smoothing support holds."""
+    field, cfg = case
+    floor = cfg.conc_floor
+    meas = sample_measurements(field, cfg)
+    assert np.array_equal(meas.mask, field.mask & ~(field.values <= floor))
+
+    smoothing = SmoothingConfig(half_window_t=2, half_window_x=2)
+    out, passes = smooth_field(field, smoothing, field, floor)
+    # A floor of -inf masks no value, so its mask is the smoothing support.
+    open_, _ = smooth_field(field, smoothing, field, -np.inf)
+    assert passes == 1  # the reference is the field itself
+    assert np.array_equal(out.values, open_.values)
+    assert np.array_equal(out.mask, open_.mask & ~(out.values <= floor))
 
 
 def test_noisy_pipeline_pass_counts(pipeline):
@@ -351,7 +391,7 @@ def test_smoothing_compares_only_before_its_last_pass(pipeline, monkeypatch):
     monkeypatch.setattr(preprocess, "_one_pass", counting_pass)
     _, passes = smooth_field(noisy, SmoothingConfig(),
                              conc_floor=cfg.conc_floor, reference=clean)
-    assert passes == 2 == SmoothingConfig().max_passes
+    assert passes == 2
     assert len(calls) == 3
 
 

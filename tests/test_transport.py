@@ -78,6 +78,9 @@ def test_scenario_config_guards():
         make_tiny(c0=float("nan"))
     with pytest.raises(ValidationError, match="c0"):
         make_tiny(c0=float("inf"))
+    with pytest.raises(ValidationError, match="c0 must be at most 1e\\+06 mg/l"):
+        make_tiny(c0=1.000001e6)  # above 1 kg/l
+    assert make_tiny(c0=1e6).c0 == 1e6
     with pytest.raises(ValidationError, match="conc_floor"):
         make_tiny(conc_floor=float("nan"))  # would silently disable the floor
     with pytest.raises(ValidationError):
@@ -118,11 +121,13 @@ def test_preset_catalogue_and_true_values():
         get_scenario("s99")
 
 
-def test_zero_source_stays_zero():
-    cfg = make_tiny(c0=0.0, conc_floor=0.0)
+@pytest.mark.parametrize("floor", [0.0, 5e-5])
+def test_zero_source_stays_zero(floor):
+    """Zero is at or below any floor, so a zero field is masked whole."""
+    cfg = make_tiny(c0=0.0, conc_floor=floor)
     meas = sample_measurements(simulate(cfg), cfg)
     assert np.all(meas.values == 0.0)
-    assert meas.mask.all()
+    assert not meas.mask.any()
 
 
 def test_concentration_bounded_by_feed():
@@ -210,12 +215,6 @@ def test_sampling_rejects_a_field_off_the_measurement_grid():
                     dt=field.dt)
     with pytest.raises(ValidationError, match="measurement grid"):
         sample_measurements(shifted, cfg)
-
-
-def test_floor_masks_everything_on_zero_field():
-    cfg = make_tiny(c0=0.0)
-    meas = sample_measurements(simulate(cfg), cfg)
-    assert not meas.mask.any()
 
 
 def test_no_sorption_equals_zero_freundlich():

@@ -21,10 +21,10 @@ from .regression import (FitResult, PredictionErrorEvaluator, fit_design,
                          least_squares_fit, prediction_error)
 from .scenarios import (get_scenario, scenario_names, true_coefficients,
                         true_parameters)
-from .transport import (Field, ScenarioConfig, SorptionModel, isotherm_slope,
-                        isotherm_value, sample_measurements, simulate)
+from .transport import (Field, ScenarioConfig, SorptionModel, isotherm_value,
+                        sample_measurements, simulate)
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 __all__ = [
     "AssimilationConfig", "AssimilationTrace", "run_assimilation",
@@ -42,6 +42,6 @@ __all__ = [
     "FitResult", "PredictionErrorEvaluator", "fit_design",
     "least_squares_fit", "prediction_error",
     "get_scenario", "scenario_names", "true_coefficients", "true_parameters",
-    "Field", "ScenarioConfig", "SorptionModel", "isotherm_slope",
-    "isotherm_value", "sample_measurements", "simulate",
+    "Field", "ScenarioConfig", "SorptionModel", "isotherm_value",
+    "sample_measurements", "simulate",
 ]

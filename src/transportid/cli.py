@@ -16,6 +16,7 @@ from pathlib import Path
 from .assimilation import AssimilationConfig
 from .errors import TransportIdError, ValidationError, check_numbers, from_record
 from .identification import IdentifyConfig, identify, prepare_dataset
+from .library import library_names
 from .params import ParamBounds
 from .preprocess import NoiseSpec, SmoothingConfig, add_noise
 from .persist import (read_json_object, read_summary_json, report_table,
@@ -56,7 +57,7 @@ class ExperimentConfig:
             problems.append(f"scenario={self.scenario!r}")
         if self.scenario == "custom" and not self.custom_scenario:
             problems.append("custom_scenario (required when scenario=custom)")
-        if self.library not in ("basic", "extended"):
+        if self.library not in library_names():
             problems.append(f"library={self.library!r}")
         if not 0.0 <= self.noise_delta < 1.0:
             problems.append(f"noise_delta={self.noise_delta}")
@@ -194,7 +195,7 @@ def _add_common(parser: argparse.ArgumentParser, with_identify: bool) -> None:
     parser.add_argument("--seed", type=int, help="master seed for restarts")
     parser.add_argument("--out", help="output directory")
     if with_identify:
-        parser.add_argument("--library", choices=("basic", "extended"))
+        parser.add_argument("--library", choices=library_names())
         parser.add_argument("--restarts", type=int, help="ensemble size")
 
 

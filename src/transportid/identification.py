@@ -517,14 +517,13 @@ def identify(scenario, library="basic", noise: NoiseSpec | None = None,
     current = winner.library
     summary = winner.summary
     results = winner.results
-    stable = False
-    for _ in range(_MAX_ROUNDS):
+    while True:
         selected = prune_terms(current, summary)
         rounds.append(IdentificationRound(library=current, summary=summary,
                                           selected_term_ids=selected,
                                           results=results))
-        if selected == current.term_ids:
-            stable = True
+        stable = selected == current.term_ids
+        if stable or len(rounds) == _MAX_ROUNDS:
             break
         current = current.subset(selected)
         summary, results = _ensemble_round(data.split, current, cfg)

@@ -24,6 +24,7 @@ from .preprocess import DerivativeField
 __all__ = [
     "TermSpec",
     "LibrarySpec",
+    "library_names",
     "DesignMatrix",
     "NormalizationStats",
     "CoefficientVector",
@@ -130,8 +131,15 @@ _TERMS = {
 }
 
 _BASIC_IDS = ("adv", "dis", "fsorp", "lsorp")
-_EXTENDED_IDS = _BASIC_IDS + ("conc", "conc_sq", "d3", "sq_dx", "sq_dxx",
-                              "sq_dxxx")
+_LIBRARIES = {
+    "basic": _BASIC_IDS,
+    "extended": _BASIC_IDS + ("conc", "conc_sq", "d3", "sq_dx", "sq_dxx",
+                              "sq_dxxx"),
+}
+
+
+def library_names() -> tuple:
+    return tuple(_LIBRARIES)
 
 
 def term_by_id(term_id: str) -> TermSpec:
@@ -157,19 +165,17 @@ class LibrarySpec:
 
     @classmethod
     def basic(cls) -> "LibrarySpec":
-        return cls("basic", tuple(_TERMS[i] for i in _BASIC_IDS))
+        return cls.from_name("basic")
 
     @classmethod
     def extended(cls) -> "LibrarySpec":
-        return cls("extended", tuple(_TERMS[i] for i in _EXTENDED_IDS))
+        return cls.from_name("extended")
 
     @classmethod
     def from_name(cls, name: str) -> "LibrarySpec":
-        if name == "basic":
-            return cls.basic()
-        if name == "extended":
-            return cls.extended()
-        raise ValidationError(f"unknown library name {name!r}")
+        if name not in library_names():
+            raise ValidationError(f"unknown library name {name!r}")
+        return cls(name, tuple(_TERMS[i] for i in _LIBRARIES[name]))
 
     def subset(self, term_ids, name: str | None = None) -> "LibrarySpec":
         """Restrict to ``term_ids``, preserving this library's order."""

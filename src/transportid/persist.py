@@ -1,8 +1,9 @@
 """File formats for measurement fields, run tables, and summaries.
 
 All floats are written with ``repr``, which round-trips exactly, so a
-rerun with the same configuration produces byte-identical files.  Every
-writer but ``write_trace_csv`` has a matching reader in this module.
+rerun with the same configuration produces byte-identical files.  Only
+two kinds of file are read back: JSON config files and, for ``report``,
+``summary.json``.
 """
 
 from __future__ import annotations
@@ -13,31 +14,23 @@ import io
 import json
 from pathlib import Path
 
-import numpy as np
-
 from .errors import ValidationError, from_record
 from .identification import IdentificationReport, PreparedData, RunResult
 from .transport import Field, ScenarioConfig, SorptionModel
 
 __all__ = [
     "write_field_csv",
-    "read_field_csv",
     "write_metadata",
-    "read_metadata",
     "read_json_object",
     "scenario_to_dict",
     "scenario_from_dict",
     "write_runs_csv",
-    "read_runs_csv",
     "write_trace_csv",
     "summary_dict",
     "write_summary_json",
     "read_summary_json",
     "report_table",
 ]
-
-_FIELD_HEADER = ("x_cm", "t_s", "C_mg_per_l", "valid")
-
 
 def _fmt(value: float) -> str:
     return repr(float(value))
@@ -65,60 +58,12 @@ def write_field_csv(field: Field, path) -> None:
     t = field.t
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(_FIELD_HEADER)
+        writer.writerow(("x_cm", "t_s", "C_mg_per_l", "valid"))
         for k in range(field.n_t):
             for i in range(field.n_x):
                 writer.writerow((_fmt(x[i]), _fmt(t[k]),
                                  _fmt(field.values[i, k]),
                                  "1" if field.mask[i, k] else "0"))
-
-
-def read_field_csv(path) -> Field:
-    """Read a field written by ``write_field_csv`` (or a three-column file).
-
-    Each axis spacing is the span between its end points over n - 1.  The
-    steps must agree with it to within 1e-9 of the step plus 8 ulp of the
-    largest coordinate, the rounding the written coordinates carry.  A
-    one-sample axis has no spacing in this format and reads back with
-    spacing 1.0; only its origin is kept.
-    """
-    path = Path(path)
-    reader = csv.reader(_read_utf8(path))
-    header = next(reader, None)
-    if header is None or tuple(header[:3]) != _FIELD_HEADER[:3]:
-        raise ValidationError(f"{path}: not a field CSV (bad header)")
-    has_valid = len(header) > 3 and header[3] == "valid"
-    xs, ts, cs, ms = [], [], [], []
-    for row in reader:
-        try:
-            xs.append(float(row[0]))
-            ts.append(float(row[1]))
-            cs.append(float(row[2]))
-            ms.append(row[3] == "1" if has_valid else True)
-        except (IndexError, ValueError) as exc:
-            raise ValidationError(f"{path}:{reader.line_num}: {exc}") from None
-    x_axis = np.unique(np.array(xs))
-    t_axis = np.unique(np.array(ts))
-    at = (np.searchsorted(x_axis, xs), np.searchsorted(t_axis, ts))
-    cells = np.unique(at[0] * t_axis.size + at[1]).size
-    if not 0 < len(xs) == cells == x_axis.size * t_axis.size:
-        raise ValidationError(f"{path}: grid is empty or not rectangular")
-    spacing = []
-    for axis, label in ((x_axis, "x"), (t_axis, "t")):
-        if axis.size == 1:
-            spacing.append(1.0)
-            continue
-        step = float(axis[-1] - axis[0]) / (axis.size - 1)
-        tol = 1e-9 * step + 8.0 * np.spacing(np.max(np.abs(axis)))
-        if np.any(np.abs(np.diff(axis) - step) > tol):
-            raise ValidationError(f"{path}: non-uniform {label} axis")
-        spacing.append(step)
-    values = np.full((x_axis.size, t_axis.size), np.nan)
-    values[at] = cs
-    mask = np.zeros(values.shape, dtype=bool)
-    mask[at] = ms
-    return Field(values=values, x0=float(x_axis[0]), dx=spacing[0],
-                 t0=float(t_axis[0]), dt=spacing[1], mask=mask)
 
 
 def scenario_to_dict(config: ScenarioConfig) -> dict:
@@ -151,13 +96,6 @@ def read_json_object(path) -> dict:
     return record
 
 
-def read_metadata(path) -> dict:
-    record = read_json_object(path)
-    if "scenario_config" not in record:
-        raise ValidationError(f"{path}: missing scenario_config")
-    return record
-
-
 def write_runs_csv(results: list, path) -> None:
     """One row per restart with its termination info and coefficients."""
     if not results:
@@ -180,26 +118,6 @@ def write_runs_csv(results: list, path) -> None:
             row += [_fmt(v) for v in res.fit.alpha_norm.values]
             row += [_fmt(v) for v in res.fit.alpha_phys.values]
             writer.writerow(row)
-
-
-_RUN_TYPES = {"run_id": int, "seed": int, "n_iterations": int,
-              "termination": str}
-
-
-def read_runs_csv(path) -> list:
-    """Rows back as dicts with numeric fields converted."""
-    path = Path(path)
-    reader = csv.DictReader(_read_utf8(path))
-    if reader.fieldnames is None or "run_id" not in reader.fieldnames:
-        raise ValidationError(f"{path}: not a runs CSV")
-    out = []
-    for raw in reader:
-        try:
-            out.append({key: _RUN_TYPES.get(key, float)(val)
-                        for key, val in raw.items()})
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"{path}:{reader.line_num}: {exc}") from None
-    return out
 
 
 def write_trace_csv(result: RunResult, path) -> None:

@@ -109,7 +109,7 @@ class SorptionModel:
 # Unchecked isotherm kernels, C -> C* and C -> dC*/dC, one pair per kind.
 # Callers guarantee the domain: C >= 0, and C > 0 for the Freundlich slope.
 # Given ``out`` (which may be c) a kernel works in place.  A Langmuir value
-# given ``den`` leaves 1 + K_l * C there; a Langmuir slope given it reads it.
+# given ``den`` leaves 1 + K_l * C there, and the Langmuir slope reads it.
 
 def _zero(c, model: SorptionModel, out=None, den=None):
     return np.zeros_like(c)
@@ -129,7 +129,6 @@ def _langmuir_value(c, model: SorptionModel, out=None, den=None):
 
 
 def _langmuir_slope(c, model: SorptionModel, out=None, den=None):
-    den = np.add(np.multiply(c, model.k_l), 1.0) if den is None else den
     return np.divide(model.k_l * model.s_bar, np.multiply(den, den, out=out), out=out)
 
 
@@ -146,22 +145,6 @@ def isotherm_value(c, model: SorptionModel):
     if np.any(arr < 0.0):
         raise ValueError("isotherm_value requires C >= 0")
     out = _KERNELS[model.kind][0](arr, model)
-    return float(out) if np.isscalar(c) else out
-
-
-def isotherm_slope(c, model: SorptionModel):
-    """Isotherm derivative dC*/dC.
-
-    The Freundlich slope a*K_f*C**(a-1) is singular at C = 0, so strictly
-    positive concentrations are required there; Langmuir and the trivial
-    model accept C >= 0.
-    """
-    arr = np.asarray(c, dtype=float)
-    if model.kind == "freundlich" and np.any(arr <= 0.0):
-        raise ValueError("Freundlich slope requires C > 0 (singular at C = 0)")
-    if model.kind == "langmuir" and np.any(arr < 0.0):
-        raise ValueError("isotherm_slope requires C >= 0")
-    out = _KERNELS[model.kind][1](arr, model)
     return float(out) if np.isscalar(c) else out
 
 

@@ -1,5 +1,6 @@
 """Command-line surface: config handling, artifact layout, exit codes."""
 
+import csv
 import dataclasses
 import json
 import subprocess
@@ -14,10 +15,10 @@ from transportid.assimilation import AssimilationConfig
 from transportid.cli import ExperimentConfig, main
 from transportid.identification import IdentifyConfig, PreparedData
 from transportid.errors import SolverError, ValidationError
-from transportid.persist import (read_field_csv, read_metadata, read_runs_csv,
-                                 read_summary_json, scenario_from_dict)
+from transportid.persist import (read_summary_json, scenario_from_dict,
+                                 write_field_csv)
 from transportid.preprocess import SmoothingConfig
-from transportid.transport import ScenarioConfig
+from transportid.transport import ScenarioConfig, sample_measurements, simulate
 
 
 def tiny_config(tmp_path, **overrides):
@@ -163,12 +164,13 @@ def test_simulate_writes_clean_field_and_metadata(tmp_path, capsys):
     assert main(["simulate", "--config", str(cfg_path)]) == 0
 
     out = tmp_path / "out"
-    field = read_field_csv(out / "measurements_clean.csv")
-    assert field.values.shape == (25, 201)
-    assert field.mask.any()
+    expected = tmp_path / "expected.csv"
+    write_field_csv(sample_measurements(simulate(make_tiny()), make_tiny()),
+                    expected)
+    assert (out / "measurements_clean.csv").read_bytes() == expected.read_bytes()
     assert not (out / "measurements_noisy.csv").exists()
 
-    record = read_metadata(out / "metadata.json")
+    record = json.loads((out / "metadata.json").read_text())
     assert scenario_from_dict(record["scenario_config"]) == make_tiny()
     assert record["experiment"]["scenario"] == "custom"
     assert record["files"] == ["measurements_clean.csv"]
@@ -182,12 +184,14 @@ def test_simulate_noisy_output_is_reproducible(tmp_path):
     assert main(["simulate", "--config", str(cfg_path), "--out", str(out_a)]) == 0
     assert main(["simulate", "--config", str(cfg_path), "--out", str(out_b)]) == 0
 
-    noisy = read_field_csv(out_a / "measurements_noisy.csv")
-    clean = read_field_csv(out_a / "measurements_clean.csv")
-    assert noisy.values.shape == clean.values.shape
+    noisy, clean = (list(csv.reader((out_a / name).read_text().splitlines()))
+                    for name in ("measurements_noisy.csv",
+                                 "measurements_clean.csv"))
+    assert len(noisy) == len(clean) == 1 + 25 * 201
+    assert [row[:2] for row in noisy] == [row[:2] for row in clean]
     # the noisy dump keeps every grid point so the draw stays comparable
-    assert noisy.mask.all()
-    assert (noisy.values != clean.values).any()
+    assert {row[3] for row in noisy[1:]} == {"1"}
+    assert any(a[2] != b[2] for a, b in zip(noisy[1:], clean[1:]))
     assert ((out_a / "measurements_noisy.csv").read_bytes()
             == (out_b / "measurements_noisy.csv").read_bytes())
 
@@ -198,7 +202,7 @@ def test_simulate_flag_overrides_config(tmp_path):
     assert main(["simulate", "--config", str(cfg_path),
                  "--noise", "0.0", "--out", str(out)]) == 0
     assert not (out / "measurements_noisy.csv").exists()
-    record = read_metadata(out / "metadata.json")
+    record = json.loads((out / "metadata.json").read_text())
     assert record["experiment"]["noise_delta"] == 0.0
 
 
@@ -212,9 +216,10 @@ def test_identify_writes_runs_summary_traces(tmp_path, capsys):
 
     # The tiny scenario ends on the parameter-free library (adv, dis),
     # which is fitted once.
-    rows = read_runs_csv(out / "runs.csv")
+    with (out / "runs.csv").open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
     assert len(rows) == 1
-    assert rows[0]["run_id"] == 0
+    assert rows[0]["run_id"] == "0"
 
     summary = read_summary_json(out / "summary.json")
     assert summary["scenario"] == "custom"
@@ -228,7 +233,7 @@ def test_identify_writes_runs_summary_traces(tmp_path, capsys):
     first_line = (out / "traces" / "run_000.csv").read_text().splitlines()[0]
     assert first_line == "iteration,accepted,lambda,eps"
 
-    record = read_metadata(out / "metadata.json")
+    record = json.loads((out / "metadata.json").read_text())
     assert record["experiment"]["n_restarts"] == 3
     assert record["experiment"]["master_seed"] == 1
 

@@ -350,6 +350,31 @@ def test_a_failed_candidate_is_left_out_of_selection():
         identify(make_tiny(), cfg=IdentifyConfig(n_restarts=3), data=manufactured_data()))
 
 
+def test_unsettled_pruning_fits_no_ensemble_it_does_not_report(monkeypatch):
+    """When pruning never settles, identify stops at the fourth recorded
+    round: every ensemble after the candidates' is a reported round, and
+    the last round's selection is left unfitted."""
+    lib = LibrarySpec.extended().subset(("adv", "dis", "fsorp", "conc", "d3",
+                                         "sq_dx"))
+    fitted = []
+    real_run_ensemble = identification.run_ensemble
+
+    def counting(split, library, cfg):
+        fitted.append(library.term_ids)
+        return real_run_ensemble(split, library, cfg)
+
+    monkeypatch.setattr(identification, "run_ensemble", counting)
+    monkeypatch.setattr(identification, "prune_terms",
+                        lambda library, summary: library.term_ids[:-1])
+    report = identify(make_tiny(), lib, cfg=IdentifyConfig(n_restarts=2),
+                      data=manufactured_data())
+    assert len(report.rounds) == 4
+    assert report.stable is False
+    assert len(fitted) == len(report.candidates) + 3
+    assert [r.library.term_ids for r in report.rounds[1:]] == fitted[-3:]
+    assert report.selected_term_ids == report.final_summary.term_ids[:-1]
+
+
 @st.composite
 def tiny_columns(draw):
     """A tiny column with random transport constants, inlet and sorption."""

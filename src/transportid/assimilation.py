@@ -81,7 +81,8 @@ class AssimilationConfig:
 
 @dataclass
 class IterationRecord:
-    index: int
+    """One evaluated point; its iteration number is its list position."""
+
     m: ModelParams
     eps: float
     lam: float
@@ -92,8 +93,9 @@ class IterationRecord:
 class AssimilationTrace:
     records: list = field(default_factory=list)
     m_final: ModelParams | None = None
-    eps_final: float = float("nan")
     status: str = "running"
+    # What the evaluator returned at m_final: a FitResult from the exact
+    # evaluator, the proxy's own value from a proxy.
     fit: FitResult | None = None
     # Every run is in logit coordinates; perfbench's tracer still reads this.
     transformed = True
@@ -236,14 +238,11 @@ def run_assimilation(evaluator: PredictionErrorEvaluator, m0: ModelParams,
 
     s = s0.copy()
     lam = cfg.lambda0
-    idx = 0
-    trace.records.append(
-        IterationRecord(idx, pack(to_nat(s)), fit.eps, lam, True))
+    trace.records.append(IterationRecord(pack(to_nat(s)), fit.eps, lam, True))
 
     def finish(status: str) -> AssimilationTrace:
         trace.status = status
         trace.m_final = pack(to_nat(s))
-        trace.eps_final = fit.eps
         trace.fit = fit
         return trace
 
@@ -267,7 +266,6 @@ def run_assimilation(evaluator: PredictionErrorEvaluator, m0: ModelParams,
         except Exception:  # noqa: BLE001 - failed trial is a rejection
             ok = False
             eps_trial = float("inf")
-        idx += 1
 
         if ok and eps_trial < fit.eps:
             prev_eps = fit.eps
@@ -275,7 +273,7 @@ def run_assimilation(evaluator: PredictionErrorEvaluator, m0: ModelParams,
             lam = lam / _GAMMA
             accepted += 1
             trace.records.append(
-                IterationRecord(idx, pack(to_nat(s)), fit.eps, lam, True))
+                IterationRecord(pack(to_nat(s)), fit.eps, lam, True))
             if abs(prev_eps - fit.eps) < cfg.tol_rel * prev_eps:
                 return finish("converged")
             if accepted >= cfg.max_accepted:
@@ -286,9 +284,8 @@ def run_assimilation(evaluator: PredictionErrorEvaluator, m0: ModelParams,
         else:
             lam = lam * _GAMMA
             trace.records.append(
-                IterationRecord(idx, pack(to_nat(s_trial)),
-                                eps_trial if ok else float("inf"),
-                                lam, False))
+                IterationRecord(pack(to_nat(s_trial)),
+                                eps_trial if ok else float("inf"), lam, False))
             if ok and eps_trial - fit.eps < cfg.tol_rel * fit.eps:
                 # Flat to within tol_rel, as for an accepted step.
                 return finish("converged")

@@ -61,6 +61,8 @@ class ExperimentConfig:
             problems.append(f"library={self.library!r}")
         if not 0.0 <= self.noise_delta < 1.0:
             problems.append(f"noise_delta={self.noise_delta}")
+        if self.noise_seed < 0:
+            problems.append(f"noise_seed={self.noise_seed}")
         if self.n_restarts < 1:
             problems.append(f"n_restarts={self.n_restarts}")
         if problems:
@@ -156,7 +158,7 @@ def cmd_identify(args) -> int:
     trace_dir.mkdir(exist_ok=True)
     for res in report.final_results:
         write_trace_csv(res, trace_dir / f"run_{res.run_id:03d}.csv")
-    write_summary_json(report, out / "summary.json", data=data)
+    write_summary_json(report, out / "summary.json")
     write_metadata(out / "metadata.json", scen, experiment=cfg.to_dict())
     for failed in report.failed_candidates:
         print(f"candidate {failed.name} failed: {failed.error}")

@@ -102,7 +102,6 @@ class PreparedData:
     """Derivative points ready for regression, plus provenance."""
 
     scenario_name: str
-    config: ScenarioConfig
     split: DataSplit
     noise: NoiseSpec | None
     smoothing_passes: int
@@ -116,7 +115,6 @@ class RunResult:
     m0: ModelParams
     trace: AssimilationTrace
     fit: FitResult
-    library_name: str
 
 
 @dataclass
@@ -129,7 +127,6 @@ class FailedRun:
 class EnsembleSummary:
     """Aggregate statistics over the retained restarts of one round."""
 
-    library_name: str
     term_ids: tuple
     n_runs: int
     retained_run_ids: tuple
@@ -186,9 +183,10 @@ class IdentificationRound:
 
 @dataclass
 class IdentificationReport:
-    scenario_name: str
+    """One experiment's result, with the prepared data it ran on."""
+
+    data: PreparedData
     library_name: str
-    noise: NoiseSpec | None
     candidates: list
     winner_name: str
     rounds: list
@@ -241,9 +239,8 @@ def prepare_dataset(config: ScenarioConfig, scenario_name: str = "custom",
                                     config.conc_floor)
     deriv = compute_derivatives(meas)
     split = split_train_test(deriv, split_ratio)
-    return PreparedData(scenario_name=scenario_name, config=config,
-                        split=split, noise=noise, smoothing_passes=passes,
-                        n_points=deriv.n_points)
+    return PreparedData(scenario_name=scenario_name, split=split, noise=noise,
+                        smoothing_passes=passes, n_points=deriv.n_points)
 
 
 def sample_prior(n: int, bounds: ParamBounds, seed: int) -> list:
@@ -317,10 +314,11 @@ def run_single(evaluator, m0: ModelParams, bounds: ParamBounds,
     """One restart: assimilate m from m0.
 
     On a ``PredictionErrorEvaluator`` its fit is the evaluation the loop
-    accepted last.  On an ``EpsProxy`` the loop runs on proxy values, and
-    the fit, with ``trace.eps_final``, is one exact evaluation at
-    ``m_final``.  ``bounds`` must name exactly the parameters the
-    evaluator's library reads (``ParamBounds.restrict`` selects them).
+    accepted last.  On an ``EpsProxy`` the loop runs on proxy values, so
+    ``trace.fit`` is the last accepted proxy value and the result's fit is
+    one exact evaluation at ``m_final``.  ``bounds`` must name exactly the
+    parameters the evaluator's library reads (``ParamBounds.restrict``
+    selects them).
     """
     reads = evaluator.library.parameter_deps
     if set(bounds.names) != set(reads):
@@ -328,11 +326,9 @@ def run_single(evaluator, m0: ModelParams, bounds: ParamBounds,
             f"bounds name parameters {list(bounds.names)}, but library "
             f"{evaluator.library.name!r} reads {list(reads)}")
     trace = run_assimilation(evaluator, m0, bounds, assim_cfg)
-    if isinstance(evaluator, EpsProxy):
-        trace.fit = evaluator.exact.evaluate(trace.m_final)
-        trace.eps_final = trace.fit.eps
-    return RunResult(run_id=run_id, seed=seed, m0=m0, trace=trace,
-                     fit=trace.fit, library_name=evaluator.library.name)
+    fit = (evaluator.exact.evaluate(trace.m_final)
+           if isinstance(evaluator, EpsProxy) else trace.fit)
+    return RunResult(run_id=run_id, seed=seed, m0=m0, trace=trace, fit=fit)
 
 
 def run_ensemble(split: DataSplit, library: LibrarySpec, cfg: IdentifyConfig):
@@ -396,7 +392,6 @@ def aggregate_summary(library: LibrarySpec, retained: list, screened: list,
     m_mat = np.array([r.trace.m_final.as_array() for r in retained])
     names = retained[0].trace.m_final.names
     return EnsembleSummary(
-        library_name=library.name,
         term_ids=library.term_ids,
         n_runs=len(retained) + len(screened) + len(failures),
         retained_run_ids=tuple(r.run_id for r in retained),
@@ -457,8 +452,6 @@ def _candidate_splits(library: LibrarySpec) -> list:
             ids = tuple(t.id for t in library.terms
                         if not t.is_sorption or t.id == term.id)
             out.append((term.id, ids))
-    if not out:
-        raise ValidationError("library has no usable terms")
     return out
 
 
@@ -478,7 +471,7 @@ def identify(scenario, library="basic", noise: NoiseSpec | None = None,
 
     ``scenario`` is a preset name or a ScenarioConfig; ``data`` can carry
     a previously prepared dataset to share across experiments; the report
-    records the noise of the data it ran on, not ``noise``.  Every
+    holds the data it ran on, whose noise need not be ``noise``.  Every
     ensemble reuses the same master seed, so rerunning with an unchanged
     term set reproduces identical coefficients.  A candidate model whose
     every restart fails is recorded in ``failed_candidates`` with its cause
@@ -527,8 +520,7 @@ def identify(scenario, library="basic", noise: NoiseSpec | None = None,
             break
         current = current.subset(selected)
         summary, results = _ensemble_round(data.split, current, cfg)
-    return IdentificationReport(scenario_name=data.scenario_name,
-                                library_name=library.name, noise=data.noise,
+    return IdentificationReport(data=data, library_name=library.name,
                                 candidates=candidates,
                                 winner_name=winner.name,
                                 rounds=rounds, stable=stable,

@@ -15,7 +15,7 @@ import json
 from pathlib import Path
 
 from .errors import ValidationError, from_record
-from .identification import IdentificationReport, PreparedData, RunResult
+from .identification import IdentificationReport, RunResult
 from .transport import Field, ScenarioConfig, SorptionModel
 
 __all__ = [
@@ -113,7 +113,7 @@ def write_runs_csv(results: list, path) -> None:
         for res in results:
             row = [str(res.run_id), str(res.seed),
                    str(res.trace.n_accepted), res.trace.status,
-                   _fmt(res.trace.eps_final)]
+                   _fmt(res.fit.eps)]
             row += [_fmt(v) for v in res.trace.m_final.values]
             row += [_fmt(v) for v in res.fit.alpha_norm.values]
             row += [_fmt(v) for v in res.fit.alpha_phys.values]
@@ -126,21 +126,21 @@ def write_trace_csv(result: RunResult, path) -> None:
         writer = csv.writer(fh)
         writer.writerow(["iteration", "accepted", "lambda", "eps"]
                         + [f"m_{n}" for n in param_names])
-        for rec in result.trace.records:
-            writer.writerow([str(rec.index), "1" if rec.accepted else "0",
+        for index, rec in enumerate(result.trace.records):
+            writer.writerow([str(index), "1" if rec.accepted else "0",
                              _fmt(rec.lam), _fmt(rec.eps)]
                             + [_fmt(v) for v in rec.m.values])
 
 
-def summary_dict(report: IdentificationReport,
-                 data: PreparedData | None = None) -> dict:
+def summary_dict(report: IdentificationReport) -> dict:
     """JSON-ready digest of one identification experiment."""
     s = report.final_summary
+    data = report.data
     record = {
-        "scenario": report.scenario_name,
+        "scenario": data.scenario_name,
         "library": report.library_name,
-        "noise_delta": 0.0 if report.noise is None else report.noise.delta,
-        "noise_seed": None if report.noise is None else report.noise.seed,
+        "noise_delta": 0.0 if data.noise is None else data.noise.delta,
+        "noise_seed": None if data.noise is None else data.noise.seed,
         "winner": report.winner_name,
         "selected_terms": list(report.selected_term_ids),
         "stable": report.stable,
@@ -173,21 +173,19 @@ def summary_dict(report: IdentificationReport,
              "term_ids": list(c.summary.term_ids)}
             for c in report.candidates
         ],
+        "smoothing_passes": data.smoothing_passes,
+        "n_points": data.n_points,
     }
     if report.failed_candidates:
         record["failed_candidates"] = [
             {"name": f.name, "term_ids": list(f.term_ids), "error": f.error}
             for f in report.failed_candidates
         ]
-    if data is not None:
-        record["smoothing_passes"] = data.smoothing_passes
-        record["n_points"] = data.n_points
     return record
 
 
-def write_summary_json(report: IdentificationReport, path,
-                       data: PreparedData | None = None) -> None:
-    record = summary_dict(report, data)
+def write_summary_json(report: IdentificationReport, path) -> None:
+    record = summary_dict(report)
     Path(path).write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
 
 

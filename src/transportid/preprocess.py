@@ -269,9 +269,6 @@ class DataSplit:
 
     train: DerivativeField
     test: DerivativeField
-    ratio: float
-    n_train_steps: int
-    n_test_steps: int
 
 
 def split_train_test(points: DerivativeField, ratio: float = 0.6) -> DataSplit:
@@ -287,10 +284,5 @@ def split_train_test(points: DerivativeField, ratio: float = 0.6) -> DataSplit:
         )
     cutoff = steps[n_train]
     in_train = points.t_index < cutoff
-    return DataSplit(
-        train=points.select(in_train),
-        test=points.select(~in_train),
-        ratio=ratio,
-        n_train_steps=n_train,
-        n_test_steps=steps.size - n_train,
-    )
+    return DataSplit(train=points.select(in_train),
+                     test=points.select(~in_train))

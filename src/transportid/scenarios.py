@@ -30,29 +30,28 @@ def _fast(sorption: SorptionModel) -> ScenarioConfig:
     return ScenarioConfig(sorption=sorption, **cfg)
 
 
-def _presets() -> dict:
-    return {
-        "s1": _base(SorptionModel.none()),
-        "s2": _base(SorptionModel.freundlich(k_f=0.05, a=0.7)),
-        "s3": _base(SorptionModel.langmuir(k_l=100.0, s_bar=0.003)),
-        "s2-kf01": _base(SorptionModel.freundlich(k_f=0.1, a=0.7)),
-        "s3-kl60": _base(SorptionModel.langmuir(k_l=60.0, s_bar=0.003)),
-        "s2-fast": _fast(SorptionModel.freundlich(k_f=0.05, a=0.7)),
-        "s3-fast": _fast(SorptionModel.langmuir(k_l=100.0, s_bar=0.003)),
-    }
+# Built once; the configs are frozen, so every caller can share them.
+_PRESETS = {
+    "s1": _base(SorptionModel.none()),
+    "s2": _base(SorptionModel.freundlich(k_f=0.05, a=0.7)),
+    "s3": _base(SorptionModel.langmuir(k_l=100.0, s_bar=0.003)),
+    "s2-kf01": _base(SorptionModel.freundlich(k_f=0.1, a=0.7)),
+    "s3-kl60": _base(SorptionModel.langmuir(k_l=60.0, s_bar=0.003)),
+    "s2-fast": _fast(SorptionModel.freundlich(k_f=0.05, a=0.7)),
+    "s3-fast": _fast(SorptionModel.langmuir(k_l=100.0, s_bar=0.003)),
+}
 
 
 def scenario_names() -> tuple:
-    return tuple(sorted(_presets()))
+    return tuple(sorted(_PRESETS))
 
 
 def get_scenario(name: str) -> ScenarioConfig:
-    presets = _presets()
     try:
-        return presets[name]
+        return _PRESETS[name]
     except KeyError:
         raise ValidationError(
-            f"unknown scenario {name!r}; known: {sorted(presets)}") from None
+            f"unknown scenario {name!r}; known: {sorted(_PRESETS)}") from None
 
 
 def true_coefficients(name: str) -> dict:

@@ -361,7 +361,7 @@ def test_trace_bookkeeping_on_recovery_run():
     assert all(b < a for a, b in zip(eps_seq, eps_seq[1:]))
     accepted_ms = [r.m for r in tr.records if r.accepted]
     assert tr.m_final == accepted_ms[-1]
-    assert tr.eps_final == eps_seq[-1]
+    assert tr.fit.eps == eps_seq[-1]
     # Rejected proposals raise the damping, accepted ones relax it.
     for prev, cur in zip(tr.records, tr.records[1:]):
         if not cur.accepted:

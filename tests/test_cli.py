@@ -13,11 +13,11 @@ from conftest import (MALFORMED_SUMMARIES, make_tiny, package_env,
                       summary_record, tiny_dict, zero_conc_split)
 from transportid.assimilation import AssimilationConfig
 from transportid.cli import ExperimentConfig, main
-from transportid.identification import IdentifyConfig, PreparedData
+from transportid.identification import IdentifyConfig, PreparedData, identify
 from transportid.errors import SolverError, ValidationError
 from transportid.persist import (read_summary_json, scenario_from_dict,
-                                 write_field_csv)
-from transportid.preprocess import SmoothingConfig
+                                 summary_dict, write_field_csv)
+from transportid.preprocess import NoiseSpec, SmoothingConfig
 from transportid.transport import ScenarioConfig, sample_measurements, simulate
 
 
@@ -242,6 +242,20 @@ def test_identify_writes_runs_summary_traces(tmp_path, capsys):
     assert "dC/dt = " in printed
 
 
+def test_python_summary_equals_the_cli_summary(tmp_path):
+    """``summary_dict`` of a report built in Python holds exactly what the
+    CLI writes to summary.json for the same scenario, noise and seeds,
+    smoothing passes and point count included."""
+    out = tmp_path / "out"
+    assert main(["identify", "--scenario", "s2-fast", "--noise", "0.05",
+                 "--restarts", "2", "--out", str(out)]) == 0
+    report = identify("s2-fast", noise=NoiseSpec(0.05),
+                      cfg=IdentifyConfig(n_restarts=2))
+    written = json.loads((out / "summary.json").read_text())
+    assert written["smoothing_passes"] == 2
+    assert json.loads(json.dumps(summary_dict(report))) == written
+
+
 def test_jobs_key_and_flag_exit_2(tmp_path, capsys):
     """The ``jobs`` key and ``--jobs`` flag are gone: restarts always ran
     serially, so a config or script that still sets them is a
@@ -367,6 +381,7 @@ def test_exit_validation_on_bad_config(tmp_path):
     '"upper": [0.7, 140.0]}}',
     '{"master_seed": -1}',
     '{"noise_delta": 0.05, "noise_seed": -1}',
+    '{"noise_seed": -1}',
 ])
 def test_exit_validation_on_bad_numbers(tmp_path, capsys, text):
     record = {"n_restarts": 2, **json.loads(text)}
@@ -374,6 +389,17 @@ def test_exit_validation_on_bad_numbers(tmp_path, capsys, text):
     assert main(["identify", "--config", str(cfg_path)]) == 2
     assert capsys.readouterr().err.startswith("error:")
     assert not (tmp_path / "out" / "summary.json").exists()
+
+
+def test_negative_noise_seed_flag_exits_2_without_noise(tmp_path, capsys):
+    """A negative noise seed is an invalid key even when no noise is drawn,
+    as it is with noise."""
+    out = tmp_path / "out"
+    assert main(["identify", "--scenario", "s1", "--restarts", "2",
+                 "--noise-seed", "-1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: invalid config keys: noise_seed=-1\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("key", ["c0", "conc_floor"])
@@ -461,8 +487,8 @@ def zero_conc_data(config, name, **kwargs):
     """``prepare_dataset`` on data whose first point has C = 0, where the
     Freundlich candidate cannot be evaluated."""
     split = zero_conc_split()
-    return PreparedData(scenario_name=name, config=config, split=split,
-                        noise=None, smoothing_passes=0,
+    return PreparedData(scenario_name=name, split=split, noise=None,
+                        smoothing_passes=0,
                         n_points=split.train.n_points + split.test.n_points)
 
 

@@ -39,8 +39,8 @@ def adf_split():
 
 def manufactured_data(split=None):
     split = split or adf_split()
-    return PreparedData(scenario_name="manufactured", config=make_tiny(),
-                        split=split, noise=None, smoothing_passes=0,
+    return PreparedData(scenario_name="manufactured", split=split,
+                        noise=None, smoothing_passes=0,
                         n_points=split.train.n_points + split.test.n_points)
 
 
@@ -55,7 +55,7 @@ def make_summary(library, alpha_norm_mean, alpha_abs=None):
         alpha_abs = np.abs(alpha_norm_mean)
     k = alpha_norm_mean.size
     return EnsembleSummary(
-        library_name=library.name, term_ids=library.term_ids, n_runs=1,
+        term_ids=library.term_ids, n_runs=1,
         retained_run_ids=(0,), screened_run_ids=(), failed_run_ids=(),
         alpha_norm_mean=alpha_norm_mean, alpha_norm_std=np.zeros(k),
         alpha_abs_norm_mean=np.asarray(alpha_abs, dtype=float),
@@ -176,7 +176,7 @@ def test_run_single_recovers_on_analytic_data():
                      cfg.bounds.restrict(("a",)), cfg.assimilation,
                      run_id=7, seed=3)
     assert out.run_id == 7 and out.seed == 3
-    assert out.library_name == lib.name
+    assert out.fit.alpha_norm.term_ids == lib.term_ids
     assert out.fit.m == out.trace.m_final
     assert abs(out.trace.m_final["a"] - 0.6) < 0.01
 
@@ -211,7 +211,6 @@ def test_run_single_takes_the_fit_the_loop_accepted(monkeypatch):
     assert events[-1] == "returned"
     assert out.fit is out.trace.fit
     assert out.fit.m == out.trace.m_final
-    assert out.fit.eps == out.trace.eps_final
 
 
 def test_run_single_rejects_bounds_the_library_does_not_read():
@@ -425,8 +424,9 @@ def test_identify_records_the_noise_of_the_data_it_ran_on():
     data = prepare_dataset(get_scenario("s2-fast"), "s2-fast", noise=noise)
     report = identify("s2-fast", cfg=IdentifyConfig(n_restarts=2), data=data)
     assert data.smoothing_passes == 2
-    assert report.noise == noise
-    assert summary_dict(report, data=data)["noise_delta"] == 0.05
+    assert report.data is data and report.data.noise == noise
+    record = summary_dict(report)
+    assert record["noise_delta"] == 0.05 and record["smoothing_passes"] == 2
 
 
 # --------------------------------------------------------------- proxy
@@ -472,7 +472,8 @@ def test_proxy_matches_the_evaluator(sorption_proxy, source, term, u):
 def test_restarts_on_the_proxy_match_the_exact_path(sorption_proxy, source,
                                                     term):
     """The same restarts through run_single end with the same statuses
-    and, to 1e-8, the same m_final; the proxy run's fit is exact."""
+    and, to 1e-8, the same m_final.  The proxy run's fit is exact, and
+    its trace keeps the proxy's own value at m_final."""
     proxy = sorption_proxy(source, term)
     cfg = IdentifyConfig()
     bounds = cfg.bounds.restrict(proxy.library.parameter_deps)
@@ -484,7 +485,7 @@ def test_restarts_on_the_proxy_match_the_exact_path(sorption_proxy, source,
         np.testing.assert_allclose(fast.trace.m_final.values,
                                    exact.trace.m_final.values, rtol=1e-8)
         assert fast.fit.m == fast.trace.m_final
-        assert fast.trace.eps_final == fast.fit.eps
+        assert fast.trace.fit == proxy.evaluate(fast.trace.m_final)
         assert fast.fit.eps == proxy.exact.evaluate(fast.trace.m_final).eps
 
 

@@ -60,12 +60,11 @@ def adf_runs():
 @pytest.fixture(scope="module")
 def adf_report():
     split = split_train_test(manufactured_field(ADF_ALPHA), 0.6)
-    data = PreparedData(scenario_name="manufactured", config=make_tiny(),
-                        split=split, noise=None, smoothing_passes=0,
+    data = PreparedData(scenario_name="manufactured", split=split,
+                        noise=None, smoothing_passes=0,
                         n_points=split.train.n_points + split.test.n_points)
-    report = identify(make_tiny(), cfg=IdentifyConfig(n_restarts=3, master_seed=1),
-                      data=data)
-    return report, data
+    return identify(make_tiny(), cfg=IdentifyConfig(n_restarts=3, master_seed=1),
+                    data=data)
 
 
 def csv_rows(path) -> list:
@@ -222,7 +221,7 @@ def test_runs_csv_round_trip(adf_runs, tmp_path):
         assert rec["seed"] == "5"
         assert rec["n_iterations"] == str(res.trace.n_accepted)
         assert rec["termination"] == res.trace.status
-        assert float(rec["eps_final"]) == res.trace.eps_final
+        assert float(rec["eps_final"]) == res.fit.eps
         assert float(rec["m_a"]) == res.trace.m_final.values[0]
         for j, tid in enumerate(res.fit.alpha_norm.term_ids):
             assert float(rec[f"alpha_norm_{tid}"]) == res.fit.alpha_norm.values[j]
@@ -253,11 +252,11 @@ def run_tables(draw):
         trace = SimpleNamespace(
             n_accepted=draw(st.integers(1, 400)),
             status=draw(st.sampled_from(_STATUSES)),
-            eps_final=draw(_ANY_FLOAT),
             m_final=ModelParams(names, tuple(draw(_FINITE) for _ in names)))
         coefficients = [tuple(draw(_ANY_FLOAT) for _ in term_ids)
                         for _ in range(2)]
         fit = SimpleNamespace(
+            eps=draw(_ANY_FLOAT),
             alpha_norm=SimpleNamespace(term_ids=term_ids,
                                        values=coefficients[0]),
             alpha_phys=SimpleNamespace(values=coefficients[1]))
@@ -280,7 +279,7 @@ def test_runs_csv_round_trip_property(tmp_path, runs):
         expected = {"run_id": res.run_id, "seed": res.seed,
                     "n_iterations": res.trace.n_accepted,
                     "termination": res.trace.status,
-                    "eps_final": res.trace.eps_final}
+                    "eps_final": res.fit.eps}
         expected.update(zip((f"m_{n}" for n in res.trace.m_final.names),
                             res.trace.m_final.values))
         for kind in ("alpha_norm", "alpha_phys"):
@@ -305,7 +304,7 @@ def test_trace_csv_layout(adf_runs, tmp_path):
     assert first[0] == "0" and first[1] == "1"
     rec = result.trace.records[2]
     cells = lines[3].split(",")
-    assert int(cells[0]) == rec.index
+    assert cells[0] == "2"
     assert cells[1] == ("1" if rec.accepted else "0")
     assert float(cells[2]) == rec.lam
     assert float(cells[3]) == rec.eps
@@ -315,9 +314,9 @@ def test_trace_csv_layout(adf_runs, tmp_path):
 # -------------------------------------------------------- summary JSON
 
 def test_summary_json_round_trip(adf_report, tmp_path):
-    report, data = adf_report
+    report = adf_report
     path = tmp_path / "summary.json"
-    write_summary_json(report, path, data=data)
+    write_summary_json(report, path)
 
     record = read_summary_json(path)
     assert record["scenario"] == "manufactured"
@@ -329,7 +328,7 @@ def test_summary_json_round_trip(adf_report, tmp_path):
     assert record["stable"] is True
     assert record["equation"] == report.equation
     assert record["smoothing_passes"] == 0
-    assert record["n_points"] == data.n_points
+    assert record["n_points"] == report.data.n_points
 
     summary = report.final_summary
     assert [t["id"] for t in record["terms"]] == list(summary.term_ids)
@@ -341,7 +340,7 @@ def test_summary_json_round_trip(adf_report, tmp_path):
     assert [c["name"] for c in record["candidates"]] == ["none", "fsorp", "lsorp"]
 
     again = tmp_path / "again.json"
-    write_summary_json(report, again, data=data)
+    write_summary_json(report, again)
     assert path.read_bytes() == again.read_bytes()
 
 
@@ -351,13 +350,13 @@ def test_summary_json_round_trip(adf_report, tmp_path):
        noise=st.one_of(st.none(),
                        st.builds(NoiseSpec, delta=st.floats(0.0, 0.99),
                                  seed=st.integers(0, 2**32))),
-       with_data=st.booleans(), failure=st.one_of(st.none(), st.text()))
+       passes=st.integers(0, 2), failure=st.one_of(st.none(), st.text()))
 def test_summary_json_round_trip_property(adf_report, tmp_path, draw, noise,
-                                          with_data, failure):
+                                          passes, failure):
     """``read_summary_json`` returns exactly ``summary_dict``'s digest, for
-    arbitrary ensemble statistics, with or without noise, prepared data and
-    a failed candidate."""
-    report, data = adf_report
+    arbitrary ensemble statistics, smoothing passes, with or without noise
+    and a failed candidate."""
+    report = adf_report
     summary = report.final_summary
     k, p = len(summary.term_ids), len(summary.param_names)
 
@@ -373,22 +372,21 @@ def test_summary_json_round_trip_property(adf_report, tmp_path, draw, noise,
                                summary=dataclasses.replace(summary, **arrays))
     failed = ([] if failure is None
               else [FailedCandidate("lsorp", ("adv", "lsorp"), failure)])
+    data = dataclasses.replace(report.data, noise=noise,
+                               smoothing_passes=passes)
     changed = dataclasses.replace(report, rounds=report.rounds[:-1] + [last],
-                                  noise=noise, failed_candidates=failed)
-    data = data if with_data else None
+                                  data=data, failed_candidates=failed)
     path = tmp_path / "summary.json"
-    write_summary_json(changed, path, data=data)
+    write_summary_json(changed, path)
     back = read_summary_json(path)
-    expected = summary_dict(changed, data)
+    expected = summary_dict(changed)
     assert back == expected
     # Signed zeros, and ints against floats.
     assert json.dumps(back, sort_keys=True) == json.dumps(expected, sort_keys=True)
 
 
 def test_summary_json_reader_guards(adf_report, tmp_path):
-    report, _ = adf_report
-
-    partial = dict(summary_dict(report))
+    partial = dict(summary_dict(adf_report))
     del partial["equation"]
     path = tmp_path / "partial.json"
     path.write_text(json.dumps(partial))
@@ -426,8 +424,8 @@ def test_summary_json_reader_names_a_byte_that_is_not_utf8(tmp_path):
 
 
 def test_report_table_single_summary(adf_report):
-    report, data = adf_report
-    rows = report_table([summary_dict(report, data)])
+    report = adf_report
+    rows = report_table([summary_dict(report)])
     assert len(rows) == 1
     row = rows[0]
     assert row["scenario"] == "manufactured"
@@ -443,7 +441,7 @@ def test_summaries_carry_only_the_parameters_read(pipeline):
     """s1 ends parameter-free, s2 on Freundlich and s3 on Langmuir: each
     summary lists only its final library's parameters, and the table
     leaves the others blank."""
-    records = [summary_dict(pipeline.report(name), pipeline.dataset(name))
+    records = [summary_dict(pipeline.report(name))
                for name in ("s1", "s2", "s3")]
     assert [[p["name"] for p in rec["params"]] for rec in records] == [
         [], ["a"], ["K_l"]]

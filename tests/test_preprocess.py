@@ -493,20 +493,23 @@ def synthetic_points(n_steps=10, n_x=3):
                            c_xxx=flat, c2_x=flat, c2_xx=flat, c2_xxx=flat)
 
 
+def n_steps(points):
+    return np.unique(points.t_index).size
+
+
 def test_split_is_chronological_partition():
     pts = synthetic_points(n_steps=10, n_x=3)
     split = split_train_test(pts, 0.5)
-    assert split.n_train_steps == 5 and split.n_test_steps == 5
+    assert n_steps(split.train) == 5 and n_steps(split.test) == 5
     assert split.train.t_index.max() < split.test.t_index.min()
     assert split.train.n_points + split.test.n_points == pts.n_points
-    assert split.ratio == 0.5
 
 
 def test_split_uses_floor_of_ratio():
     pts = synthetic_points(n_steps=7, n_x=3)
     split = split_train_test(pts, 0.6)
-    assert split.n_train_steps == 4  # floor(0.6 * 7)
-    assert split.n_test_steps == 3
+    assert n_steps(split.train) == 4  # floor(0.6 * 7)
+    assert n_steps(split.test) == 3
 
 
 def test_split_ratio_guards():

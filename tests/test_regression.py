@@ -363,11 +363,9 @@ def test_evaluator_error_parity_too_few_points_and_empty_test():
     pts = manufactured_field({"adv": -0.01, "dis": 0.01, "fsorp": -0.15})
     lib = LibrarySpec.basic()
     order = np.arange(pts.n_points)
-    few = DataSplit(train=pts.select(order < 3), test=pts.select(order >= 3),
-                    ratio=0.6, n_train_steps=1, n_test_steps=1)
+    few = DataSplit(train=pts.select(order < 3), test=pts.select(order >= 3))
     assert raised_by_both(few, lib, M_MID, ValidationError) == (
         "fewer points than candidate terms",) * 2
-    empty = DataSplit(train=pts, test=pts.select(order < 0), ratio=0.6,
-                      n_train_steps=1, n_test_steps=0)
+    empty = DataSplit(train=pts, test=pts.select(order < 0))
     assert raised_by_both(empty, lib, M_MID, ValidationError) == (
         "empty test set",) * 2

@@ -1,6 +1,7 @@
 """Solver-level checks: isotherms, configuration guards, mass accounting,
 grid convergence and measurement sampling."""
 
+import re
 from contextlib import contextmanager
 from dataclasses import replace
 
@@ -112,8 +113,12 @@ def test_preset_catalogue_and_true_values():
     assert true_parameters("s2")["a"] == pytest.approx(0.7)
     assert true_parameters("s3")["K_l"] == pytest.approx(100.0)
     assert true_coefficients("s2-fast")["adv"] == pytest.approx(-0.05)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError,
+                       match=re.escape(f"unknown scenario 's99'; known: "
+                                       f"{sorted(names)}")):
         get_scenario("s99")
+    # The presets are built once and shared; they are frozen.
+    assert get_scenario("s2") is get_scenario("s2")
 
 
 @pytest.mark.parametrize("floor", [0.0, 5e-5])

@@ -16,6 +16,11 @@ backward Euler.  The sorption slope is handled by Picard iteration; every
 sweep solves one tridiagonal system with LAPACK ``gtsv`` on work buffers.
 Without sorption the system does not depend on C: it is factored once with
 ``gttrf`` and each step is a single ``gttrs`` solve on the whole column.
+The three routines are called through ``ctypes`` from the ILP64 OpenBLAS
+(scipy-openblas64) that numpy's wheels bundle and ``numpy.linalg`` loads;
+a numpy whose LAPACK lacks them makes ``import transportid`` raise
+ImportError.  ``simulate`` checks the arrays of its solves and builds their
+ctypes arguments once per window of its work buffers, not once per solve.
 The scheme conserves mass discretely, which the simulator can track through
 a running flux audit.
 
@@ -41,11 +46,13 @@ the measurement sampler masks entries at or below the detection floor.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs
+from numpy.linalg import _umath_linalg
 
 from .errors import SolverError, ValidationError, check_numbers, is_real
 
@@ -317,34 +324,204 @@ class SimDiagnostics:
         return np.abs(closure - self.injected_mass) / scale
 
 
+# numpy's PyPI wheels bundle the ILP64 OpenBLAS scipy-openblas64, whose
+# LAPACK symbols carry a scipy_ prefix and a 64_ suffix and take 64-bit
+# integers.  numpy.linalg's extension links it, so a handle on that
+# extension resolves them through its dependencies.
+_LAPACK_SYMBOLS = ("scipy_dgtsv_64_", "scipy_dgttrf_64_", "scipy_dgttrs_64_")
+
+
+def _bind_lapack(lib) -> tuple:
+    """``lib``'s gtsv, gttrf and gttrs, which return nothing to ctypes.
+
+    Raises ImportError, naming numpy's LAPACK, if ``lib`` lacks one of them.
+    """
+    try:
+        routines = tuple(getattr(lib, name) for name in _LAPACK_SYMBOLS)
+    except AttributeError:
+        lapack = np.show_config(mode="dicts").get("Build Dependencies", {}).get("lapack", {})
+        raise ImportError(
+            f"transportid needs LAPACK's {', '.join(_LAPACK_SYMBOLS)} from the "
+            "scipy-openblas64 library that numpy >= 2 wheels from PyPI bundle; "
+            f"this numpy's LAPACK ({lapack.get('name')} {lapack.get('version')}) "
+            "lacks them") from None
+    # argtypes stay unset: ctypes would call one converter per argument on
+    # every solve, about 1 us a call, or 3 % of s2's simulate.  Every call
+    # passes only references made by ``_address`` and ``ctypes.byref``, and
+    # gttrs's trailing CHARACTER length (gfortran ABI) as a c_size_t.
+    for routine in routines:
+        routine.restype = None
+    return routines
+
+
+_gtsv, _gttrf, _gttrs = _bind_lapack(ctypes.CDLL(_umath_linalg.__file__))
+
+
+def _check_vector(name: str, array, size: int | None = None,
+                  written: bool = False) -> None:
+    """Raise ValidationError unless ``array`` is a C-contiguous 1-D float64
+    array of ``size`` entries, writable if LAPACK writes it.  A raw LAPACK
+    call checks none of this, and reads or writes past a short buffer."""
+    if not (isinstance(array, np.ndarray) and array.dtype == np.float64
+            and array.ndim == 1 and array.flags.c_contiguous):
+        raise ValidationError(f"{name} must be a C-contiguous 1-D float64 array")
+    if size is not None and array.size != size:
+        raise ValidationError(f"{name} must hold {size} entries, got {array.size}")
+    if written and not array.flags.writeable:
+        raise ValidationError(f"{name} must be writable: LAPACK overwrites it")
+
+
+def _check_matrix(lower, diag, upper, written: bool) -> int:
+    """Check a tridiagonal matrix's arrays as ``_check_vector`` does and
+    return its order n >= 1."""
+    _check_vector("diag", diag, written=written)
+    n = diag.size
+    if n < 1:
+        raise ValidationError("a tridiagonal system needs at least one equation")
+    _check_vector("lower", lower, n - 1)
+    _check_vector("upper", upper, n - 1)
+    return n
+
+
+def _address(array: np.ndarray):
+    """A ctypes reference to a writable array's data, which keeps the array
+    alive; an empty array, of which LAPACK reads nothing, gets None (NULL)."""
+    return ctypes.byref(ctypes.c_char.from_buffer(array)) if array.size else None
+
+
+class _Factors:
+    """LU factors of a tridiagonal matrix from LAPACK ``gttrf``: dl, d, du
+    (n - 1, n and n - 1 entries), du2 (n - 2) and the pivots ipiv (n)."""
+
+    __slots__ = ("n", "dl", "d", "du", "du2", "ipiv", "pointers")
+
+    def __init__(self, lower: np.ndarray, diag: np.ndarray, upper: np.ndarray) -> None:
+        self.n = diag.size
+        self.dl, self.d, self.du = lower.copy(), diag.copy(), upper.copy()
+        self.du2 = np.empty(max(self.n - 2, 0))
+        self.ipiv = np.empty(self.n, dtype=np.int64)
+        self.pointers = tuple(_address(a) for a in (self.dl, self.d, self.du,
+                                                    self.du2, self.ipiv))
+
+
+class _GtsvBinding:
+    """``gtsv`` bound to ``solve_banded``'s four arrays: they are checked,
+    and the call with its ctypes arguments is built, once.  gtsv overwrites
+    the off-diagonals, so it works on the copies dl and du."""
+
+    __slots__ = ("lower", "diag", "upper", "rhs", "dl", "du", "pointers", "info",
+                 "call")
+
+    def __init__(self, lower, diag, upper, rhs) -> None:
+        n = _check_matrix(lower, diag, upper, written=True)
+        _check_vector("rhs", rhs, n, written=True)
+        dl, du = np.empty(n - 1), np.empty(n - 1)
+        self._bind(lower, diag, upper, rhs, dl, du,
+                   tuple(_address(a) for a in (dl, diag, du, rhs)))
+
+    def _bind(self, lower, diag, upper, rhs, dl, du, pointers: tuple) -> None:
+        self.lower, self.diag, self.upper, self.rhs = lower, diag, upper, rhs
+        self.dl, self.du, self.pointers = dl, du, pointers
+        self.info = ctypes.c_int64(0)
+        size = ctypes.byref(ctypes.c_int64(diag.size))
+        dl_p, diag_p, du_p, rhs_p = pointers
+        self.call = functools.partial(_gtsv, size, ctypes.byref(ctypes.c_int64(1)), dl_p,
+                                      diag_p, du_p, rhs_p, size, ctypes.byref(self.info))
+
+    def window(self, lower, diag, upper, rhs) -> "_GtsvBinding":
+        """This binding for a leading part of its system, whose arrays
+        ``lower``, ``diag``, ``upper`` and ``rhs`` must be views starting at
+        the bound arrays' first entries.  Only their sizes are checked: the
+        pointers and the scratch copies are the bound ones."""
+        n = diag.size
+        if not (1 <= n <= self.diag.size and lower.size == upper.size == n - 1
+                and rhs.size == n):
+            raise ValidationError(f"no window of order {n} of an order-{self.diag.size} system")
+        window = _GtsvBinding.__new__(_GtsvBinding)
+        window._bind(lower, diag, upper, rhs, self.dl[:n - 1], self.du[:n - 1], self.pointers)
+        return window
+
+
+class _GttrsBinding:
+    """``gttrs`` bound to ``solve_factored``'s factors and right-hand side:
+    ``rhs`` is checked, and the call with its ctypes arguments is built,
+    once."""
+
+    __slots__ = ("factors", "rhs", "info", "call")
+
+    def __init__(self, factors, rhs) -> None:
+        if not isinstance(factors, _Factors):
+            raise ValidationError("factors must come from factor_banded")
+        _check_vector("rhs", rhs, factors.n, written=True)
+        self.factors, self.rhs = factors, rhs
+        self.info = ctypes.c_int64(0)
+        size = ctypes.byref(ctypes.c_int64(factors.n))
+        self.call = functools.partial(
+            _gttrs, ctypes.byref(ctypes.c_char(b"N")), size,
+            ctypes.byref(ctypes.c_int64(1)), *factors.pointers, _address(rhs), size,
+            ctypes.byref(self.info), ctypes.c_size_t(1))
+
+
 def solve_banded(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
-                 rhs: np.ndarray) -> np.ndarray:
-    """Solve a tridiagonal system with LAPACK ``gtsv``.
+                 rhs: np.ndarray, bound: _GtsvBinding | None = None) -> np.ndarray:
+    """Solve a tridiagonal system with LAPACK ``gtsv``; returns ``rhs``,
+    which holds the solution.
 
     ``lower`` and ``upper`` are the n - 1 sub- and super-diagonal entries,
-    ``diag`` the n diagonal ones.  ``diag`` and ``rhs`` are overwritten.  No
-    finiteness check is made; a singular system raises SolverError.
+    ``diag`` the n diagonal ones; all four arrays are C-contiguous 1-D
+    float64, or ValidationError is raised before LAPACK is called.  ``diag``
+    and ``rhs`` are overwritten.  ``bound``, a ``_GtsvBinding`` of these
+    same arrays, skips the checks and the ctypes set-up of a repeated solve.
+    No finiteness check is made; a singular system raises SolverError.
     """
-    _, _, _, x, info = dgtsv(lower, diag, upper, rhs, overwrite_d=1, overwrite_b=1)
-    if info != 0:
-        raise SolverError(f"tridiagonal solve failed (LAPACK gtsv info = {info})")
-    return x
+    if bound is None:
+        bound = _GtsvBinding(lower, diag, upper, rhs)
+    elif not (bound.lower is lower and bound.diag is diag and bound.upper is upper
+              and bound.rhs is rhs):
+        raise ValidationError("bound is not bound to these arrays")
+    bound.dl[:] = lower
+    bound.du[:] = upper
+    bound.call()
+    if bound.info.value != 0:
+        raise SolverError(
+            f"tridiagonal solve failed (LAPACK gtsv info = {bound.info.value})")
+    return rhs
 
 
-def factor_banded(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray) -> tuple:
-    """LU factors (dl, d, du, du2, ipiv) of a tridiagonal matrix by LAPACK
-    ``gttrf``.  A singular matrix raises SolverError."""
-    *factors, info = dgttrf(lower, diag, upper)
-    if info != 0:
-        raise SolverError(f"tridiagonal factorization failed (LAPACK gttrf info = {info})")
-    return tuple(factors)
+def factor_banded(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray) -> _Factors:
+    """LU factors of a tridiagonal matrix by LAPACK ``gttrf``, for
+    ``solve_factored``; the arrays are checked as ``solve_banded`` checks
+    them and are not changed.  A singular matrix raises SolverError."""
+    n = _check_matrix(lower, diag, upper, written=False)
+    factors = _Factors(lower, diag, upper)
+    info = ctypes.c_int64(0)
+    _gttrf(ctypes.byref(ctypes.c_int64(n)), *factors.pointers, ctypes.byref(info))
+    if info.value != 0:
+        raise SolverError(
+            f"tridiagonal factorization failed (LAPACK gttrf info = {info.value})")
+    return factors
 
 
-def solve_factored(factors: tuple, rhs: np.ndarray) -> np.ndarray:
-    """Solve with ``factor_banded``'s factors by LAPACK ``gttrs``, whose only
-    failure is a malformed argument.  ``rhs`` is overwritten.  No finiteness
-    check is made."""
-    return dgttrs(*factors, rhs, overwrite_b=1)[0]
+def solve_factored(factors: _Factors, rhs: np.ndarray,
+                   bound: _GttrsBinding | None = None) -> np.ndarray:
+    """Solve with ``factor_banded``'s factors by LAPACK ``gttrs``; returns
+    ``rhs``, which is overwritten with the solution.
+
+    ``rhs`` is a C-contiguous 1-D float64 array of the factors' order, or
+    ValidationError is raised before LAPACK is called.  ``bound``, a
+    ``_GttrsBinding`` of these same arguments, skips that check and the
+    ctypes set-up of a repeated solve.  A failure that LAPACK reports raises
+    SolverError.  No finiteness check is made.
+    """
+    if bound is None:
+        bound = _GttrsBinding(factors, rhs)
+    elif not (bound.factors is factors and bound.rhs is rhs):
+        raise ValidationError("bound is not bound to these arguments")
+    bound.call()
+    if bound.info.value != 0:
+        raise SolverError(
+            f"tridiagonal solve failed (LAPACK gttrs info = {bound.info.value})")
+    return rhs
 
 
 def _measurement_shape(config: ScenarioConfig) -> tuple:
@@ -449,9 +626,18 @@ def simulate(config: ScenarioConfig, return_diagnostics: bool = False):
 
     def system(hi: int) -> tuple:
         """The constant arrays, the linear model's factors (None with
-        sorption) and the work buffers of the window [0, hi)."""
-        return (vol_over_dt[:hi], diag_flux[:hi], lower[:hi - 1], upper[:hi - 1],
-                lu, tuple(work[:, :hi]))
+        sorption), the work buffers of the window [0, hi) and their LAPACK
+        bindings: the gttrs solve into ``diff``, or one gtsv solve into each
+        right-hand side buffer, both windows of the full grid's."""
+        low, up, buffers = lower[:hi - 1], upper[:hi - 1], tuple(work[:, :hi])
+        _, _, diag, _, _, diff, *rhs_pair = buffers
+        if hi == n_nodes:
+            bound = (_GttrsBinding(lu, diff) if lu is not None else
+                     tuple(_GtsvBinding(low, diag, up, rhs) for rhs in rhs_pair))
+        else:
+            bound = tuple(b.window(low, diag, up, rhs)
+                          for b, rhs in zip(full_grid[-1], rhs_pair))
+        return vol_over_dt[:hi], diag_flux[:hi], low, up, lu, buffers, bound
 
     full_grid = system(n_nodes)
 
@@ -459,13 +645,13 @@ def simulate(config: ScenarioConfig, return_diagnostics: bool = False):
         """Backward-Euler step on ``window``'s nodes: (c, cs, sweeps), valid
         until the next call."""
         nonlocal solves
-        vdt, flux, low, up, factors, buffers = window
+        vdt, flux, low, up, factors, buffers, bound = window
         theta_c, s, diag, cs_k, den, diff, *rhs_pair = buffers
         np.multiply(c_old, theta, out=theta_c)  # theta * c^n, once per step
         if factors is not None:  # rhs = vdt * (theta * c^n + 0.0), which turns -0 into +0
             rhs = np.multiply(np.add(theta_c, 0.0, out=diff), vdt, out=diff)
             rhs[0] += flux_in
-            c_new = solve_factored(factors, rhs)
+            c_new = solve_factored(factors, rhs, bound)
             solves += 1
             if not np.isfinite(c_new).all():
                 raise SolverError(f"non-finite concentration at t = {t_next:.3f} s")
@@ -483,13 +669,14 @@ def simulate(config: ScenarioConfig, return_diagnostics: bool = False):
             diag *= vdt
             diag += flux
             s *= c_k
-            rhs = np.subtract(cs_old, cs_k if sweep > 1 else cs_old, out=rhs_pair[sweep % 2])
+            slot = sweep % 2
+            rhs = np.subtract(cs_old, cs_k if sweep > 1 else cs_old, out=rhs_pair[slot])
             rhs += s
             rhs *= rho_b
             rhs += theta_c
             rhs *= vdt
             rhs[0] += flux_in
-            c_new = solve_banded(low, diag, up, rhs)
+            c_new = solve_banded(low, diag, up, rhs, bound[slot])
             solves += 1
             delta = float(np.abs(np.subtract(c_new, c_k, out=diff), out=diff).max())
             if not math.isfinite(delta):

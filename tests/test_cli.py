@@ -321,6 +321,33 @@ def test_report_process_exits_2_without_a_traceback(tmp_path):
     assert proc.stderr == f"error: {bad}: not a JSON object\n"
 
 
+def test_cli_process_never_imports_scipy(tmp_path):
+    """The solver calls numpy's own LAPACK: a fresh interpreter that runs
+    ``identify`` on a tiny Freundlich config (gtsv in every Picard sweep)
+    and ``simulate`` on the tiny linear one (gttrf and gttrs) loads no scipy
+    module."""
+    freundlich = {"kind": "freundlich", "k_f": 0.05, "a": 0.7}
+    linear_path = tiny_config(tmp_path)
+    sorbing_path = tmp_path / "freundlich.json"
+    sorbing_path.write_text(json.dumps(
+        {"scenario": "custom", "n_restarts": 2,
+         "custom_scenario": tiny_dict() | {"sorption": freundlich}}))
+    script = """
+import sys
+from transportid.cli import main
+linear, sorbing, out = sys.argv[1:]
+assert main(["identify", "--config", sorbing, "--out", out + "/id"]) == 0
+assert main(["simulate", "--config", linear, "--out", out + "/sim"]) == 0
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, loaded
+"""
+    proc = subprocess.run([sys.executable, "-c", script, str(linear_path),
+                           str(sorbing_path), str(tmp_path / "out")],
+                          env=package_env(), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "out" / "id" / "summary.json").exists()
+
+
 # ----------------------------------------------------------- exit codes
 
 def test_exit_validation_on_bad_config(tmp_path):

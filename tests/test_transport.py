@@ -1,6 +1,7 @@
 """Solver-level checks: isotherms, configuration guards, mass accounting,
 grid convergence and measurement sampling."""
 
+import ctypes
 import re
 from contextlib import contextmanager
 from dataclasses import replace
@@ -277,13 +278,13 @@ def recorded_solve_sizes():
     sizes = []
     banded, factored = transport.solve_banded, transport.solve_factored
 
-    def recording_banded(lower, diag, upper, rhs):
+    def recording_banded(lower, diag, upper, rhs, *bound):
         sizes.append(diag.size)
-        return banded(lower, diag, upper, rhs)
+        return banded(lower, diag, upper, rhs, *bound)
 
-    def recording_factored(factors, rhs):
+    def recording_factored(factors, rhs, *bound):
         sizes.append(rhs.size)
-        return factored(factors, rhs)
+        return factored(factors, rhs, *bound)
 
     transport.solve_banded = recording_banded
     transport.solve_factored = recording_factored
@@ -450,6 +451,192 @@ def test_factor_banded_rejects_singular_matrices():
         transport.factor_banded(np.zeros(2), np.zeros(3), np.zeros(2))
 
 
+# ------------------------------------------------ LAPACK binding vs scipy
+
+def _random_system(n, kind, seed):
+    """lower, diag, upper and rhs of a random tridiagonal system: standard
+    normal; of integers in [-2, 2], with ties between pivots and, mostly,
+    exactly singular; diagonally dominant; or singular, a dominant system
+    with one row of zeros."""
+    rng = np.random.default_rng(seed)
+    sizes = (n - 1, n, n - 1)
+    if kind == "integer":
+        lower, diag, upper = (rng.integers(-2, 3, k).astype(float) for k in sizes)
+    else:
+        lower, diag, upper = (rng.normal(size=k) for k in sizes)
+    if kind in ("dominant", "singular"):
+        diag = (np.abs(diag) + 1.0 + np.abs(np.append(lower, 0.0))
+                + np.abs(np.append(0.0, upper)))
+    if kind == "singular":
+        row = rng.integers(n)
+        diag[row] = 0.0
+        lower[row - 1:row] = 0.0
+        upper[row:row + 1] = 0.0
+    return lower, diag, upper, rng.normal(size=n)
+
+
+def _bits(array):
+    return np.ascontiguousarray(array, dtype=float).view(np.uint64)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 400),
+       kind=st.sampled_from(["normal", "integer", "dominant", "singular"]),
+       seed=st.integers(0, 2**32 - 1))
+@example(n=1, kind="singular", seed=0)
+@example(n=2, kind="singular", seed=0)
+@example(n=2, kind="normal", seed=0)
+def test_lapack_binding_equals_scipy(n, kind, seed):
+    """solve_banded, and factor_banded followed by solve_factored, equal
+    scipy's dgtsv, dgttrf and dgttrs bit for bit, and raise SolverError on
+    exactly the systems where scipy reports info > 0.  Neither changes the
+    off-diagonals, nor factor_banded the diagonal."""
+    lapack = pytest.importorskip("scipy.linalg.lapack")
+    lower, diag, upper, rhs = _random_system(n, kind, seed)
+    inputs = [a.copy() for a in (lower, diag, upper)]
+
+    # scipy's wrappers reject empty off-diagonals and du2: at n = 1 its dgtsv
+    # is given unread ones of length 1, and below n = 3 its dgttrf cannot be
+    # called, so there the factored solve is held to gtsv's result, which
+    # takes the same steps.
+    off = (lambda a: a) if n > 1 else (lambda a: np.zeros(1))
+    *_, x_ref, info = lapack.dgtsv(off(lower), diag, off(upper), rhs)
+    if info > 0:
+        with pytest.raises(SolverError, match="gtsv info"):
+            transport.solve_banded(lower, diag.copy(), upper, rhs.copy())
+    else:
+        assert info == 0
+        x = transport.solve_banded(lower, diag.copy(), upper, rhs.copy())
+        assert np.array_equal(_bits(x), _bits(x_ref))
+    if n < 3:
+        if info > 0:
+            with pytest.raises(SolverError, match="gttrf info"):
+                transport.factor_banded(lower, diag, upper)
+        else:
+            x = transport.solve_factored(transport.factor_banded(lower, diag, upper),
+                                         rhs.copy())
+            assert np.array_equal(_bits(x), _bits(x_ref))
+    else:
+        *factors_ref, info = lapack.dgttrf(lower, diag, upper)
+        if info > 0:
+            with pytest.raises(SolverError, match="gttrf info"):
+                transport.factor_banded(lower, diag, upper)
+        else:
+            assert info == 0
+            factors = transport.factor_banded(lower, diag, upper)
+            dl, d, du, du2, ipiv = factors_ref
+            for ours, ref in ((factors.dl, dl), (factors.d, d), (factors.du, du),
+                              (factors.du2, du2)):
+                assert np.array_equal(_bits(ours), _bits(ref))
+            assert np.array_equal(factors.ipiv, ipiv)
+            x_ref, info = lapack.dgttrs(dl, d, du, du2, ipiv, rhs)
+            assert info == 0
+            x = transport.solve_factored(factors, rhs.copy())
+            assert np.array_equal(_bits(x), _bits(x_ref))
+    for before, after in zip(inputs, (lower, diag, upper)):
+        assert np.array_equal(_bits(before), _bits(after))
+
+
+def _system(n=4):
+    return np.full(n - 1, -1.0), np.full(n, 4.0), np.full(n - 1, -1.0), np.ones(n)
+
+
+def _read_only(array):
+    array.flags.writeable = False
+    return array
+
+
+_LOW, _DIAG, _UP, _RHS = _system()
+_FACTORS = transport.factor_banded(_LOW, _DIAG, _UP)
+
+_MALFORMED_CALLS = {
+    "gtsv-lower-short": lambda: transport.solve_banded(
+        np.ones(2), _DIAG.copy(), _UP, _RHS.copy()),
+    "gtsv-upper-long": lambda: transport.solve_banded(
+        _LOW, _DIAG.copy(), np.ones(4), _RHS.copy()),
+    "gtsv-rhs-short": lambda: transport.solve_banded(
+        _LOW, _DIAG.copy(), _UP, np.ones(3)),
+    "gtsv-rhs-matrix": lambda: transport.solve_banded(
+        _LOW, _DIAG.copy(), _UP, np.ones((4, 1))),
+    "gtsv-diag-strided": lambda: transport.solve_banded(
+        _LOW, np.full(8, 4.0)[::2], _UP, _RHS.copy()),
+    "gtsv-rhs-float32": lambda: transport.solve_banded(
+        _LOW, _DIAG.copy(), _UP, np.ones(4, dtype=np.float32)),
+    "gtsv-lower-int": lambda: transport.solve_banded(
+        np.ones(3, dtype=np.int64), _DIAG.copy(), _UP, _RHS.copy()),
+    "gtsv-upper-list": lambda: transport.solve_banded(
+        _LOW, _DIAG.copy(), [-1.0, -1.0, -1.0], _RHS.copy()),
+    "gtsv-diag-read-only": lambda: transport.solve_banded(
+        _LOW, _read_only(_DIAG.copy()), _UP, _RHS.copy()),
+    "gtsv-rhs-read-only": lambda: transport.solve_banded(
+        _LOW, _DIAG.copy(), _UP, _read_only(_RHS.copy())),
+    "gtsv-empty": lambda: transport.solve_banded(
+        np.ones(0), np.ones(0), np.ones(0), np.ones(0)),
+    "gtsv-other-binding": lambda: transport.solve_banded(
+        _LOW, _DIAG.copy(), _UP, _RHS.copy(),
+        transport._GtsvBinding(*_system())),
+    "gtsv-window-too-large": lambda: transport._GtsvBinding(*_system()).window(
+        *_system(5)),
+    "gtsv-window-rhs-short": lambda: transport._GtsvBinding(*_system()).window(
+        *_system(3)[:3], np.ones(2)),
+    "gttrf-lower-short": lambda: transport.factor_banded(np.ones(2), _DIAG, _UP),
+    "gttrf-diag-float32": lambda: transport.factor_banded(
+        _LOW, _DIAG.astype(np.float32), _UP),
+    "gttrf-upper-strided": lambda: transport.factor_banded(
+        _LOW, _DIAG, np.ones(6)[::2]),
+    "gttrf-empty": lambda: transport.factor_banded(np.ones(0), np.ones(0), np.ones(0)),
+    "gttrs-rhs-long": lambda: transport.solve_factored(_FACTORS, np.ones(5)),
+    "gttrs-rhs-strided": lambda: transport.solve_factored(_FACTORS, np.ones(8)[::2]),
+    "gttrs-rhs-read-only": lambda: transport.solve_factored(
+        _FACTORS, _read_only(_RHS.copy())),
+    "gttrs-factors-tuple": lambda: transport.solve_factored(
+        (_LOW, _DIAG, _UP, np.ones(2), np.arange(1, 5)), _RHS.copy()),
+    "gttrs-other-binding": lambda: transport.solve_factored(
+        _FACTORS, _RHS.copy(), transport._GttrsBinding(_FACTORS, _RHS.copy())),
+}
+
+
+def _printed(capfd) -> str:
+    """What reached stdout and stderr; OpenBLAS prints its complaints to
+    stdout through C stdio, so that is flushed first."""
+    ctypes.CDLL(None).fflush(None)
+    out, err = capfd.readouterr()
+    return out + err
+
+
+@pytest.mark.parametrize("call", _MALFORMED_CALLS.values(), ids=_MALFORMED_CALLS.keys())
+def test_malformed_arrays_never_reach_lapack(capfd, call):
+    """A raw LAPACK call checks no array, so each helper raises
+    ValidationError first; LAPACK's own "** On entry to" complaint about an
+    argument is never printed."""
+    with pytest.raises(ValidationError):
+        call()
+    assert "** On entry to" not in _printed(capfd)
+
+
+def test_lapack_argument_complaints_are_captured(capfd):
+    """The control for the test above: an illegal argument that does reach
+    LAPACK (n = -1) prints its complaint where capfd captures it."""
+    minus_one, one, info = ctypes.c_int64(-1), ctypes.c_int64(1), ctypes.c_int64(0)
+    buffer = np.zeros(1)
+    address = ctypes.c_void_p(buffer.ctypes.data)
+    transport._gtsv(ctypes.byref(minus_one), ctypes.byref(one), address, address,
+                    address, address, ctypes.byref(one), ctypes.byref(info))
+    assert info.value == -1
+    assert "** On entry to DGTSV" in _printed(capfd)
+
+
+def test_missing_lapack_symbols_raise_one_import_error():
+    """A numpy whose LAPACK lacks the scipy-openblas64 symbols makes the
+    import fail with one line that names that LAPACK."""
+    with pytest.raises(ImportError) as raised:
+        transport._bind_lapack(object())
+    message = str(raised.value)
+    lapack = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]
+    assert "\n" not in message
+    assert "scipy_dgtsv_64_" in message and lapack["name"] in message
+
+
 @pytest.mark.parametrize("sorption", [SorptionModel.none(), TINY_FREUNDLICH])
 def test_non_finite_solution_raises_at_once(monkeypatch, sorption):
     """The linear model solves with its factors, the others with gtsv."""
@@ -457,7 +644,8 @@ def test_non_finite_solution_raises_at_once(monkeypatch, sorption):
 
     def nan_solve(*args):
         calls.append(1)
-        return np.full_like(args[-1], np.nan)
+        rhs = args[1] if sorption.kind == "none" else args[3]
+        return np.full_like(rhs, np.nan)
 
     solver = "solve_factored" if sorption.kind == "none" else "solve_banded"
     monkeypatch.setattr(transport, solver, nan_solve)

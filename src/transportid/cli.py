@@ -128,7 +128,7 @@ def cmd_simulate(args) -> int:
     out = _ensure_outdir(cfg)
     scen = cfg.scenario_config()
     noise = cfg.noise_spec()
-    sim = simulate(scen)
+    sim, _ = simulate(scen)
     clean = sample_measurements(sim, scen)
     write_field_csv(clean, out / "measurements_clean.csv")
     written = ["measurements_clean.csv"]

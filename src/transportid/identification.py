@@ -111,7 +111,6 @@ class PreparedData:
 @dataclass
 class RunResult:
     run_id: int
-    seed: int
     m0: ModelParams
     trace: AssimilationTrace
     fit: FitResult
@@ -229,7 +228,7 @@ def prepare_dataset(config: ScenarioConfig, scenario_name: str = "custom",
     output before derivatives are taken.  Either way every value at or
     below ``conc_floor`` is masked.
     """
-    sim = simulate(config)
+    sim, _ = simulate(config)
     passes = 0
     if noise is None or noise.delta == 0.0:
         meas = sample_measurements(sim, config)
@@ -309,8 +308,7 @@ def build_proxy(evaluator: PredictionErrorEvaluator,
 
 
 def run_single(evaluator, m0: ModelParams, bounds: ParamBounds,
-               assim_cfg: AssimilationConfig, run_id: int = 0,
-               seed: int = 0) -> RunResult:
+               assim_cfg: AssimilationConfig, run_id: int = 0) -> RunResult:
     """One restart: assimilate m from m0.
 
     On a ``PredictionErrorEvaluator`` its fit is the evaluation the loop
@@ -328,7 +326,7 @@ def run_single(evaluator, m0: ModelParams, bounds: ParamBounds,
     trace = run_assimilation(evaluator, m0, bounds, assim_cfg)
     fit = (evaluator.exact.evaluate(trace.m_final)
            if isinstance(evaluator, EpsProxy) else trace.fit)
-    return RunResult(run_id=run_id, seed=seed, m0=m0, trace=trace, fit=fit)
+    return RunResult(run_id=run_id, m0=m0, trace=trace, fit=fit)
 
 
 def run_ensemble(split: DataSplit, library: LibrarySpec, cfg: IdentifyConfig):
@@ -361,8 +359,7 @@ def run_ensemble(split: DataSplit, library: LibrarySpec, cfg: IdentifyConfig):
     failures: list = []
     for i, m0 in enumerate(m0s):
         try:
-            results.append(run_single(objective, m0, bounds,
-                                      cfg.assimilation, i, cfg.master_seed))
+            results.append(run_single(objective, m0, bounds, cfg.assimilation, i))
         except TransportIdError as exc:
             failures.append(FailedRun(run_id=i, error=str(exc)))
     return results, failures

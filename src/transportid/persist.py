@@ -103,7 +103,7 @@ def write_runs_csv(results: list, path) -> None:
     first: RunResult = results[0]
     param_names = first.trace.m_final.names
     term_ids = first.fit.alpha_norm.term_ids
-    header = (["run_id", "seed", "n_iterations", "termination", "eps_final"]
+    header = (["run_id", "n_iterations", "termination", "eps_final"]
               + [f"m_{n}" for n in param_names]
               + [f"alpha_norm_{t}" for t in term_ids]
               + [f"alpha_phys_{t}" for t in term_ids])
@@ -111,8 +111,7 @@ def write_runs_csv(results: list, path) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         for res in results:
-            row = [str(res.run_id), str(res.seed),
-                   str(res.trace.n_accepted), res.trace.status,
+            row = [str(res.run_id), str(res.trace.n_accepted), res.trace.status,
                    _fmt(res.fit.eps)]
             row += [_fmt(v) for v in res.trace.m_final.values]
             row += [_fmt(v) for v in res.fit.alpha_norm.values]

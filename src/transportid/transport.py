@@ -19,8 +19,9 @@ Without sorption the system does not depend on C: it is factored once with
 The three routines are called through ``ctypes`` from the ILP64 OpenBLAS
 (scipy-openblas64) that numpy's wheels bundle and ``numpy.linalg`` loads;
 a numpy whose LAPACK lacks them makes ``import transportid`` raise
-ImportError.  ``simulate`` checks the arrays of its solves and builds their
-ctypes arguments once per window of its work buffers, not once per solve.
+ImportError.  A solve takes one argument, a binding that checked its arrays
+and built their ctypes arguments; ``simulate`` binds its work buffers once
+per window of the grid, not once per solve.
 The scheme conserves mass discretely, which the simulator can track through
 a running flux audit.
 
@@ -405,55 +406,39 @@ class _Factors:
 
 
 class _GtsvBinding:
-    """``gtsv`` bound to ``solve_banded``'s four arrays: they are checked,
-    and the call with its ctypes arguments is built, once.  gtsv overwrites
-    the off-diagonals, so it works on the copies dl and du."""
+    """``gtsv`` bound to a tridiagonal system for ``solve_banded``: its n - 1
+    sub- and super-diagonal entries, n diagonal ones and right-hand side are
+    checked, and the call with its ctypes arguments is built, once.  gtsv
+    overwrites all four arrays, so it works on copies dl and du of ``lower``
+    and ``upper``."""
 
-    __slots__ = ("lower", "diag", "upper", "rhs", "dl", "du", "pointers", "info",
-                 "call")
+    __slots__ = ("lower", "upper", "rhs", "dl", "du", "info", "call")
 
     def __init__(self, lower, diag, upper, rhs) -> None:
         n = _check_matrix(lower, diag, upper, written=True)
         _check_vector("rhs", rhs, n, written=True)
-        dl, du = np.empty(n - 1), np.empty(n - 1)
-        self._bind(lower, diag, upper, rhs, dl, du,
-                   tuple(_address(a) for a in (dl, diag, du, rhs)))
-
-    def _bind(self, lower, diag, upper, rhs, dl, du, pointers: tuple) -> None:
-        self.lower, self.diag, self.upper, self.rhs = lower, diag, upper, rhs
-        self.dl, self.du, self.pointers = dl, du, pointers
+        self.lower, self.upper, self.rhs = lower, upper, rhs
+        self.dl, self.du = np.empty(n - 1), np.empty(n - 1)
         self.info = ctypes.c_int64(0)
-        size = ctypes.byref(ctypes.c_int64(diag.size))
-        dl_p, diag_p, du_p, rhs_p = pointers
-        self.call = functools.partial(_gtsv, size, ctypes.byref(ctypes.c_int64(1)), dl_p,
-                                      diag_p, du_p, rhs_p, size, ctypes.byref(self.info))
-
-    def window(self, lower, diag, upper, rhs) -> "_GtsvBinding":
-        """This binding for a leading part of its system, whose arrays
-        ``lower``, ``diag``, ``upper`` and ``rhs`` must be views starting at
-        the bound arrays' first entries.  Only their sizes are checked: the
-        pointers and the scratch copies are the bound ones."""
-        n = diag.size
-        if not (1 <= n <= self.diag.size and lower.size == upper.size == n - 1
-                and rhs.size == n):
-            raise ValidationError(f"no window of order {n} of an order-{self.diag.size} system")
-        window = _GtsvBinding.__new__(_GtsvBinding)
-        window._bind(lower, diag, upper, rhs, self.dl[:n - 1], self.du[:n - 1], self.pointers)
-        return window
+        size = ctypes.byref(ctypes.c_int64(n))
+        self.call = functools.partial(
+            _gtsv, size, ctypes.byref(ctypes.c_int64(1)),
+            *(_address(a) for a in (self.dl, diag, self.du, rhs)), size,
+            ctypes.byref(self.info))
 
 
 class _GttrsBinding:
-    """``gttrs`` bound to ``solve_factored``'s factors and right-hand side:
-    ``rhs`` is checked, and the call with its ctypes arguments is built,
-    once."""
+    """``gttrs`` bound to ``factor_banded``'s factors and a right-hand side
+    for ``solve_factored``: ``rhs`` is checked, and the call with its ctypes
+    arguments is built, once.  Each solve overwrites ``rhs``."""
 
-    __slots__ = ("factors", "rhs", "info", "call")
+    __slots__ = ("rhs", "info", "call")
 
     def __init__(self, factors, rhs) -> None:
         if not isinstance(factors, _Factors):
             raise ValidationError("factors must come from factor_banded")
         _check_vector("rhs", rhs, factors.n, written=True)
-        self.factors, self.rhs = factors, rhs
+        self.rhs = rhs
         self.info = ctypes.c_int64(0)
         size = ctypes.byref(ctypes.c_int64(factors.n))
         self.call = functools.partial(
@@ -462,35 +447,26 @@ class _GttrsBinding:
             ctypes.byref(self.info), ctypes.c_size_t(1))
 
 
-def solve_banded(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
-                 rhs: np.ndarray, bound: _GtsvBinding | None = None) -> np.ndarray:
-    """Solve a tridiagonal system with LAPACK ``gtsv``; returns ``rhs``,
-    which holds the solution.
-
-    ``lower`` and ``upper`` are the n - 1 sub- and super-diagonal entries,
-    ``diag`` the n diagonal ones; all four arrays are C-contiguous 1-D
-    float64, or ValidationError is raised before LAPACK is called.  ``diag``
-    and ``rhs`` are overwritten.  ``bound``, a ``_GtsvBinding`` of these
-    same arrays, skips the checks and the ctypes set-up of a repeated solve.
-    No finiteness check is made; a singular system raises SolverError.
-    """
-    if bound is None:
-        bound = _GtsvBinding(lower, diag, upper, rhs)
-    elif not (bound.lower is lower and bound.diag is diag and bound.upper is upper
-              and bound.rhs is rhs):
-        raise ValidationError("bound is not bound to these arrays")
-    bound.dl[:] = lower
-    bound.du[:] = upper
+def solve_banded(bound: _GtsvBinding) -> np.ndarray:
+    """Solve a ``_GtsvBinding``'s system with LAPACK ``gtsv``; returns its
+    ``rhs``, overwritten with the solution, as its ``diag`` is.  Any other
+    argument raises ValidationError before LAPACK is called.  No finiteness
+    check is made; a singular system raises SolverError."""
+    if not isinstance(bound, _GtsvBinding):
+        raise ValidationError(
+            f"solve_banded needs a _GtsvBinding, not {type(bound).__name__}")
+    bound.dl[:] = bound.lower
+    bound.du[:] = bound.upper
     bound.call()
     if bound.info.value != 0:
         raise SolverError(
             f"tridiagonal solve failed (LAPACK gtsv info = {bound.info.value})")
-    return rhs
+    return bound.rhs
 
 
 def factor_banded(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray) -> _Factors:
     """LU factors of a tridiagonal matrix by LAPACK ``gttrf``, for
-    ``solve_factored``; the arrays are checked as ``solve_banded`` checks
+    ``_GttrsBinding``; the arrays are checked as ``_GtsvBinding`` checks
     them and are not changed.  A singular matrix raises SolverError."""
     n = _check_matrix(lower, diag, upper, written=False)
     factors = _Factors(lower, diag, upper)
@@ -502,26 +478,19 @@ def factor_banded(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray) -> _Fa
     return factors
 
 
-def solve_factored(factors: _Factors, rhs: np.ndarray,
-                   bound: _GttrsBinding | None = None) -> np.ndarray:
-    """Solve with ``factor_banded``'s factors by LAPACK ``gttrs``; returns
-    ``rhs``, which is overwritten with the solution.
-
-    ``rhs`` is a C-contiguous 1-D float64 array of the factors' order, or
-    ValidationError is raised before LAPACK is called.  ``bound``, a
-    ``_GttrsBinding`` of these same arguments, skips that check and the
-    ctypes set-up of a repeated solve.  A failure that LAPACK reports raises
-    SolverError.  No finiteness check is made.
-    """
-    if bound is None:
-        bound = _GttrsBinding(factors, rhs)
-    elif not (bound.factors is factors and bound.rhs is rhs):
-        raise ValidationError("bound is not bound to these arguments")
+def solve_factored(bound: _GttrsBinding) -> np.ndarray:
+    """Solve with a ``_GttrsBinding``'s factors by LAPACK ``gttrs``; returns
+    its ``rhs``, overwritten with the solution.  Any other argument raises
+    ValidationError before LAPACK is called.  A failure that LAPACK reports
+    raises SolverError.  No finiteness check is made."""
+    if not isinstance(bound, _GttrsBinding):
+        raise ValidationError(
+            f"solve_factored needs a _GttrsBinding, not {type(bound).__name__}")
     bound.call()
     if bound.info.value != 0:
         raise SolverError(
             f"tridiagonal solve failed (LAPACK gttrs info = {bound.info.value})")
-    return rhs
+    return bound.rhs
 
 
 def _measurement_shape(config: ScenarioConfig) -> tuple:
@@ -529,16 +498,15 @@ def _measurement_shape(config: ScenarioConfig) -> tuple:
     return config.meas_x_count, n_t
 
 
-def simulate(config: ScenarioConfig, return_diagnostics: bool = False):
-    """Run the transport solver and return the field on the measurement grid.
+def simulate(config: ScenarioConfig) -> tuple[Field, SimDiagnostics]:
+    """Run the transport solver: (field on the measurement grid, diagnostics).
 
     The concentration at every ``meas_dx / sim_dx``-th solver node (x = 0 ..
     (meas_x_count - 1) * meas_dx) is recorded at t = meas_t_start ..
-    meas_t_end in steps of meas_dt, clamped at 0; nothing is masked.  With
-    ``return_diagnostics`` a SimDiagnostics record with the mass audit,
-    taken every ``config.store_dt``, and the solve counts is returned as
-    well; without it no audit is taken.  A singular system or a non-finite
-    concentration raises SolverError.
+    meas_t_end in steps of meas_dt, clamped at 0; nothing is masked.  The
+    SimDiagnostics record holds the mass audit, taken every
+    ``config.store_dt``, and the solve counts.  A singular system or a
+    non-finite concentration raises SolverError.
     """
     if config.d_l <= 0.0:
         raise ValidationError("central differencing requires D_L > 0")
@@ -594,7 +562,7 @@ def simulate(config: ScenarioConfig, return_diagnostics: bool = False):
     outflowed_track = np.zeros(n_audit)
 
     def record(steps_done: int) -> None:
-        if return_diagnostics and steps_done % audit_every == 0:
+        if steps_done % audit_every == 0:
             slot = steps_done // audit_every
             audit_times[slot] = steps_done * dt
             aqueous[slot] = theta * float(vol @ c)
@@ -625,19 +593,14 @@ def simulate(config: ScenarioConfig, return_diagnostics: bool = False):
     work = np.empty((8, n_nodes))
 
     def system(hi: int) -> tuple:
-        """The constant arrays, the linear model's factors (None with
-        sorption), the work buffers of the window [0, hi) and their LAPACK
-        bindings: the gttrs solve into ``diff``, or one gtsv solve into each
-        right-hand side buffer, both windows of the full grid's."""
-        low, up, buffers = lower[:hi - 1], upper[:hi - 1], tuple(work[:, :hi])
+        """The constant arrays and the work buffers of the window [0, hi),
+        and their LAPACK bindings: the linear model's gttrs solve into
+        ``diff``, or one gtsv solve into each right-hand side buffer."""
+        buffers = tuple(work[:, :hi])
         _, _, diag, _, _, diff, *rhs_pair = buffers
-        if hi == n_nodes:
-            bound = (_GttrsBinding(lu, diff) if lu is not None else
-                     tuple(_GtsvBinding(low, diag, up, rhs) for rhs in rhs_pair))
-        else:
-            bound = tuple(b.window(low, diag, up, rhs)
-                          for b, rhs in zip(full_grid[-1], rhs_pair))
-        return vol_over_dt[:hi], diag_flux[:hi], low, up, lu, buffers, bound
+        bound = (tuple(_GtsvBinding(lower[:hi - 1], diag, upper[:hi - 1], rhs)
+                       for rhs in rhs_pair) if nonlinear else _GttrsBinding(lu, diff))
+        return vol_over_dt[:hi], diag_flux[:hi], buffers, bound
 
     full_grid = system(n_nodes)
 
@@ -645,13 +608,13 @@ def simulate(config: ScenarioConfig, return_diagnostics: bool = False):
         """Backward-Euler step on ``window``'s nodes: (c, cs, sweeps), valid
         until the next call."""
         nonlocal solves
-        vdt, flux, low, up, factors, buffers, bound = window
+        vdt, flux, buffers, bound = window
         theta_c, s, diag, cs_k, den, diff, *rhs_pair = buffers
         np.multiply(c_old, theta, out=theta_c)  # theta * c^n, once per step
-        if factors is not None:  # rhs = vdt * (theta * c^n + 0.0), which turns -0 into +0
+        if not nonlinear:  # rhs = vdt * (theta * c^n + 0.0), which turns -0 into +0
             rhs = np.multiply(np.add(theta_c, 0.0, out=diff), vdt, out=diff)
             rhs[0] += flux_in
-            c_new = solve_factored(factors, rhs, bound)
+            c_new = solve_factored(bound)
             solves += 1
             if not np.isfinite(c_new).all():
                 raise SolverError(f"non-finite concentration at t = {t_next:.3f} s")
@@ -676,7 +639,7 @@ def simulate(config: ScenarioConfig, return_diagnostics: bool = False):
             rhs += theta_c
             rhs *= vdt
             rhs[0] += flux_in
-            c_new = solve_banded(low, diag, up, rhs, bound[slot])
+            c_new = solve_banded(bound[slot])
             solves += 1
             delta = float(np.abs(np.subtract(c_new, c_k, out=diff), out=diff).max())
             if not math.isfinite(delta):
@@ -745,8 +708,6 @@ def simulate(config: ScenarioConfig, return_diagnostics: bool = False):
 
     field = Field(measured, x0=0.0, dx=config.meas_dx, t0=config.meas_t_start,
                   dt=config.meas_dt)
-    if not return_diagnostics:
-        return field
     diag = SimDiagnostics(
         times=audit_times,
         aqueous_mass=aqueous,

@@ -162,8 +162,7 @@ class PipelineCache:
     def simulation(self, name):
         """(field, diagnostics) for a preset scenario."""
         if name not in self._sims:
-            self._sims[name] = simulate(get_scenario(name),
-                                        return_diagnostics=True)
+            self._sims[name] = simulate(get_scenario(name))
         return self._sims[name]
 
     @staticmethod

@@ -56,8 +56,7 @@ def _slope_for_solver(c: np.ndarray, model: SorptionModel) -> np.ndarray:
 
 
 def reference_simulate(config: ScenarioConfig):
-    """(field, diagnostics) as ``simulate(config, return_diagnostics=True)``
-    computes them, the slow way."""
+    """(field, diagnostics) as ``simulate(config)`` computes them, the slow way."""
     if config.d_l <= 0.0:
         raise ValidationError("central differencing requires D_L > 0")
     peclet = config.v_x * config.sim_dx / config.d_l

@@ -165,7 +165,7 @@ def test_simulate_writes_clean_field_and_metadata(tmp_path, capsys):
 
     out = tmp_path / "out"
     expected = tmp_path / "expected.csv"
-    write_field_csv(sample_measurements(simulate(make_tiny()), make_tiny()),
+    write_field_csv(sample_measurements(simulate(make_tiny())[0], make_tiny()),
                     expected)
     assert (out / "measurements_clean.csv").read_bytes() == expected.read_bytes()
     assert not (out / "measurements_noisy.csv").exists()

@@ -174,8 +174,8 @@ def test_run_single_recovers_on_analytic_data():
     out = run_single(PredictionErrorEvaluator(split, lib),
                      ModelParams(("a",), (0.45,)),
                      cfg.bounds.restrict(("a",)), cfg.assimilation,
-                     run_id=7, seed=3)
-    assert out.run_id == 7 and out.seed == 3
+                     run_id=7)
+    assert out.run_id == 7
     assert out.fit.alpha_norm.term_ids == lib.term_ids
     assert out.fit.m == out.trace.m_final
     assert abs(out.trace.m_final["a"] - 0.6) < 0.01

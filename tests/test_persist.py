@@ -53,7 +53,7 @@ def adf_runs():
     starts = [ModelParams(("a",), (0.3,)), ModelParams(("a",), (0.7,))]
     evaluator = PredictionErrorEvaluator(split, lib)
     bounds = ParamBounds.default().restrict(("a",))
-    return [run_single(evaluator, m0, bounds, cfg, run_id=i, seed=5)
+    return [run_single(evaluator, m0, bounds, cfg, run_id=i)
             for i, m0 in enumerate(starts)]
 
 
@@ -208,7 +208,7 @@ def test_runs_csv_round_trip(adf_runs, tmp_path):
     write_runs_csv(adf_runs, path)
 
     header = path.read_text().splitlines()[0]
-    assert header == ("run_id,seed,n_iterations,termination,eps_final,"
+    assert header == ("run_id,n_iterations,termination,eps_final,"
                       "m_a,"
                       "alpha_norm_adv,alpha_norm_dis,alpha_norm_fsorp,"
                       "alpha_phys_adv,alpha_phys_dis,alpha_phys_fsorp")
@@ -218,7 +218,6 @@ def test_runs_csv_round_trip(adf_runs, tmp_path):
     assert len(rows) == len(adf_runs)
     for rec, res in zip(rows, adf_runs):
         assert rec["run_id"] == str(res.run_id)
-        assert rec["seed"] == "5"
         assert rec["n_iterations"] == str(res.trace.n_accepted)
         assert rec["termination"] == res.trace.status
         assert float(rec["eps_final"]) == res.fit.eps
@@ -260,9 +259,7 @@ def run_tables(draw):
             alpha_norm=SimpleNamespace(term_ids=term_ids,
                                        values=coefficients[0]),
             alpha_phys=SimpleNamespace(values=coefficients[1]))
-        runs.append(SimpleNamespace(run_id=run_id,
-                                    seed=draw(st.integers(0, 2**63)),
-                                    trace=trace, fit=fit))
+        runs.append(SimpleNamespace(run_id=run_id, trace=trace, fit=fit))
     return runs
 
 
@@ -276,8 +273,7 @@ def test_runs_csv_round_trip_property(tmp_path, runs):
     write_runs_csv(runs, path)
     header, *rows = csv_rows(path)
     for row, res in zip(rows, runs, strict=True):
-        expected = {"run_id": res.run_id, "seed": res.seed,
-                    "n_iterations": res.trace.n_accepted,
+        expected = {"run_id": res.run_id, "n_iterations": res.trace.n_accepted,
                     "termination": res.trace.status,
                     "eps_final": res.fit.eps}
         expected.update(zip((f"m_{n}" for n in res.trace.m_final.names),

@@ -126,7 +126,7 @@ def test_preset_catalogue_and_true_values():
 def test_zero_source_stays_zero(floor):
     """Zero is at or below any floor, so a zero field is masked whole."""
     cfg = make_tiny(c0=0.0, conc_floor=floor)
-    meas = sample_measurements(simulate(cfg), cfg)
+    meas = sample_measurements(simulate(cfg)[0], cfg)
     assert np.all(meas.values == 0.0)
     assert not meas.mask.any()
 
@@ -134,7 +134,7 @@ def test_zero_source_stays_zero(floor):
 def test_concentration_bounded_by_feed():
     """Checked on the recorded window only: the solver keeps no other node."""
     cfg = get_scenario("s1")
-    field = simulate(cfg)
+    field, _ = simulate(cfg)
     assert field.values.max() <= cfg.c0 * (1.0 + 1e-9)
     assert field.values.min() >= -1e-12
 
@@ -169,7 +169,7 @@ def test_measurement_grid_shape(pipeline):
 
 def test_fast_variant_measurement_window():
     cfg = get_scenario("s2-fast")
-    meas = sample_measurements(simulate(cfg), cfg)
+    meas = sample_measurements(simulate(cfg)[0], cfg)
     assert meas.values.shape == (101, 1201)
     assert meas.t0 == pytest.approx(180.0)
     np.testing.assert_allclose(meas.t[-1], 300.0, rtol=1e-12)
@@ -192,15 +192,15 @@ def test_finer_measurement_grid_contains_the_coarse_one():
     coarse = make_tiny()
     fine = make_tiny(meas_dx=0.32, meas_x_count=49, meas_dt=1.0,
                      sim_store_dt=1.0)
-    mc = sample_measurements(simulate(coarse), coarse)
-    mf = sample_measurements(simulate(fine), fine)
+    mc = sample_measurements(simulate(coarse)[0], coarse)
+    mf = sample_measurements(simulate(fine)[0], fine)
     assert np.array_equal(mf.values[::2, ::2], mc.values)
     assert np.array_equal(mf.mask[::2, ::2], mc.mask)
 
 
 def test_window_from_time_zero_starts_with_initial_condition():
     cfg = make_tiny(meas_t_start=0.0)
-    field = simulate(cfg)
+    field, _ = simulate(cfg)
     assert field.values.shape == (25, 351)
     assert field.t0 == 0.0 and field.dt == 2.0
     assert np.all(field.values[:, 0] == 0.0)
@@ -209,7 +209,7 @@ def test_window_from_time_zero_starts_with_initial_condition():
 
 def test_sampling_rejects_a_field_off_the_measurement_grid():
     cfg = make_tiny()
-    field = simulate(cfg)
+    field, _ = simulate(cfg)
     with pytest.raises(ValidationError, match="measurement grid"):
         sample_measurements(field, make_tiny(meas_dt=4.0))
     shifted = Field(field.values, x0=0.0, dx=field.dx, t0=field.t0 + 2.0,
@@ -221,16 +221,16 @@ def test_sampling_rejects_a_field_off_the_measurement_grid():
 def test_no_sorption_equals_zero_freundlich():
     base = make_tiny()
     off = make_tiny(sorption=SorptionModel.freundlich(k_f=0.0, a=0.7))
-    a = sample_measurements(simulate(base), base)
-    b = sample_measurements(simulate(off), off)
+    a = sample_measurements(simulate(base)[0], base)
+    b = sample_measurements(simulate(off)[0], off)
     assert np.max(np.abs(a.values - b.values)) < 1e-12
 
 
 def test_solution_converges_under_grid_refinement():
     coarse = make_tiny(sim_dx=0.16, sim_dt=0.5)
     fine = make_tiny(sim_dx=0.08, sim_dt=0.25)
-    mc = sample_measurements(simulate(coarse), coarse)
-    mf = sample_measurements(simulate(fine), fine)
+    mc = sample_measurements(simulate(coarse)[0], coarse)
+    mf = sample_measurements(simulate(fine)[0], fine)
     rel = np.max(np.abs(mf.values - mc.values)) / mc.values.max()
     assert rel < 5e-3
 
@@ -256,7 +256,7 @@ def _assert_values_match_reference(cfg):
     short of the outlet, the reference still adds outlet values of at most
     _TAIL * c0 per step, which the window holds at 0.
     """
-    field, diag = simulate(cfg, return_diagnostics=True)
+    field, diag = simulate(cfg)
     ref_field, ref_diag = reference_simulate(cfg)
     assert np.array_equal(field.values.view(np.uint64),
                           ref_field.values.view(np.uint64))
@@ -278,13 +278,13 @@ def recorded_solve_sizes():
     sizes = []
     banded, factored = transport.solve_banded, transport.solve_factored
 
-    def recording_banded(lower, diag, upper, rhs, *bound):
-        sizes.append(diag.size)
-        return banded(lower, diag, upper, rhs, *bound)
+    def recording_banded(bound):
+        sizes.append(bound.rhs.size)
+        return banded(bound)
 
-    def recording_factored(factors, rhs, *bound):
-        sizes.append(rhs.size)
-        return factored(factors, rhs, *bound)
+    def recording_factored(bound):
+        sizes.append(bound.rhs.size)
+        return factored(bound)
 
     transport.solve_banded = recording_banded
     transport.solve_factored = recording_factored
@@ -403,23 +403,34 @@ def test_window_falls_back_to_the_full_grid():
 
 
 def test_solve_counts():
-    _, diag = simulate(make_tiny(), return_diagnostics=True)
+    _, diag = simulate(make_tiny())
     assert diag.solves == 700 and diag.max_picard_sweeps == 1
     diag, ref_diag = assert_matches_reference(make_tiny(sorption=TINY_FREUNDLICH))
     assert diag.solves == ref_diag.solves > 2 * 700
 
 
+def gtsv(lower, diag, upper, rhs):
+    """``solve_banded`` on a binding of ``lower``, ``upper`` and copies of
+    ``diag`` and ``rhs``."""
+    return transport.solve_banded(
+        transport._GtsvBinding(lower, diag.copy(), upper, rhs.copy()))
+
+
+def gttrs(factors, rhs):
+    """``solve_factored`` on a binding of ``factors`` and a copy of ``rhs``."""
+    return transport.solve_factored(transport._GttrsBinding(factors, rhs.copy()))
+
+
 def test_solve_banded_rejects_singular_system():
-    x = transport.solve_banded(np.array([1.0]), np.array([2.0, 4.0]),
-                               np.array([1.0]), np.array([3.0, 6.0]))
+    x = gtsv(np.array([1.0]), np.array([2.0, 4.0]), np.array([1.0]),
+             np.array([3.0, 6.0]))
     np.testing.assert_allclose(x, [6.0 / 7.0, 9.0 / 7.0], rtol=1e-15)
     with pytest.raises(SolverError, match="gtsv"):
-        transport.solve_banded(np.zeros(2), np.zeros(3), np.zeros(2),
-                               np.ones(3))
+        gtsv(np.zeros(2), np.zeros(3), np.zeros(2), np.ones(3))
     with pytest.raises(SolverError, match="gtsv"):
         # Rows 1 and 2 are equal: singular although no pivot starts at 0.
-        transport.solve_banded(np.array([1.0, 1.0]), np.array([1.0, 1.0, 1.0]),
-                               np.array([1.0, 0.0]), np.ones(3))
+        gtsv(np.array([1.0, 1.0]), np.array([1.0, 1.0, 1.0]),
+             np.array([1.0, 0.0]), np.ones(3))
 
 
 @settings(max_examples=60, deadline=None)
@@ -441,8 +452,8 @@ def test_factored_solve_like_gtsv(n, peclet, dispersion, storage, seed):
     diag += vol_over_dt
     factors = transport.factor_banded(lower, diag, upper)
     rhs = np.random.default_rng(seed).normal(size=n)
-    x = transport.solve_factored(factors, rhs.copy())
-    ref = transport.solve_banded(lower, diag.copy(), upper, rhs.copy())
+    x = gttrs(factors, rhs)
+    ref = gtsv(lower, diag, upper, rhs)
     assert np.array_equal(x.view(np.uint64), ref.view(np.uint64))
 
 
@@ -503,18 +514,17 @@ def test_lapack_binding_equals_scipy(n, kind, seed):
     *_, x_ref, info = lapack.dgtsv(off(lower), diag, off(upper), rhs)
     if info > 0:
         with pytest.raises(SolverError, match="gtsv info"):
-            transport.solve_banded(lower, diag.copy(), upper, rhs.copy())
+            gtsv(lower, diag, upper, rhs)
     else:
         assert info == 0
-        x = transport.solve_banded(lower, diag.copy(), upper, rhs.copy())
+        x = gtsv(lower, diag, upper, rhs)
         assert np.array_equal(_bits(x), _bits(x_ref))
     if n < 3:
         if info > 0:
             with pytest.raises(SolverError, match="gttrf info"):
                 transport.factor_banded(lower, diag, upper)
         else:
-            x = transport.solve_factored(transport.factor_banded(lower, diag, upper),
-                                         rhs.copy())
+            x = gttrs(transport.factor_banded(lower, diag, upper), rhs)
             assert np.array_equal(_bits(x), _bits(x_ref))
     else:
         *factors_ref, info = lapack.dgttrf(lower, diag, upper)
@@ -531,7 +541,7 @@ def test_lapack_binding_equals_scipy(n, kind, seed):
             assert np.array_equal(factors.ipiv, ipiv)
             x_ref, info = lapack.dgttrs(dl, d, du, du2, ipiv, rhs)
             assert info == 0
-            x = transport.solve_factored(factors, rhs.copy())
+            x = gttrs(factors, rhs)
             assert np.array_equal(_bits(x), _bits(x_ref))
     for before, after in zip(inputs, (lower, diag, upper)):
         assert np.array_equal(_bits(before), _bits(after))
@@ -550,49 +560,49 @@ _LOW, _DIAG, _UP, _RHS = _system()
 _FACTORS = transport.factor_banded(_LOW, _DIAG, _UP)
 
 _MALFORMED_CALLS = {
-    "gtsv-lower-short": lambda: transport.solve_banded(
+    "gtsv-lower-short": lambda: transport._GtsvBinding(
         np.ones(2), _DIAG.copy(), _UP, _RHS.copy()),
-    "gtsv-upper-long": lambda: transport.solve_banded(
+    "gtsv-upper-long": lambda: transport._GtsvBinding(
         _LOW, _DIAG.copy(), np.ones(4), _RHS.copy()),
-    "gtsv-rhs-short": lambda: transport.solve_banded(
+    "gtsv-rhs-short": lambda: transport._GtsvBinding(
         _LOW, _DIAG.copy(), _UP, np.ones(3)),
-    "gtsv-rhs-matrix": lambda: transport.solve_banded(
+    "gtsv-rhs-matrix": lambda: transport._GtsvBinding(
         _LOW, _DIAG.copy(), _UP, np.ones((4, 1))),
-    "gtsv-diag-strided": lambda: transport.solve_banded(
+    "gtsv-diag-strided": lambda: transport._GtsvBinding(
         _LOW, np.full(8, 4.0)[::2], _UP, _RHS.copy()),
-    "gtsv-rhs-float32": lambda: transport.solve_banded(
+    "gtsv-rhs-float32": lambda: transport._GtsvBinding(
         _LOW, _DIAG.copy(), _UP, np.ones(4, dtype=np.float32)),
-    "gtsv-lower-int": lambda: transport.solve_banded(
+    "gtsv-lower-int": lambda: transport._GtsvBinding(
         np.ones(3, dtype=np.int64), _DIAG.copy(), _UP, _RHS.copy()),
-    "gtsv-upper-list": lambda: transport.solve_banded(
+    "gtsv-upper-list": lambda: transport._GtsvBinding(
         _LOW, _DIAG.copy(), [-1.0, -1.0, -1.0], _RHS.copy()),
-    "gtsv-diag-read-only": lambda: transport.solve_banded(
+    "gtsv-diag-read-only": lambda: transport._GtsvBinding(
         _LOW, _read_only(_DIAG.copy()), _UP, _RHS.copy()),
-    "gtsv-rhs-read-only": lambda: transport.solve_banded(
+    "gtsv-rhs-read-only": lambda: transport._GtsvBinding(
         _LOW, _DIAG.copy(), _UP, _read_only(_RHS.copy())),
-    "gtsv-empty": lambda: transport.solve_banded(
+    "gtsv-empty": lambda: transport._GtsvBinding(
         np.ones(0), np.ones(0), np.ones(0), np.ones(0)),
-    "gtsv-other-binding": lambda: transport.solve_banded(
-        _LOW, _DIAG.copy(), _UP, _RHS.copy(),
-        transport._GtsvBinding(*_system())),
-    "gtsv-window-too-large": lambda: transport._GtsvBinding(*_system()).window(
-        *_system(5)),
-    "gtsv-window-rhs-short": lambda: transport._GtsvBinding(*_system()).window(
-        *_system(3)[:3], np.ones(2)),
+    "gtsv-raw-array": lambda: transport.solve_banded(_RHS.copy()),
+    "gtsv-raw-arrays": lambda: transport.solve_banded(
+        (_LOW, _DIAG.copy(), _UP, _RHS.copy())),
+    "gtsv-gttrs-binding": lambda: transport.solve_banded(
+        transport._GttrsBinding(_FACTORS, _RHS.copy())),
     "gttrf-lower-short": lambda: transport.factor_banded(np.ones(2), _DIAG, _UP),
     "gttrf-diag-float32": lambda: transport.factor_banded(
         _LOW, _DIAG.astype(np.float32), _UP),
     "gttrf-upper-strided": lambda: transport.factor_banded(
         _LOW, _DIAG, np.ones(6)[::2]),
     "gttrf-empty": lambda: transport.factor_banded(np.ones(0), np.ones(0), np.ones(0)),
-    "gttrs-rhs-long": lambda: transport.solve_factored(_FACTORS, np.ones(5)),
-    "gttrs-rhs-strided": lambda: transport.solve_factored(_FACTORS, np.ones(8)[::2]),
-    "gttrs-rhs-read-only": lambda: transport.solve_factored(
+    "gttrs-rhs-long": lambda: transport._GttrsBinding(_FACTORS, np.ones(5)),
+    "gttrs-rhs-strided": lambda: transport._GttrsBinding(_FACTORS, np.ones(8)[::2]),
+    "gttrs-rhs-read-only": lambda: transport._GttrsBinding(
         _FACTORS, _read_only(_RHS.copy())),
-    "gttrs-factors-tuple": lambda: transport.solve_factored(
+    "gttrs-factors-tuple": lambda: transport._GttrsBinding(
         (_LOW, _DIAG, _UP, np.ones(2), np.arange(1, 5)), _RHS.copy()),
-    "gttrs-other-binding": lambda: transport.solve_factored(
-        _FACTORS, _RHS.copy(), transport._GttrsBinding(_FACTORS, _RHS.copy())),
+    "gttrs-raw-array": lambda: transport.solve_factored(_RHS.copy()),
+    "gttrs-factors": lambda: transport.solve_factored(_FACTORS),
+    "gttrs-gtsv-binding": lambda: transport.solve_factored(
+        transport._GtsvBinding(*_system())),
 }
 
 
@@ -606,7 +616,8 @@ def _printed(capfd) -> str:
 
 @pytest.mark.parametrize("call", _MALFORMED_CALLS.values(), ids=_MALFORMED_CALLS.keys())
 def test_malformed_arrays_never_reach_lapack(capfd, call):
-    """A raw LAPACK call checks no array, so each helper raises
+    """A raw LAPACK call checks no array, so a binding's constructor,
+    factor_banded, and a solve given anything but its own binding raise
     ValidationError first; LAPACK's own "** On entry to" complaint about an
     argument is never printed."""
     with pytest.raises(ValidationError):
@@ -642,10 +653,9 @@ def test_non_finite_solution_raises_at_once(monkeypatch, sorption):
     """The linear model solves with its factors, the others with gtsv."""
     calls = []
 
-    def nan_solve(*args):
+    def nan_solve(bound):
         calls.append(1)
-        rhs = args[1] if sorption.kind == "none" else args[3]
-        return np.full_like(rhs, np.nan)
+        return np.full_like(bound.rhs, np.nan)
 
     solver = "solve_factored" if sorption.kind == "none" else "solve_banded"
     monkeypatch.setattr(transport, solver, nan_solve)
@@ -653,9 +663,3 @@ def test_non_finite_solution_raises_at_once(monkeypatch, sorption):
         simulate(make_tiny(sorption=sorption))
     assert len(calls) == 1
 
-
-def test_field_does_not_depend_on_the_audit():
-    cfg = make_tiny(sorption=TINY_FREUNDLICH)
-    audited, _ = simulate(cfg, return_diagnostics=True)
-    assert np.array_equal(simulate(cfg).values.view(np.uint64),
-                          audited.values.view(np.uint64))

@@ -12,19 +12,19 @@ from .identification import (EnsembleSummary, IdentificationReport,
                              prepare_dataset, run_ensemble, run_single)
 from .library import (CoefficientVector, DesignMatrix, LibrarySpec,
                       NormalizationStats, TermSpec, denormalize_coefficients,
-                      evaluate_terms, normalize_design, term_by_id)
+                      normalize_design, term_by_id)
 from .params import ModelParams, ParamBounds
 from .preprocess import (DataSplit, DerivativeField, NoiseSpec,
                          SmoothingConfig, add_noise, compute_derivatives,
                          smooth_field, split_train_test)
-from .regression import (FitResult, PredictionErrorEvaluator, fit_design,
+from .regression import (FitResult, PredictionErrorEvaluator,
                          least_squares_fit, prediction_error)
 from .scenarios import (get_scenario, scenario_names, true_coefficients,
                         true_parameters)
 from .transport import (Field, ScenarioConfig, SorptionModel, isotherm_value,
                         sample_measurements, simulate)
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 __all__ = [
     "AssimilationConfig", "AssimilationTrace", "run_assimilation",
@@ -34,13 +34,13 @@ __all__ = [
     "ModelCandidate", "PreparedData", "RunResult", "identify",
     "learned_equation", "prepare_dataset", "run_ensemble", "run_single",
     "CoefficientVector", "DesignMatrix", "LibrarySpec", "NormalizationStats",
-    "TermSpec", "denormalize_coefficients", "evaluate_terms",
-    "normalize_design", "term_by_id",
+    "TermSpec", "denormalize_coefficients", "normalize_design",
+    "term_by_id",
     "ModelParams", "ParamBounds",
     "DataSplit", "DerivativeField", "NoiseSpec", "SmoothingConfig",
     "add_noise", "compute_derivatives", "smooth_field", "split_train_test",
-    "FitResult", "PredictionErrorEvaluator", "fit_design",
-    "least_squares_fit", "prediction_error",
+    "FitResult", "PredictionErrorEvaluator", "least_squares_fit",
+    "prediction_error",
     "get_scenario", "scenario_names", "true_coefficients", "true_parameters",
     "Field", "ScenarioConfig", "SorptionModel", "isotherm_value",
     "sample_measurements", "simulate",

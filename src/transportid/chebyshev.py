@@ -107,9 +107,7 @@ class ChebyshevInterpolant:
     of [lo, hi].
 
     ``cutoff`` is the number of coefficients ``standard_chop`` kept; it
-    accepted the rest as noise.  ``tail`` bounds that dropped series
-    anywhere in the interval: the number of dropped coefficients times
-    the largest of them.  Calling it outside [lo, hi] raises
+    accepted the rest as noise.  Calling it outside [lo, hi] raises
     ``ValidationError``; it never extrapolates.
     """
 
@@ -121,8 +119,6 @@ class ChebyshevInterpolant:
         self.points = chebyshev_points(n)
         self.coefficients = chebyshev_coefficients(self.values)
         self.cutoff = standard_chop(self.coefficients)
-        dropped = np.abs(self.coefficients[self.cutoff:])
-        self.tail = float(dropped.size * dropped.max(initial=0.0))
         weights = (-1.0) ** np.arange(n + 1)
         weights[0] /= 2.0
         weights[n] /= 2.0

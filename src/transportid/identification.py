@@ -105,7 +105,10 @@ class PreparedData:
     split: DataSplit
     noise: NoiseSpec | None
     smoothing_passes: int
-    n_points: int
+
+    @property
+    def n_points(self) -> int:
+        return self.split.train.n_points + self.split.test.n_points
 
 
 @dataclass
@@ -127,7 +130,6 @@ class EnsembleSummary:
     """Aggregate statistics over the retained restarts of one round."""
 
     term_ids: tuple
-    n_runs: int
     retained_run_ids: tuple
     screened_run_ids: tuple
     failed_run_ids: tuple
@@ -141,12 +143,10 @@ class EnsembleSummary:
     param_std: np.ndarray
     eps_values: np.ndarray
 
-    def term_stat(self, term_id: str, which: str = "alpha_phys_mean") -> float:
-        arr = getattr(self, which)
-        for j, tid in enumerate(self.term_ids):
-            if tid == term_id:
-                return float(arr[j])
-        raise ValidationError(f"term {term_id!r} not in summary")
+    @property
+    def n_runs(self) -> int:
+        return (len(self.retained_run_ids) + len(self.screened_run_ids)
+                + len(self.failed_run_ids))
 
 
 @dataclass
@@ -192,12 +192,6 @@ class IdentificationReport:
     stable: bool
     failed_candidates: list
 
-    def candidate(self, name: str) -> ModelCandidate:
-        for cand in self.candidates:
-            if cand.name == name:
-                return cand
-        raise ValidationError(f"no candidate model named {name!r}")
-
     @property
     def final_summary(self) -> EnsembleSummary:
         return self.rounds[-1].summary
@@ -239,7 +233,7 @@ def prepare_dataset(config: ScenarioConfig, scenario_name: str = "custom",
     deriv = compute_derivatives(meas)
     split = split_train_test(deriv, split_ratio)
     return PreparedData(scenario_name=scenario_name, split=split, noise=noise,
-                        smoothing_passes=passes, n_points=deriv.n_points)
+                        smoothing_passes=passes)
 
 
 def sample_prior(n: int, bounds: ParamBounds, seed: int) -> list:
@@ -390,7 +384,6 @@ def aggregate_summary(library: LibrarySpec, retained: list, screened: list,
     names = retained[0].trace.m_final.names
     return EnsembleSummary(
         term_ids=library.term_ids,
-        n_runs=len(retained) + len(screened) + len(failures),
         retained_run_ids=tuple(r.run_id for r in retained),
         screened_run_ids=tuple(r.run_id for r in screened),
         failed_run_ids=tuple(f.run_id for f in failures),

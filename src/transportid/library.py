@@ -29,7 +29,6 @@ __all__ = [
     "NormalizationStats",
     "CoefficientVector",
     "term_columns",
-    "evaluate_terms",
     "zscore_columns",
     "normalize_design",
     "denormalize_coefficients",
@@ -164,14 +163,6 @@ class LibrarySpec:
             raise ValidationError("library needs at least one term")
 
     @classmethod
-    def basic(cls) -> "LibrarySpec":
-        return cls.from_name("basic")
-
-    @classmethod
-    def extended(cls) -> "LibrarySpec":
-        return cls.from_name("extended")
-
-    @classmethod
     def from_name(cls, name: str) -> "LibrarySpec":
         if name not in library_names():
             raise ValidationError(f"unknown library name {name!r}")
@@ -258,12 +249,6 @@ class CoefficientVector:
         if not np.all(np.isfinite(self.values)):
             raise ValidationError("non-finite coefficient")
 
-    def value_of(self, term_id: str) -> float:
-        for j, tid in enumerate(self.term_ids):
-            if tid == term_id:
-                return float(self.values[j])
-        raise ValidationError(f"term {term_id!r} not in coefficient vector")
-
 
 def term_columns(terms: tuple, deriv: DerivativeField,
                  m: ModelParams | None) -> np.ndarray:
@@ -272,13 +257,6 @@ def term_columns(terms: tuple, deriv: DerivativeField,
     for j, term in enumerate(terms):
         out[:, j] = term.column(deriv, m)
     return out
-
-
-def evaluate_terms(deriv: DerivativeField, m: ModelParams,
-                   spec: LibrarySpec) -> DesignMatrix:
-    """Evaluate Phi(U, m) and the dC/dt target on the given points."""
-    return DesignMatrix(term_columns(spec.terms, deriv, m), deriv.c_t.copy(),
-                        spec.term_ids)
 
 
 def zscore_columns(phi: np.ndarray, term_ids: tuple):

@@ -32,10 +32,6 @@ class ModelParams:
         if not all(np.isfinite(v) for v in self.values):
             raise ValidationError("non-finite parameter value")
 
-    @classmethod
-    def of_sorption(cls, a: float, k_l: float) -> "ModelParams":
-        return cls(names=DEFAULT_PARAM_NAMES, values=(float(a), float(k_l)))
-
     def __getitem__(self, name: str) -> float:
         try:
             return self.values[self.names.index(name)]

@@ -6,13 +6,12 @@ window, solve for the normalized coefficients, and score the fit by the
 sum of squared normalized residuals on the test window (using training
 statistics for the transform, so the error is comparable across m).
 
-``normalize_design``, ``least_squares_fit`` and ``prediction_error`` do
-this for one evaluated design matrix, and ``fit_design`` composes them on
-a single point set; together they are the plain reference path.
-``PredictionErrorEvaluator`` computes the same fit for many m on one
-split by variable projection (Golub & Pereyra, SIAM J. Numer. Anal. 10:413,
-1973): the parameter-independent block is z-scored and QR-factored once,
-and each evaluation adds only the columns that depend on m.
+``PredictionErrorEvaluator`` is the one fit path: it computes that fit for
+many m on one split by variable projection (Golub & Pereyra, SIAM J.
+Numer. Anal. 10:413, 1973).  The parameter-independent block is z-scored
+and QR-factored once, and each evaluation adds only the columns that
+depend on m.  ``prediction_error`` scores a fit on a held-out design
+matrix; the tests' plain reference path composes it with the other steps.
 """
 
 from __future__ import annotations
@@ -24,17 +23,15 @@ import numpy as np
 from .errors import CollinearityError, ValidationError
 from .library import (CoefficientVector, DesignMatrix, LibrarySpec,
                       NormalizationStats, denormalize_coefficients,
-                      evaluate_terms, normalize_design, term_columns,
-                      zscore_columns)
+                      normalize_design, term_columns, zscore_columns)
 from .params import ModelParams
-from .preprocess import DataSplit, DerivativeField
+from .preprocess import DataSplit
 
 __all__ = [
     "FitResult",
     "least_squares_fit",
     "prediction_error",
     "PredictionErrorEvaluator",
-    "fit_design",
 ]
 
 _COND_LIMIT = 1e12
@@ -140,10 +137,6 @@ class PredictionErrorEvaluator:
     def library(self) -> LibrarySpec:
         return self._library
 
-    @property
-    def split(self) -> DataSplit:
-        return self._split
-
     def evaluate(self, m: ModelParams) -> FitResult:
         d_n, d_mean, d_std = zscore_columns(
             term_columns(self._dep_terms, self._split.train, m),
@@ -177,17 +170,3 @@ class PredictionErrorEvaluator:
                          intercept=intercept, stats=stats,
                          eps=float(np.dot(resid, resid)))
 
-
-def fit_design(deriv: DerivativeField, m: ModelParams,
-               library: LibrarySpec) -> FitResult:
-    """One-shot fit on a single point set (no held-out error).
-
-    The plain path on one point set; eps is the training residual here.
-    """
-    dm = evaluate_terms(deriv, m, library)
-    dm_norm, stats = normalize_design(dm)
-    alpha_norm = least_squares_fit(dm_norm)
-    alpha_phys, intercept = denormalize_coefficients(alpha_norm, stats)
-    r = dm_norm.y - dm_norm.phi @ alpha_norm.values
-    return FitResult(m=m, alpha_norm=alpha_norm, alpha_phys=alpha_phys,
-                     intercept=intercept, stats=stats, eps=float(np.dot(r, r)))

@@ -19,9 +19,10 @@ Without sorption the system does not depend on C: it is factored once with
 The three routines are called through ``ctypes`` from the ILP64 OpenBLAS
 (scipy-openblas64) that numpy's wheels bundle and ``numpy.linalg`` loads;
 a numpy whose LAPACK lacks them makes ``import transportid`` raise
-ImportError.  A solve takes one argument, a binding that checked its arrays
-and built their ctypes arguments; ``simulate`` binds its work buffers once
-per window of the grid, not once per solve.
+ImportError.  Every solve, gtsv or gttrs, goes through ``solve_banded``,
+whose one argument is a binding that checked its arrays and built their
+ctypes arguments; ``simulate`` binds its work buffers once per window of
+the grid, not once per solve.
 The scheme conserves mass discretely, which the simulator can track through
 a running flux audit.
 
@@ -410,9 +411,10 @@ class _GtsvBinding:
     sub- and super-diagonal entries, n diagonal ones and right-hand side are
     checked, and the call with its ctypes arguments is built, once.  gtsv
     overwrites all four arrays, so it works on copies dl and du of ``lower``
-    and ``upper``."""
+    and ``upper``, which ``prepare`` refreshes before each call."""
 
     __slots__ = ("lower", "upper", "rhs", "dl", "du", "info", "call")
+    routine = "gtsv"
 
     def __init__(self, lower, diag, upper, rhs) -> None:
         n = _check_matrix(lower, diag, upper, written=True)
@@ -426,13 +428,18 @@ class _GtsvBinding:
             *(_address(a) for a in (self.dl, diag, self.du, rhs)), size,
             ctypes.byref(self.info))
 
+    def prepare(self) -> None:
+        self.dl[:] = self.lower
+        self.du[:] = self.upper
+
 
 class _GttrsBinding:
     """``gttrs`` bound to ``factor_banded``'s factors and a right-hand side
-    for ``solve_factored``: ``rhs`` is checked, and the call with its ctypes
+    for ``solve_banded``: ``rhs`` is checked, and the call with its ctypes
     arguments is built, once.  Each solve overwrites ``rhs``."""
 
     __slots__ = ("rhs", "info", "call")
+    routine = "gttrs"
 
     def __init__(self, factors, rhs) -> None:
         if not isinstance(factors, _Factors):
@@ -446,21 +453,26 @@ class _GttrsBinding:
             ctypes.byref(ctypes.c_int64(1)), *factors.pointers, _address(rhs), size,
             ctypes.byref(self.info), ctypes.c_size_t(1))
 
+    def prepare(self) -> None:
+        """Nothing: gttrs changes only ``rhs``."""
 
-def solve_banded(bound: _GtsvBinding) -> np.ndarray:
-    """Solve a ``_GtsvBinding``'s system with LAPACK ``gtsv``; returns its
-    ``rhs``, overwritten with the solution, as its ``diag`` is.  Any other
-    argument raises ValidationError before LAPACK is called.  No finiteness
-    check is made; a singular system raises SolverError."""
-    if not isinstance(bound, _GtsvBinding):
+
+def solve_banded(bound: _GtsvBinding | _GttrsBinding) -> np.ndarray:
+    """Solve a ``_GtsvBinding``'s system with LAPACK ``gtsv``, or a
+    ``_GttrsBinding``'s with its factors by ``gttrs``; returns the binding's
+    ``rhs``, overwritten with the solution (gtsv overwrites ``diag`` too).
+    Any other argument raises ValidationError before LAPACK is called.  No
+    finiteness check is made; a singular system, or any failure that LAPACK
+    reports, raises SolverError."""
+    if not isinstance(bound, (_GtsvBinding, _GttrsBinding)):
         raise ValidationError(
-            f"solve_banded needs a _GtsvBinding, not {type(bound).__name__}")
-    bound.dl[:] = bound.lower
-    bound.du[:] = bound.upper
+            f"solve_banded needs a _GtsvBinding or a _GttrsBinding, "
+            f"not {type(bound).__name__}")
+    bound.prepare()
     bound.call()
     if bound.info.value != 0:
         raise SolverError(
-            f"tridiagonal solve failed (LAPACK gtsv info = {bound.info.value})")
+            f"tridiagonal solve failed (LAPACK {bound.routine} info = {bound.info.value})")
     return bound.rhs
 
 
@@ -476,21 +488,6 @@ def factor_banded(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray) -> _Fa
         raise SolverError(
             f"tridiagonal factorization failed (LAPACK gttrf info = {info.value})")
     return factors
-
-
-def solve_factored(bound: _GttrsBinding) -> np.ndarray:
-    """Solve with a ``_GttrsBinding``'s factors by LAPACK ``gttrs``; returns
-    its ``rhs``, overwritten with the solution.  Any other argument raises
-    ValidationError before LAPACK is called.  A failure that LAPACK reports
-    raises SolverError.  No finiteness check is made."""
-    if not isinstance(bound, _GttrsBinding):
-        raise ValidationError(
-            f"solve_factored needs a _GttrsBinding, not {type(bound).__name__}")
-    bound.call()
-    if bound.info.value != 0:
-        raise SolverError(
-            f"tridiagonal solve failed (LAPACK gttrs info = {bound.info.value})")
-    return bound.rhs
 
 
 def _measurement_shape(config: ScenarioConfig) -> tuple:
@@ -614,7 +611,7 @@ def simulate(config: ScenarioConfig) -> tuple[Field, SimDiagnostics]:
         if not nonlinear:  # rhs = vdt * (theta * c^n + 0.0), which turns -0 into +0
             rhs = np.multiply(np.add(theta_c, 0.0, out=diff), vdt, out=diff)
             rhs[0] += flux_in
-            c_new = solve_factored(bound)
+            c_new = solve_banded(bound)
             solves += 1
             if not np.isfinite(c_new).all():
                 raise SolverError(f"non-finite concentration at t = {t_next:.3f} s")

@@ -17,6 +17,7 @@ import pytest
 import transportid
 from transportid.assimilation import AssimilationConfig
 from transportid.identification import IdentifyConfig, identify, prepare_dataset
+from transportid.params import ModelParams
 from transportid.preprocess import DerivativeField, NoiseSpec, split_train_test
 from transportid.scenarios import get_scenario
 from transportid.transport import ScenarioConfig, SorptionModel, simulate
@@ -74,6 +75,35 @@ def manufactured_field(alpha_by_id, a_star=0.6, kl_star=90.0,
         c2_xx=(2.0 * (d1 ** 2 + conc * d2)).ravel(),
         c2_xxx=(2.0 * (3.0 * d1 * d2 + conc * d3)).ravel(),
     )
+
+
+def sorption_params(a, k_l):
+    """The embedded parameters (a, K_l) of both sorption terms."""
+    return ModelParams(("a", "K_l"), (float(a), float(k_l)))
+
+
+def coef(vector, term_id):
+    """The entry of ``term_id`` in a CoefficientVector."""
+    return float(vector.values[vector.term_ids.index(term_id)])
+
+
+def term_stat(summary, term_id, which="alpha_phys_mean"):
+    """The entry of ``term_id`` in one statistic of an EnsembleSummary."""
+    return float(getattr(summary, which)[summary.term_ids.index(term_id)])
+
+
+def candidate(report, name):
+    """The candidate model called ``name`` in an IdentificationReport."""
+    (found,) = [c for c in report.candidates if c.name == name]
+    return found
+
+
+def chop_tail(interp):
+    """A bound, anywhere in the interval, on the series that
+    ``standard_chop`` dropped from a ChebyshevInterpolant: the number of
+    dropped coefficients times the largest of them."""
+    dropped = np.abs(interp.coefficients[interp.cutoff:])
+    return float(dropped.size * dropped.max(initial=0.0))
 
 
 def zero_conc_split(ratio=0.6):

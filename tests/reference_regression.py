@@ -1,0 +1,31 @@
+"""Plain reference path of the regression, kept as the oracle for
+``PredictionErrorEvaluator``.
+
+The evaluator z-scores and QR-factors the parameter-independent columns
+once and adds only the parameter-dependent ones per m.  This path
+evaluates every column on each point set and composes the package's
+steps directly: ``normalize_design`` → ``least_squares_fit`` →
+``denormalize_coefficients`` → ``prediction_error``.
+"""
+
+from transportid.library import (DesignMatrix, denormalize_coefficients,
+                                 normalize_design, term_columns)
+from transportid.regression import (FitResult, least_squares_fit,
+                                    prediction_error)
+
+
+def evaluate_terms(deriv, m, spec):
+    """Evaluate Phi(U, m) and the dC/dt target on the given points."""
+    return DesignMatrix(term_columns(spec.terms, deriv, m), deriv.c_t.copy(),
+                        spec.term_ids)
+
+
+def plain_fit(split, lib, m):
+    """The reference composition the evaluator must reproduce."""
+    dm_norm, stats = normalize_design(evaluate_terms(split.train, m, lib))
+    alpha_norm = least_squares_fit(dm_norm)
+    alpha_phys, intercept = denormalize_coefficients(alpha_norm, stats)
+    eps = prediction_error(evaluate_terms(split.test, m, lib), alpha_norm,
+                           stats)
+    return FitResult(m=m, alpha_norm=alpha_norm, alpha_phys=alpha_phys,
+                     intercept=intercept, stats=stats, eps=eps)

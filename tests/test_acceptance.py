@@ -11,15 +11,16 @@ labelled details, so a full run shows the verdicts inline.
 import numpy as np
 import pytest
 
-from conftest import M_STAR, TIGHT_ASSIM, manufactured_field
+from conftest import (M_STAR, TIGHT_ASSIM, candidate, coef,
+                      manufactured_field, sorption_params, term_stat)
 from transportid.assimilation import (AssimilationConfig, _chain_factor,
                                       fd_gradient, from_unbounded,
                                       lm_step, run_assimilation, to_unbounded)
 from transportid.library import LibrarySpec
-from transportid.params import ModelParams, ParamBounds
+from transportid.params import ParamBounds
 from transportid.preprocess import (_filter_axis, composite_filter,
                                     compute_derivatives, split_train_test)
-from transportid.regression import PredictionErrorEvaluator, fit_design
+from transportid.regression import PredictionErrorEvaluator
 from transportid.scenarios import true_coefficients
 from transportid.transport import Field
 
@@ -69,7 +70,7 @@ def scenario_conditions(name, report, prefix=""):
         if tid not in s.term_ids:
             conds.append((f"{prefix}{name}:{tid} missing", False))
             continue
-        err = abs(s.term_stat(tid) - truth[tid]) / abs(truth[tid])
+        err = abs(term_stat(s, tid) - truth[tid]) / abs(truth[tid])
         conds.append((f"{prefix}{name}:{tid} err {err:.2%} <= {tol:.0%}",
                       err <= tol))
     if name in PARAM_BAND:
@@ -86,8 +87,8 @@ def test_criterion_1_sorption_free_scenario(pipeline, announce):
     conds = scenario_conditions("s1", report)
     # the rejected sorption candidates must carry negligible weight
     for cand in ("fsorp", "lsorp"):
-        cs = report.candidate(cand).summary
-        frac = (cs.term_stat(cand, "alpha_abs_norm_mean")
+        cs = candidate(report, cand).summary
+        frac = (term_stat(cs, cand, "alpha_abs_norm_mean")
                 / float(np.max(cs.alpha_abs_norm_mean)))
         conds.append((f"{cand} weight {frac:.2%} < 5%", frac < 0.05))
     conds.append((f"wall time {wall:.1f}s < 120s", wall < 120.0))
@@ -129,7 +130,7 @@ def test_criterion_5_noise_robustness_without_sorption(pipeline, announce):
             if tid not in s.term_ids:
                 conds.append((f"d={delta}:{tid} missing", False))
                 continue
-            err = abs(s.term_stat(tid) - truth[tid]) / abs(truth[tid])
+            err = abs(term_stat(s, tid) - truth[tid]) / abs(truth[tid])
             conds.append((f"d={delta}:{tid} err {err:.2%} <= 5%", err <= 0.05))
     high = pipeline.report("s1", delta=0.10).final_summary
     frac = len(high.screened_run_ids) / high.n_runs
@@ -140,10 +141,10 @@ def test_criterion_5_noise_robustness_without_sorption(pipeline, announce):
 def test_criterion_6_noise_trend_with_freundlich_sorption(pipeline, announce):
     truth = true_coefficients("s2")["fsorp"]
     report01 = pipeline.report("s2", delta=0.01)
-    f_stat = report01.candidate("fsorp").summary.term_stat(
-        "fsorp", "alpha_abs_norm_mean")
-    l_stat = report01.candidate("lsorp").summary.term_stat(
-        "lsorp", "alpha_abs_norm_mean")
+    f_stat = term_stat(candidate(report01, "fsorp").summary, "fsorp",
+                       "alpha_abs_norm_mean")
+    l_stat = term_stat(candidate(report01, "lsorp").summary, "lsorp",
+                       "alpha_abs_norm_mean")
     conds = [(f"|alpha_norm| fsorp {f_stat:.3f} > lsorp {l_stat:.3f} at d=0.01",
               f_stat > l_stat)]
     errors = []
@@ -153,7 +154,7 @@ def test_criterion_6_noise_trend_with_freundlich_sorption(pipeline, announce):
         if "fsorp" not in s.term_ids:
             conds.append((f"d={delta} fsorp missing", False))
             continue
-        errors.append(abs(s.term_stat("fsorp") - truth))
+        errors.append(abs(term_stat(s, "fsorp") - truth))
     if len(errors) == 3:
         conds.append((
             "fsorp degradation {:.3f} <= {:.3f} <= {:.3f}".format(*errors),
@@ -171,7 +172,7 @@ def test_criterion_7_alternative_parameterizations(pipeline, announce):
         if tid not in s.term_ids:
             conds.append((f"{name}:{tid} missing", False))
             continue
-        err = abs(s.term_stat(tid) - truth) / abs(truth)
+        err = abs(term_stat(s, tid) - truth) / abs(truth)
         conds.append((f"{name}:{tid} err {err:.2%} <= {tol:.0%}", err <= tol))
     check(announce, 7, conds)
 
@@ -180,10 +181,12 @@ def test_criterion_8_closed_form_oracles_and_invariants(pipeline, announce):
     conds = []
 
     # regression recovery on a field with analytically exact derivatives
+    basic = LibrarySpec.from_name("basic")
     alpha_true = {"adv": -0.01, "dis": 0.01, "fsorp": -0.15, "lsorp": -1.2}
-    fit = fit_design(manufactured_field(alpha_true),
-                     ModelParams.of_sorption(*M_STAR), LibrarySpec.basic())
-    rel = max(abs(fit.alpha_phys.value_of(t) - v) / abs(v)
+    fit = PredictionErrorEvaluator(
+        split_train_test(manufactured_field(alpha_true), 0.6),
+        basic).evaluate(sorption_params(*M_STAR))
+    rel = max(abs(coef(fit.alpha_phys, t) - v) / abs(v)
               for t, v in alpha_true.items())
     conds.append((f"regression recovery {rel:.1e} <= 1e-8", rel <= 1e-8))
 
@@ -191,8 +194,8 @@ def test_criterion_8_closed_form_oracles_and_invariants(pipeline, announce):
     bounds = ParamBounds.default()
     points = manufactured_field({"adv": -0.01, "dis": 0.01, "fsorp": -0.15})
     ev = PredictionErrorEvaluator(split_train_test(points, 0.6),
-                                  LibrarySpec.basic().subset(("adv", "dis", "fsorp")))
-    worst_a = max(abs(run_assimilation(ev, ModelParams.of_sorption(*start),
+                                  basic.subset(("adv", "dis", "fsorp")))
+    worst_a = max(abs(run_assimilation(ev, sorption_params(*start),
                                        bounds, TIGHT_ASSIM).m_final["a"] - M_STAR[0])
                   for start in ((0.26, 31.0), (0.74, 149.0)))
     conds.append((f"exponent recovery {worst_a:.1e} <= 1e-3", worst_a <= 1e-3))

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import transportid.assimilation as assim
 from conftest import (M_STAR, RECOVERY_STARTS, TIGHT_ASSIM,
-                      manufactured_field)
+                      manufactured_field, sorption_params)
 from transportid.assimilation import (AssimilationConfig, _chain_factor,
                                       fd_gradient, from_unbounded, lm_step,
                                       probe_box, run_assimilation,
@@ -38,20 +38,20 @@ class StubObjective:
 
 def adf_evaluator():
     pts = manufactured_field({"adv": -0.01, "dis": 0.01, "fsorp": -0.15})
-    lib = LibrarySpec.basic().subset(("adv", "dis", "fsorp"))
+    lib = LibrarySpec.from_name("basic").subset(("adv", "dis", "fsorp"))
     return PredictionErrorEvaluator(split_train_test(pts, 0.6), lib)
 
 
 def adl_evaluator():
     pts = manufactured_field({"adv": -0.01, "dis": 0.01, "lsorp": -1.2})
-    lib = LibrarySpec.basic().subset(("adv", "dis", "lsorp"))
+    lib = LibrarySpec.from_name("basic").subset(("adv", "dis", "lsorp"))
     return PredictionErrorEvaluator(split_train_test(pts, 0.6), lib)
 
 
 # ----------------------------------------------------- parameter vector
 
 def test_model_params_contracts():
-    m = ModelParams.of_sorption(0.7, 100.0)
+    m = ModelParams(names=("a", "K_l"), values=(0.7, 100.0))
     assert m.names == ("a", "K_l")
     assert m["K_l"] == 100.0
     with pytest.raises(KeyError):
@@ -62,7 +62,7 @@ def test_model_params_contracts():
     with pytest.raises(ValidationError):
         ModelParams(names=("a", "a"), values=(1.0, 2.0))
     with pytest.raises(ValidationError):
-        ModelParams.of_sorption(np.nan, 100.0)
+        ModelParams(names=("a", "K_l"), values=(np.nan, 100.0))
 
 
 def test_param_bounds_contracts():
@@ -171,7 +171,7 @@ def test_gradient_is_zero_along_unused_parameter():
     assert g[1] == 0.0
 
 
-EXTENDED = LibrarySpec.extended()
+EXTENDED = LibrarySpec.from_name("extended")
 ADF_SPLIT = split_train_test(
     manufactured_field({"adv": -0.01, "dis": 0.01, "fsorp": -0.15}), 0.6)
 
@@ -265,10 +265,10 @@ def test_lm_step_singular_scale_guard():
 
 def test_flat_objective_reports_zero_gradient():
     stub = StubObjective(lambda v: 1.0 + (v[0] - 0.5) ** 2)
-    tr = run_assimilation(stub, ModelParams.of_sorption(0.5, 90.0), BOUNDS)
+    tr = run_assimilation(stub, sorption_params(0.5, 90.0), BOUNDS)
     assert tr.status == "zero_gradient"
     assert len(tr.records) == 1
-    assert tr.m_final == ModelParams.of_sorption(0.5, 90.0)
+    assert tr.m_final == sorption_params(0.5, 90.0)
 
 
 def test_kinked_objective_converges_at_start():
@@ -281,10 +281,10 @@ def test_kinked_objective_converges_at_start():
         return 1.0 + (3.0 * d if d >= 0.0 else -d)
 
     tr = run_assimilation(StubObjective(vee),
-                          ModelParams.of_sorption(0.5, 90.0), BOUNDS)
+                          sorption_params(0.5, 90.0), BOUNDS)
     assert tr.status == "converged"
     assert tr.n_accepted == 1
-    assert tr.m_final == ModelParams.of_sorption(0.5, 90.0)
+    assert tr.m_final == sorption_params(0.5, 90.0)
     assert all(not r.accepted for r in tr.records[1:])
 
 
@@ -296,14 +296,14 @@ def test_proposal_budget_guard(monkeypatch):
     monkeypatch.setattr(assim, "_PROPOSAL_BUDGET", 5)
     monkeypatch.setattr(assim, "_LAMBDA_STALL", 1e300)
     tr = run_assimilation(StubObjective(vee),
-                          ModelParams.of_sorption(0.5, 90.0), BOUNDS)
+                          sorption_params(0.5, 90.0), BOUNDS)
     assert tr.status == "budget_exhausted"
     assert len(tr.records) == 1 + 5
 
 
 def test_quartic_valley_converges():
     stub = StubObjective(lambda v: 1.0 + (v[0] - 0.6) ** 4)
-    tr = run_assimilation(stub, ModelParams.of_sorption(0.5, 90.0), BOUNDS)
+    tr = run_assimilation(stub, sorption_params(0.5, 90.0), BOUNDS)
     assert tr.status == "converged"
     eps_seq = [r.eps for r in tr.records if r.accepted]
     assert all(b < a for a, b in zip(eps_seq, eps_seq[1:]))
@@ -312,14 +312,14 @@ def test_quartic_valley_converges():
 def test_iteration_cap_reports_max_iterations():
     cfg = AssimilationConfig(tol_rel=1e-9, max_accepted=2, c_eps_scale=1e-6)
     tr = run_assimilation(adf_evaluator(),
-                          ModelParams.of_sorption(0.26, 31.0), BOUNDS, cfg)
+                          sorption_params(0.26, 31.0), BOUNDS, cfg)
     assert tr.status == "max_iterations"
     assert tr.n_accepted == 1 + 2
 
 
 def test_transform_keeps_iterates_inside_bounds():
     stub = StubObjective(lambda v: 1.0 + (v[0] - 2.0) ** 2)
-    tr = run_assimilation(stub, ModelParams.of_sorption(0.5, 90.0), BOUNDS)
+    tr = run_assimilation(stub, sorption_params(0.5, 90.0), BOUNDS)
     lower, upper = BOUNDS.lower_array(), BOUNDS.upper_array()
     for record in tr.records:
         m = record.m.as_array()
@@ -335,7 +335,7 @@ def test_freundlich_exponent_recovered_from_any_start():
     corner and interior start."""
     ev = adf_evaluator()
     for start in RECOVERY_STARTS:
-        tr = run_assimilation(ev, ModelParams.of_sorption(*start), BOUNDS,
+        tr = run_assimilation(ev, sorption_params(*start), BOUNDS,
                               TIGHT_ASSIM)
         assert abs(tr.m_final["a"] - M_STAR[0]) <= 1e-3, start
         assert tr.status in ("converged", "stalled", "max_iterations")
@@ -345,7 +345,7 @@ def test_freundlich_exponent_recovered_from_any_start():
 def test_langmuir_constant_recovered_from_any_start():
     ev = adl_evaluator()
     for start in RECOVERY_STARTS:
-        tr = run_assimilation(ev, ModelParams.of_sorption(*start), BOUNDS,
+        tr = run_assimilation(ev, sorption_params(*start), BOUNDS,
                               TIGHT_ASSIM)
         rel = abs(tr.m_final["K_l"] - M_STAR[1]) / M_STAR[1]
         assert rel <= 1e-3, start
@@ -354,7 +354,7 @@ def test_langmuir_constant_recovered_from_any_start():
 
 def test_trace_bookkeeping_on_recovery_run():
     ev = adl_evaluator()
-    tr = run_assimilation(ev, ModelParams.of_sorption(0.3, 130.0), BOUNDS,
+    tr = run_assimilation(ev, sorption_params(0.3, 130.0), BOUNDS,
                           TIGHT_ASSIM)
     eps_seq = [r.eps for r in tr.records if r.accepted]
     assert len(eps_seq) == tr.n_accepted >= 2
@@ -374,7 +374,7 @@ def test_failed_update_step_is_a_rejection():
     def cliff(v):
         return 1.0 + (v[0] - 0.3) ** 2 if v[0] <= 0.5 else np.inf
 
-    m0 = ModelParams.of_sorption(0.5, 90.0)
+    m0 = sorption_params(0.5, 90.0)
     tr = run_assimilation(StubObjective(cliff), m0, BOUNDS)
     assert tr.status == "stalled"
     assert tr.m_final == m0
@@ -385,7 +385,7 @@ def test_failed_update_step_is_a_rejection():
 def test_start_on_or_outside_bounds_is_rejected(a):
     stub = StubObjective(lambda v: 1.0 + (v[0] - 0.6) ** 2)
     with pytest.raises(ValidationError, match="strictly inside the bounds"):
-        run_assimilation(stub, ModelParams.of_sorption(a, 90.0), BOUNDS)
+        run_assimilation(stub, sorption_params(a, 90.0), BOUNDS)
 
 
 def test_start_point_failure_is_a_solver_error():
@@ -394,7 +394,7 @@ def test_start_point_failure_is_a_solver_error():
 
     with pytest.raises(SolverError):
         run_assimilation(StubObjective(broken),
-                         ModelParams.of_sorption(0.5, 90.0), BOUNDS)
+                         sorption_params(0.5, 90.0), BOUNDS)
 
 
 # ------------------------------------------- gradient against its oracle
@@ -475,7 +475,7 @@ def test_gradient_matches_inline_oracle(data, bounds):
     np.testing.assert_array_equal(fd_gradient(wavy, m, bounds, 0.01),
                                   natural)
     expected = natural * _chain_factor(m, lower, upper)
-    got = first_gradient(wavy, ModelParams.of_sorption(a, k_l), bounds)
+    got = first_gradient(wavy, sorption_params(a, k_l), bounds)
     if got is None:
         assert not np.any(np.abs(expected) > 0.0)
     else:
@@ -492,7 +492,7 @@ def test_every_evaluated_point_lies_in_the_probe_box(data, bounds):
     a_values = starts(bounds.lower[0], bounds.upper[0])
     if bounds.lower[0] < 0.0 < bounds.upper[0]:
         a_values = st.one_of(st.just(0.0), a_values)
-    m0 = ModelParams.of_sorption(
+    m0 = sorption_params(
         data.draw(a_values), data.draw(starts(bounds.lower[1],
                                               bounds.upper[1])))
     seen = []
@@ -524,7 +524,7 @@ def test_gradient_sign_near_upper_bound():
     def bowl(v):
         return 1.0 + (v[0] - 0.6) ** 2 + 1e-4 * (v[1] - 90.0) ** 2
 
-    m0 = ModelParams.of_sorption(0.75 - 1e-6, 150.0 - 1e-6)
+    m0 = sorption_params(0.75 - 1e-6, 150.0 - 1e-6)
     g = first_gradient(bowl, m0, BOUNDS)
     natural = np.array([2.0 * (m0["a"] - 0.6), 2e-4 * (m0["K_l"] - 90.0)])
     np.testing.assert_array_equal(np.sign(g), np.sign(natural))

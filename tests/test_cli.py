@@ -513,10 +513,8 @@ def test_exit_numeric_on_solver_failure(tmp_path, monkeypatch, capsys):
 def zero_conc_data(config, name, **kwargs):
     """``prepare_dataset`` on data whose first point has C = 0, where the
     Freundlich candidate cannot be evaluated."""
-    split = zero_conc_split()
-    return PreparedData(scenario_name=name, split=split, noise=None,
-                        smoothing_passes=0,
-                        n_points=split.train.n_points + split.test.n_points)
+    return PreparedData(scenario_name=name, split=zero_conc_split(),
+                        noise=None, smoothing_passes=0)
 
 
 def test_exit_numeric_when_every_restart_fails(tmp_path, monkeypatch, capsys):

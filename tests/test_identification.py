@@ -11,7 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import transportid.identification as identification
-from conftest import make_tiny, manufactured_field, zero_conc_split
+from conftest import (candidate, chop_tail, coef, make_tiny,
+                      manufactured_field, sorption_params, term_stat,
+                      zero_conc_split)
 from transportid.assimilation import probe_box
 from transportid.errors import SolverError, TransportIdError, ValidationError
 from transportid.identification import (EnsembleSummary, EpsProxy,
@@ -30,6 +32,8 @@ from transportid.regression import PredictionErrorEvaluator
 from transportid.scenarios import get_scenario
 from transportid.transport import SorptionModel
 
+BASIC = LibrarySpec.from_name("basic")
+EXTENDED = LibrarySpec.from_name("extended")
 ADF_ALPHA = {"adv": -0.01, "dis": 0.01, "fsorp": -0.15}
 
 
@@ -38,10 +42,9 @@ def adf_split():
 
 
 def manufactured_data(split=None):
-    split = split or adf_split()
-    return PreparedData(scenario_name="manufactured", split=split,
-                        noise=None, smoothing_passes=0,
-                        n_points=split.train.n_points + split.test.n_points)
+    return PreparedData(scenario_name="manufactured",
+                        split=split or adf_split(), noise=None,
+                        smoothing_passes=0)
 
 
 def fake_runs(eps_values):
@@ -55,7 +58,7 @@ def make_summary(library, alpha_norm_mean, alpha_abs=None):
         alpha_abs = np.abs(alpha_norm_mean)
     k = alpha_norm_mean.size
     return EnsembleSummary(
-        term_ids=library.term_ids, n_runs=1,
+        term_ids=library.term_ids,
         retained_run_ids=(0,), screened_run_ids=(), failed_run_ids=(),
         alpha_norm_mean=alpha_norm_mean, alpha_norm_std=np.zeros(k),
         alpha_abs_norm_mean=np.asarray(alpha_abs, dtype=float),
@@ -123,7 +126,7 @@ def test_screening_is_order_invariant():
 # ------------------------------------------------------------- pruning
 
 def test_prune_keeps_comparable_terms():
-    lib = LibrarySpec.basic()
+    lib = BASIC
     kept = prune_terms(lib, make_summary(lib, [-0.5, 0.4, -0.45, 0.1]))
     # Both sorption candidates negative would violate the one-model rule,
     # so here only fsorp is negative and survives.
@@ -131,13 +134,13 @@ def test_prune_keeps_comparable_terms():
 
 
 def test_prune_drops_wrong_signed_sorption():
-    lib = LibrarySpec.basic()
+    lib = BASIC
     kept = prune_terms(lib, make_summary(lib, [-0.5, 0.4, 0.3, -0.45]))
     assert kept == ("adv", "dis", "lsorp")
 
 
 def test_prune_drops_small_terms_relative_to_largest():
-    lib = LibrarySpec.extended().subset(("adv", "dis", "conc", "d3"))
+    lib = EXTENDED.subset(("adv", "dis", "conc", "d3"))
     # Threshold is 5% of the largest magnitude (0.04 here): 0.06 stays,
     # 0.002 goes.
     summary = make_summary(lib, [-0.8, 0.6, 0.06, 0.002])
@@ -145,7 +148,7 @@ def test_prune_drops_small_terms_relative_to_largest():
 
 
 def test_prune_keeps_single_strongest_sorption():
-    lib = LibrarySpec.basic()
+    lib = BASIC
     kept = prune_terms(lib, make_summary(lib, [-0.5, 0.4, -0.2, -0.45]))
     assert kept == ("adv", "dis", "lsorp")
     kept = prune_terms(lib, make_summary(lib, [-0.5, 0.4, -0.45, -0.2]))
@@ -154,13 +157,13 @@ def test_prune_keeps_single_strongest_sorption():
 
 def test_prune_scale_ignores_discarded_sorption():
     """A wrong-signed dominant sorption term must not set the size scale."""
-    lib = LibrarySpec.basic().subset(("adv", "dis", "fsorp"))
+    lib = BASIC.subset(("adv", "dis", "fsorp"))
     summary = make_summary(lib, [-0.04, 0.03, 5.0])
     assert prune_terms(lib, summary) == ("adv", "dis")
 
 
 def test_prune_refuses_to_empty_the_model():
-    lib = LibrarySpec.basic().subset(("fsorp",))
+    lib = BASIC.subset(("fsorp",))
     with pytest.raises(ValidationError):
         prune_terms(lib, make_summary(lib, [0.9]))
 
@@ -169,7 +172,7 @@ def test_prune_refuses_to_empty_the_model():
 
 def test_run_single_recovers_on_analytic_data():
     split = adf_split()
-    lib = LibrarySpec.basic().subset(("adv", "dis", "fsorp"))
+    lib = BASIC.subset(("adv", "dis", "fsorp"))
     cfg = IdentifyConfig()
     out = run_single(PredictionErrorEvaluator(split, lib),
                      ModelParams(("a",), (0.45,)),
@@ -185,7 +188,7 @@ def test_run_single_takes_the_fit_the_loop_accepted(monkeypatch):
     """A restart's fit is the evaluation its loop accepted: run_single
     evaluates nothing after run_assimilation returns."""
     split = adf_split()
-    lib = LibrarySpec.basic().subset(("adv", "dis", "fsorp"))
+    lib = BASIC.subset(("adv", "dis", "fsorp"))
     cfg = IdentifyConfig()
     events = []
     evaluate = PredictionErrorEvaluator.evaluate
@@ -218,16 +221,16 @@ def test_run_single_rejects_bounds_the_library_does_not_read():
     one would be probed and reported as an estimate, a missing one could
     not be evaluated."""
     split = adf_split()
-    lib = LibrarySpec.basic().subset(("adv", "dis", "fsorp"))
+    lib = BASIC.subset(("adv", "dis", "fsorp"))
     cfg = IdentifyConfig()
     evaluator = PredictionErrorEvaluator(split, lib)
     with pytest.raises(ValidationError, match="reads \\['a'\\]"):
-        run_single(evaluator, ModelParams.of_sorption(0.3, 40.0),
+        run_single(evaluator, sorption_params(0.3, 40.0),
                    ParamBounds.default(), cfg.assimilation)
     with pytest.raises(ValidationError, match="reads \\['a'\\]"):
         run_single(evaluator, ModelParams(("K_l",), (40.0,)),
                    cfg.bounds.restrict(("K_l",)), cfg.assimilation)
-    free = PredictionErrorEvaluator(split, LibrarySpec.basic().subset(("adv", "dis")))
+    free = PredictionErrorEvaluator(split, BASIC.subset(("adv", "dis")))
     with pytest.raises(ValidationError, match="reads \\[\\]"):
         run_single(free, ModelParams(("a",), (0.3,)),
                    cfg.bounds.restrict(("a",)), cfg.assimilation)
@@ -235,7 +238,7 @@ def test_run_single_rejects_bounds_the_library_does_not_read():
 
 def test_run_ensemble_layout_and_determinism():
     split = adf_split()
-    lib = LibrarySpec.basic().subset(("adv", "dis", "fsorp"))
+    lib = BASIC.subset(("adv", "dis", "fsorp"))
     cfg = IdentifyConfig(n_restarts=4, master_seed=5)
     first, fails = run_ensemble(split, lib, cfg)
     again, _ = run_ensemble(split, lib, cfg)
@@ -253,7 +256,7 @@ def test_run_ensemble_layout_and_determinism():
 
 def test_aggregate_summary_of_single_run():
     split = adf_split()
-    lib = LibrarySpec.basic().subset(("adv", "dis", "fsorp"))
+    lib = BASIC.subset(("adv", "dis", "fsorp"))
     cfg = IdentifyConfig(n_restarts=1)
     results, failures = run_ensemble(split, lib, cfg)
     summary = aggregate_summary(lib, results, [], failures)
@@ -262,15 +265,15 @@ def test_aggregate_summary_of_single_run():
                                   results[0].fit.alpha_norm.values)
     assert np.all(summary.alpha_norm_std == 0.0)
     assert np.all(summary.param_std == 0.0)
-    assert summary.term_stat("fsorp", "alpha_phys_mean") == pytest.approx(
-        results[0].fit.alpha_phys.value_of("fsorp"))
+    assert term_stat(summary, "fsorp", "alpha_phys_mean") == pytest.approx(
+        coef(results[0].fit.alpha_phys, "fsorp"))
     with pytest.raises(ValidationError):
         aggregate_summary(lib, [], [], [])
 
 
 def test_aggregate_summary_mean_is_order_invariant():
     split = adf_split()
-    lib = LibrarySpec.basic().subset(("adv", "dis", "fsorp"))
+    lib = BASIC.subset(("adv", "dis", "fsorp"))
     results, _ = run_ensemble(split, lib, IdentifyConfig(n_restarts=6))
     fwd = aggregate_summary(lib, results, [], [])
     rev = aggregate_summary(lib, results[::-1], [], [])
@@ -292,11 +295,11 @@ def test_identify_selects_the_generating_model():
     assert len(report.rounds) == 1
     assert report.selected_term_ids == ("adv", "dis", "fsorp")
     summary = report.final_summary
-    assert summary.term_stat("fsorp", "alpha_phys_mean") == pytest.approx(
+    assert term_stat(summary, "fsorp", "alpha_phys_mean") == pytest.approx(
         -0.15, rel=0.05)
     assert dict(zip(summary.param_names, summary.param_mean))[
         "a"] == pytest.approx(0.6, abs=0.02)
-    assert report.candidate("fsorp").mean_eps < report.candidate(
+    assert candidate(report, "fsorp").mean_eps < candidate(report, 
         "none").mean_eps
     assert report.equation.startswith("dC/dt = ")
     assert "C^(" in report.equation
@@ -320,13 +323,13 @@ def test_every_restart_failing_is_a_solver_error():
     a numeric error that names the first restart's cause.  A library of the
     Freundlich term alone has that one candidate."""
     split = zero_conc_split()
-    lib = LibrarySpec.basic().subset(("adv", "dis", "fsorp"))
+    lib = BASIC.subset(("adv", "dis", "fsorp"))
     cfg = IdentifyConfig(n_restarts=3)
     results, failures = run_ensemble(split, lib, cfg)
     assert results == []
     assert [f.run_id for f in failures] == [0, 1, 2]
     assert "term 'fsorp' evaluated non-finite" in failures[0].error
-    only_fsorp = LibrarySpec.basic().subset(("fsorp",))
+    only_fsorp = BASIC.subset(("fsorp",))
     with pytest.raises(SolverError, match="every candidate model failed; "
                        "first cause: every restart failed.*'fsorp'"):
         identify(make_tiny(), only_fsorp, cfg=cfg, data=manufactured_data(split))
@@ -353,7 +356,7 @@ def test_unsettled_pruning_fits_no_ensemble_it_does_not_report(monkeypatch):
     """When pruning never settles, identify stops at the fourth recorded
     round: every ensemble after the candidates' is a reported round, and
     the last round's selection is left unfitted."""
-    lib = LibrarySpec.extended().subset(("adv", "dis", "fsorp", "conc", "d3",
+    lib = EXTENDED.subset(("adv", "dis", "fsorp", "conc", "d3",
                                          "sq_dx"))
     fitted = []
     real_run_ensemble = identification.run_ensemble
@@ -441,7 +444,7 @@ def sorption_proxy(pipeline):
         if (source, term) not in built:
             split = (adf_split() if source == "manufactured"
                      else pipeline.dataset(source).split)
-            lib = LibrarySpec.basic().subset(("adv", "dis", term))
+            lib = BASIC.subset(("adv", "dis", term))
             bounds = IdentifyConfig().bounds.restrict(lib.parameter_deps)
             built[source, term] = build_proxy(
                 PredictionErrorEvaluator(split, lib), bounds)
@@ -465,7 +468,7 @@ def test_proxy_matches_the_evaluator(sorption_proxy, source, term, u):
             interp.hi)
     m = ModelParams(proxy.library.parameter_deps, (x,))
     exact = proxy.exact.evaluate(m).eps
-    assert abs(proxy.evaluate(m).eps - exact) <= 2.0 * interp.tail
+    assert abs(proxy.evaluate(m).eps - exact) <= 2.0 * chop_tail(interp)
 
 
 @pytest.mark.parametrize("source, term", [("s2", "fsorp"), ("s3", "lsorp")])
@@ -490,7 +493,7 @@ def test_restarts_on_the_proxy_match_the_exact_path(sorption_proxy, source,
 
 
 def test_proxy_refuses_points_outside_its_interval():
-    lib = LibrarySpec.basic().subset(("adv", "dis", "fsorp"))
+    lib = BASIC.subset(("adv", "dis", "fsorp"))
     bounds = IdentifyConfig().bounds.restrict(("a",))
     proxy = build_proxy(PredictionErrorEvaluator(adf_split(), lib), bounds)
     lo, hi = (float(v[0]) for v in probe_box(bounds))
@@ -517,7 +520,7 @@ def test_unresolved_eps_falls_back_to_the_exact_path(monkeypatch, caplog):
 
     monkeypatch.setattr(PredictionErrorEvaluator, "evaluate", kinked)
     split = adf_split()
-    lib = LibrarySpec.basic().subset(("adv", "dis", "fsorp"))
+    lib = BASIC.subset(("adv", "dis", "fsorp"))
     cfg = IdentifyConfig(n_restarts=3)
     bounds = cfg.bounds.restrict(("a",))
     evaluator = PredictionErrorEvaluator(split, lib)
@@ -538,7 +541,7 @@ def test_unresolved_eps_falls_back_to_the_exact_path(monkeypatch, caplog):
 # ------------------------------------------------------------ rendering
 
 def test_learned_equation_renders_every_extended_term():
-    lib = LibrarySpec.extended()
+    lib = EXTENDED
     coefs = [-0.01, 0.01, -0.1501, -1.2868, 2e-5, -3.25e-4, 1.0,
              0.123456789, -7.0, 0.0]
     summary = make_summary(lib, coefs)

@@ -1,0 +1,28 @@
+"""The package's public names."""
+
+import importlib
+import pkgutil
+
+import transportid
+
+# Removed in 0.8.0: the second fit path and the second solve entry point.
+# The tests keep the plain fit path in reference_regression.py.
+REMOVED = {"fit_design": "regression", "evaluate_terms": "library",
+           "solve_factored": "transport"}
+
+
+def test_public_names_resolve():
+    """Every name in the package's and each module's ``__all__`` resolves,
+    and no removed function is exported or left in its module."""
+    modules = [transportid] + [
+        importlib.import_module(f"transportid.{info.name}")
+        for info in pkgutil.iter_modules(transportid.__path__)]
+    for module in modules:
+        missing = [name for name in getattr(module, "__all__", ())
+                   if not hasattr(module, name)]
+        assert not missing, (module.__name__, missing)
+    assert not set(REMOVED) & set(transportid.__all__)
+    for name, module in REMOVED.items():
+        assert not hasattr(transportid, name)
+        assert not hasattr(importlib.import_module(f"transportid.{module}"),
+                           name)

@@ -61,8 +61,7 @@ def adf_runs():
 def adf_report():
     split = split_train_test(manufactured_field(ADF_ALPHA), 0.6)
     data = PreparedData(scenario_name="manufactured", split=split,
-                        noise=None, smoothing_passes=0,
-                        n_points=split.train.n_points + split.test.n_points)
+                        noise=None, smoothing_passes=0)
     return identify(make_tiny(), cfg=IdentifyConfig(n_restarts=3, master_seed=1),
                     data=data)
 

@@ -8,17 +8,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import transportid.regression as regression
-from conftest import manufactured_field, zero_conc_split
+from conftest import (coef, manufactured_field, sorption_params,
+                      zero_conc_split)
+from reference_regression import evaluate_terms, plain_fit
 from transportid.errors import (CollinearityError, DegenerateColumnError,
                                 TermEvaluationError, ValidationError)
-from transportid.library import (CoefficientVector, DesignMatrix, LibrarySpec,
-                                 TermSpec, denormalize_coefficients,
-                                 evaluate_terms, normalize_design)
-from transportid.params import ModelParams, ParamBounds
+from transportid.library import (DesignMatrix, LibrarySpec, TermSpec,
+                                 normalize_design)
+from transportid.params import ParamBounds
 from transportid.preprocess import DataSplit, split_train_test
-from transportid.regression import (PredictionErrorEvaluator, fit_design,
+from transportid.regression import (PredictionErrorEvaluator,
                                     least_squares_fit, prediction_error)
 from transportid.scenarios import true_parameters
+
+BASIC = LibrarySpec.from_name("basic")
+EXTENDED = LibrarySpec.from_name("extended")
 
 
 def random_design(n=300, k=4, seed=0):
@@ -127,20 +131,20 @@ def test_manufactured_field_fit_recovers_coefficients():
     """On noise-free analytic data the full 4-term fit lands on the exact
     coefficients with a vanishing intercept."""
     alpha_true = {"adv": -0.01, "dis": 0.01, "fsorp": -0.15, "lsorp": -1.2}
-    pts = manufactured_field(alpha_true)
-    fit = fit_design(pts, ModelParams.of_sorption(0.6, 90.0),
-                     LibrarySpec.basic())
+    split = split_train_test(manufactured_field(alpha_true), 0.6)
+    fit = PredictionErrorEvaluator(split, BASIC).evaluate(
+        sorption_params(0.6, 90.0))
     for tid, target in alpha_true.items():
-        assert fit.alpha_phys.value_of(tid) == pytest.approx(target, rel=1e-9)
+        assert coef(fit.alpha_phys, tid) == pytest.approx(target, rel=1e-9)
     assert abs(fit.intercept) < 1e-12
     assert fit.eps < 1e-18
 
 
 def test_evaluator_matches_unsplit_fit_at_true_parameters():
     pts = manufactured_field({"adv": -0.01, "dis": 0.01, "fsorp": -0.15})
-    lib = LibrarySpec.basic().subset(("adv", "dis", "fsorp"))
+    lib = BASIC.subset(("adv", "dis", "fsorp"))
     ev = PredictionErrorEvaluator(split_train_test(pts, 0.6), lib)
-    m_star = ModelParams.of_sorption(0.6, 90.0)
+    m_star = sorption_params(0.6, 90.0)
     fit = ev.evaluate(m_star)
     assert fit.eps < 1e-18
     assert fit.eps == ev.evaluate(m_star).eps
@@ -166,10 +170,10 @@ def test_parameter_free_evaluator_normalizes_once(monkeypatch):
 
     monkeypatch.setattr(regression, "normalize_design", counting)
     pts = manufactured_field({"adv": -0.01, "dis": 0.01, "fsorp": -0.15})
-    lib = LibrarySpec.basic().subset(("adv", "dis"))
+    lib = BASIC.subset(("adv", "dis"))
     ev = PredictionErrorEvaluator(split_train_test(pts, 0.6), lib)
-    m1 = ModelParams.of_sorption(0.3, 40.0)
-    m2 = ModelParams.of_sorption(0.7, 140.0)
+    m1 = sorption_params(0.3, 40.0)
+    m2 = sorption_params(0.7, 140.0)
     first = ev.evaluate(m1)
     second = ev.evaluate(m2)
     assert first.m == m1 and second.m == m2
@@ -186,8 +190,8 @@ def test_evaluator_rejects_non_finite_sorption_column(capfd):
     """A zero concentration makes C^(a-1) infinite: the evaluator must say
     which term failed, as evaluate_terms does, before LAPACK sees it."""
     split = zero_conc_split()
-    lib = LibrarySpec.basic().subset(("adv", "dis", "fsorp"))
-    m = ModelParams.of_sorption(0.6, 90.0)
+    lib = BASIC.subset(("adv", "dis", "fsorp"))
+    m = sorption_params(0.6, 90.0)
     ev = PredictionErrorEvaluator(split, lib)
     with pytest.raises(TermEvaluationError) as err:
         ev.evaluate(m)
@@ -203,33 +207,21 @@ def test_evaluator_rejects_non_finite_static_column():
         manufactured_field({"adv": -0.01, "dis": 0.01}), 0.6)
     split.train.c_x[3] = np.nan
     with pytest.raises(TermEvaluationError, match="term 'adv'"):
-        PredictionErrorEvaluator(split, LibrarySpec.basic())
+        PredictionErrorEvaluator(split, BASIC)
 
 
 def test_wrong_exponent_scores_worse_on_real_data(pipeline):
     """The held-out error must prefer the true Freundlich exponent."""
     data = pipeline.dataset("s2")
-    lib = LibrarySpec.basic().subset(("adv", "dis", "fsorp"))
+    lib = BASIC.subset(("adv", "dis", "fsorp"))
     ev = PredictionErrorEvaluator(data.split, lib)
     a_true = true_parameters("s2")["a"]
-    good = ev.evaluate(ModelParams.of_sorption(a_true, 90.0)).eps
-    bad = ev.evaluate(ModelParams.of_sorption(0.4, 90.0)).eps
+    good = ev.evaluate(sorption_params(a_true, 90.0)).eps
+    bad = ev.evaluate(sorption_params(0.4, 90.0)).eps
     assert good < bad / 50.0
 
 
 # ------------------------------------------- evaluator against the plain path
-
-def plain_fit(split, lib, m):
-    """The reference composition the evaluator must reproduce."""
-    dm_norm, stats = normalize_design(evaluate_terms(split.train, m, lib))
-    alpha_norm = least_squares_fit(dm_norm)
-    alpha_phys, intercept = denormalize_coefficients(alpha_norm, stats)
-    eps = prediction_error(evaluate_terms(split.test, m, lib), alpha_norm,
-                           stats)
-    return regression.FitResult(m=m, alpha_norm=alpha_norm,
-                                alpha_phys=alpha_phys, intercept=intercept,
-                                stats=stats, eps=eps)
-
 
 def assert_same_fit(fast, plain, rtol=1e-9):
     assert fast.m == plain.m
@@ -257,8 +249,8 @@ ORACLE_LIBRARIES = (("adv", "dis"), ("adv", "dis", "fsorp"),
                     ("fsorp",), ("fsorp", "lsorp"), ("adv", "fsorp", "conc"),
                     ("dis", "lsorp", "conc", "d3"))
 BOUNDS = ParamBounds.default()
-M_MID = ModelParams.of_sorption(0.5, 90.0)
-ADF = LibrarySpec.basic().subset(("adv", "dis", "fsorp"))
+M_MID = sorption_params(0.5, 90.0)
+ADF = BASIC.subset(("adv", "dis", "fsorp"))
 
 
 @settings(max_examples=80, deadline=None)
@@ -266,8 +258,8 @@ ADF = LibrarySpec.basic().subset(("adv", "dis", "fsorp"))
        a=st.floats(BOUNDS.lower[0], BOUNDS.upper[0]),
        k_l=st.floats(BOUNDS.lower[1], BOUNDS.upper[1]))
 def test_evaluator_matches_plain_path(ids, a, k_l):
-    lib = LibrarySpec.extended().subset(ids)
-    m = ModelParams.of_sorption(a, k_l)
+    lib = EXTENDED.subset(ids)
+    m = sorption_params(a, k_l)
     ev = PredictionErrorEvaluator(ORACLE_SPLIT, lib)
     assert_same_fit(ev.evaluate(m), plain_fit(ORACLE_SPLIT, lib, m))
 
@@ -276,10 +268,10 @@ def test_evaluator_matches_plain_path_on_real_data(pipeline):
     split = pipeline.dataset("s2").split
     for ids in (("adv", "dis"), ("adv", "dis", "fsorp"),
                 ("adv", "dis", "lsorp")):
-        lib = LibrarySpec.basic().subset(ids)
+        lib = BASIC.subset(ids)
         ev = PredictionErrorEvaluator(split, lib)
         for a, k_l in ((0.3, 40.0), (0.6, 90.0), (0.74, 149.0)):
-            m = ModelParams.of_sorption(a, k_l)
+            m = sorption_params(a, k_l)
             assert_same_fit(ev.evaluate(m), plain_fit(split, lib, m))
 
 
@@ -290,7 +282,7 @@ def near_adv_library(offset):
         return d.c_x + offset * np.std(d.c_x) * m["a"] * wiggle
 
     near = TermSpec("near", "AUX", near_adv, ("a",))
-    return LibrarySpec("near", LibrarySpec.basic().terms[:2] + (near,))
+    return LibrarySpec("near", BASIC.terms[:2] + (near,))
 
 
 def test_evaluator_matches_plain_path_near_collinearity():
@@ -344,7 +336,7 @@ def test_evaluator_error_parity_sorption_collinear_with_static():
     it duplicates the advection column."""
     pts = manufactured_field({"adv": -0.01, "dis": 0.01})
     split = split_train_test(replace(pts, c_t=-0.4 * pts.c_x), 0.6)
-    m = ModelParams.of_sorption(1.0, 90.0)
+    m = sorption_params(1.0, 90.0)
     for msg in raised_by_both(split, ADF, m, CollinearityError):
         assert "'adv'" in msg or "'fsorp'" in msg
 
@@ -352,7 +344,7 @@ def test_evaluator_error_parity_sorption_collinear_with_static():
 def test_evaluator_error_parity_zero_variance_sorption_column():
     flat = TermSpec("flat", "AUX", lambda d, m: np.full(d.c.shape, m["a"]),
                     ("a",))
-    lib = LibrarySpec("flat", LibrarySpec.basic().terms[:2] + (flat,))
+    lib = LibrarySpec("flat", BASIC.terms[:2] + (flat,))
     split = split_train_test(
         manufactured_field({"adv": -0.01, "dis": 0.01}), 0.6)
     plain, fast = raised_by_both(split, lib, M_MID, DegenerateColumnError)
@@ -361,7 +353,7 @@ def test_evaluator_error_parity_zero_variance_sorption_column():
 
 def test_evaluator_error_parity_too_few_points_and_empty_test():
     pts = manufactured_field({"adv": -0.01, "dis": 0.01, "fsorp": -0.15})
-    lib = LibrarySpec.basic()
+    lib = BASIC
     order = np.arange(pts.n_points)
     few = DataSplit(train=pts.select(order < 3), test=pts.select(order >= 3))
     assert raised_by_both(few, lib, M_MID, ValidationError) == (

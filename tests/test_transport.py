@@ -273,25 +273,19 @@ def _assert_values_match_reference(cfg):
 
 @contextmanager
 def recorded_solve_sizes():
-    """Record the size of every system ``transport.solve_banded`` or
-    ``transport.solve_factored`` solves."""
+    """Record the size of every system ``transport.solve_banded`` solves."""
     sizes = []
-    banded, factored = transport.solve_banded, transport.solve_factored
+    banded = transport.solve_banded
 
-    def recording_banded(bound):
+    def recording(bound):
         sizes.append(bound.rhs.size)
         return banded(bound)
 
-    def recording_factored(bound):
-        sizes.append(bound.rhs.size)
-        return factored(bound)
-
-    transport.solve_banded = recording_banded
-    transport.solve_factored = recording_factored
+    transport.solve_banded = recording
     try:
         yield sizes
     finally:
-        transport.solve_banded, transport.solve_factored = banded, factored
+        transport.solve_banded = banded
 
 
 def assert_matches_reference(cfg, sizes=None):
@@ -403,8 +397,11 @@ def test_window_falls_back_to_the_full_grid():
 
 
 def test_solve_counts():
-    _, diag = simulate(make_tiny())
-    assert diag.solves == 700 and diag.max_picard_sweeps == 1
+    """Every solve, the linear model's gttrs ones too, goes through
+    ``transport.solve_banded``."""
+    with recorded_solve_sizes() as sizes:
+        _, diag = simulate(make_tiny())
+    assert diag.solves == len(sizes) == 700 and diag.max_picard_sweeps == 1
     diag, ref_diag = assert_matches_reference(make_tiny(sorption=TINY_FREUNDLICH))
     assert diag.solves == ref_diag.solves > 2 * 700
 
@@ -417,8 +414,9 @@ def gtsv(lower, diag, upper, rhs):
 
 
 def gttrs(factors, rhs):
-    """``solve_factored`` on a binding of ``factors`` and a copy of ``rhs``."""
-    return transport.solve_factored(transport._GttrsBinding(factors, rhs.copy()))
+    """``solve_banded`` on a gttrs binding of ``factors`` and a copy of
+    ``rhs``."""
+    return transport.solve_banded(transport._GttrsBinding(factors, rhs.copy()))
 
 
 def test_solve_banded_rejects_singular_system():
@@ -498,10 +496,11 @@ def _bits(array):
 @example(n=2, kind="singular", seed=0)
 @example(n=2, kind="normal", seed=0)
 def test_lapack_binding_equals_scipy(n, kind, seed):
-    """solve_banded, and factor_banded followed by solve_factored, equal
-    scipy's dgtsv, dgttrf and dgttrs bit for bit, and raise SolverError on
-    exactly the systems where scipy reports info > 0.  Neither changes the
-    off-diagonals, nor factor_banded the diagonal."""
+    """solve_banded on a gtsv binding, and factor_banded followed by
+    solve_banded on a gttrs binding, equal scipy's dgtsv, dgttrf and dgttrs
+    bit for bit, and raise SolverError on exactly the systems where scipy
+    reports info > 0.  Neither changes the off-diagonals, nor factor_banded
+    the diagonal."""
     lapack = pytest.importorskip("scipy.linalg.lapack")
     lower, diag, upper, rhs = _random_system(n, kind, seed)
     inputs = [a.copy() for a in (lower, diag, upper)]
@@ -585,8 +584,6 @@ _MALFORMED_CALLS = {
     "gtsv-raw-array": lambda: transport.solve_banded(_RHS.copy()),
     "gtsv-raw-arrays": lambda: transport.solve_banded(
         (_LOW, _DIAG.copy(), _UP, _RHS.copy())),
-    "gtsv-gttrs-binding": lambda: transport.solve_banded(
-        transport._GttrsBinding(_FACTORS, _RHS.copy())),
     "gttrf-lower-short": lambda: transport.factor_banded(np.ones(2), _DIAG, _UP),
     "gttrf-diag-float32": lambda: transport.factor_banded(
         _LOW, _DIAG.astype(np.float32), _UP),
@@ -599,10 +596,7 @@ _MALFORMED_CALLS = {
         _FACTORS, _read_only(_RHS.copy())),
     "gttrs-factors-tuple": lambda: transport._GttrsBinding(
         (_LOW, _DIAG, _UP, np.ones(2), np.arange(1, 5)), _RHS.copy()),
-    "gttrs-raw-array": lambda: transport.solve_factored(_RHS.copy()),
-    "gttrs-factors": lambda: transport.solve_factored(_FACTORS),
-    "gttrs-gtsv-binding": lambda: transport.solve_factored(
-        transport._GtsvBinding(*_system())),
+    "gttrs-factors": lambda: transport.solve_banded(_FACTORS),
 }
 
 
@@ -617,7 +611,7 @@ def _printed(capfd) -> str:
 @pytest.mark.parametrize("call", _MALFORMED_CALLS.values(), ids=_MALFORMED_CALLS.keys())
 def test_malformed_arrays_never_reach_lapack(capfd, call):
     """A raw LAPACK call checks no array, so a binding's constructor,
-    factor_banded, and a solve given anything but its own binding raise
+    factor_banded, and a solve given anything but a binding raise
     ValidationError first; LAPACK's own "** On entry to" complaint about an
     argument is never printed."""
     with pytest.raises(ValidationError):
@@ -650,15 +644,15 @@ def test_missing_lapack_symbols_raise_one_import_error():
 
 @pytest.mark.parametrize("sorption", [SorptionModel.none(), TINY_FREUNDLICH])
 def test_non_finite_solution_raises_at_once(monkeypatch, sorption):
-    """The linear model solves with its factors, the others with gtsv."""
+    """The linear model solves with its factors, the others with gtsv; both
+    through ``solve_banded``."""
     calls = []
 
     def nan_solve(bound):
         calls.append(1)
         return np.full_like(bound.rhs, np.nan)
 
-    solver = "solve_factored" if sorption.kind == "none" else "solve_banded"
-    monkeypatch.setattr(transport, solver, nan_solve)
+    monkeypatch.setattr(transport, "solve_banded", nan_solve)
     with pytest.raises(SolverError, match="non-finite concentration at t = 1.000 s"):
         simulate(make_tiny(sorption=sorption))
     assert len(calls) == 1

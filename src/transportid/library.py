@@ -287,16 +287,11 @@ def normalize_design(dm: DesignMatrix):
     return DesignMatrix(phi_n, y_n, dm.term_ids), stats
 
 
-def denormalize_coefficients(alpha_norm: CoefficientVector,
-                             stats: NormalizationStats):
-    """Map z-scored coefficients to physical scale.
-
-    Returns ``(alpha_phys, intercept)``.  The intercept is the residual
-    constant left over from mean-centering; for a PDE with no source term
-    it should be negligible, and reporting it makes that checkable.
-    """
+def denormalize_coefficients(alpha_norm: CoefficientVector, col_std: np.ndarray,
+                             y_std: float) -> CoefficientVector:
+    """Map z-scored coefficients to physical scale, given the population
+    stds of their columns and of the target."""
     if alpha_norm.scale != "normalized":
         raise ValidationError("expected normalized coefficients")
-    phys = alpha_norm.values * stats.y_std / stats.col_std
-    intercept = stats.y_mean - float(np.dot(phys, stats.col_mean))
-    return CoefficientVector(phys, "physical", alpha_norm.term_ids), intercept
+    return CoefficientVector(alpha_norm.values * y_std / col_std, "physical",
+                             alpha_norm.term_ids)

@@ -51,16 +51,12 @@ def add_noise(field: Field, spec: NoiseSpec) -> Field:
     """Perturb every unmasked entry with an independent uniform draw.
 
     The draw grid matches the field shape, so the realisation for a given
-    seed does not depend on the mask pattern.  delta = 0 returns an
-    identical copy.
+    seed does not depend on the mask pattern.  The result is a new field;
+    at delta = 0 its values equal the input's bit for bit.
     """
-    out = field.copy()
-    if spec.delta == 0.0:
-        return out
-    rng = np.random.default_rng(spec.seed)
-    e = rng.uniform(-1.0, 1.0, size=field.values.shape)
-    out.values = np.where(field.mask, field.values * (1.0 + spec.delta * e), field.values)
-    return out
+    e = np.random.default_rng(spec.seed).uniform(-1.0, 1.0, size=field.values.shape)
+    return Field(np.where(field.mask, field.values * (1.0 + spec.delta * e), field.values),
+                 field.x0, field.dx, field.t0, field.dt, field.mask.copy())
 
 
 @dataclass(frozen=True)
@@ -197,14 +193,14 @@ class DerivativeField:
     """Concentration and stencil derivatives at scattered valid grid points.
 
     All members are flat arrays over points, ordered by time index then
-    space index.  The squared-field spatial derivatives (c2_*) come from
-    applying the same stencils to C^2.
+    space index.  ``x_index`` and ``t_index`` locate each point on the grid
+    of the field it came from; its coordinates are ``x0 + dx * x_index``
+    and ``t0 + dt * t_index`` there.  The squared-field spatial derivatives
+    (c2_*) come from applying the same stencils to C^2.
     """
 
     x_index: np.ndarray
     t_index: np.ndarray
-    x: np.ndarray
-    t: np.ndarray
     c: np.ndarray
     c_t: np.ndarray
     c_x: np.ndarray
@@ -257,7 +253,6 @@ def compute_derivatives(field: Field) -> DerivativeField:
 
     return DerivativeField(
         x_index=i, t_index=k,
-        x=field.x0 + field.dx * i, t=field.t0 + field.dt * k,
         c=v[i, k], c_t=c_t, c_x=c_x, c_xx=c_xx, c_xxx=c_xxx,
         c2_x=c2_x, c2_xx=c2_xx, c2_xxx=c2_xxx,
     )

@@ -41,11 +41,8 @@ _COND_LIMIT = 1e12
 class FitResult:
     """Coefficients and prediction error for one parameter vector."""
 
-    m: ModelParams
     alpha_norm: CoefficientVector
     alpha_phys: CoefficientVector
-    intercept: float
-    stats: NormalizationStats
     eps: float
 
 
@@ -155,18 +152,14 @@ class PredictionErrorEvaluator:
             r[:, self._order], rhs, self._library.term_ids))
 
         st = self._static_stats
-        stats = NormalizationStats(
-            col_mean=np.concatenate([st.col_mean, d_mean])[self._order],
-            col_std=np.concatenate([st.col_std, d_std])[self._order],
-            y_mean=st.y_mean, y_std=st.y_std)
-        alpha_phys, intercept = denormalize_coefficients(alpha_norm, stats)
+        alpha_phys = denormalize_coefficients(
+            alpha_norm, np.concatenate([st.col_std, d_std])[self._order], st.y_std)
 
         a = alpha_norm.values
         d_test = (term_columns(self._dep_terms, self._split.test, m)
                   - d_mean) / d_std
         resid = self._y_test - self._static_test @ a[self._static]
         resid -= d_test @ a[self._dep]
-        return FitResult(m=m, alpha_norm=alpha_norm, alpha_phys=alpha_phys,
-                         intercept=intercept, stats=stats,
+        return FitResult(alpha_norm=alpha_norm, alpha_phys=alpha_phys,
                          eps=float(np.dot(resid, resid)))
 

@@ -14,8 +14,9 @@ The discretization is a vertex-centred finite-volume scheme with central
 second-order face fluxes for both advection and dispersion, marched with
 backward Euler.  The sorption slope is handled by Picard iteration; every
 sweep solves one tridiagonal system with LAPACK ``gtsv`` on work buffers.
-Without sorption the system does not depend on C: it is factored once with
-``gttrf`` and each step is a single ``gttrs`` solve on the whole column.
+Without sorption the system does not depend on C: its ``gttrs`` binding
+factors it once with ``gttrf``, and each step is a single ``gttrs`` solve on
+the whole column.
 The three routines are called through ``ctypes`` from the ILP64 OpenBLAS
 (scipy-openblas64) that numpy's wheels bundle and ``numpy.linalg`` loads;
 a numpy whose LAPACK lacks them makes ``import transportid`` raise
@@ -302,9 +303,6 @@ class Field:
     def t(self) -> np.ndarray:
         return self.t0 + self.dt * np.arange(self.n_t)
 
-    def copy(self) -> "Field":
-        return Field(self.values.copy(), self.x0, self.dx, self.t0, self.dt, self.mask.copy())
-
 
 @dataclass
 class SimDiagnostics:
@@ -391,21 +389,6 @@ def _address(array: np.ndarray):
     return ctypes.byref(ctypes.c_char.from_buffer(array)) if array.size else None
 
 
-class _Factors:
-    """LU factors of a tridiagonal matrix from LAPACK ``gttrf``: dl, d, du
-    (n - 1, n and n - 1 entries), du2 (n - 2) and the pivots ipiv (n)."""
-
-    __slots__ = ("n", "dl", "d", "du", "du2", "ipiv", "pointers")
-
-    def __init__(self, lower: np.ndarray, diag: np.ndarray, upper: np.ndarray) -> None:
-        self.n = diag.size
-        self.dl, self.d, self.du = lower.copy(), diag.copy(), upper.copy()
-        self.du2 = np.empty(max(self.n - 2, 0))
-        self.ipiv = np.empty(self.n, dtype=np.int64)
-        self.pointers = tuple(_address(a) for a in (self.dl, self.d, self.du,
-                                                    self.du2, self.ipiv))
-
-
 class _GtsvBinding:
     """``gtsv`` bound to a tridiagonal system for ``solve_banded``: its n - 1
     sub- and super-diagonal entries, n diagonal ones and right-hand side are
@@ -434,23 +417,33 @@ class _GtsvBinding:
 
 
 class _GttrsBinding:
-    """``gttrs`` bound to ``factor_banded``'s factors and a right-hand side
-    for ``solve_banded``: ``rhs`` is checked, and the call with its ctypes
-    arguments is built, once.  Each solve overwrites ``rhs``."""
+    """``gttrs`` bound to a tridiagonal system for ``solve_banded``.  The
+    arrays are checked as ``_GtsvBinding`` checks them, but the matrix is
+    only read: LAPACK ``gttrf`` factors a copy of it, once, into dl, d, du
+    (n - 1, n and n - 1 entries), du2 (n - 2) and the pivots ipiv (n), and a
+    singular matrix raises SolverError.  Then the call with its ctypes
+    arguments is built.  Each solve overwrites ``rhs``."""
 
-    __slots__ = ("rhs", "info", "call")
+    __slots__ = ("dl", "d", "du", "du2", "ipiv", "rhs", "info", "call")
     routine = "gttrs"
 
-    def __init__(self, factors, rhs) -> None:
-        if not isinstance(factors, _Factors):
-            raise ValidationError("factors must come from factor_banded")
-        _check_vector("rhs", rhs, factors.n, written=True)
+    def __init__(self, lower, diag, upper, rhs) -> None:
+        n = _check_matrix(lower, diag, upper, written=False)
+        _check_vector("rhs", rhs, n, written=True)
+        self.dl, self.d, self.du = lower.copy(), diag.copy(), upper.copy()
+        self.du2 = np.empty(max(n - 2, 0))
+        self.ipiv = np.empty(n, dtype=np.int64)
+        factors = tuple(_address(a) for a in (self.dl, self.d, self.du, self.du2, self.ipiv))
         self.rhs = rhs
         self.info = ctypes.c_int64(0)
-        size = ctypes.byref(ctypes.c_int64(factors.n))
+        size = ctypes.byref(ctypes.c_int64(n))
+        _gttrf(size, *factors, ctypes.byref(self.info))
+        if self.info.value != 0:
+            raise SolverError(
+                f"tridiagonal factorization failed (LAPACK gttrf info = {self.info.value})")
         self.call = functools.partial(
             _gttrs, ctypes.byref(ctypes.c_char(b"N")), size,
-            ctypes.byref(ctypes.c_int64(1)), *factors.pointers, _address(rhs), size,
+            ctypes.byref(ctypes.c_int64(1)), *factors, _address(rhs), size,
             ctypes.byref(self.info), ctypes.c_size_t(1))
 
     def prepare(self) -> None:
@@ -474,20 +467,6 @@ def solve_banded(bound: _GtsvBinding | _GttrsBinding) -> np.ndarray:
         raise SolverError(
             f"tridiagonal solve failed (LAPACK {bound.routine} info = {bound.info.value})")
     return bound.rhs
-
-
-def factor_banded(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray) -> _Factors:
-    """LU factors of a tridiagonal matrix by LAPACK ``gttrf``, for
-    ``_GttrsBinding``; the arrays are checked as ``_GtsvBinding`` checks
-    them and are not changed.  A singular matrix raises SolverError."""
-    n = _check_matrix(lower, diag, upper, written=False)
-    factors = _Factors(lower, diag, upper)
-    info = ctypes.c_int64(0)
-    _gttrf(ctypes.byref(ctypes.c_int64(n)), *factors.pointers, ctypes.byref(info))
-    if info.value != 0:
-        raise SolverError(
-            f"tridiagonal factorization failed (LAPACK gttrf info = {info.value})")
-    return factors
 
 
 def _measurement_shape(config: ScenarioConfig) -> tuple:
@@ -581,9 +560,6 @@ def simulate(config: ScenarioConfig) -> tuple[Field, SimDiagnostics]:
     diag_flux = np.full(n_nodes, 2.0 * a_face)
     diag_flux[0] = a_face + b_face
     diag_flux[-1] = a_face + b_face
-    # Without sorption the matrix is constant, factored once, and solved on
-    # the whole column.
-    lu = None if nonlinear else factor_banded(lower, vol_over_dt * theta + diag_flux, upper)
     # Work buffers; a window uses their leading entries.  A solve returns the
     # iterate in its right-hand side, so two alternate: no sweep overwrites
     # the iterate it reads.
@@ -591,12 +567,15 @@ def simulate(config: ScenarioConfig) -> tuple[Field, SimDiagnostics]:
 
     def system(hi: int) -> tuple:
         """The constant arrays and the work buffers of the window [0, hi),
-        and their LAPACK bindings: the linear model's gttrs solve into
-        ``diff``, or one gtsv solve into each right-hand side buffer."""
+        and their LAPACK bindings: one gtsv solve into each right-hand side
+        buffer, or the linear model's gttrs solve into ``diff``.  That
+        binding factors the constant matrix, once: the linear model solves
+        only on the whole column."""
         buffers = tuple(work[:, :hi])
         _, _, diag, _, _, diff, *rhs_pair = buffers
         bound = (tuple(_GtsvBinding(lower[:hi - 1], diag, upper[:hi - 1], rhs)
-                       for rhs in rhs_pair) if nonlinear else _GttrsBinding(lu, diff))
+                       for rhs in rhs_pair) if nonlinear else
+                 _GttrsBinding(lower, vol_over_dt * theta + diag_flux, upper, diff))
         return vol_over_dt[:hi], diag_flux[:hi], buffers, bound
 
     full_grid = system(n_nodes)

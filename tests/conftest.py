@@ -10,6 +10,7 @@ import os
 import time
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -68,13 +69,26 @@ def manufactured_field(alpha_by_id, a_star=0.6, kl_star=90.0,
     i_idx, k_idx = np.meshgrid(np.arange(n_x), np.arange(n_t), indexing="ij")
     return DerivativeField(
         x_index=i_idx.ravel(), t_index=k_idx.ravel(),
-        x=x_grid.ravel(), t=t_grid.ravel(),
         c=conc.ravel(), c_t=c_t.ravel(), c_x=d1.ravel(),
         c_xx=d2.ravel(), c_xxx=d3.ravel(),
         c2_x=(2.0 * conc * d1).ravel(),
         c2_xx=(2.0 * (d1 ** 2 + conc * d2)).ravel(),
         c2_xxx=(2.0 * (3.0 * d1 * d2 + conc * d3)).ravel(),
     )
+
+
+def manufactured_grid(n_x=25, n_t=40):
+    """The grid of ``manufactured_field``: n_x by n_t points on the unit
+    square, for ``point_coordinates``."""
+    return SimpleNamespace(x0=0.0, dx=1.0 / (n_x - 1), t0=0.0,
+                           dt=1.0 / (n_t - 1))
+
+
+def point_coordinates(points, grid):
+    """x and t of every point of a DerivativeField, from the grid it was
+    computed on: a Field, or anything else with x0, dx, t0 and dt."""
+    return (grid.x0 + grid.dx * points.x_index,
+            grid.t0 + grid.dt * points.t_index)
 
 
 def sorption_params(a, k_l):

@@ -8,10 +8,14 @@ steps directly: ``normalize_design`` → ``least_squares_fit`` →
 ``denormalize_coefficients`` → ``prediction_error``.
 """
 
-from transportid.library import (DesignMatrix, denormalize_coefficients,
-                                 normalize_design, term_columns)
-from transportid.regression import (FitResult, least_squares_fit,
-                                    prediction_error)
+from dataclasses import dataclass
+
+import numpy as np
+
+from transportid.library import (CoefficientVector, DesignMatrix,
+                                 denormalize_coefficients, normalize_design,
+                                 term_columns)
+from transportid.regression import least_squares_fit, prediction_error
 
 
 def evaluate_terms(deriv, m, spec):
@@ -20,12 +24,25 @@ def evaluate_terms(deriv, m, spec):
                         spec.term_ids)
 
 
+@dataclass
+class PlainFit:
+    """A ``FitResult``'s members, and the intercept: the constant that
+    mean-centring leaves over, negligible for a PDE with no source term."""
+
+    alpha_norm: CoefficientVector
+    alpha_phys: CoefficientVector
+    intercept: float
+    eps: float
+
+
 def plain_fit(split, lib, m):
     """The reference composition the evaluator must reproduce."""
     dm_norm, stats = normalize_design(evaluate_terms(split.train, m, lib))
     alpha_norm = least_squares_fit(dm_norm)
-    alpha_phys, intercept = denormalize_coefficients(alpha_norm, stats)
+    alpha_phys = denormalize_coefficients(alpha_norm, stats.col_std,
+                                          stats.y_std)
+    intercept = stats.y_mean - float(np.dot(alpha_phys.values, stats.col_mean))
     eps = prediction_error(evaluate_terms(split.test, m, lib), alpha_norm,
                            stats)
-    return FitResult(m=m, alpha_norm=alpha_norm, alpha_phys=alpha_phys,
-                     intercept=intercept, stats=stats, eps=eps)
+    return PlainFit(alpha_norm=alpha_norm, alpha_phys=alpha_phys,
+                    intercept=intercept, eps=eps)

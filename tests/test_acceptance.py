@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from conftest import (M_STAR, TIGHT_ASSIM, candidate, coef,
-                      manufactured_field, sorption_params, term_stat)
+                      manufactured_field, point_coordinates, sorption_params,
+                      term_stat)
 from transportid.assimilation import (AssimilationConfig, _chain_factor,
                                       fd_gradient, from_unbounded,
                                       lm_step, run_assimilation, to_unbounded)
@@ -284,9 +285,10 @@ def test_criterion_8_closed_form_oracles_and_invariants(pipeline, announce):
     grid_x = h * np.arange(30)
     field = Field(np.tile((grid_x ** 3)[:, None], (1, 6)), 0.0, h, 0.0, 0.5, None)
     d = compute_derivatives(field)
-    stencil_ok = (np.allclose(d.c_xx, 6.0 * d.x, rtol=1e-12)
+    x, _ = point_coordinates(d, field)
+    stencil_ok = (np.allclose(d.c_xx, 6.0 * x, rtol=1e-12)
                   and np.allclose(d.c_xxx, 6.0, rtol=1e-10)
-                  and np.allclose(d.c_x, 3.0 * d.x ** 2 + h ** 2, rtol=1e-12))
+                  and np.allclose(d.c_x, 3.0 * x ** 2 + h ** 2, rtol=1e-12))
     conds.append(("derivative stencils exact on matching polynomials",
                   stencil_ok))
 

@@ -19,7 +19,6 @@ def points_from(c, c_t, c_x=None, c_xx=None, c_xxx=None):
     pick = lambda v: zero if v is None else np.asarray(v, dtype=float)
     idx = np.arange(c.size)
     return DerivativeField(x_index=idx, t_index=np.zeros_like(idx),
-                           x=idx.astype(float), t=zero,
                            c=c, c_t=np.asarray(c_t, dtype=float),
                            c_x=pick(c_x), c_xx=pick(c_xx), c_xxx=pick(c_xxx),
                            c2_x=2.0 * c * pick(c_x), c2_xx=zero, c2_xxx=zero)
@@ -79,7 +78,6 @@ def test_extended_columns_pull_from_the_right_fields():
     n = 15
     pts = DerivativeField(
         x_index=np.arange(n), t_index=np.zeros(n, dtype=int),
-        x=np.arange(n, dtype=float), t=np.zeros(n),
         c=rng.uniform(0.01, 1.0, n), c_t=rng.normal(size=n),
         c_x=rng.normal(size=n), c_xx=rng.normal(size=n),
         c_xxx=rng.normal(size=n), c2_x=rng.normal(size=n),
@@ -151,23 +149,11 @@ def test_denormalization_inverts_the_scaling():
     _, stats = normalize_design(dm)
     alpha_norm = CoefficientVector(truth * stats.col_std / stats.y_std,
                                    "normalized", dm.term_ids)
-    phys, intercept = denormalize_coefficients(alpha_norm, stats)
+    phys = denormalize_coefficients(alpha_norm, stats.col_std, stats.y_std)
     assert phys.scale == "physical"
     np.testing.assert_allclose(phys.values, truth, rtol=1e-12)
-    assert intercept == pytest.approx(intercept_true, rel=1e-10)
-
-
-def test_zero_coefficients_denormalize_to_mean_intercept():
-    phi = np.array([[1.0, 2.0], [4.0, 3.0], [0.0, 5.0]])
-    y = np.array([1.0, 5.0, 3.0])
-    dm = DesignMatrix(phi, y, ("adv", "dis"))
-    _, stats = normalize_design(dm)
-    zero = CoefficientVector(np.zeros(2), "normalized", dm.term_ids)
-    phys, intercept = denormalize_coefficients(zero, stats)
-    assert np.all(phys.values == 0.0)
-    assert intercept == pytest.approx(y.mean(), rel=1e-14)
     with pytest.raises(ValidationError):
-        denormalize_coefficients(phys, stats)
+        denormalize_coefficients(phys, stats.col_std, stats.y_std)
 
 
 def test_coefficient_vector_contracts():

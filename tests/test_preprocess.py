@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.ndimage import correlate1d, minimum_filter1d
 
-from conftest import make_tiny, package_env
+from conftest import make_tiny, package_env, point_coordinates
 import transportid.preprocess as preprocess
 from transportid.errors import ValidationError
 from transportid.preprocess import (DerivativeField, NoiseSpec, SmoothingConfig,
@@ -279,7 +279,7 @@ assert "scipy.ndimage" not in sys.modules
 def test_smooth_field_nearly_preserves_clean_data(pipeline):
     """One pass over noise-free data must not distort the field."""
     clean, _ = pipeline.simulation("s1")
-    out, passes = smooth_field(clean.copy(), SmoothingConfig(), clean, 0.0)
+    out, passes = smooth_field(clean, SmoothingConfig(), clean, 0.0)
     assert passes == 1
     assert 0.5 < out.mask.mean() < 1.0
     diff = np.abs(out.values - clean.values)
@@ -295,7 +295,7 @@ def test_smooth_field_restores_second_derivative(pipeline):
     cfg = get_scenario("s1")
     clean, _ = pipeline.simulation("s1")
     noisy = add_noise(clean, NoiseSpec(0.05, seed=0))
-    smoothed, _ = smooth_field(noisy.copy(), SmoothingConfig(),
+    smoothed, _ = smooth_field(noisy, SmoothingConfig(),
                                conc_floor=cfg.conc_floor, reference=clean)
     ref = compute_derivatives(clean)
     lookup = {}
@@ -409,11 +409,13 @@ def test_spatial_stencils_exact_on_cubic():
     h = 0.25
     x = h * np.arange(n_x)
     vals = np.tile((x ** 3)[:, None], (1, n_t))
-    d = compute_derivatives(grid_field(vals, dx=h, dt=0.5))
+    field = grid_field(vals, dx=h, dt=0.5)
+    d = compute_derivatives(field)
+    x, _ = point_coordinates(d, field)
     # Central differences on x**3: first derivative picks up exactly h**2,
     # the higher stencils are exact.
-    np.testing.assert_allclose(d.c_x, 3.0 * d.x ** 2 + h ** 2, rtol=1e-12)
-    np.testing.assert_allclose(d.c_xx, 6.0 * d.x, rtol=1e-12)
+    np.testing.assert_allclose(d.c_x, 3.0 * x ** 2 + h ** 2, rtol=1e-12)
+    np.testing.assert_allclose(d.c_xx, 6.0 * x, rtol=1e-12)
     np.testing.assert_allclose(d.c_xxx, 6.0, rtol=1e-10)
     np.testing.assert_allclose(d.c_t, 0.0, atol=1e-14)
 
@@ -422,11 +424,13 @@ def test_squared_field_stencils_exact_on_linear():
     n_x, n_t = 12, 5
     x = 0.5 * np.arange(n_x)
     vals = np.tile(x[:, None], (1, n_t))
-    d = compute_derivatives(grid_field(vals, dx=0.5, dt=1.0))
+    field = grid_field(vals, dx=0.5, dt=1.0)
+    d = compute_derivatives(field)
+    x, _ = point_coordinates(d, field)
     np.testing.assert_allclose(d.c_x, 1.0, rtol=1e-13)
     np.testing.assert_allclose(d.c_xx, 0.0, atol=1e-12)
     # C**2 = x**2, whose central differences are exact as well.
-    np.testing.assert_allclose(d.c2_x, 2.0 * d.x, rtol=1e-12)
+    np.testing.assert_allclose(d.c2_x, 2.0 * x, rtol=1e-12)
     np.testing.assert_allclose(d.c2_xx, 2.0, rtol=1e-12)
     np.testing.assert_allclose(d.c2_xxx, 0.0, atol=1e-10)
 
@@ -436,8 +440,10 @@ def test_time_stencil_second_order_bound():
     dt = 0.1
     t = dt * np.arange(n_t)
     vals = np.tile(np.sin(t)[None, :], (n_x, 1))
-    d = compute_derivatives(grid_field(vals, dx=1.0, dt=dt))
-    err = np.abs(d.c_t - np.cos(d.t))
+    field = grid_field(vals, dx=1.0, dt=dt)
+    d = compute_derivatives(field)
+    _, t = point_coordinates(d, field)
+    err = np.abs(d.c_t - np.cos(t))
     assert err.max() <= dt ** 2 / 6.0 * 1.05
 
 
@@ -488,7 +494,6 @@ def synthetic_points(n_steps=10, n_x=3):
     i, k = np.meshgrid(np.arange(n_x), np.arange(n_steps), indexing="ij")
     flat = i.ravel().astype(float)
     return DerivativeField(x_index=i.ravel(), t_index=k.ravel(),
-                           x=flat, t=k.ravel().astype(float),
                            c=flat + 1.0, c_t=flat, c_x=flat, c_xx=flat,
                            c_xxx=flat, c2_x=flat, c2_xx=flat, c2_xxx=flat)
 

@@ -413,10 +413,11 @@ def gtsv(lower, diag, upper, rhs):
         transport._GtsvBinding(lower, diag.copy(), upper, rhs.copy()))
 
 
-def gttrs(factors, rhs):
-    """``solve_banded`` on a gttrs binding of ``factors`` and a copy of
+def gttrs(lower, diag, upper, rhs):
+    """``solve_banded`` on a gttrs binding of the matrix and a copy of
     ``rhs``."""
-    return transport.solve_banded(transport._GttrsBinding(factors, rhs.copy()))
+    return transport.solve_banded(
+        transport._GttrsBinding(lower, diag, upper, rhs.copy()))
 
 
 def test_solve_banded_rejects_singular_system():
@@ -448,16 +449,15 @@ def test_factored_solve_like_gtsv(n, peclet, dispersion, storage, seed):
     diag = np.full(n, 2.0 * a_face)
     diag[0] = diag[-1] = a_face + b_face
     diag += vol_over_dt
-    factors = transport.factor_banded(lower, diag, upper)
     rhs = np.random.default_rng(seed).normal(size=n)
-    x = gttrs(factors, rhs)
+    x = gttrs(lower, diag, upper, rhs)
     ref = gtsv(lower, diag, upper, rhs)
     assert np.array_equal(x.view(np.uint64), ref.view(np.uint64))
 
 
-def test_factor_banded_rejects_singular_matrices():
+def test_gttrs_binding_rejects_singular_matrices():
     with pytest.raises(SolverError, match="gttrf info"):
-        transport.factor_banded(np.zeros(2), np.zeros(3), np.zeros(2))
+        transport._GttrsBinding(np.zeros(2), np.zeros(3), np.zeros(2), np.ones(3))
 
 
 # ------------------------------------------------ LAPACK binding vs scipy
@@ -496,11 +496,11 @@ def _bits(array):
 @example(n=2, kind="singular", seed=0)
 @example(n=2, kind="normal", seed=0)
 def test_lapack_binding_equals_scipy(n, kind, seed):
-    """solve_banded on a gtsv binding, and factor_banded followed by
-    solve_banded on a gttrs binding, equal scipy's dgtsv, dgttrf and dgttrs
-    bit for bit, and raise SolverError on exactly the systems where scipy
-    reports info > 0.  Neither changes the off-diagonals, nor factor_banded
-    the diagonal."""
+    """A gttrs binding's factors, and solve_banded on a gtsv and on a gttrs
+    binding, equal scipy's dgttrf, dgtsv and dgttrs bit for bit, and
+    building or solving raises SolverError on exactly the systems where
+    scipy reports info > 0.  Neither changes the off-diagonals, nor the
+    gttrs binding the diagonal."""
     lapack = pytest.importorskip("scipy.linalg.lapack")
     lower, diag, upper, rhs = _random_system(n, kind, seed)
     inputs = [a.copy() for a in (lower, diag, upper)]
@@ -521,26 +521,26 @@ def test_lapack_binding_equals_scipy(n, kind, seed):
     if n < 3:
         if info > 0:
             with pytest.raises(SolverError, match="gttrf info"):
-                transport.factor_banded(lower, diag, upper)
+                gttrs(lower, diag, upper, rhs)
         else:
-            x = gttrs(transport.factor_banded(lower, diag, upper), rhs)
+            x = gttrs(lower, diag, upper, rhs)
             assert np.array_equal(_bits(x), _bits(x_ref))
     else:
         *factors_ref, info = lapack.dgttrf(lower, diag, upper)
         if info > 0:
             with pytest.raises(SolverError, match="gttrf info"):
-                transport.factor_banded(lower, diag, upper)
+                gttrs(lower, diag, upper, rhs)
         else:
             assert info == 0
-            factors = transport.factor_banded(lower, diag, upper)
+            bound = transport._GttrsBinding(lower, diag, upper, rhs.copy())
             dl, d, du, du2, ipiv = factors_ref
-            for ours, ref in ((factors.dl, dl), (factors.d, d), (factors.du, du),
-                              (factors.du2, du2)):
+            for ours, ref in ((bound.dl, dl), (bound.d, d), (bound.du, du),
+                              (bound.du2, du2)):
                 assert np.array_equal(_bits(ours), _bits(ref))
-            assert np.array_equal(factors.ipiv, ipiv)
+            assert np.array_equal(bound.ipiv, ipiv)
             x_ref, info = lapack.dgttrs(dl, d, du, du2, ipiv, rhs)
             assert info == 0
-            x = gttrs(factors, rhs)
+            x = transport.solve_banded(bound)
             assert np.array_equal(_bits(x), _bits(x_ref))
     for before, after in zip(inputs, (lower, diag, upper)):
         assert np.array_equal(_bits(before), _bits(after))
@@ -556,7 +556,6 @@ def _read_only(array):
 
 
 _LOW, _DIAG, _UP, _RHS = _system()
-_FACTORS = transport.factor_banded(_LOW, _DIAG, _UP)
 
 _MALFORMED_CALLS = {
     "gtsv-lower-short": lambda: transport._GtsvBinding(
@@ -584,19 +583,19 @@ _MALFORMED_CALLS = {
     "gtsv-raw-array": lambda: transport.solve_banded(_RHS.copy()),
     "gtsv-raw-arrays": lambda: transport.solve_banded(
         (_LOW, _DIAG.copy(), _UP, _RHS.copy())),
-    "gttrf-lower-short": lambda: transport.factor_banded(np.ones(2), _DIAG, _UP),
-    "gttrf-diag-float32": lambda: transport.factor_banded(
-        _LOW, _DIAG.astype(np.float32), _UP),
-    "gttrf-upper-strided": lambda: transport.factor_banded(
-        _LOW, _DIAG, np.ones(6)[::2]),
-    "gttrf-empty": lambda: transport.factor_banded(np.ones(0), np.ones(0), np.ones(0)),
-    "gttrs-rhs-long": lambda: transport._GttrsBinding(_FACTORS, np.ones(5)),
-    "gttrs-rhs-strided": lambda: transport._GttrsBinding(_FACTORS, np.ones(8)[::2]),
+    "gttrf-lower-short": lambda: transport._GttrsBinding(
+        np.ones(2), _DIAG, _UP, _RHS.copy()),
+    "gttrf-diag-float32": lambda: transport._GttrsBinding(
+        _LOW, _DIAG.astype(np.float32), _UP, _RHS.copy()),
+    "gttrf-upper-strided": lambda: transport._GttrsBinding(
+        _LOW, _DIAG, np.ones(6)[::2], _RHS.copy()),
+    "gttrf-empty": lambda: transport._GttrsBinding(
+        np.ones(0), np.ones(0), np.ones(0), np.ones(0)),
+    "gttrs-rhs-long": lambda: transport._GttrsBinding(_LOW, _DIAG, _UP, np.ones(5)),
+    "gttrs-rhs-strided": lambda: transport._GttrsBinding(
+        _LOW, _DIAG, _UP, np.ones(8)[::2]),
     "gttrs-rhs-read-only": lambda: transport._GttrsBinding(
-        _FACTORS, _read_only(_RHS.copy())),
-    "gttrs-factors-tuple": lambda: transport._GttrsBinding(
-        (_LOW, _DIAG, _UP, np.ones(2), np.arange(1, 5)), _RHS.copy()),
-    "gttrs-factors": lambda: transport.solve_banded(_FACTORS),
+        _LOW, _DIAG, _UP, _read_only(_RHS.copy())),
 }
 
 
@@ -610,10 +609,10 @@ def _printed(capfd) -> str:
 
 @pytest.mark.parametrize("call", _MALFORMED_CALLS.values(), ids=_MALFORMED_CALLS.keys())
 def test_malformed_arrays_never_reach_lapack(capfd, call):
-    """A raw LAPACK call checks no array, so a binding's constructor,
-    factor_banded, and a solve given anything but a binding raise
-    ValidationError first; LAPACK's own "** On entry to" complaint about an
-    argument is never printed."""
+    """A raw LAPACK call checks no array, so a binding's constructor, and a
+    solve given anything but a binding, raise ValidationError first;
+    LAPACK's own "** On entry to" complaint about an argument is never
+    printed."""
     with pytest.raises(ValidationError):
         call()
     assert "** On entry to" not in _printed(capfd)

@@ -12,8 +12,13 @@ zero-gradient boundary placed far from the plume.
 
 The discretization is a vertex-centred finite-volume scheme with central
 second-order face fluxes for both advection and dispersion, marched with
-backward Euler.  The sorption slope is handled by Picard iteration; every
-sweep solves one tridiagonal system with LAPACK ``gtsv`` on work buffers.
+backward Euler.  The sorption slope is handled by the modified Picard
+scheme of Celia, Bouloutas & Zarba (1990), Newton's method on the storage
+term; every sweep solves one tridiagonal system with LAPACK ``gtsv`` on
+work buffers.  Unless the inlet flux switched, a step's first sweep
+linearizes at the extrapolated 2 C^n - C^(n-1).  Each sweep evaluates one
+isotherm factor, which gives both the sorbed value and its slope; below
+_SLOPE_EVAL_FLOOR the solver's Freundlich isotherm is linear.
 Without sorption the system does not depend on C: its ``gttrs`` binding
 factors it once with ``gttrf``, and each step is a single ``gttrs`` solve on
 the whole column.
@@ -28,20 +33,18 @@ The scheme conserves mass discretely, which the simulator can track through
 a running flux audit.
 
 With sorption each step solves only the active window [0, hi), which ends
-_GUARD nodes past the last node with |C| > _TAIL * c0.  The nodes from hi
-on are held at exactly 0, so the window's last row is an interior row
-against a fixed zero.  Steps run on the whole column, scanning it after
-each step, until the plume has settled: its last node above the tail moved
-by at most _GUARD // 4 nodes, in a step that took more than one Picard
-sweep.  After that only the guard band is read: the window
-grows to keep _GUARD negligible nodes past the plume, and a step whose
-plume reached the far half of the band is solved again on the full grid,
-which starts the settling scan anew.  Past hi a full-grid solve holds only
-values below the tail bound (ahead of a Freundlich front with a < 1 nearly
-all are exactly 0 or negative, which the record clamps to 0), so on every
-preset and in the randomized tests against a full-grid reference the
-recorded values equal a full-grid solve's bit for bit; the outflow misses
-outlet values of at most _TAIL * c0 a step.
+_GUARD nodes past the last node above the tail: a node at or below it holds
+at most _TAIL * theta * c0 of aqueous and of sorbed concentration.  The
+nodes from hi on are held at exactly 0, so the window's last row is an
+interior row against a fixed zero.  Steps run on the whole column, scanning
+it after each step, until the plume has settled: its last node above the
+tail moved by at most _GUARD // 4 nodes, in a step that took more than one
+Picard sweep.  After that only the guard band is read: the window grows to
+keep _GUARD negligible nodes past the plume, and a step whose plume reached
+the far half of the band is solved again on the full grid, which starts
+the settling scan anew.  A full-grid solve holds only values below the
+tail past hi, so the recorded values stay within the tail of a full-grid
+solve's; the outflow misses outlet values of at most the tail a step.
 
 The solver records the concentration only on the coarser monitoring grid;
 the measurement sampler masks entries at or below the detection floor.
@@ -59,16 +62,18 @@ from numpy.linalg import _umath_linalg
 
 from .errors import SolverError, ValidationError, check_numbers, is_real
 
-# Concentration floor used only when evaluating the Freundlich slope, whose
-# C**(a-1) factor is singular at zero.  Far below any detection floor.
+# Concentration floor of the Freundlich factor C**(a-1), which is singular
+# at zero; below it the solver's isotherm is linear.  Far below any
+# detection floor.
 _SLOPE_EVAL_FLOOR = 1e-12
 
 _PICARD_TOL = 1e-10
 _PICARD_MAX_SWEEPS = 50
 
 # Active window: each step solves only the nodes [0, hi), which end _GUARD
-# nodes past the last node with |C| > _TAIL * c0; the rest stay exactly 0.
-_TAIL = 1e-100
+# nodes past the last node above the tail (``_tail_concentration``); the
+# rest stay exactly 0.
+_TAIL = 1e-12
 _GUARD = 32
 
 # Largest inlet concentration accepted, in mg/l: 1 kg/l, above any solute
@@ -116,46 +121,31 @@ class SorptionModel:
         return cls(kind="langmuir", k_l=float(k_l), s_bar=float(s_bar))
 
 
-# Unchecked isotherm kernels, C -> C* and C -> dC*/dC, one pair per kind.
-# Callers guarantee the domain: C >= 0, and C > 0 for the Freundlich slope.
-# Given ``out`` (which may be c) a kernel works in place.  A Langmuir value
-# given ``den`` leaves 1 + K_l * C there, and the Langmuir slope reads it.
-
-def _zero(c, model: SorptionModel, out=None, den=None):
-    return np.zeros_like(c)
-
-
-def _freundlich_value(c, model: SorptionModel, out=None, den=None):
-    return np.multiply(np.power(c, model.a, out=out), model.k_f, out=out)
-
-
-def _freundlich_slope(c, model: SorptionModel, out=None, den=None):
-    return np.multiply(np.power(c, model.a - 1.0, out=out), model.a * model.k_f, out=out)
-
-
-def _langmuir_value(c, model: SorptionModel, out=None, den=None):
-    den = np.add(np.multiply(c, model.k_l, out=den), 1.0, out=den)
-    return np.divide(np.multiply(c, model.k_l * model.s_bar, out=out), den, out=out)
-
-
-def _langmuir_slope(c, model: SorptionModel, out=None, den=None):
-    return np.divide(model.k_l * model.s_bar, np.multiply(den, den, out=out), out=out)
-
-
-_KERNELS = {
-    "none": (_zero, _zero),
-    "freundlich": (_freundlich_value, _freundlich_slope),
-    "langmuir": (_langmuir_value, _langmuir_slope),
-}
-
-
 def isotherm_value(c, model: SorptionModel):
     """Sorbed concentration C*(C).  Raises on negative concentrations."""
     arr = np.asarray(c, dtype=float)
     if np.any(arr < 0.0):
         raise ValueError("isotherm_value requires C >= 0")
-    out = _KERNELS[model.kind][0](arr, model)
+    if model.kind == "freundlich":
+        out = model.k_f * np.power(arr, model.a)
+    elif model.kind == "langmuir":
+        out = model.k_l * model.s_bar * arr / (1.0 + model.k_l * arr)
+    else:
+        out = np.zeros_like(arr)
     return float(out) if np.isscalar(c) else out
+
+
+def _freundlich_factor(c, model: SorptionModel, m, q) -> None:
+    """q = max(C, floor)**(a - 1), so that C* = K_f * m * q, with
+    m = max(C, 0), and its slope is a * K_f * q; below the floor C* is
+    linear."""
+    np.power(np.maximum(c, _SLOPE_EVAL_FLOOR, out=q), model.a - 1.0, out=q)
+
+
+def _langmuir_factor(c, model: SorptionModel, m, q) -> None:
+    """q = 1 / (1 + K_l * m), so that C* = K_l * S_bar * m * q, with
+    m = max(C, 0), and its slope is K_l * S_bar * q * q."""
+    np.divide(1.0, np.add(np.multiply(m, model.k_l, out=q), 1.0, out=q), out=q)
 
 
 @dataclass(frozen=True)
@@ -393,27 +383,28 @@ class _GtsvBinding:
     """``gtsv`` bound to a tridiagonal system for ``solve_banded``: its n - 1
     sub- and super-diagonal entries, n diagonal ones and right-hand side are
     checked, and the call with its ctypes arguments is built, once.  gtsv
-    overwrites all four arrays, so it works on copies dl and du of ``lower``
-    and ``upper``, which ``prepare`` refreshes before each call."""
+    overwrites all four arrays, so it works on a copy of ``lower`` and
+    ``upper``, taken here, which ``prepare`` restores before each call."""
 
-    __slots__ = ("lower", "upper", "rhs", "dl", "du", "info", "call")
+    __slots__ = ("bands", "work", "rhs", "info", "call")
     routine = "gtsv"
 
     def __init__(self, lower, diag, upper, rhs) -> None:
         n = _check_matrix(lower, diag, upper, written=True)
         _check_vector("rhs", rhs, n, written=True)
-        self.lower, self.upper, self.rhs = lower, upper, rhs
-        self.dl, self.du = np.empty(n - 1), np.empty(n - 1)
+        self.bands = np.stack((lower, upper))
+        self.work = np.empty_like(self.bands)
+        self.rhs = rhs
         self.info = ctypes.c_int64(0)
         size = ctypes.byref(ctypes.c_int64(n))
+        dl, du = self.work
         self.call = functools.partial(
             _gtsv, size, ctypes.byref(ctypes.c_int64(1)),
-            *(_address(a) for a in (self.dl, diag, self.du, rhs)), size,
+            *(_address(a) for a in (dl, diag, du, rhs)), size,
             ctypes.byref(self.info))
 
     def prepare(self) -> None:
-        self.dl[:] = self.lower
-        self.du[:] = self.upper
+        self.work[...] = self.bands
 
 
 class _GttrsBinding:
@@ -474,6 +465,23 @@ def _measurement_shape(config: ScenarioConfig) -> tuple:
     return config.meas_x_count, n_t
 
 
+def _tail_concentration(config: ScenarioConfig) -> float:
+    """The active window's tail: a node with |C| at most this holds an
+    aqueous and a sorbed concentration, theta * C and rho_b * C*(C), of at
+    most _TAIL * theta * c0 each.  Inverted from the exact isotherm, which
+    bounds the solver's (linear below _SLOPE_EVAL_FLOOR) from above."""
+    model = config.sorption
+    held = _TAIL * config.theta * config.c0
+    if model.kind == "langmuir":  # theta * C + rho_b * C* <= (theta + rho_b * K_l * S_bar) * C
+        return held / (config.theta + config.rho_b * model.k_l * model.s_bar)
+    tail = _TAIL * config.c0
+    sorbing = config.rho_b * model.k_f
+    if model.kind == "freundlich" and sorbing > 0.0 and held < sorbing:
+        # rho_b * K_f * C**a <= held; at held >= sorbing the root is >= 1 > tail.
+        tail = min(tail, (held / sorbing) ** (1.0 / model.a))
+    return tail
+
+
 def simulate(config: ScenarioConfig) -> tuple[Field, SimDiagnostics]:
     """Run the transport solver: (field on the measurement grid, diagnostics).
 
@@ -515,16 +523,19 @@ def simulate(config: ScenarioConfig) -> tuple[Field, SimDiagnostics]:
     vol[0] = vol[-1] = 0.5 * dx
     vol_over_dt = vol / dt
 
-    value, slope = _KERNELS[model.kind]
     nonlinear = model.kind != "none"
     langmuir = model.kind == "langmuir"
+    factor = _langmuir_factor if langmuir else _freundlich_factor
 
-    # c and cs hold the whole column; only the window [0, hi) is solved, and
+    # c and sorbed_c hold the whole column; only the window [0, hi) is solved, and
     # the nodes from hi on stay exactly 0 (the isotherms all vanish at 0).
+    # c_prev, the step before c, gives the extrapolated start; the two
+    # arrays swap roles after each step.
     c = np.zeros(n_nodes)
-    cs = np.zeros(n_nodes)  # isotherm value of max(c, 0), carried along with c
+    c_prev = np.zeros(n_nodes)
+    sorbed_c = np.zeros(n_nodes)  # rho_b * C*(c), carried along with c
     measured = np.zeros(_measurement_shape(config))
-    tail = _TAIL * config.c0
+    tail = _tail_concentration(config)
 
     injected = 0.0
     outflowed = 0.0
@@ -542,7 +553,7 @@ def simulate(config: ScenarioConfig) -> tuple[Field, SimDiagnostics]:
             slot = steps_done // audit_every
             audit_times[slot] = steps_done * dt
             aqueous[slot] = theta * float(vol @ c)
-            sorbed[slot] = rho_b * float(vol @ cs)
+            sorbed[slot] = float(vol @ sorbed_c)
             injected_track[slot] = injected
             outflowed_track[slot] = outflowed
         if steps_done >= t_first and (steps_done - t_first) % t_every == 0:
@@ -551,69 +562,59 @@ def simulate(config: ScenarioConfig) -> tuple[Field, SimDiagnostics]:
 
     record(0)
 
-    # Off-diagonals are constant.  The diagonal and the sorbed-mass change of
-    # the right-hand side follow the sorption slope; without sorption they
-    # are the constants below.  A window's last row keeps its interior
-    # diag_flux: node hi is a fixed zero, not the outlet.
+    # Off-diagonals are constant, and so is the diagonal without sorption.
+    # A window's last row keeps its interior diag_flux: node hi is a fixed
+    # zero, not the outlet.
     lower = np.full(n_nodes - 1, -(a_face + b_face))
     upper = np.full(n_nodes - 1, -(a_face - b_face))
     diag_flux = np.full(n_nodes, 2.0 * a_face)
     diag_flux[0] = a_face + b_face
     diag_flux[-1] = a_face + b_face
+    diag_const = vol_over_dt * theta + diag_flux
+
+    # With K = K_f, or K_l * S_bar, u = vdt * rho_b * K * q and m = max(C, 0)
+    # at the iterate, vdt * rho_b * C* is u * m and its slope u * lam, with
+    # lam = a (Freundlich) or q (Langmuir).
+    rho_k = rho_b * (model.k_l * model.s_bar if langmuir else model.k_f)
+    w_sorb = vol_over_dt * rho_k
     # Work buffers; a window uses their leading entries.  A solve returns the
     # iterate in its right-hand side, so two alternate: no sweep overwrites
     # the iterate it reads.
-    work = np.empty((8, n_nodes))
+    work = np.empty((10, n_nodes))
 
     def system(hi: int) -> tuple:
-        """The constant arrays and the work buffers of the window [0, hi),
-        and their LAPACK bindings: one gtsv solve into each right-hand side
-        buffer, or the linear model's gttrs solve into ``diff``.  That
-        binding factors the constant matrix, once: the linear model solves
-        only on the whole column."""
+        """The window [0, hi): its constant arrays, work buffers and the gtsv
+        binding of each right-hand side buffer."""
         buffers = tuple(work[:, :hi])
-        _, _, diag, _, _, diff, *rhs_pair = buffers
-        bound = (tuple(_GtsvBinding(lower[:hi - 1], diag, upper[:hi - 1], rhs)
-                       for rhs in rhs_pair) if nonlinear else
-                 _GttrsBinding(lower, vol_over_dt * theta + diag_flux, upper, diff))
-        return vol_over_dt[:hi], diag_flux[:hi], buffers, bound
+        diag, *rhs_pair = buffers[7:]
+        bound = tuple(_GtsvBinding(lower[:hi - 1], diag, upper[:hi - 1], rhs)
+                      for rhs in rhs_pair)
+        return hi, diag_const[:hi], vol_over_dt[:hi], w_sorb[:hi], buffers, bound
 
-    full_grid = system(n_nodes)
-
-    def picard(c_old, cs_old, window: tuple, flux_in: float, t_next: float):
-        """Backward-Euler step on ``window``'s nodes: (c, cs, sweeps), valid
-        until the next call."""
+    def picard(window: tuple, flux_in: float, extrapolate: bool, t_next: float):
+        """Backward-Euler step on ``window``'s nodes from c, the first sweep
+        linearized at c or, if ``extrapolate``, at 2c - c_prev: the new c,
+        its rho_b * C* and the sweeps taken, in buffers valid until the next
+        call."""
         nonlocal solves
-        vdt, flux, buffers, bound = window
-        theta_c, s, diag, cs_k, den, diff, *rhs_pair = buffers
-        np.multiply(c_old, theta, out=theta_c)  # theta * c^n, once per step
-        if not nonlinear:  # rhs = vdt * (theta * c^n + 0.0), which turns -0 into +0
-            rhs = np.multiply(np.add(theta_c, 0.0, out=diff), vdt, out=diff)
-            rhs[0] += flux_in
-            c_new = solve_banded(bound)
-            solves += 1
-            if not np.isfinite(c_new).all():
-                raise SolverError(f"non-finite concentration at t = {t_next:.3f} s")
-            return c_new, cs_old, 1
-        if langmuir:  # den of c_old for the first sweep's slope
-            value(np.maximum(c_old, 0.0, out=diff), model, diff, den)
-        c_k = c_old
+        hi, diag_c, vdt, w, buffers, bound = window
+        start, m, q, u, g, diff, base, diag, *rhs_pair = buffers
+        lam = q if langmuir else model.a
+        c_old = c[:hi]
+        # base = vdt * (theta * c^n + rho_b * C*(c^n)), once per step; each
+        # sweep adds u * (lam * c_k - m) = vdt * rho_b * (s_k * c_k - C*_k).
+        np.multiply(np.add(np.multiply(c_old, theta, out=base), sorbed_c[:hi], out=base),
+                    vdt, out=base)
+        c_k = (np.add(np.subtract(c_old, c_prev[:hi], out=start), c_old, out=start)
+               if extrapolate else c_old)
+        factor(c_k, model, np.maximum(c_k, 0.0, out=m), q)
         for sweep in range(1, _PICARD_MAX_SWEEPS + 1):
-            # diag = vdt * (theta + rho_b * s) + flux and rhs = vdt * (theta *
-            # c_old + rho_b * (cs_old - cs_k + s * c_k)), cs_k = cs_old at first;
-            # the Freundlich slope, singular at C = 0, is taken at a floor.
-            slope(c_k if langmuir else np.maximum(c_k, _SLOPE_EVAL_FLOOR, out=s), model, s, den)
-            np.multiply(s, rho_b, out=diag)
-            diag += theta
-            diag *= vdt
-            diag += flux
-            s *= c_k
+            np.multiply(w, q, out=u)
+            np.add(np.multiply(u, lam, out=diag), diag_c, out=diag)
             slot = sweep % 2
-            rhs = np.subtract(cs_old, cs_k if sweep > 1 else cs_old, out=rhs_pair[slot])
-            rhs += s
-            rhs *= rho_b
-            rhs += theta_c
-            rhs *= vdt
+            rhs = rhs_pair[slot]
+            np.multiply(np.subtract(np.multiply(c_k, lam, out=g), m, out=g), u, out=g)
+            np.add(base, g, out=rhs)
             rhs[0] += flux_in
             c_new = solve_banded(bound[slot])
             solves += 1
@@ -621,58 +622,90 @@ def simulate(config: ScenarioConfig) -> tuple[Field, SimDiagnostics]:
             if not math.isfinite(delta):
                 raise SolverError(f"non-finite concentration at t = {t_next:.3f} s")
             c_k = c_new
-            value(np.maximum(c_k, 0.0, out=cs_k), model, cs_k, den)
+            factor(c_k, model, np.maximum(c_k, 0.0, out=m), q)
             if delta <= _PICARD_TOL:
-                return c_k, cs_k, sweep
+                return c_k, np.multiply(np.multiply(q, m, out=g), rho_k, out=g), sweep
         raise SolverError(
             f"Picard iteration failed at t = {t_next:.3f} s "
             f"(last sweep change {delta:.3e} after {_PICARD_MAX_SWEEPS} sweeps)"
         )
 
+    def commit(hi: int, c_k, sorbed_k) -> None:
+        """Make picard's result on [0, hi) the state, and c the c_prev."""
+        nonlocal c, c_prev
+        c_prev[:hi] = c_k
+        sorbed_c[:hi] = sorbed_k
+        c, c_prev = c_prev, c
+
     def last_above_tail() -> int:
         above = np.flatnonzero(np.abs(c) > tail)
         return int(above[-1]) if above.size else -1
 
-    # A nonlinear model's window opens after a full-grid step in which the
-    # plume settled: its last node above the tail moved by at most
-    # _GUARD // 4, and the step took more than one Picard sweep (one sweep
-    # means the iterate is still at the Freundlich slope floor, from which
-    # the front can jump).  Until then, and after a step solved again, each
-    # step scans the grid.  The linear model never scans.
+    if nonlinear:
+        full_grid = system(n_nodes)
+    else:
+        # Each step is one gttrs solve with the factors of the constant
+        # matrix, on the whole column.
+        theta_c, rhs = np.empty(n_nodes), np.empty(n_nodes)
+        factored = _GttrsBinding(lower, diag_const, upper, rhs)
+
+    def linear_step(flux_in: float, t_next: float):
+        nonlocal solves
+        # rhs = vdt * (theta * c^n + 0.0), which turns -0 into +0
+        np.multiply(c, theta, out=theta_c)
+        np.multiply(np.add(theta_c, 0.0, out=rhs), vol_over_dt, out=rhs)
+        rhs[0] += flux_in
+        c_new = solve_banded(factored)
+        solves += 1
+        if not np.isfinite(c_new).all():
+            raise SolverError(f"non-finite concentration at t = {t_next:.3f} s")
+        return c_new
+
+    # The window opens after a full-grid step in which the plume settled: its
+    # last node above the tail moved by at most _GUARD // 4, and the step
+    # took more than one Picard sweep.  Until then, and after a step solved
+    # again, each step scans the grid.
     hi = n_nodes
-    scanning = nonlinear
+    scanning = True
     last = -1
+    flux_prev = None
     for step in range(n_steps):
         t_next = (step + 1) * dt
         flux_in = f0 if t_next <= config.t_pulse + 1e-9 * dt else 0.0
+        extrapolate = flux_in == flux_prev
+        flux_prev = flux_in
 
-        if hi == n_nodes:
-            c_k, cs_k, sweeps = picard(c, cs, full_grid, flux_in, t_next)
-            c[:], cs[:] = c_k, cs_k
+        if not nonlinear:
+            c[:] = linear_step(flux_in, t_next)
+            sweeps = 1
+        elif hi == n_nodes:
+            c_k, sorbed_k, sweeps = picard(full_grid, flux_in, extrapolate, t_next)
+            commit(hi, c_k, sorbed_k)
             if scanning:
                 previous, last = last, last_above_tail()
                 if last + 1 + _GUARD >= n_nodes:
                     scanning = False  # the window would reach the outlet
                 elif last - previous <= _GUARD // 4 and sweeps > 1:
                     hi = last + 1 + _GUARD
-                    c[hi:] = 0.0
-                    cs[hi:] = 0.0
+                    c[hi:] = c_prev[hi:] = sorbed_c[hi:] = 0.0
                     window = system(hi)
         else:
-            c_k, cs_k, sweeps = picard(c[:hi], cs[:hi], window, flux_in, t_next)
+            c_k, sorbed_k, sweeps = picard(window, flux_in, extrapolate, t_next)
             # Only the guard band is read: the last node above the tail is
             # there if it moved at all, and the window grows to end _GUARD
             # nodes past it again.
-            band = np.flatnonzero(np.abs(c_k[hi - _GUARD:]) > tail)
-            grow = int(band[-1]) + 1 if band.size else 0
+            band = c_k[hi - _GUARD:]
+            grow = 0
+            if band.max() > tail or band.min() < -tail:
+                grow = int(np.flatnonzero(np.abs(band) > tail)[-1]) + 1
             if grow > _GUARD // 2:
                 # The plume outran the edge band: redo the step unwindowed.
-                c_k, cs_k, sweeps = picard(c, cs, full_grid, flux_in, t_next)
-                c[:], cs[:] = c_k, cs_k
-                last = last_above_tail()
                 hi = n_nodes
+                c_k, sorbed_k, sweeps = picard(full_grid, flux_in, extrapolate, t_next)
+                commit(hi, c_k, sorbed_k)
+                last = last_above_tail()
             else:
-                c[:hi], cs[:hi] = c_k, cs_k
+                commit(hi, c_k, sorbed_k)
                 if grow:
                     hi = min(n_nodes, hi + grow)
                     window = system(hi)

@@ -1,16 +1,24 @@
-"""Plain reference implementation of ``transport.simulate``, kept as the
-oracle for the solver's fast path.
+"""Plain reference implementations of ``transport.simulate``, kept as the
+oracles for the solver's fast path.
 
-This is the straightforward time loop: every Picard sweep evaluates the
-isotherm value and slope afresh, assembles a 3-row band matrix and solves it
-with ``scipy.linalg.solve_banded`` (which checks its inputs for finiteness),
-and the linear model runs a confirming second sweep per step.  The isotherm
-formulas are repeated here rather than imported, so the oracle shares no
-arithmetic with the code it checks.  Its only addition is the solve counter.
+``plain_simulate`` is the fast path's own scheme, written out plainly: every
+step solves the whole column, so no active window and no work buffers, with
+each sweep's diagonal assembled afresh and the system solved by scipy's
+``dgtsv``, as ``scipy.linalg.solve_banded`` solves it.  It takes the same
+extrapolated start, the same isotherm form and the same order of
+operations, so the fast path matches it up to what the window's tail leaves
+out.
+
+``reference_simulate`` is the solver's earlier loop: each step starts from
+the last step's concentration, every sweep evaluates the exact isotherm
+value and slope afresh, and the linear model runs a confirming second sweep
+per step.  Its isotherm formulas are repeated here rather than imported.
+Run with a tight Picard tolerance it is the accuracy oracle; the linear
+model, whose scheme is unchanged, still matches it bit for bit.
 """
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from transportid.errors import SolverError, ValidationError
 from transportid.transport import (_PICARD_MAX_SWEEPS, _PICARD_TOL,
@@ -19,155 +27,228 @@ from transportid.transport import (_PICARD_MAX_SWEEPS, _PICARD_TOL,
                                    _measurement_shape)
 
 
+def _value(arr, model: SorptionModel):
+    if model.kind == "none":
+        return np.zeros_like(arr)
+    if model.kind == "freundlich":
+        return model.k_f * np.power(arr, model.a)
+    return model.k_l * model.s_bar * arr / (1.0 + model.k_l * arr)
+
+
+def _slope(arr, model: SorptionModel):
+    if model.kind == "none":
+        return np.zeros_like(arr)
+    if model.kind == "freundlich":
+        return model.a * model.k_f * np.power(arr, model.a - 1.0)
+    return model.k_l * model.s_bar / (1.0 + model.k_l * arr) ** 2
+
+
 def isotherm_value(c, model: SorptionModel):
     arr = np.asarray(c, dtype=float)
     if np.any(arr < 0.0):
         raise ValueError("isotherm_value requires C >= 0")
-    if model.kind == "none":
-        out = np.zeros_like(arr)
-    elif model.kind == "freundlich":
-        out = model.k_f * np.power(arr, model.a)
-    else:
-        out = model.k_l * model.s_bar * arr / (1.0 + model.k_l * arr)
+    out = _value(arr, model)
     return float(out) if np.isscalar(c) else out
 
 
 def isotherm_slope(c, model: SorptionModel):
     arr = np.asarray(c, dtype=float)
-    if model.kind == "none":
-        out = np.zeros_like(arr)
-    elif model.kind == "freundlich":
-        if np.any(arr <= 0.0):
-            raise ValueError("Freundlich slope requires C > 0 (singular at C = 0)")
-        out = model.a * model.k_f * np.power(arr, model.a - 1.0)
-    else:
-        if np.any(arr < 0.0):
-            raise ValueError("isotherm_slope requires C >= 0")
-        out = model.k_l * model.s_bar / (1.0 + model.k_l * arr) ** 2
+    if model.kind == "freundlich" and np.any(arr <= 0.0):
+        raise ValueError("Freundlich slope requires C > 0 (singular at C = 0)")
+    if model.kind == "langmuir" and np.any(arr < 0.0):
+        raise ValueError("isotherm_slope requires C >= 0")
+    out = _slope(arr, model)
     return float(out) if np.isscalar(c) else out
 
 
-def _slope_for_solver(c: np.ndarray, model: SorptionModel) -> np.ndarray:
-    if model.kind == "none":
-        return np.zeros_like(c)
-    if model.kind == "freundlich":
-        return isotherm_slope(np.maximum(c, _SLOPE_EVAL_FLOOR), model)
-    return isotherm_slope(np.maximum(c, 0.0), model)
+class _Column:
+    """The grid, the constant band entries, the measurement grid and the
+    mass audit of one simulation, shared by both loops."""
 
+    def __init__(self, config: ScenarioConfig):
+        if config.d_l <= 0.0:
+            raise ValidationError("central differencing requires D_L > 0")
+        peclet = config.v_x * config.sim_dx / config.d_l
+        if peclet > 2.0:
+            raise ValidationError(
+                f"grid Peclet number {peclet:.3f} exceeds 2; refine sim_dx or raise dispersivity"
+            )
+        self.config = config
+        self.n_nodes = int(round(config.sim_length / config.sim_dx)) + 1
+        self.n_steps = int(round(config.meas_t_end / config.sim_dt))
+        self.audit_every = int(round(config.store_dt / config.sim_dt))
+        n_audit = self.n_steps // self.audit_every + 1
+        self.x_every = int(round(config.meas_dx / config.sim_dx))
+        self.x_stop = (config.meas_x_count - 1) * self.x_every + 1
+        self.t_first = int(round(config.meas_t_start / config.sim_dt))
+        self.t_every = int(round(config.meas_dt / config.sim_dt))
 
-def reference_simulate(config: ScenarioConfig):
-    """(field, diagnostics) as ``simulate(config)`` computes them, the slow way."""
-    if config.d_l <= 0.0:
-        raise ValidationError("central differencing requires D_L > 0")
-    peclet = config.v_x * config.sim_dx / config.d_l
-    if peclet > 2.0:
-        raise ValidationError(
-            f"grid Peclet number {peclet:.3f} exceeds 2; refine sim_dx or raise dispersivity"
+        dx = config.sim_dx
+        a_face = config.theta * config.d_l / dx  # dispersive conductance per face
+        b_face = 0.5 * config.q                  # advective (central) face weight
+        self.f0 = config.q * config.c0
+
+        # Control volumes: half cells at both boundaries.
+        self.vol = np.full(self.n_nodes, dx)
+        self.vol[0] = self.vol[-1] = 0.5 * dx
+        self.vol_over_dt = self.vol / config.sim_dt
+
+        # Off-diagonals are constant; the diagonal changes with the sorption slope.
+        self.lower = np.full(self.n_nodes - 1, -(a_face + b_face))
+        self.upper = np.full(self.n_nodes - 1, -(a_face - b_face))
+        self.diag_flux = np.full(self.n_nodes, 2.0 * a_face)
+        self.diag_flux[0] = a_face + b_face
+        self.diag_flux[-1] = a_face + b_face
+
+        self.measured = np.zeros(_measurement_shape(config))
+        self.injected = 0.0
+        self.outflowed = 0.0
+        self.max_sweeps = 0
+        self.solves = 0
+        self.audit = {name: np.zeros(n_audit) for name in
+                      ("times", "aqueous", "sorbed", "injected", "outflowed")}
+
+    def flux_in(self, step: int) -> float:
+        t_next = (step + 1) * self.config.sim_dt
+        return self.f0 if t_next <= self.config.t_pulse + 1e-9 * self.config.sim_dt else 0.0
+
+    def solve(self, diag, rhs):
+        self.solves += 1
+        *_, x, info = dgtsv(self.lower, diag, self.upper, rhs)
+        if info != 0:
+            raise SolverError(f"singular tridiagonal system (dgtsv info = {info})")
+        return x
+
+    def end_step(self, step: int, c, sorbed_mass, sweeps: int, flux_in: float) -> None:
+        """Account for the step that ended with c; ``sorbed_mass()`` gives
+        the sorbed mass, read only when the audit is due."""
+        dt = self.config.sim_dt
+        self.max_sweeps = max(self.max_sweeps, sweeps)
+        self.injected += flux_in * dt
+        self.outflowed += self.config.q * c[-1] * dt
+        self.record(step + 1, c, sorbed_mass)
+
+    def record(self, steps_done: int, c, sorbed_mass) -> None:
+        if steps_done % self.audit_every == 0:
+            slot = steps_done // self.audit_every
+            self.audit["times"][slot] = steps_done * self.config.sim_dt
+            self.audit["aqueous"][slot] = self.config.theta * float(self.vol @ c)
+            self.audit["sorbed"][slot] = sorbed_mass()
+            self.audit["injected"][slot] = self.injected
+            self.audit["outflowed"][slot] = self.outflowed
+        if steps_done >= self.t_first and (steps_done - self.t_first) % self.t_every == 0:
+            col = (steps_done - self.t_first) // self.t_every
+            np.maximum(c[:self.x_stop:self.x_every], 0.0, out=self.measured[:, col])
+
+    def outputs(self):
+        config = self.config
+        field = Field(self.measured, x0=0.0, dx=config.meas_dx, t0=config.meas_t_start,
+                      dt=config.meas_dt)
+        diag = SimDiagnostics(
+            times=self.audit["times"],
+            aqueous_mass=self.audit["aqueous"],
+            sorbed_mass=self.audit["sorbed"],
+            injected_mass=self.audit["injected"],
+            outflowed_mass=self.audit["outflowed"],
+            max_picard_sweeps=self.max_sweeps,
+            solves=self.solves,
         )
+        return field, diag
 
-    n_nodes = int(round(config.sim_length / config.sim_dx)) + 1
-    n_steps = int(round(config.meas_t_end / config.sim_dt))
-    audit_every = int(round(config.store_dt / config.sim_dt))
-    n_audit = n_steps // audit_every + 1
-    x_every = int(round(config.meas_dx / config.sim_dx))
-    x_stop = (config.meas_x_count - 1) * x_every + 1
-    t_first = int(round(config.meas_t_start / config.sim_dt))
-    t_every = int(round(config.meas_dt / config.sim_dt))
 
-    dx = config.sim_dx
-    dt = config.sim_dt
-    theta = config.theta
-    rho_b = config.rho_b
+def _picard_failure(step: int, config: ScenarioConfig, delta: float) -> SolverError:
+    return SolverError(
+        f"Picard iteration failed at t = {(step + 1) * config.sim_dt:.3f} s "
+        f"(last sweep change {delta:.3e} after {_PICARD_MAX_SWEEPS} sweeps)"
+    )
+
+
+def plain_simulate(config: ScenarioConfig):
+    """(field, diagnostics) as ``simulate(config)`` computes them, on the
+    whole column and the slow way.
+
+    With K = K_f, or K_l * S_bar, the solver's isotherm is C* = K * m * q at
+    m = max(C, 0), with q = max(C, floor)**(a - 1) (Freundlich) or
+    1 / (1 + K_l * m) (Langmuir), and its slope is K * q * lam, with lam = a
+    or q.  Unless the inlet flux just switched, a step's first sweep
+    linearizes at 2 c^n - c^(n-1).
+    """
+    col = _Column(config)
     model = config.sorption
-    a_face = theta * config.d_l / dx  # dispersive conductance per face
-    b_face = 0.5 * config.q          # advective (central) face weight
-    f0 = config.q * config.c0
+    theta, rho_b = config.theta, config.rho_b
+    langmuir = model.kind == "langmuir"
+    rho_k = rho_b * (model.k_l * model.s_bar if langmuir else model.k_f)
+    vdt = col.vol_over_dt
+    w = vdt * rho_k
+    diag_const = vdt * theta + col.diag_flux
 
-    # Control volumes: half cells at both boundaries.
-    vol = np.full(n_nodes, dx)
-    vol[0] = vol[-1] = 0.5 * dx
-    vol_over_dt = vol / dt
+    def factor(c):
+        m = np.maximum(c, 0.0)
+        if langmuir:
+            return m, 1.0 / (m * model.k_l + 1.0)
+        return m, np.power(np.maximum(c, _SLOPE_EVAL_FLOOR), model.a - 1.0)
 
-    c = np.zeros(n_nodes)
-    measured = np.zeros(_measurement_shape(config))
-
-    injected = 0.0
-    outflowed = 0.0
-    max_sweeps = 0
-    solves = 0
-
-    audit_times = np.zeros(n_audit)
-    aqueous = np.zeros(n_audit)
-    sorbed = np.zeros(n_audit)
-    injected_track = np.zeros(n_audit)
-    outflowed_track = np.zeros(n_audit)
-
-    def record(steps_done: int) -> None:
-        if steps_done % audit_every == 0:
-            slot = steps_done // audit_every
-            audit_times[slot] = steps_done * dt
-            aqueous[slot] = theta * float(vol @ c)
-            sorbed[slot] = rho_b * float(vol @ isotherm_value(np.maximum(c, 0.0), model))
-            injected_track[slot] = injected
-            outflowed_track[slot] = outflowed
-        if steps_done >= t_first and (steps_done - t_first) % t_every == 0:
-            col = (steps_done - t_first) // t_every
-            np.maximum(c[:x_stop:x_every], 0.0, out=measured[:, col])
-
-    record(0)
-
-    # Off-diagonals are constant; the diagonal changes with the sorption slope.
-    lower = np.full(n_nodes, -(a_face + b_face))
-    upper = np.full(n_nodes, -(a_face - b_face))
-    diag_flux = np.full(n_nodes, 2.0 * a_face)
-    diag_flux[0] = a_face + b_face
-    diag_flux[-1] = a_face + b_face
-    ab = np.zeros((3, n_nodes))
-    ab[0, 1:] = upper[:-1]
-    ab[2, :-1] = lower[1:]
-
-    for step in range(n_steps):
-        t_next = (step + 1) * dt
-        flux_in = f0 if t_next <= config.t_pulse + 1e-9 * dt else 0.0
-
-        c_old = c
-        cs_old = isotherm_value(np.maximum(c_old, 0.0), model)
-        c_k = c_old.copy()
-        converged = False
+    c = np.zeros(col.n_nodes)
+    c_prev = c
+    sorbed_c = np.zeros(col.n_nodes)  # rho_b * C*(c)
+    col.record(0, c, lambda: 0.0)
+    flux_prev = None
+    for step in range(col.n_steps):
+        flux_in = col.flux_in(step)
+        base = (c * theta + sorbed_c) * vdt
+        c_k = (c - c_prev) + c if flux_in == flux_prev else c
+        flux_prev = flux_in
+        m, q = factor(c_k)
         for sweep in range(1, _PICARD_MAX_SWEEPS + 1):
-            s = _slope_for_solver(c_k, model)
-            cs_k = isotherm_value(np.maximum(c_k, 0.0), model)
+            u = w * q
+            lam = q if langmuir else model.a
+            rhs = base + (c_k * lam - m) * u
+            rhs[0] += flux_in
+            c_new = col.solve(u * lam + diag_const, rhs)
+            delta = float(np.max(np.abs(c_new - c_k)))
+            c_k = c_new
+            m, q = factor(c_k)
+            if delta <= _PICARD_TOL:
+                break
+        else:
+            raise _picard_failure(step, config, delta)
+        c_prev, c = c, c_k
+        sorbed_c = q * m * rho_k
+        col.end_step(step, c, lambda: float(col.vol @ sorbed_c), sweep, flux_in)
+    return col.outputs()
+
+
+def reference_simulate(config: ScenarioConfig, tol: float = _PICARD_TOL):
+    """(field, diagnostics) of the solver's earlier loop, with the exact
+    isotherm, Picard stopping once a sweep moves C by at most ``tol``."""
+    col = _Column(config)
+    model = config.sorption
+    theta, rho_b = config.theta, config.rho_b
+    vol_over_dt = col.vol_over_dt
+    # The Freundlich slope, singular at C = 0, is taken at a floor.
+    floor = _SLOPE_EVAL_FLOOR if model.kind == "freundlich" else 0.0
+
+    c = np.zeros(col.n_nodes)
+    col.record(0, c, lambda: 0.0)
+    for step in range(col.n_steps):
+        flux_in = col.flux_in(step)
+        c_old = c
+        cs_old = _value(np.maximum(c_old, 0.0), model)
+        c_k = c_old.copy()
+        for sweep in range(1, _PICARD_MAX_SWEEPS + 1):
+            s = _slope(np.maximum(c_k, floor), model)
+            cs_k = _value(np.maximum(c_k, 0.0), model)
             storage = vol_over_dt * (theta + rho_b * s)
             rhs = vol_over_dt * (theta * c_old + rho_b * (cs_old - cs_k + s * c_k))
             rhs[0] += flux_in
-            ab[1, :] = storage + diag_flux
-            c_new = solve_banded((1, 1), ab, rhs)
-            solves += 1
+            c_new = col.solve(storage + col.diag_flux, rhs)
             delta = float(np.max(np.abs(c_new - c_k)))
             c_k = c_new
-            if delta <= _PICARD_TOL:
-                converged = True
+            if delta <= tol:
                 break
-        if not converged:
-            raise SolverError(
-                f"Picard iteration failed at t = {t_next:.3f} s "
-                f"(last sweep change {delta:.3e} after {_PICARD_MAX_SWEEPS} sweeps)"
-            )
-        max_sweeps = max(max_sweeps, sweep)
+        else:
+            raise _picard_failure(step, config, delta)
         c = c_k
-        injected += flux_in * dt
-        outflowed += config.q * c[-1] * dt
-        record(step + 1)
-
-    field = Field(measured, x0=0.0, dx=config.meas_dx, t0=config.meas_t_start,
-                  dt=config.meas_dt)
-    diag = SimDiagnostics(
-        times=audit_times,
-        aqueous_mass=aqueous,
-        sorbed_mass=sorbed,
-        injected_mass=injected_track,
-        outflowed_mass=outflowed_track,
-        max_picard_sweeps=max_sweeps,
-        solves=solves,
-    )
-    return field, diag
+        col.end_step(step, c, lambda: rho_b * float(
+            col.vol @ _value(np.maximum(c, 0.0), model)), sweep, flux_in)
+    return col.outputs()

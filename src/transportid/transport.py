@@ -36,15 +36,14 @@ With sorption each step solves only the active window [0, hi), which ends
 _GUARD nodes past the last node above the tail: a node at or below it holds
 at most _TAIL * theta * c0 of aqueous and of sorbed concentration.  The
 nodes from hi on are held at exactly 0, so the window's last row is an
-interior row against a fixed zero.  Steps run on the whole column, scanning
-it after each step, until the plume has settled: its last node above the
-tail moved by at most _GUARD // 4 nodes, in a step that took more than one
-Picard sweep.  After that only the guard band is read: the window grows to
-keep _GUARD negligible nodes past the plume, and a step whose plume reached
-the far half of the band is solved again on the full grid, which starts
-the settling scan anew.  A full-grid solve holds only values below the
-tail past hi, so the recorded values stay within the tail of a full-grid
-solve's; the outflow misses outlet values of at most the tail a step.
+interior row against a fixed zero.  Each step on the full grid, the first
+one and any solved again, scans the column once and opens the window there,
+unless it would reach the outlet.  A windowed step reads only the guard
+band: the window grows to keep _GUARD negligible nodes past the plume, and
+a step whose plume reached the far half of the band is solved again on the
+full grid.  A full-grid solve holds only values below the tail past hi, so
+the recorded values stay within the tail of a full-grid solve's; the
+outflow misses outlet values of at most the tail a step.
 
 The solver records the concentration only on the coarser monitoring grid;
 the measurement sampler masks entries at or below the detection floor.
@@ -71,8 +70,9 @@ _PICARD_TOL = 1e-10
 _PICARD_MAX_SWEEPS = 50
 
 # Active window: each step solves only the nodes [0, hi), which end _GUARD
-# nodes past the last node above the tail (``_tail_concentration``); the
-# rest stay exactly 0.
+# nodes past the last node above the tail (``_tail_concentration``) as a
+# full-grid step scanned it, and grow when the plume enters those _GUARD
+# nodes; the rest stay exactly 0.
 _TAIL = 1e-12
 _GUARD = 32
 
@@ -637,9 +637,19 @@ def simulate(config: ScenarioConfig) -> tuple[Field, SimDiagnostics]:
         sorbed_c[:hi] = sorbed_k
         c, c_prev = c_prev, c
 
-    def last_above_tail() -> int:
+    def full_grid_step(flux_in: float, extrapolate: bool, t_next: float) -> int:
+        """A step on the whole column, after which the window opens _GUARD
+        nodes past its last node above the tail, unless that reaches the
+        outlet; returns the sweeps taken."""
+        nonlocal hi, window
+        c_k, sorbed_k, sweeps = picard(full_grid, flux_in, extrapolate, t_next)
+        commit(n_nodes, c_k, sorbed_k)
         above = np.flatnonzero(np.abs(c) > tail)
-        return int(above[-1]) if above.size else -1
+        hi = min(n_nodes, (int(above[-1]) + 1 if above.size else 0) + _GUARD)
+        if hi < n_nodes:
+            c[hi:] = c_prev[hi:] = sorbed_c[hi:] = 0.0
+            window = system(hi)
+        return sweeps
 
     if nonlinear:
         full_grid = system(n_nodes)
@@ -661,13 +671,7 @@ def simulate(config: ScenarioConfig) -> tuple[Field, SimDiagnostics]:
             raise SolverError(f"non-finite concentration at t = {t_next:.3f} s")
         return c_new
 
-    # The window opens after a full-grid step in which the plume settled: its
-    # last node above the tail moved by at most _GUARD // 4, and the step
-    # took more than one Picard sweep.  Until then, and after a step solved
-    # again, each step scans the grid.
     hi = n_nodes
-    scanning = True
-    last = -1
     flux_prev = None
     for step in range(n_steps):
         t_next = (step + 1) * dt
@@ -679,16 +683,7 @@ def simulate(config: ScenarioConfig) -> tuple[Field, SimDiagnostics]:
             c[:] = linear_step(flux_in, t_next)
             sweeps = 1
         elif hi == n_nodes:
-            c_k, sorbed_k, sweeps = picard(full_grid, flux_in, extrapolate, t_next)
-            commit(hi, c_k, sorbed_k)
-            if scanning:
-                previous, last = last, last_above_tail()
-                if last + 1 + _GUARD >= n_nodes:
-                    scanning = False  # the window would reach the outlet
-                elif last - previous <= _GUARD // 4 and sweeps > 1:
-                    hi = last + 1 + _GUARD
-                    c[hi:] = c_prev[hi:] = sorbed_c[hi:] = 0.0
-                    window = system(hi)
+            sweeps = full_grid_step(flux_in, extrapolate, t_next)
         else:
             c_k, sorbed_k, sweeps = picard(window, flux_in, extrapolate, t_next)
             # Only the guard band is read: the last node above the tail is
@@ -700,16 +695,12 @@ def simulate(config: ScenarioConfig) -> tuple[Field, SimDiagnostics]:
                 grow = int(np.flatnonzero(np.abs(band) > tail)[-1]) + 1
             if grow > _GUARD // 2:
                 # The plume outran the edge band: redo the step unwindowed.
-                hi = n_nodes
-                c_k, sorbed_k, sweeps = picard(full_grid, flux_in, extrapolate, t_next)
-                commit(hi, c_k, sorbed_k)
-                last = last_above_tail()
+                sweeps = full_grid_step(flux_in, extrapolate, t_next)
             else:
                 commit(hi, c_k, sorbed_k)
                 if grow:
                     hi = min(n_nodes, hi + grow)
                     window = system(hi)
-                    scanning = hi < n_nodes
         max_sweeps = max(max_sweeps, sweeps)
         injected += flux_in * dt
         outflowed += config.q * c[-1] * dt

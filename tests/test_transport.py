@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_tiny
+import reference_solver
 from reference_solver import isotherm_slope, plain_simulate, reference_simulate
 from transportid import transport
 from transportid.errors import SolverError, ValidationError
@@ -404,53 +405,50 @@ def test_presets_stay_near_a_tight_reference(pipeline, name):
     assert diag.balance_error().max() <= max(_EARLIER_BALANCE[name], _BALANCE_FLOOR)
 
 
-def test_window_narrows_ahead_of_a_freundlich_front():
-    """On a 201-node column the Freundlich plume never nears the outlet, so
-    once the plume has settled every solve covers only the active window."""
-    cfg = make_tiny(sorption=TINY_FREUNDLICH, sim_length=64.0)
+def reference_step_sweeps(monkeypatch) -> list:
+    """The Picard sweeps of each step the reference solvers take, recorded
+    from here on; the fast path's steps take as many."""
+    sweeps = []
+    end_step = reference_solver._Column.end_step
+
+    def recording(self, step, c, sorbed_mass, n, flux_in):
+        sweeps.append(n)
+        end_step(self, step, c, sorbed_mass, n, flux_in)
+
+    monkeypatch.setattr(reference_solver._Column, "end_step", recording)
+    return sweeps
+
+
+def _steep(c0):
+    return make_tiny(sorption=SorptionModel.freundlich(k_f=0.125, a=0.3125),
+                     v_x=0.03125, theta=0.5, rho_b=1.0, t_pulse=50.0, c0=c0,
+                     meas_t_start=100.0, meas_t_end=400.0)
+
+
+@pytest.mark.parametrize("cfg", [
+    pytest.param(make_tiny(sorption=TINY_FREUNDLICH, sim_length=64.0), id="freundlich"),
+    pytest.param(make_tiny(sorption=SorptionModel.langmuir(k_l=100.0, s_bar=0.003),
+                           sim_length=64.0), id="langmuir"),
+    # A steep isotherm: at c0 = 1e-5 every step stops after one sweep.
+    pytest.param(_steep(1e-5), id="steep-1e-05"),
+    pytest.param(_steep(1e-3), id="steep-0.001"),
+])
+def test_window_opens_after_the_first_step(cfg, monkeypatch):
+    """No plume here nears the outlet, so only the first step's solves
+    cover the whole column: the window opens after it and never falls
+    back."""
+    steps = reference_step_sweeps(monkeypatch)
     with recorded_solve_sizes() as sizes:
         assert_matches_reference(cfg)
-    narrow = next(i for i, n in enumerate(sizes) if n < 201)
-    assert narrow > 0 and max(sizes[narrow:]) < 201
-
-
-@pytest.mark.parametrize("c0", [1e-5, 1e-3])
-def test_window_waits_for_the_plume_to_settle(c0):
-    """The window opens only after a step of several Picard sweeps; a step
-    of one sweep may have stopped at the Freundlich slope floor.  With a
-    steep isotherm (a = 0.3125) at c0 = 1e-5 every step stops after one
-    sweep, so the window never opens.  At c0 = 1e-3 the first step takes
-    one sweep and the second several, and the plume's last node above the
-    tail moves less than _GUARD // 4 in both: the window waits for the
-    second."""
-    cfg = make_tiny(sorption=SorptionModel.freundlich(k_f=0.125, a=0.3125),
-                    v_x=0.03125, theta=0.5, rho_b=1.0, t_pulse=50.0, c0=c0,
-                    meas_t_start=100.0, meas_t_end=400.0)
-    with recorded_solve_sizes() as sizes:
-        diag, _ = assert_matches_reference(cfg)
-    if c0 < 1e-4:
-        assert diag.max_picard_sweeps == 1 and set(sizes) == {101}
-    else:
-        narrow = next(i for i, n in enumerate(sizes) if n < 101)
-        assert narrow > 1 and max(sizes[narrow:]) < 101
-
-
-def test_window_waits_while_the_tail_moves():
-    """On a 201-node column with Langmuir sorption the first step, of four
-    sweeps, moves the plume's last node above the tail nine nodes, more
-    than _GUARD // 4; the second moves it none, and the window opens after
-    it."""
-    cfg = make_tiny(sorption=SorptionModel.langmuir(k_l=100.0, s_bar=0.003),
-                    sim_length=64.0)
-    with recorded_solve_sizes() as sizes:
-        assert_matches_reference(cfg)
-    narrow = next(i for i, n in enumerate(sizes) if n < 201)
-    assert narrow > 4 and max(sizes[narrow:]) < 201
+    n_nodes = int(round(cfg.sim_length / cfg.sim_dx)) + 1
+    first = steps[0]
+    assert set(sizes[:first]) == {n_nodes} and max(sizes[first:]) < n_nodes
 
 
 def test_window_falls_back_to_the_full_grid(monkeypatch):
     """A windowed step whose plume reached the far half of the guard band is
-    solved again on the full grid, and the window opens again after it.
+    solved again on the full grid, and the window opens again right after
+    it.
 
     With the tail set by mass no column has been seen to move its plume by
     _GUARD // 2 nodes in one step after its window opened, so here the plume
@@ -475,23 +473,34 @@ def test_window_falls_back_to_the_full_grid(monkeypatch):
         return x
 
     monkeypatch.setattr(transport, "solve_banded", outrunning)
+    steps = reference_step_sweeps(monkeypatch)
     with recorded_solve_sizes() as sizes:
         diag, ref_diag = assert_matches_reference(cfg, sizes)
     assert diag.solves == len(sizes) > ref_diag.solves
-    # One step was solved again, and the window reopened after it.
-    assert resolved and sizes[-1] < 201
+    # One step was solved again: its full-grid solves follow the abandoned
+    # windowed sweeps and are as many as the reference's step takes, and
+    # every later step is windowed.
+    assert resolved
+    redo = sizes.index(201, steps[0])
+    abandoned = diag.solves - ref_diag.solves
+    redone = steps[list(np.cumsum(steps)).index(redo - abandoned) + 1]
+    assert set(sizes[redo:redo + redone]) == {201} and sizes[redo + redone] < 201
+    assert max(sizes[redo + redone:]) < 201
 
 
 def test_solve_counts(pipeline):
     """Every solve, the linear model's gttrs ones too, goes through
-    ``transport.solve_banded``; the fast presets' counts, with Picard's
-    extrapolated start, and their most sweeps in a step."""
+    ``transport.solve_banded``; every nonlinear preset's counts, with
+    Picard's extrapolated start, and its most sweeps in a step.  The
+    accuracy test above has already run the presets."""
     with recorded_solve_sizes() as sizes:
         _, diag = simulate(make_tiny())
     assert diag.solves == len(sizes) == 700 and diag.max_picard_sweeps == 1
     diag, ref_diag = assert_matches_reference(make_tiny(sorption=TINY_FREUNDLICH))
     assert diag.solves == ref_diag.solves > 2 * 700
-    for name, solves, sweeps in (("s2-fast", 6271, 9), ("s3-fast", 6091, 4)):
+    for name, solves, sweeps in (("s2", 22152, 8), ("s3", 22043, 4),
+                                 ("s2-kf01", 22157, 7), ("s3-kl60", 22040, 4),
+                                 ("s2-fast", 6271, 9), ("s3-fast", 6091, 4)):
         _, diag = pipeline.simulation(name)
         assert (diag.solves, diag.max_picard_sweeps) == (solves, sweeps)
 

@@ -9,11 +9,15 @@ refit at every probed m, so G is a total derivative).
 The update runs in the logit coordinates s = ln((m - l)/(u - m)) of the
 prior box [l, u], so every iterate maps inside the box.  G is taken in m
 and carried to s by the chain rule, and C_M is mapped through dm/ds at
-the start point.  Update for one iteration at damping lambda:
+the start point.  C_M is diagonal, with diagonal c, and eps is a single
+observation, so the innovation S is a scalar and C_M^-1 cancels.  Update
+for one iteration at damping lambda, with * elementwise:
 
-    S = (1 + lambda) * C_eps + G C_M G^T
-    s_next = s - (1/(1+lambda)) * (C_M - C_M G^T S^-1 G C_M) C_M^-1 (s - s_pr)
-             - C_M G^T S^-1 * eps
+    S = (1 + lambda) * C_eps + sum_i c_i g_i^2,    K = c * g / S
+    s_next = s - [(s - s_pr) - K (g . (s - s_pr))] / (1 + lambda) - K eps
+
+In one dimension the two pulls are C_eps (s - s_pr) / S toward the prior
+mean and c g eps / S along the data.
 
 Accepted steps (eps strictly decreases) relax the damping by a factor
 gamma; rejected steps tighten it and retry.  The loop stops when an
@@ -123,10 +127,9 @@ def _chain_factor(m: np.ndarray, lower: np.ndarray,
     return (upper - m) * (m - lower) / (upper - lower)
 
 
-def _fd_steps(x: np.ndarray, bounds: ParamBounds,
-              rel_step: float) -> np.ndarray:
-    steps = rel_step * np.abs(x)
-    return np.where(steps == 0.0, rel_step * bounds.span(), steps)
+def _fd_steps(x: np.ndarray, bounds: ParamBounds) -> np.ndarray:
+    steps = _FD_REL_STEP * np.abs(x)
+    return np.where(steps == 0.0, _FD_REL_STEP * bounds.span(), steps)
 
 
 def probe_box(bounds: ParamBounds) -> tuple:
@@ -139,8 +142,8 @@ def probe_box(bounds: ParamBounds) -> tuple:
     """
     lower = bounds.lower_array()
     upper = bounds.upper_array()
-    lo = lower - _fd_steps(lower, bounds, _FD_REL_STEP)
-    hi = upper + _fd_steps(upper, bounds, _FD_REL_STEP)
+    lo = lower - _fd_steps(lower, bounds)
+    hi = upper + _fd_steps(upper, bounds)
     at_zero = (lower <= 0.0) & (0.0 <= upper)
     reach = _FD_REL_STEP * bounds.span()
     lo = np.where(at_zero, np.minimum(lo, -reach), lo)
@@ -148,16 +151,15 @@ def probe_box(bounds: ParamBounds) -> tuple:
     return lo, hi
 
 
-def fd_gradient(func, x: np.ndarray, bounds: ParamBounds,
-                rel_step: float) -> np.ndarray:
+def fd_gradient(func, x: np.ndarray, bounds: ParamBounds) -> np.ndarray:
     """Central-difference gradient of a scalar function of m.
 
-    Each probe moves m by ``rel_step`` times |m|, or times the bound span
-    at m = 0.  ``func`` refits alpha internally, so the result is the
-    total sensitivity of the prediction error.
+    Each probe moves m by 1% of |m|, or of the bound span at m = 0.
+    ``func`` refits alpha internally, so the result is the total
+    sensitivity of the prediction error.
     """
     g = np.zeros(x.size)
-    for i, h in enumerate(_fd_steps(x, bounds, rel_step)):
+    for i, h in enumerate(_fd_steps(x, bounds)):
         lo = x.copy()
         hi = x.copy()
         lo[i] -= h
@@ -169,18 +171,16 @@ def fd_gradient(func, x: np.ndarray, bounds: ParamBounds,
 def lm_step(m: np.ndarray, m_pr: np.ndarray, g: np.ndarray,
             c_m: np.ndarray, c_eps: float, eps: float,
             lam: float) -> np.ndarray:
-    """One damped update; see the module docstring for the formula."""
-    gr = g.reshape(1, -1)
+    """One damped update with C_M's diagonal ``c_m``; see the module
+    docstring for the formula."""
     # An infinite or overflowing gradient is caught by the check below.
     with np.errstate(over="ignore", invalid="ignore"):
-        s = float((1.0 + lam) * c_eps + g @ c_m @ g)
+        s = float((1.0 + lam) * c_eps + (c_m * g) @ g)
     if s <= 0.0 or not np.isfinite(s):
         raise SolverError("singular innovation scale in update")
-    k = (c_m @ gr.T) / s
-    reduced = c_m - k @ (gr @ c_m)
-    prior_pull = reduced @ np.linalg.solve(c_m, m - m_pr) / (1.0 + lam)
-    data_pull = (k * eps).ravel()
-    return m - prior_pull.ravel() - data_pull
+    k = c_m * g / s
+    d = m - m_pr
+    return m - (d - k * (g @ d)) / (1.0 + lam) - k * eps
 
 
 def run_assimilation(evaluator: PredictionErrorEvaluator, m0: ModelParams,
@@ -210,8 +210,9 @@ def run_assimilation(evaluator: PredictionErrorEvaluator, m0: ModelParams,
             f"start point {dict(zip(names, m0.values))} is not strictly "
             f"inside the bounds")
     s0 = to_unbounded(m0_vec, lower, upper)
-    # Prior covariance mapped through the transform at the prior mean.
-    c_m = bounds.prior_covariance() / np.maximum(
+    # Diagonal of the uniform prior's covariance over the box, mapped
+    # through the transform at the prior mean.
+    c_m = bounds.span() ** 2 / 12.0 / np.maximum(
         _chain_factor(m0_vec, lower, upper) ** 2, 1e-300)
 
     def pack(vec: np.ndarray) -> ModelParams:
@@ -226,8 +227,7 @@ def run_assimilation(evaluator: PredictionErrorEvaluator, m0: ModelParams,
     def grad_at(s: np.ndarray) -> np.ndarray:
         # Chain rule: d eps/ds = d eps/dm * dm/ds.
         m = to_nat(s)
-        return (fd_gradient(eps_of_m, m, bounds, _FD_REL_STEP)
-                * _chain_factor(m, lower, upper))
+        return fd_gradient(eps_of_m, m, bounds) * _chain_factor(m, lower, upper)
 
     trace = AssimilationTrace()
     try:

@@ -82,7 +82,3 @@ class ParamBounds:
 
     def span(self) -> np.ndarray:
         return self.upper_array() - self.lower_array()
-
-    def prior_covariance(self) -> np.ndarray:
-        """Diagonal covariance of a uniform prior over the box."""
-        return np.diag(self.span() ** 2 / 12.0)

@@ -77,14 +77,15 @@ class SmoothingConfig:
                                   f"{self.half_window_t} and {self.half_window_x}")
 
 
-def _node_fit_weights(node: float, half_window: int, order: int) -> tuple[np.ndarray, int]:
-    """FIR weights of a local polynomial fit around ``node`` evaluated at the
-    node itself, over the integer offsets within ``half_window`` of it."""
+def _node_fit_weights(node: float, half_window: int) -> tuple[np.ndarray, int]:
+    """FIR weights of a local polynomial fit of order ``_ORDER_LS`` around
+    ``node`` evaluated at the node itself, over the integer offsets within
+    ``half_window`` of it."""
     j_lo = int(np.ceil(node - half_window - 1e-9))
     j_hi = int(np.floor(node + half_window + 1e-9))
     offsets = np.arange(j_lo, j_hi + 1)
     local = (offsets - node) / half_window
-    design = np.vander(local, order + 1, increasing=True)
+    design = np.vander(local, _ORDER_LS + 1, increasing=True)
     # Row of the pseudo-inverse that yields the fitted value at local coord 0.
     weights = np.linalg.pinv(design)[0]
     return weights, j_lo
@@ -101,25 +102,23 @@ _ORDER_LS = 3
 _FLUCTUATION_FACTOR = 1.3
 
 
-def composite_filter(half_window_cheb: int, half_window_ls: int,
-                     degree_cheb: int, order_ls: int) -> np.ndarray:
+def composite_filter(half_window: int) -> np.ndarray:
     """Collapse Chebyshev-node local fits plus barycentric interpolation back
     to the window centre into a single odd-length FIR filter.
 
-    The returned filter w satisfies sum w = 1 and annihilates moments up to
-    the local polynomial order, so polynomials up to that order pass through
-    unchanged.
+    ``half_window`` sets both the node spread and the local fit window.  The
+    returned filter w satisfies sum w = 1 and annihilates moments up to
+    ``_ORDER_LS``, so polynomials up to that order pass through unchanged.
     """
-    n_nodes = degree_cheb + 1
-    nodes = half_window_cheb * chebyshev_nodes(n_nodes)
+    nodes = half_window * chebyshev_nodes(_DEGREE_CHEB + 1)
     bary = barycentric_weights(nodes)
     interp = (bary / (0.0 - nodes))
     interp = interp / interp.sum()  # interpolation weights at the centre
 
-    support = int(np.floor(np.max(np.abs(nodes)) + half_window_ls + 1e-9))
+    support = int(np.floor(np.max(np.abs(nodes)) + half_window + 1e-9))
     w = np.zeros(2 * support + 1)
     for node, c_i in zip(nodes, interp):
-        fit_w, j_lo = _node_fit_weights(node, half_window_ls, order_ls)
+        fit_w, j_lo = _node_fit_weights(node, half_window)
         start = j_lo + support
         w[start:start + fit_w.size] += c_i * fit_w
     return w
@@ -164,10 +163,8 @@ def smooth_field(field: Field, cfg: SmoothingConfig, reference: Field,
     ``sample_measurements``, every value at or below ``conc_floor`` is
     masked.
     """
-    w_t = composite_filter(cfg.half_window_t, cfg.half_window_t,
-                           _DEGREE_CHEB, _ORDER_LS)
-    w_x = composite_filter(cfg.half_window_x, cfg.half_window_x,
-                           _DEGREE_CHEB, _ORDER_LS)
+    w_t = composite_filter(cfg.half_window_t)
+    w_x = composite_filter(cfg.half_window_x)
     if field.n_t < w_t.size:
         raise ValidationError("field has too few time steps for the smoothing window")
     if field.n_x < w_x.size:

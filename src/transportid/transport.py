@@ -39,8 +39,9 @@ nodes from hi on are held at exactly 0, so the window's last row is an
 interior row against a fixed zero.  Each step on the full grid, the first
 one and any solved again, scans the column once and opens the window there,
 unless it would reach the outlet.  A windowed step reads only the guard
-band: the window grows to keep _GUARD negligible nodes past the plume, and
-a step whose plume reached the far half of the band is solved again on the
+band: the window grows to keep _GUARD negligible nodes past the plume, a
+window grown to the outlet hands the next step to the full grid, and a
+step whose plume reached the far half of the band is solved again on the
 full grid.  A full-grid solve holds only values below the tail past hi, so
 the recorded values stay within the tail of a full-grid solve's; the
 outflow misses outlet values of at most the tail a step.
@@ -700,7 +701,8 @@ def simulate(config: ScenarioConfig) -> tuple[Field, SimDiagnostics]:
                 commit(hi, c_k, sorbed_k)
                 if grow:
                     hi = min(n_nodes, hi + grow)
-                    window = system(hi)
+                    if hi < n_nodes:
+                        window = system(hi)
         max_sweeps = max(max_sweeps, sweeps)
         injected += flux_in * dt
         outflowed += config.q * c[-1] * dt

@@ -212,7 +212,7 @@ def test_criterion_8_closed_form_oracles_and_invariants(pipeline, announce):
         c_eps = float(rng.uniform(0.01, 10.0))
         eps = float(rng.normal())
         lam = float(rng.uniform(0.0, 100.0))
-        got = lm_step(m, m_pr, g, c_m, c_eps, eps, lam)
+        got = lm_step(m, m_pr, g, np.diag(c_m), c_eps, eps, lam)
         h = (1.0 + lam) * np.linalg.inv(c_m) + np.outer(g, g) / c_eps
         rhs = np.linalg.solve(c_m, m - m_pr) + g * eps / c_eps
         expected = m - np.linalg.solve(h, rhs)
@@ -226,7 +226,7 @@ def test_criterion_8_closed_form_oracles_and_invariants(pipeline, announce):
         return float(np.exp(0.8 * v[0]) + (v[1] / 50.0) ** 3)
 
     m0 = np.array([0.55, 90.0])
-    g_fd = fd_gradient(smooth_objective, m0, bounds, rel_step=0.01)
+    g_fd = fd_gradient(smooth_objective, m0, bounds)
     g_true = np.array([0.8 * np.exp(0.8 * m0[0]), 3.0 * m0[1] ** 2 / 50.0 ** 3])
     g_err = float(np.max(np.abs(g_fd - g_true) / np.abs(g_true)))
     conds.append((f"fd gradient error {g_err:.1e} < 1e-4", g_err < 1e-4))
@@ -277,7 +277,7 @@ def test_criterion_8_closed_form_oracles_and_invariants(pipeline, announce):
     xs = np.linspace(0.0, 4.0, 120)
     cubic = 1.0 + 0.3 * xs - 0.2 * xs ** 2 + 0.05 * xs ** 3
     smoothed, supported = _filter_axis(cubic, np.ones(cubic.size, bool),
-                                       composite_filter(6, 6, 5, 3), 0)
+                                       composite_filter(6), 0)
     sm_err = float(np.max(np.abs(smoothed[supported] - cubic[supported])
                           / np.abs(cubic[supported])))
     conds.append((f"cubic smoothing error {sm_err:.1e} <= 1e-9", sm_err <= 1e-9))

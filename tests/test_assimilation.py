@@ -69,9 +69,6 @@ def test_param_bounds_contracts():
     b = ParamBounds.default()
     assert b.lower == (0.25, 30.0) and b.upper == (0.75, 150.0)
     np.testing.assert_array_equal(b.span(), [0.5, 120.0])
-    np.testing.assert_allclose(np.diag(b.prior_covariance()),
-                               [0.5 ** 2 / 12.0, 120.0 ** 2 / 12.0],
-                               rtol=1e-14)
     with pytest.raises(ValidationError):
         ParamBounds(names=("a",), lower=(1.0,), upper=(0.5,))
 
@@ -136,7 +133,7 @@ def test_fd_gradient_exact_on_quadratic():
         return float(coef @ (v * v))
 
     m = np.array([0.4, 70.0])
-    g = fd_gradient(f, m, BOUNDS, 0.01)
+    g = fd_gradient(f, m, BOUNDS)
     np.testing.assert_allclose(g, 2.0 * coef * m, rtol=1e-9)
 
 
@@ -144,7 +141,7 @@ def test_fd_gradient_span_fallback_at_zero():
     def f(v):
         return float(2.0 * v[0] + v[1] ** 2)
 
-    g = fd_gradient(f, np.array([0.0, 0.0]), BOUNDS, 0.01)
+    g = fd_gradient(f, np.array([0.0, 0.0]), BOUNDS)
     np.testing.assert_allclose(g, [2.0, 0.0], atol=1e-10)
 
 
@@ -154,7 +151,7 @@ def test_fd_gradient_second_order_error_bound():
 
     a = 0.5
     h = 0.01 * a
-    g = fd_gradient(f, np.array([a, 90.0]), BOUNDS, 0.01)
+    g = fd_gradient(f, np.array([a, 90.0]), BOUNDS)
     err = abs(g[0] - np.exp(a))
     assert 0.0 < err <= np.exp(a) * h ** 2 / 6.0 * 1.01
     assert g[1] == 0.0
@@ -166,7 +163,7 @@ def test_gradient_is_zero_along_unused_parameter():
     def f(v):
         return ev.evaluate(ModelParams(BOUNDS.names, tuple(map(float, v)))).eps
 
-    g = fd_gradient(f, np.array([0.5, 90.0]), BOUNDS, 0.01)
+    g = fd_gradient(f, np.array([0.5, 90.0]), BOUNDS)
     assert g[0] != 0.0
     assert g[1] == 0.0
 
@@ -216,7 +213,7 @@ def test_assimilation_evaluates_only_parameters_the_library_reads(static,
 # ---------------------------------------------------------- the update
 
 def test_lm_step_without_gradient_relaxes_to_prior():
-    c_m = np.diag([0.2, 3.0])
+    c_m = np.array([0.2, 3.0])
     m, m_pr = np.array([0.6, 80.0]), np.array([0.5, 90.0])
     lam = 4.0
     out = lm_step(m, m_pr, np.zeros(2), c_m, 1.0, 5.0, lam)
@@ -230,35 +227,70 @@ def test_lm_step_freezes_under_heavy_damping():
     m = rng.normal(size=2)
     m_pr = rng.normal(size=2)
     g = rng.normal(size=2)
-    c_m = np.diag(rng.uniform(0.5, 2.0, 2))
+    c_m = rng.uniform(0.5, 2.0, 2)
     out = lm_step(m, m_pr, g, c_m, 1.0, 2.0, 1e9)
     assert np.linalg.norm(out - m) < 1e-7
 
 
-def test_lm_step_matches_information_form():
-    """The covariance-form update must equal the regularized normal
-    equations [(1+lam) C_M^-1 + G' C_eps^-1 G] dm = -[C_M^-1 (m-m_pr)
-    + G' C_eps^-1 eps]."""
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_lm_step_matches_information_form(n):
+    """The covariance-form update with C_M = diag(c) must equal the
+    regularized normal equations [(1+lam) C_M^-1 + G' C_eps^-1 G] dm =
+    -[C_M^-1 (m-m_pr) + G' C_eps^-1 eps]."""
     rng = np.random.default_rng(42)
     for _ in range(1000):
-        m = rng.normal(size=2)
-        m_pr = rng.normal(size=2)
-        g = rng.normal(size=2)
-        c_m = np.diag(rng.uniform(0.1, 10.0, 2))
+        m = rng.normal(size=n)
+        m_pr = rng.normal(size=n)
+        g = rng.normal(size=n)
+        c_m = np.diag(rng.uniform(0.1, 10.0, n))
         c_eps = float(rng.uniform(0.01, 10.0))
         eps = float(rng.normal())
         lam = float(rng.uniform(0.0, 100.0))
-        got = lm_step(m, m_pr, g, c_m, c_eps, eps, lam)
+        got = lm_step(m, m_pr, g, np.diag(c_m), c_eps, eps, lam)
         h = (1.0 + lam) * np.linalg.inv(c_m) + np.outer(g, g) / c_eps
         rhs = np.linalg.solve(c_m, m - m_pr) + g * eps / c_eps
         expected = m - np.linalg.solve(h, rhs)
         np.testing.assert_allclose(got, expected, rtol=1e-9, atol=1e-11)
 
 
+def test_lm_step_one_dimension_is_prior_pull_plus_data_pull():
+    """With one parameter the update moves s by the prior pull
+    C_eps (s - s_pr) / S plus the data pull c g eps / S."""
+    rng = np.random.default_rng(7)
+    for _ in range(1000):
+        s, s_pr, g = rng.normal(size=(3, 1))
+        c = rng.uniform(0.1, 10.0, 1)
+        c_eps = float(rng.uniform(0.01, 10.0))
+        eps = float(rng.normal())
+        lam = float(rng.uniform(0.0, 100.0))
+        scale = (1.0 + lam) * c_eps + c * g * g
+        expected = s - (c_eps * (s - s_pr) + c * g * eps) / scale
+        np.testing.assert_allclose(lm_step(s, s_pr, g, c, c_eps, eps, lam),
+                                   expected, rtol=1e-12, atol=1e-12)
+
+
 def test_lm_step_singular_scale_guard():
-    c_m = np.diag([1.0, 1.0])
     with pytest.raises(SolverError):
-        lm_step(np.zeros(2), np.zeros(2), np.zeros(2), c_m, 0.0, 1.0, 1.0)
+        lm_step(np.zeros(2), np.zeros(2), np.zeros(2), np.ones(2), 0.0, 1.0, 1.0)
+
+
+def test_prior_variance_is_the_uniform_box_variance_at_the_start():
+    """run_assimilation hands lm_step span^2 / 12 per parameter, carried
+    to logit coordinates through dm/ds at m0."""
+    seen = []
+
+    def spy(s, s_pr, g, c_m, *rest):
+        seen.append(c_m.copy())
+        return s.copy()
+
+    m0 = sorption_params(0.6, 70.0)
+    with mock.patch.object(assim, "lm_step", spy):
+        run_assimilation(StubObjective(lambda v: 1.0 + np.sum((v - 0.5) ** 2)),
+                         m0, BOUNDS)
+    chain = _chain_factor(m0.as_array(), BOUNDS.lower_array(),
+                          BOUNDS.upper_array())
+    np.testing.assert_allclose(seen[0], BOUNDS.span() ** 2 / 12.0 / chain ** 2,
+                               rtol=1e-14)
 
 
 # ------------------------------------------------------------ statuses
@@ -472,7 +504,7 @@ def test_gradient_matches_inline_oracle(data, bounds):
     m = from_unbounded(to_unbounded(np.array([a, k_l]), lower, upper),
                        lower, upper)
     natural = inline_gradient(wavy, m, bounds, 0.01)
-    np.testing.assert_array_equal(fd_gradient(wavy, m, bounds, 0.01),
+    np.testing.assert_array_equal(fd_gradient(wavy, m, bounds),
                                   natural)
     expected = natural * _chain_factor(m, lower, upper)
     got = first_gradient(wavy, sorption_params(a, k_l), bounds)

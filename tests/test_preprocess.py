@@ -114,11 +114,11 @@ def test_barycentric_interpolation_reproduces_polynomial():
 
 
 def filter_half_width():
-    return (composite_filter(6, 6, 5, 3).size - 1) // 2
+    return (composite_filter(6).size - 1) // 2
 
 
 def test_composite_filter_moment_conditions():
-    w = composite_filter(6, 6, 5, 3)
+    w = composite_filter(6)
     assert w.size % 2 == 1
     half = (w.size - 1) // 2
     offsets = np.arange(-half, half + 1, dtype=float)
@@ -131,7 +131,7 @@ def test_smooth_series_exact_on_cubic():
     x = np.linspace(0.0, 4.0, 120)
     series = 1.0 + 0.3 * x - 0.2 * x ** 2 + 0.05 * x ** 3
     smoothed, supported = preprocess._filter_axis(
-        series, np.ones(series.size, bool), composite_filter(6, 6, 5, 3), 0)
+        series, np.ones(series.size, bool), composite_filter(6), 0)
     assert supported.sum() == 120 - 2 * filter_half_width()
     np.testing.assert_allclose(smoothed[supported], series[supported],
                                rtol=1e-9)
@@ -141,7 +141,7 @@ def test_smooth_series_constant_and_support_layout():
     series = np.full(60, 3.7)
     half = filter_half_width()
     smoothed, supported = preprocess._filter_axis(
-        series, np.ones(series.size, bool), composite_filter(6, 6, 5, 3), 0)
+        series, np.ones(series.size, bool), composite_filter(6), 0)
     assert not supported[:half].any() and not supported[-half:].any()
     assert supported[half:-half].all()
     np.testing.assert_allclose(smoothed[supported], 3.7, rtol=1e-12)
@@ -156,10 +156,10 @@ def test_smooth_series_attenuates_white_noise_like_its_l2_gain():
     sigma = 0.1
     noisy = clean + rng.normal(0.0, sigma, size=x.size)
     smoothed, supported = preprocess._filter_axis(
-        noisy, np.ones(noisy.size, bool), composite_filter(6, 6, 5, 3), 0)
+        noisy, np.ones(noisy.size, bool), composite_filter(6), 0)
     resid_before = np.std(noisy[supported] - clean[supported])
     resid_after = np.std(smoothed[supported] - clean[supported])
-    gain = np.sqrt(np.sum(composite_filter(6, 6, 5, 3) ** 2))
+    gain = np.sqrt(np.sum(composite_filter(6) ** 2))
     assert gain < 0.6
     assert resid_after < 0.7 * resid_before
     assert resid_after == pytest.approx(gain * sigma, rel=0.25)
@@ -171,7 +171,7 @@ def test_smooth_series_mask_hole_blocks_support():
     mask[40] = False
     half = filter_half_width()
     _, supported = preprocess._filter_axis(
-        series, mask, composite_filter(6, 6, 5, 3), 0)
+        series, mask, composite_filter(6), 0)
     assert not supported[40 - half:40 + half + 1].any()
     assert supported[half:40 - half].all()
     assert supported[40 + half + 1:-half].all()
@@ -187,30 +187,46 @@ def scipy_filter_axis(values, mask, w, axis):
     return smoothed, interior
 
 
+def _floats(bound):
+    """Floats within +-bound, none below 1e-100 in magnitude but 0: their
+    products stay clear of underflow, where the relative rounding bound
+    below would not hold."""
+    return st.floats(-bound, bound).map(lambda v: 0.0 if abs(v) < 1e-100 else v)
+
+
 @st.composite
 def filter_cases(draw):
-    order_ls = draw(st.integers(0, 3))
-    w = composite_filter(draw(st.integers(1, 6)),
-                         draw(st.integers(max(1, (order_ls + 1) // 2), 6)),
-                         draw(st.integers(1, 5)), order_ls)
+    """Odd-length filters of 1 to 25 taps, free or with one half mirrored
+    onto the other, exactly or within DBL_EPSILON, as symmetric or as
+    antisymmetric, so that correlate1d takes each of its three paths."""
+    half = draw(st.integers(0, 12))
+    w = draw(arrays(float, 2 * half + 1, elements=_floats(2.0)))
+    sign = draw(st.sampled_from((0.0, 1.0, -1.0)))
+    if sign:
+        nudge = draw(arrays(float, half, elements=st.sampled_from(
+            (0.0, 2.0 ** -53, -(2.0 ** -53)))))
+        w[half + 1:] = sign * w[:half][::-1] + nudge
     axis = draw(st.integers(0, 1))
     shape = [draw(st.integers(1, 3))] * 2
     shape[axis] = draw(st.integers(w.size, w.size + 20))
-    # Products with |x| >= 1e-100 stay clear of underflow, where the
-    # relative rounding bound below would not hold.
-    values = draw(arrays(float, shape, elements=st.floats(-1e3, 1e3).map(
-        lambda v: 0.0 if abs(v) < 1e-100 else v)))
+    values = draw(arrays(float, shape, elements=_floats(1e3)))
     mask = draw(arrays(bool, shape))
     return values, mask, w, axis
 
 
 def _unit_impulse_case():
     """A 7-tap filter within rounding of the identity whose mirrored taps
-    sum to within DBL_EPSILON, so correlate1d applies it as antisymmetric."""
+    sum to within DBL_EPSILON, so correlate1d applies it as antisymmetric:
+    a composite filter of an earlier, configurable smoother (node spread 3,
+    fit window 1, degree 2, order 2)."""
     values = np.zeros((13, 1))
     values[6, 0] = 1.0
     mask = np.ones((13, 1), dtype=bool)
-    return values, mask, composite_filter(3, 1, 2, 2), 0
+    w = np.array([2.1549586101245763e-17, 1.1939515355595244e-17,
+                  -6.578076558601415e-16, 1.0000000000000002,
+                  6.382285555416273e-16, -1.1939515355595248e-17,
+                  -2.154958610124575e-17])
+    return values, mask, w, 0
 
 
 @settings(max_examples=200, deadline=None)

@@ -445,6 +445,28 @@ def test_window_opens_after_the_first_step(cfg, monkeypatch):
     assert set(sizes[:first]) == {n_nodes} and max(sizes[first:]) < n_nodes
 
 
+def test_window_grown_to_the_outlet_binds_nothing(monkeypatch):
+    """A window that grows to the outlet hands the next step to the full
+    grid's bindings, made once before the first step: the run builds no
+    other full-size gtsv binding."""
+    cfg = make_tiny(sorption=TINY_FREUNDLICH, v_x=0.05, meas_t_start=100.0,
+                    meas_t_end=400.0)
+    bound = []
+    init = transport._GtsvBinding.__init__
+
+    def recording(self, lower, diag, upper, rhs):
+        bound.append(rhs.size)
+        init(self, lower, diag, upper, rhs)
+
+    monkeypatch.setattr(transport._GtsvBinding, "__init__", recording)
+    with recorded_solve_sizes() as sizes:
+        assert_matches_reference(cfg)
+    n_nodes = int(round(cfg.sim_length / cfg.sim_dx)) + 1
+    assert any(a < n_nodes == b for a, b in zip(sizes, sizes[1:]))
+    assert sizes[-1] == n_nodes
+    assert bound.count(n_nodes) == 2
+
+
 def test_window_falls_back_to_the_full_grid(monkeypatch):
     """A windowed step whose plume reached the far half of the guard band is
     solved again on the full grid, and the window opens again right after

@@ -15,8 +15,11 @@ second-order face fluxes for both advection and dispersion, marched with
 backward Euler.  The sorption slope is handled by the modified Picard
 scheme of Celia, Bouloutas & Zarba (1990), Newton's method on the storage
 term; every sweep solves one tridiagonal system with LAPACK ``gtsv`` on
-work buffers.  Unless the inlet flux switched, a step's first sweep
-linearizes at the extrapolated 2 C^n - C^(n-1).  Each sweep evaluates one
+work buffers.  A step's first sweep linearizes at an extrapolated start:
+3 C^n - 3 C^(n-1) + C^(n-2) once the last two steps ran under the step's
+inlet flux, except at nodes where C^n <= 0, which start, like a step after
+a single such step, from 2 C^n - C^(n-1); right after the inlet flux
+switched a step starts from C^n.  Each sweep evaluates one
 isotherm factor, which gives both the sorbed value and its slope; below
 _SLOPE_EVAL_FLOOR the solver's Freundlich isotherm is linear.
 Without sorption the system does not depend on C: its ``gttrs`` binding
@@ -530,10 +533,12 @@ def simulate(config: ScenarioConfig) -> tuple[Field, SimDiagnostics]:
 
     # c and sorbed_c hold the whole column; only the window [0, hi) is solved, and
     # the nodes from hi on stay exactly 0 (the isotherms all vanish at 0).
-    # c_prev, the step before c, gives the extrapolated start; the two
-    # arrays swap roles after each step.
+    # c_prev and c_prev2, the two steps before c, give the extrapolated
+    # start; the three arrays rotate roles after each step.
     c = np.zeros(n_nodes)
     c_prev = np.zeros(n_nodes)
+    c_prev2 = np.zeros(n_nodes)
+    positive = np.empty(n_nodes, dtype=bool)  # c > 0, for the quadratic start
     sorbed_c = np.zeros(n_nodes)  # rho_b * C*(c), carried along with c
     measured = np.zeros(_measurement_shape(config))
     tail = _tail_concentration(config)
@@ -549,17 +554,22 @@ def simulate(config: ScenarioConfig) -> tuple[Field, SimDiagnostics]:
     injected_track = np.zeros(n_audit)
     outflowed_track = np.zeros(n_audit)
 
+    next_audit, next_measured = 0, t_first
+
     def record(steps_done: int) -> None:
-        if steps_done % audit_every == 0:
+        nonlocal next_audit, next_measured
+        if steps_done == next_audit:
             slot = steps_done // audit_every
             audit_times[slot] = steps_done * dt
             aqueous[slot] = theta * float(vol @ c)
             sorbed[slot] = float(vol @ sorbed_c)
             injected_track[slot] = injected
             outflowed_track[slot] = outflowed
-        if steps_done >= t_first and (steps_done - t_first) % t_every == 0:
+            next_audit += audit_every
+        if steps_done == next_measured:
             col = (steps_done - t_first) // t_every
             np.maximum(c[:x_stop:x_every], 0.0, out=measured[:, col])
+            next_measured += t_every
 
     record(0)
 
@@ -592,11 +602,13 @@ def simulate(config: ScenarioConfig) -> tuple[Field, SimDiagnostics]:
                       for rhs in rhs_pair)
         return hi, diag_const[:hi], vol_over_dt[:hi], w_sorb[:hi], buffers, bound
 
-    def picard(window: tuple, flux_in: float, extrapolate: bool, t_next: float):
+    def picard(window: tuple, flux_in: float, order: int, t_next: float):
         """Backward-Euler step on ``window``'s nodes from c, the first sweep
-        linearized at c or, if ``extrapolate``, at 2c - c_prev: the new c,
-        its rho_b * C* and the sweeps taken, in buffers valid until the next
-        call."""
+        linearized at the start of extrapolation ``order``: c (0), the
+        linear 2c - c_prev (1), or the quadratic 3c - 3c_prev + c_prev2 (2)
+        where c > 0 and the linear one elsewhere.  Returns the new c, the
+        m and q of its isotherm factor and the sweeps taken, in buffers
+        valid until the next call."""
         nonlocal solves
         hi, diag_c, vdt, w, buffers, bound = window
         start, m, q, u, g, diff, base, diag, *rhs_pair = buffers
@@ -606,8 +618,14 @@ def simulate(config: ScenarioConfig) -> tuple[Field, SimDiagnostics]:
         # sweep adds u * (lam * c_k - m) = vdt * rho_b * (s_k * c_k - C*_k).
         np.multiply(np.add(np.multiply(c_old, theta, out=base), sorbed_c[:hi], out=base),
                     vdt, out=base)
-        c_k = (np.add(np.subtract(c_old, c_prev[:hi], out=start), c_old, out=start)
-               if extrapolate else c_old)
+        c_k = c_old
+        if order:
+            step_c = np.subtract(c_old, c_prev[:hi], out=diff)
+            c_k = np.add(step_c, c_old, out=start)
+            if order == 2:
+                # Where c > 0, add the second difference (c - c_prev) - (c_prev - c_prev2).
+                np.subtract(step_c, np.subtract(c_prev[:hi], c_prev2[:hi], out=g), out=g)
+                np.add(c_k, g, out=c_k, where=np.greater(c_old, 0.0, out=positive[:hi]))
         factor(c_k, model, np.maximum(c_k, 0.0, out=m), q)
         for sweep in range(1, _PICARD_MAX_SWEEPS + 1):
             np.multiply(w, q, out=u)
@@ -619,36 +637,38 @@ def simulate(config: ScenarioConfig) -> tuple[Field, SimDiagnostics]:
             rhs[0] += flux_in
             c_new = solve_banded(bound[slot])
             solves += 1
-            delta = float(np.abs(np.subtract(c_new, c_k, out=diff), out=diff).max())
+            delta = float(np.maximum.reduce(
+                np.abs(np.subtract(c_new, c_k, out=diff), out=diff)))
             if not math.isfinite(delta):
                 raise SolverError(f"non-finite concentration at t = {t_next:.3f} s")
             c_k = c_new
             factor(c_k, model, np.maximum(c_k, 0.0, out=m), q)
             if delta <= _PICARD_TOL:
-                return c_k, np.multiply(np.multiply(q, m, out=g), rho_k, out=g), sweep
+                return c_k, m, q, sweep
         raise SolverError(
             f"Picard iteration failed at t = {t_next:.3f} s "
             f"(last sweep change {delta:.3e} after {_PICARD_MAX_SWEEPS} sweeps)"
         )
 
-    def commit(hi: int, c_k, sorbed_k) -> None:
-        """Make picard's result on [0, hi) the state, and c the c_prev."""
-        nonlocal c, c_prev
-        c_prev[:hi] = c_k
-        sorbed_c[:hi] = sorbed_k
-        c, c_prev = c_prev, c
+    def commit(hi: int, c_k, m, q) -> None:
+        """Make picard's result on [0, hi) the state, with rho_b * C* =
+        rho_k * q * m, and shift c to c_prev and c_prev to c_prev2."""
+        nonlocal c, c_prev, c_prev2
+        c_prev2[:hi] = c_k
+        np.multiply(np.multiply(q, m, out=sorbed_c[:hi]), rho_k, out=sorbed_c[:hi])
+        c, c_prev, c_prev2 = c_prev2, c, c_prev
 
-    def full_grid_step(flux_in: float, extrapolate: bool, t_next: float) -> int:
+    def full_grid_step(flux_in: float, order: int, t_next: float) -> int:
         """A step on the whole column, after which the window opens _GUARD
         nodes past its last node above the tail, unless that reaches the
         outlet; returns the sweeps taken."""
         nonlocal hi, window
-        c_k, sorbed_k, sweeps = picard(full_grid, flux_in, extrapolate, t_next)
-        commit(n_nodes, c_k, sorbed_k)
+        c_k, m, q, sweeps = picard(full_grid, flux_in, order, t_next)
+        commit(n_nodes, c_k, m, q)
         above = np.flatnonzero(np.abs(c) > tail)
         hi = min(n_nodes, (int(above[-1]) + 1 if above.size else 0) + _GUARD)
         if hi < n_nodes:
-            c[hi:] = c_prev[hi:] = sorbed_c[hi:] = 0.0
+            c[hi:] = c_prev[hi:] = c_prev2[hi:] = sorbed_c[hi:] = 0.0
             window = system(hi)
         return sweeps
 
@@ -674,31 +694,32 @@ def simulate(config: ScenarioConfig) -> tuple[Field, SimDiagnostics]:
 
     hi = n_nodes
     flux_prev = None
+    order = 0  # the start's extrapolation order: earlier steps in a row under flux_in, at most 2
     for step in range(n_steps):
         t_next = (step + 1) * dt
         flux_in = f0 if t_next <= config.t_pulse + 1e-9 * dt else 0.0
-        extrapolate = flux_in == flux_prev
+        order = min(order + 1, 2) if flux_in == flux_prev else 0
         flux_prev = flux_in
 
         if not nonlinear:
             c[:] = linear_step(flux_in, t_next)
             sweeps = 1
         elif hi == n_nodes:
-            sweeps = full_grid_step(flux_in, extrapolate, t_next)
+            sweeps = full_grid_step(flux_in, order, t_next)
         else:
-            c_k, sorbed_k, sweeps = picard(window, flux_in, extrapolate, t_next)
+            c_k, m, q, sweeps = picard(window, flux_in, order, t_next)
             # Only the guard band is read: the last node above the tail is
             # there if it moved at all, and the window grows to end _GUARD
             # nodes past it again.
-            band = c_k[hi - _GUARD:]
+            band = np.abs(c_k[hi - _GUARD:])
             grow = 0
-            if band.max() > tail or band.min() < -tail:
-                grow = int(np.flatnonzero(np.abs(band) > tail)[-1]) + 1
+            if np.maximum.reduce(band) > tail:
+                grow = int(np.flatnonzero(band > tail)[-1]) + 1
             if grow > _GUARD // 2:
                 # The plume outran the edge band: redo the step unwindowed.
-                sweeps = full_grid_step(flux_in, extrapolate, t_next)
+                sweeps = full_grid_step(flux_in, order, t_next)
             else:
-                commit(hi, c_k, sorbed_k)
+                commit(hi, c_k, m, q)
                 if grow:
                     hi = min(n_nodes, hi + grow)
                     if hi < n_nodes:

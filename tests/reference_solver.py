@@ -5,7 +5,7 @@ oracles for the solver's fast path.
 step solves the whole column, so no active window and no work buffers, with
 each sweep's diagonal assembled afresh and the system solved by scipy's
 ``dgtsv``, as ``scipy.linalg.solve_banded`` solves it.  It takes the same
-extrapolated start, the same isotherm form and the same order of
+extrapolated starts, the same isotherm form and the same order of
 operations, so the fast path matches it up to what the window's tail leaves
 out.
 
@@ -170,8 +170,10 @@ def plain_simulate(config: ScenarioConfig):
     With K = K_f, or K_l * S_bar, the solver's isotherm is C* = K * m * q at
     m = max(C, 0), with q = max(C, floor)**(a - 1) (Freundlich) or
     1 / (1 + K_l * m) (Langmuir), and its slope is K * q * lam, with lam = a
-    or q.  Unless the inlet flux just switched, a step's first sweep
-    linearizes at 2 c^n - c^(n-1).
+    or q.  A step's first sweep linearizes at c^n right after the inlet
+    flux switched, at 2 c^n - c^(n-1) after one step under the step's
+    flux, and after two or more at 3 c^n - 3 c^(n-1) + c^(n-2) where
+    c^n > 0 and at 2 c^n - c^(n-1) elsewhere.
     """
     col = _Column(config)
     model = config.sorption
@@ -189,15 +191,22 @@ def plain_simulate(config: ScenarioConfig):
         return m, np.power(np.maximum(c, _SLOPE_EVAL_FLOOR), model.a - 1.0)
 
     c = np.zeros(col.n_nodes)
-    c_prev = c
+    c_prev = c_prev2 = c
     sorbed_c = np.zeros(col.n_nodes)  # rho_b * C*(c)
     col.record(0, c, lambda: 0.0)
-    flux_prev = None
+    fluxes = [None, None]  # the inlet fluxes of the last two steps
     for step in range(col.n_steps):
         flux_in = col.flux_in(step)
         base = (c * theta + sorbed_c) * vdt
-        c_k = (c - c_prev) + c if flux_in == flux_prev else c
-        flux_prev = flux_in
+        if fluxes[-1] != flux_in:
+            c_k = c
+        else:
+            linear = (c - c_prev) + c
+            c_k = linear
+            if fluxes[-2] == flux_in:
+                quadratic = linear + ((c - c_prev) - (c_prev - c_prev2))
+                c_k = np.where(c > 0, quadratic, linear)
+        fluxes = [fluxes[-1], flux_in]
         m, q = factor(c_k)
         for sweep in range(1, _PICARD_MAX_SWEEPS + 1):
             u = w * q
@@ -212,7 +221,7 @@ def plain_simulate(config: ScenarioConfig):
                 break
         else:
             raise _picard_failure(step, config, delta)
-        c_prev, c = c, c_k
+        c_prev2, c_prev, c = c_prev, c, c_k
         sorbed_c = q * m * rho_k
         col.end_step(step, c, lambda: float(col.vol @ sorbed_c), sweep, flux_in)
     return col.outputs()

@@ -24,7 +24,7 @@ from .scenarios import (get_scenario, scenario_names, true_coefficients,
 from .transport import (Field, ScenarioConfig, SorptionModel, isotherm_value,
                         sample_measurements, simulate)
 
-__version__ = "0.13.0"
+__version__ = "0.14.0"
 
 __all__ = [
     "AssimilationConfig", "AssimilationTrace", "run_assimilation",

@@ -104,7 +104,6 @@ class PreparedData:
     scenario_name: str
     split: DataSplit
     noise: NoiseSpec | None
-    smoothing_passes: int
 
     @property
     def n_points(self) -> int:
@@ -217,23 +216,19 @@ def prepare_dataset(config: ScenarioConfig, scenario_name: str = "custom",
 
     Clean data skip smoothing entirely and are floored at sampling time.
     Noisy data perturb the unfloored simulated field, so every series can
-    support the smoothing windows; the simulated field serves as the
-    fluctuation reference, and the floor is enforced on the smoothed
-    output before derivatives are taken.  Either way every value at or
-    below ``conc_floor`` is masked.
+    support the smoothing windows, and the floor is enforced on the
+    smoothed output before derivatives are taken.  Either way every value
+    at or below ``conc_floor`` is masked.
     """
     sim, _ = simulate(config)
-    passes = 0
     if noise is None or noise.delta == 0.0:
         meas = sample_measurements(sim, config)
     else:
-        noisy = add_noise(sim, noise)
-        meas, passes = smooth_field(noisy, smoothing or SmoothingConfig(), sim,
-                                    config.conc_floor)
+        meas = smooth_field(add_noise(sim, noise), smoothing or SmoothingConfig(),
+                            config.conc_floor)
     deriv = compute_derivatives(meas)
     split = split_train_test(deriv, split_ratio)
-    return PreparedData(scenario_name=scenario_name, split=split, noise=noise,
-                        smoothing_passes=passes)
+    return PreparedData(scenario_name=scenario_name, split=split, noise=noise)
 
 
 def sample_prior(n: int, bounds: ParamBounds, seed: int) -> list:

@@ -172,7 +172,6 @@ def summary_dict(report: IdentificationReport) -> dict:
              "term_ids": list(c.summary.term_ids)}
             for c in report.candidates
         ],
-        "smoothing_passes": data.smoothing_passes,
         "n_points": data.n_points,
     }
     if report.failed_candidates:

@@ -5,9 +5,9 @@ Chebyshev nodes is laid out, the value at each node is estimated by a local
 polynomial least-squares fit over the samples near that node, and the node
 values are interpolated back to the sample position (barycentric form).
 Because the grid is uniform, the composition collapses to a fixed finite
-impulse response, which is applied per row / per column; samples whose full
-support window is unavailable (field edge or masked neighbour) are dropped
-rather than fitted with a shrunken window.
+impulse response, which is applied twice per row / per column; samples
+whose full support window reaches past the field edge are dropped rather
+than fitted with a shrunken window.
 
 Derivatives use the second-order central stencils
 
@@ -95,11 +95,6 @@ def _node_fit_weights(node: float, half_window: int) -> tuple[np.ndarray, int]:
 # order of every smoothing window.
 _DEGREE_CHEB = 5
 _ORDER_LS = 3
-# A second pass runs when the third-derivative scatter of the once-smoothed
-# data exceeds this multiple of the once-smoothed reference's.  Each pass
-# discards a full support window at both ends of every series, so two
-# passes are the most this measurement layout can afford.
-_FLUCTUATION_FACTOR = 1.3
 
 
 def composite_filter(half_window: int) -> np.ndarray:
@@ -124,65 +119,36 @@ def composite_filter(half_window: int) -> np.ndarray:
     return w
 
 
-def _filter_axis(values: np.ndarray, mask: np.ndarray, w: np.ndarray, axis: int):
-    filled = np.where(mask, values, 0.0)
-    smoothed = np.apply_along_axis(np.correlate, axis, filled, w, "same")
-    count = np.apply_along_axis(np.correlate, axis, mask.astype(float),
-                                np.ones(w.size), "same")
-    return smoothed, count == w.size
+def _filter_axis(values: np.ndarray, w: np.ndarray, axis: int) -> np.ndarray:
+    return np.apply_along_axis(np.correlate, axis, values, w, "same")
 
 
-def _one_pass(vals: np.ndarray, support: np.ndarray, w_t: np.ndarray,
-              w_x: np.ndarray):
-    vals, sup_t = _filter_axis(vals, support, w_t, axis=1)
-    vals, sup_x = _filter_axis(vals, sup_t, w_x, axis=0)
-    return vals, sup_x
+def smooth_field(field: Field, cfg: SmoothingConfig, conc_floor: float) -> Field:
+    """Smooth twice, each pass along t (per location) then along x (per
+    time).
 
-
-def _d3_scatter(field: Field) -> float:
-    pts = compute_derivatives(field)
-    if pts.n_points == 0:
-        return 0.0
-    return float(np.std(pts.c_xxx))
-
-
-def smooth_field(field: Field, cfg: SmoothingConfig, reference: Field,
-                 conc_floor: float) -> tuple[Field, int]:
-    """Smooth along t (per location) then along x (per time), once or twice.
-
-    Returns the smoothed field and the number of passes applied.
-
-    ``reference`` is the same measurement layout without noise.  After the
-    first pass, a second runs only if the scatter of the third spatial
-    derivative of the smoothed data exceeds ``_FLUCTUATION_FACTOR`` times
-    the scatter of the reference smoothed once the same way.
-
-    The input mask marks which samples exist and may support a window; the
-    detection floor is a validity judgment applied to the output only, so
-    low-concentration series still contribute smoothing support.  As in
-    ``sample_measurements``, every value at or below ``conc_floor`` is
-    masked.
+    Each pass drops half a filter window at both ends of every series, so
+    the output keeps the interior rectangle that lies ``w.size - 1``
+    samples inside each edge, minus every value at or below
+    ``conc_floor``, as in ``sample_measurements``.  The input must have no
+    masked entry: a noisy field is perturbed before any floor is applied.
     """
+    if not field.mask.all():
+        raise ValidationError("smoothing needs a field without masked entries")
     w_t = composite_filter(cfg.half_window_t)
     w_x = composite_filter(cfg.half_window_x)
-    if field.n_t < w_t.size:
-        raise ValidationError("field has too few time steps for the smoothing window")
-    if field.n_x < w_x.size:
-        raise ValidationError("field has too few locations for the smoothing window")
-    if reference.values.shape != field.values.shape:
-        raise ValidationError("reference field layout does not match")
-
-    def floored(vals, support) -> Field:
-        return Field(vals, field.x0, field.dx, field.t0, field.dt,
-                     support & (vals > conc_floor))
-
-    vals, support = _one_pass(field.values, field.mask, w_t, w_x)
-    out = floored(vals, support)
-    ref_scatter = _d3_scatter(floored(*_one_pass(reference.values, reference.mask,
-                                                  w_t, w_x)))
-    if ref_scatter <= 0.0 or _d3_scatter(out) <= _FLUCTUATION_FACTOR * ref_scatter:
-        return out, 1
-    return floored(*_one_pass(vals, support, w_t, w_x)), 2
+    if field.n_t < 2 * w_t.size - 1:
+        raise ValidationError("field has too few time steps for two smoothing passes")
+    if field.n_x < 2 * w_x.size - 1:
+        raise ValidationError("field has too few locations for two smoothing passes")
+    vals = field.values
+    for _ in range(2):
+        vals = _filter_axis(_filter_axis(vals, w_t, axis=1), w_x, axis=0)
+    lost_t, lost_x = w_t.size - 1, w_x.size - 1
+    interior = np.zeros(vals.shape, dtype=bool)
+    interior[lost_x:-lost_x, lost_t:-lost_t] = True
+    return Field(vals, field.x0, field.dx, field.t0, field.dt,
+                 interior & (vals > conc_floor))
 
 
 @dataclass
@@ -221,7 +187,8 @@ def compute_derivatives(field: Field) -> DerivativeField:
     """Evaluate the central stencils at every fully supported grid point.
 
     A point is kept when its five-point spatial stencil and its two
-    temporal neighbours are all inside the grid and unmasked.
+    temporal neighbours are all inside the grid and unmasked; a field that
+    keeps no point is rejected.
     """
     v = field.values
     m = field.mask
@@ -235,6 +202,8 @@ def compute_derivatives(field: Field) -> DerivativeField:
         & m[:-4, 1:-1] & m[1:-3, 1:-1] & m[3:-1, 1:-1] & m[4:, 1:-1]
         & m[2:-2, :-2] & m[2:-2, 2:]
     )
+    if not valid.any():
+        raise ValidationError("no grid point keeps a full derivative stencil")
     kk, ii = np.nonzero(valid.T)
     i, k = ii, kk
 

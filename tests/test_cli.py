@@ -245,14 +245,14 @@ def test_identify_writes_runs_summary_traces(tmp_path, capsys):
 def test_python_summary_equals_the_cli_summary(tmp_path):
     """``summary_dict`` of a report built in Python holds exactly what the
     CLI writes to summary.json for the same scenario, noise and seeds,
-    smoothing passes and point count included."""
+    point count included."""
     out = tmp_path / "out"
     assert main(["identify", "--scenario", "s2-fast", "--noise", "0.05",
                  "--restarts", "2", "--out", str(out)]) == 0
     report = identify("s2-fast", noise=NoiseSpec(0.05),
                       cfg=IdentifyConfig(n_restarts=2))
     written = json.loads((out / "summary.json").read_text())
-    assert written["smoothing_passes"] == 2
+    assert written["n_points"] == report.data.n_points
     assert json.loads(json.dumps(summary_dict(report))) == written
 
 
@@ -514,7 +514,7 @@ def zero_conc_data(config, name, **kwargs):
     """``prepare_dataset`` on data whose first point has C = 0, where the
     Freundlich candidate cannot be evaluated."""
     return PreparedData(scenario_name=name, split=zero_conc_split(),
-                        noise=None, smoothing_passes=0)
+                        noise=None)
 
 
 def test_exit_numeric_when_every_restart_fails(tmp_path, monkeypatch, capsys):

@@ -29,7 +29,7 @@ from transportid.params import ModelParams, ParamBounds
 from transportid.persist import summary_dict
 from transportid.preprocess import NoiseSpec, split_train_test
 from transportid.regression import PredictionErrorEvaluator
-from transportid.scenarios import get_scenario
+from transportid.scenarios import get_scenario, true_coefficients
 from transportid.transport import SorptionModel
 
 BASIC = LibrarySpec.from_name("basic")
@@ -43,8 +43,7 @@ def adf_split():
 
 def manufactured_data(split=None):
     return PreparedData(scenario_name="manufactured",
-                        split=split or adf_split(), noise=None,
-                        smoothing_passes=0)
+                        split=split or adf_split(), noise=None)
 
 
 def fake_runs(eps_values):
@@ -426,10 +425,20 @@ def test_identify_records_the_noise_of_the_data_it_ran_on():
     noise = NoiseSpec(0.05)
     data = prepare_dataset(get_scenario("s2-fast"), "s2-fast", noise=noise)
     report = identify("s2-fast", cfg=IdentifyConfig(n_restarts=2), data=data)
-    assert data.smoothing_passes == 2
     assert report.data is data and report.data.noise == noise
     record = summary_dict(report)
-    assert record["noise_delta"] == 0.05 and record["smoothing_passes"] == 2
+    assert record["noise_delta"] == 0.05
+
+
+def test_light_noise_on_s2_recovers_the_freundlich_model(pipeline):
+    """At delta = 0.01, two smoothing passes leave s2's fsorp coefficient
+    within 30 % of the truth and its exponent within 0.03 of 0.7."""
+    summary = pipeline.report("s2", delta=0.01).final_summary
+    truth = true_coefficients("s2")["fsorp"]
+    rel_err = abs(term_stat(summary, "fsorp") - truth) / abs(truth)
+    a = float(summary.param_mean[summary.param_names.index("a")])
+    assert rel_err <= 0.30
+    assert abs(a - 0.7) <= 0.03
 
 
 # --------------------------------------------------------------- proxy

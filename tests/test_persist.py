@@ -61,7 +61,7 @@ def adf_runs():
 def adf_report():
     split = split_train_test(manufactured_field(ADF_ALPHA), 0.6)
     data = PreparedData(scenario_name="manufactured", split=split,
-                        noise=None, smoothing_passes=0)
+                        noise=None)
     return identify(make_tiny(), cfg=IdentifyConfig(n_restarts=3, master_seed=1),
                     data=data)
 
@@ -322,7 +322,7 @@ def test_summary_json_round_trip(adf_report, tmp_path):
     assert record["selected_terms"] == list(report.selected_term_ids)
     assert record["stable"] is True
     assert record["equation"] == report.equation
-    assert record["smoothing_passes"] == 0
+    assert "smoothing_passes" not in record
     assert record["n_points"] == report.data.n_points
 
     summary = report.final_summary
@@ -345,12 +345,12 @@ def test_summary_json_round_trip(adf_report, tmp_path):
        noise=st.one_of(st.none(),
                        st.builds(NoiseSpec, delta=st.floats(0.0, 0.99),
                                  seed=st.integers(0, 2**32))),
-       passes=st.integers(0, 2), failure=st.one_of(st.none(), st.text()))
+       failure=st.one_of(st.none(), st.text()))
 def test_summary_json_round_trip_property(adf_report, tmp_path, draw, noise,
-                                          passes, failure):
+                                          failure):
     """``read_summary_json`` returns exactly ``summary_dict``'s digest, for
-    arbitrary ensemble statistics, smoothing passes, with or without noise
-    and a failed candidate."""
+    arbitrary ensemble statistics, with or without noise and a failed
+    candidate."""
     report = adf_report
     summary = report.final_summary
     k, p = len(summary.term_ids), len(summary.param_names)
@@ -367,8 +367,7 @@ def test_summary_json_round_trip_property(adf_report, tmp_path, draw, noise,
                                summary=dataclasses.replace(summary, **arrays))
     failed = ([] if failure is None
               else [FailedCandidate("lsorp", ("adv", "lsorp"), failure)])
-    data = dataclasses.replace(report.data, noise=noise,
-                               smoothing_passes=passes)
+    data = dataclasses.replace(report.data, noise=noise)
     changed = dataclasses.replace(report, rounds=report.rounds[:-1] + [last],
                                   data=data, failed_candidates=failed)
     path = tmp_path / "summary.json"

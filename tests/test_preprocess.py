@@ -9,18 +9,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from scipy.ndimage import correlate1d, minimum_filter1d
+from scipy.ndimage import correlate1d
 
 from conftest import make_tiny, package_env, point_coordinates
 import transportid.preprocess as preprocess
 from transportid.errors import ValidationError
+from transportid.identification import prepare_dataset
 from transportid.preprocess import (DerivativeField, NoiseSpec, SmoothingConfig,
                                     add_noise, barycentric_weights,
                                     chebyshev_nodes,
                                     composite_filter, compute_derivatives,
                                     smooth_field, split_train_test)
 from transportid.scenarios import get_scenario
-from transportid.transport import Field, sample_measurements
+from transportid.transport import Field, SorptionModel, sample_measurements
 
 
 def grid_field(values, x0=0.0, dx=1.0, t0=0.0, dt=1.0, mask=None):
@@ -130,21 +131,21 @@ def test_composite_filter_moment_conditions():
 def test_smooth_series_exact_on_cubic():
     x = np.linspace(0.0, 4.0, 120)
     series = 1.0 + 0.3 * x - 0.2 * x ** 2 + 0.05 * x ** 3
-    smoothed, supported = preprocess._filter_axis(
-        series, np.ones(series.size, bool), composite_filter(6), 0)
-    assert supported.sum() == 120 - 2 * filter_half_width()
+    smoothed = preprocess._filter_axis(series, composite_filter(6), 0)
+    supported = slice(filter_half_width(), -filter_half_width())
     np.testing.assert_allclose(smoothed[supported], series[supported],
                                rtol=1e-9)
 
 
 def test_smooth_series_constant_and_support_layout():
-    series = np.full(60, 3.7)
-    half = filter_half_width()
-    smoothed, supported = preprocess._filter_axis(
-        series, np.ones(series.size, bool), composite_filter(6), 0)
-    assert not supported[:half].any() and not supported[-half:].any()
-    assert supported[half:-half].all()
-    np.testing.assert_allclose(smoothed[supported], 3.7, rtol=1e-12)
+    """Two passes keep a constant field and drop two half-windows, one
+    full filter length less one, at both ends of each axis."""
+    cfg = SmoothingConfig(half_window_t=3, half_window_x=6)
+    out = smooth_field(grid_field(np.full((60, 50), 3.7)), cfg, 0.0)
+    expected = np.zeros((60, 50), dtype=bool)
+    expected[22:-22, 10:-10] = True  # filters of 23 and 11 taps
+    np.testing.assert_array_equal(out.mask, expected)
+    np.testing.assert_allclose(out.values[out.mask], 3.7, rtol=1e-12)
 
 
 def test_smooth_series_attenuates_white_noise_like_its_l2_gain():
@@ -155,8 +156,8 @@ def test_smooth_series_attenuates_white_noise_like_its_l2_gain():
     clean = np.sin(x)
     sigma = 0.1
     noisy = clean + rng.normal(0.0, sigma, size=x.size)
-    smoothed, supported = preprocess._filter_axis(
-        noisy, np.ones(noisy.size, bool), composite_filter(6), 0)
+    smoothed = preprocess._filter_axis(noisy, composite_filter(6), 0)
+    supported = slice(filter_half_width(), -filter_half_width())
     resid_before = np.std(noisy[supported] - clean[supported])
     resid_after = np.std(smoothed[supported] - clean[supported])
     gain = np.sqrt(np.sum(composite_filter(6) ** 2))
@@ -165,26 +166,10 @@ def test_smooth_series_attenuates_white_noise_like_its_l2_gain():
     assert resid_after == pytest.approx(gain * sigma, rel=0.25)
 
 
-def test_smooth_series_mask_hole_blocks_support():
-    series = np.linspace(1.0, 2.0, 80)
-    mask = np.ones(80, dtype=bool)
-    mask[40] = False
-    half = filter_half_width()
-    _, supported = preprocess._filter_axis(
-        series, mask, composite_filter(6), 0)
-    assert not supported[40 - half:40 + half + 1].any()
-    assert supported[half:40 - half].all()
-    assert supported[40 + half + 1:-half].all()
-
-
-def scipy_filter_axis(values, mask, w, axis):
+def scipy_filter_axis(values, w, axis):
     """The scipy.ndimage filter that ``_filter_axis`` replaced, kept as its
     reference."""
-    filled = np.where(mask, values, 0.0)
-    smoothed = correlate1d(filled, w, axis=axis, mode="constant", cval=0.0)
-    interior = minimum_filter1d(mask.astype(np.uint8), size=w.size,
-                                axis=axis, mode="constant", cval=0).astype(bool)
-    return smoothed, interior
+    return correlate1d(values, w, axis=axis, mode="constant", cval=0.0)
 
 
 def _floats(bound):
@@ -210,8 +195,7 @@ def filter_cases(draw):
     shape = [draw(st.integers(1, 3))] * 2
     shape[axis] = draw(st.integers(w.size, w.size + 20))
     values = draw(arrays(float, shape, elements=_floats(1e3)))
-    mask = draw(arrays(bool, shape))
-    return values, mask, w, axis
+    return values, w, axis
 
 
 def _unit_impulse_case():
@@ -221,12 +205,11 @@ def _unit_impulse_case():
     fit window 1, degree 2, order 2)."""
     values = np.zeros((13, 1))
     values[6, 0] = 1.0
-    mask = np.ones((13, 1), dtype=bool)
     w = np.array([2.1549586101245763e-17, 1.1939515355595244e-17,
                   -6.578076558601415e-16, 1.0000000000000002,
                   6.382285555416273e-16, -1.1939515355595248e-17,
                   -2.154958610124575e-17])
-    return values, mask, w, 0
+    return values, w, 0
 
 
 @settings(max_examples=200, deadline=None)
@@ -245,16 +228,14 @@ def test_filter_axis_matches_scipy_within_the_dot_product_bound(case):
 
         |numpy - scipy| <= 2 gamma_L (|x| * |w|) + (1 + gamma_L) (|x| * d)
 
-    with * the correlation.  The support masks are integer counts and
-    agree exactly."""
-    values, mask, w, axis = case
-    smoothed, supported = preprocess._filter_axis(values, mask, w, axis)
-    ref, ref_supported = scipy_filter_axis(values, mask, w, axis)
-    np.testing.assert_array_equal(supported, ref_supported)
+    with * the correlation."""
+    values, w, axis = case
+    smoothed = preprocess._filter_axis(values, w, axis)
+    ref = scipy_filter_axis(values, w, axis)
 
     def correlate_abs(taps):
-        return correlate1d(np.abs(np.where(mask, values, 0.0)), taps,
-                           axis=axis, mode="constant", cval=0.0)
+        return correlate1d(np.abs(values), taps, axis=axis, mode="constant",
+                           cval=0.0)
 
     gamma = w.size * 2.0 ** -53 / (1.0 - w.size * 2.0 ** -53)
     eps = np.finfo(float).eps
@@ -271,7 +252,7 @@ def test_filter_axis_matches_scipy_within_the_dot_product_bound(case):
 
 def test_smoothing_does_not_import_scipy_ndimage():
     """Smoothing runs on numpy alone: a fresh interpreter that smooths a
-    noisy field against its reference never loads scipy.ndimage."""
+    noisy field never loads scipy.ndimage."""
     script = """
 import sys
 import numpy as np
@@ -283,8 +264,8 @@ x = np.linspace(0.0, 1.0, 40)[:, None]
 t = np.linspace(0.0, 1.0, 60)[None, :]
 clean = Field(1.5 + np.sin(3.0 * x - 2.0 * t), 0.0, 1.0, 0.0, 1.0)
 cfg = SmoothingConfig(half_window_t=3, half_window_x=3)
-out, passes = smooth_field(add_noise(clean, NoiseSpec(0.05)), cfg, clean, 0.0)
-assert passes >= 1 and out.mask.any()
+out = smooth_field(add_noise(clean, NoiseSpec(0.05)), cfg, 0.0)
+assert out.mask.any()
 assert "scipy.ndimage" not in sys.modules
 """
     proc = subprocess.run([sys.executable, "-c", script], env=package_env(),
@@ -292,12 +273,23 @@ assert "scipy.ndimage" not in sys.modules
     assert proc.returncode == 0, proc.stderr
 
 
+def two_pass_interior(field, cfg):
+    """The grid entries that two smoothing passes with ``cfg`` keep."""
+    lost_t = composite_filter(cfg.half_window_t).size - 1
+    lost_x = composite_filter(cfg.half_window_x).size - 1
+    interior = np.zeros(field.values.shape, dtype=bool)
+    interior[lost_x:-lost_x, lost_t:-lost_t] = True
+    return interior
+
+
 def test_smooth_field_nearly_preserves_clean_data(pipeline):
-    """One pass over noise-free data must not distort the field."""
+    """Two passes over noise-free data must not distort the field; they
+    keep exactly the two-pass interior above the zero floor."""
     clean, _ = pipeline.simulation("s1")
-    out, passes = smooth_field(clean, SmoothingConfig(), clean, 0.0)
-    assert passes == 1
-    assert 0.5 < out.mask.mean() < 1.0
+    out = smooth_field(clean, SmoothingConfig(), 0.0)
+    np.testing.assert_array_equal(
+        out.mask, two_pass_interior(clean, SmoothingConfig()) & (out.values > 0.0))
+    assert out.mask.any()
     diff = np.abs(out.values - clean.values)
     assert np.sqrt(np.mean(diff[out.mask] ** 2)) / clean.values.max() < 1e-4
     interior = out.mask & (clean.values >= 0.1 * clean.values.max())
@@ -311,8 +303,7 @@ def test_smooth_field_restores_second_derivative(pipeline):
     cfg = get_scenario("s1")
     clean, _ = pipeline.simulation("s1")
     noisy = add_noise(clean, NoiseSpec(0.05, seed=0))
-    smoothed, _ = smooth_field(noisy, SmoothingConfig(),
-                               conc_floor=cfg.conc_floor, reference=clean)
+    smoothed = smooth_field(noisy, SmoothingConfig(), conc_floor=cfg.conc_floor)
     ref = compute_derivatives(clean)
     lookup = {}
     for n in range(ref.n_points):
@@ -330,29 +321,52 @@ def test_smooth_field_restores_second_derivative(pipeline):
 
 
 def test_smooth_field_zero_stays_zero():
-    """A zero field smooths to zero in one pass (its reference has no
-    scatter), and zero is at the floor, so nothing is kept."""
-    zero = grid_field(np.zeros((40, 60)))
-    out, passes = smooth_field(zero, SmoothingConfig(half_window_t=6, half_window_x=6),
-                               zero, 0.0)
+    """A zero field smooths to zero in two passes, and zero is at the
+    floor, so nothing is kept."""
+    zero = grid_field(np.zeros((50, 60)))
+    out = smooth_field(zero, SmoothingConfig(half_window_t=6, half_window_x=6), 0.0)
     assert np.all(out.values == 0.0)
-    assert passes == 1
     assert not out.mask.any()
 
 
 def test_smooth_field_window_guard():
     small = grid_field(np.zeros((10, 10)))
     with pytest.raises(ValidationError):
-        smooth_field(small, SmoothingConfig(), small, 0.0)
+        smooth_field(small, SmoothingConfig(), 0.0)
+
+
+def test_smooth_field_rejects_an_axis_too_short_for_two_passes():
+    """An axis of 2 w.size - 1 samples keeps one after two passes; one
+    sample fewer keeps none and is rejected, though one pass would fit."""
+    cfg = SmoothingConfig(half_window_t=2, half_window_x=3)
+    n_t = 2 * composite_filter(2).size - 1
+    n_x = 2 * composite_filter(3).size - 1
+    out = smooth_field(grid_field(np.ones((n_x, n_t))), cfg, 0.0)
+    assert out.mask.sum() == 1 and out.mask[n_x // 2, n_t // 2]
+    with pytest.raises(ValidationError, match="too few time steps for two"):
+        smooth_field(grid_field(np.ones((n_x, n_t - 1))), cfg, 0.0)
+    with pytest.raises(ValidationError, match="too few locations for two"):
+        smooth_field(grid_field(np.ones((n_x - 1, n_t))), cfg, 0.0)
+
+
+def test_smooth_field_rejects_a_masked_field():
+    """The smoother takes noisy data perturbed before any floor applies,
+    so it rejects a masked entry instead of filtering a mask."""
+    mask = np.ones((30, 30), dtype=bool)
+    mask[15, 15] = False
+    with pytest.raises(ValidationError, match="without masked entries"):
+        smooth_field(grid_field(np.ones((30, 30)), mask=mask),
+                     SmoothingConfig(half_window_t=2, half_window_x=2), 0.0)
 
 
 @st.composite
 def floored_fields(draw):
-    """A field on a tiny scenario's measurement grid with a few holes and
-    values that include exact zeros, negatives and the floor itself, and a
-    floor that may be 0."""
+    """A field on a tiny scenario's measurement grid, large enough for two
+    smoothing passes at half-window 2, with values that include exact
+    zeros, negatives and the floor itself, a floor that may be 0, and a few
+    holes for sampling to keep."""
     floor = draw(st.sampled_from((0.0, 5e-5)) | st.floats(0.0, 1.0))
-    n_x, n_t = draw(st.integers(7, 12)), draw(st.integers(7, 16))
+    n_x, n_t = draw(st.integers(13, 18)), draw(st.integers(13, 22))
     values = draw(arrays(float, (n_x, n_t), elements=st.sampled_from(
         (0.0, -0.0, floor)) | st.floats(-1.0, 1.0)))
     mask = np.ones((n_x, n_t), dtype=bool)
@@ -361,7 +375,7 @@ def floored_fields(draw):
         mask[i, k] = False
     cfg = make_tiny(meas_x_count=n_x, meas_t_end=300.0 + 2.0 * (n_t - 1),
                     conc_floor=floor)
-    return Field(values, 0.0, cfg.meas_dx, cfg.meas_t_start, cfg.meas_dt, mask), cfg
+    return values, mask, cfg
 
 
 @settings(max_examples=100, deadline=None)
@@ -369,46 +383,61 @@ def floored_fields(draw):
 def test_sampling_and_smoothing_mask_exactly_what_is_at_or_below_the_floor(case):
     """Clean and smoothed data follow one floor rule, whatever the floor:
     a value is masked if it is at or below it, and kept otherwise where
-    the input mask or the smoothing support holds."""
-    field, cfg = case
+    the input mask (sampling) or the two-pass interior (smoothing) holds."""
+    values, holes, cfg = case
     floor = cfg.conc_floor
-    meas = sample_measurements(field, cfg)
-    assert np.array_equal(meas.mask, field.mask & ~(field.values <= floor))
+
+    def on_grid(mask=None):
+        return Field(values, 0.0, cfg.meas_dx, cfg.meas_t_start, cfg.meas_dt, mask)
+
+    meas = sample_measurements(on_grid(holes), cfg)
+    assert np.array_equal(meas.mask, holes & ~(values <= floor))
 
     smoothing = SmoothingConfig(half_window_t=2, half_window_x=2)
-    out, passes = smooth_field(field, smoothing, field, floor)
-    # A floor of -inf masks no value, so its mask is the smoothing support.
-    open_, _ = smooth_field(field, smoothing, field, -np.inf)
-    assert passes == 1  # the reference is the field itself
+    out = smooth_field(on_grid(), smoothing, floor)
+    # A floor of -inf masks no value, so its mask is the two-pass interior.
+    open_ = smooth_field(on_grid(), smoothing, -np.inf)
+    assert np.array_equal(open_.mask, two_pass_interior(out, smoothing))
     assert np.array_equal(out.values, open_.values)
     assert np.array_equal(out.mask, open_.mask & ~(out.values <= floor))
 
 
-def test_noisy_pipeline_pass_counts(pipeline):
-    """Light noise settles in one pass, heavier noise takes the second."""
-    assert pipeline.dataset("s2", 0.01).smoothing_passes == 1
-    assert pipeline.dataset("s2", 0.05).smoothing_passes == 2
+def test_noisy_s2_keeps_the_two_pass_interior_above_the_floor(pipeline):
+    """Light and heavier noise alike keep the two-pass interior minus the
+    values at or below the floor, and the prepared points are the
+    derivative stencils of that field."""
+    cfg = get_scenario("s2")
+    clean, _ = pipeline.simulation("s2")
+    interior = two_pass_interior(clean, SmoothingConfig())
+    for delta in (0.01, 0.05):
+        out = smooth_field(add_noise(clean, NoiseSpec(delta, seed=0)),
+                           SmoothingConfig(), cfg.conc_floor)
+        np.testing.assert_array_equal(out.mask, interior & (out.values > cfg.conc_floor))
+        assert (pipeline.dataset("s2", delta).n_points
+                == compute_derivatives(out).n_points)
 
 
-def test_smoothing_compares_only_before_its_last_pass(pipeline, monkeypatch):
-    """s2 at delta = 0.05 takes both allowed passes: the field is smoothed
-    twice and the reference once, for the one comparison that can stop
-    the smoothing early."""
+def test_smoothing_filters_each_axis_twice_and_compares_nothing(pipeline,
+                                                                monkeypatch):
+    """s2 at delta = 0.05: two passes of one filter per axis, and no
+    derivative of the data is taken to decide anything."""
     cfg = get_scenario("s2")
     clean, _ = pipeline.simulation("s2")
     noisy = add_noise(clean, NoiseSpec(0.05, seed=0))
-    calls = []
-    one_pass = preprocess._one_pass
+    axes = []
+    filter_axis = preprocess._filter_axis
 
-    def counting_pass(*args):
-        calls.append(1)
-        return one_pass(*args)
+    def counting_filter(values, w, axis):
+        axes.append(axis)
+        return filter_axis(values, w, axis)
 
-    monkeypatch.setattr(preprocess, "_one_pass", counting_pass)
-    _, passes = smooth_field(noisy, SmoothingConfig(),
-                             conc_floor=cfg.conc_floor, reference=clean)
-    assert passes == 2
-    assert len(calls) == 3
+    def no_derivatives(field):
+        raise AssertionError("smoothing took a derivative")
+
+    monkeypatch.setattr(preprocess, "_filter_axis", counting_filter)
+    monkeypatch.setattr(preprocess, "compute_derivatives", no_derivatives)
+    smooth_field(noisy, SmoothingConfig(), conc_floor=cfg.conc_floor)
+    assert axes == [1, 0, 1, 0]
 
 
 def test_prepared_noisy_points_respect_floor(pipeline):
@@ -502,6 +531,21 @@ def test_too_small_grid_rejected():
         compute_derivatives(grid_field(np.ones((4, 8))))
     with pytest.raises(ValidationError):
         compute_derivatives(grid_field(np.ones((8, 2))))
+    # Large enough, but a masked row cuts every five-point stencil.
+    mask = np.ones((9, 7), dtype=bool)
+    mask[4, :] = False
+    with pytest.raises(ValidationError, match="no grid point keeps a full derivative stencil"):
+        compute_derivatives(grid_field(np.ones((9, 7)), mask=mask))
+
+
+def test_noisy_tiny_column_too_narrow_for_a_stencil_is_rejected_by_name():
+    """Two passes at half-window 3 keep 5 of the tiny Freundlich column's
+    25 locations, and the floor masks one of them, so no point keeps the
+    five-point spatial stencil."""
+    cfg = make_tiny(sorption=SorptionModel.freundlich(0.05, 0.7))
+    with pytest.raises(ValidationError, match="no grid point keeps a full derivative stencil"):
+        prepare_dataset(cfg, noise=NoiseSpec(0.01, seed=3),
+                        smoothing=SmoothingConfig(half_window_t=20, half_window_x=3))
 
 
 # -------------------------------------------------------------- split

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from .assimilation import (AssimilationConfig, AssimilationTrace,
-                           run_assimilation)
+from .assimilation import AssimilationTrace, run_assimilation
 from .errors import (CollinearityError, DegenerateColumnError, SolverError,
                      TermEvaluationError, TransportIdError, ValidationError)
 from .identification import (EnsembleSummary, IdentificationReport,
@@ -24,10 +23,10 @@ from .scenarios import (get_scenario, scenario_names, true_coefficients,
 from .transport import (Field, ScenarioConfig, SorptionModel, isotherm_value,
                         sample_measurements, simulate)
 
-__version__ = "0.14.0"
+__version__ = "0.15.0"
 
 __all__ = [
-    "AssimilationConfig", "AssimilationTrace", "run_assimilation",
+    "AssimilationTrace", "run_assimilation",
     "CollinearityError", "DegenerateColumnError", "SolverError",
     "TermEvaluationError", "TransportIdError", "ValidationError",
     "EnsembleSummary", "IdentificationReport", "IdentifyConfig",

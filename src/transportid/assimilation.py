@@ -24,7 +24,7 @@ gamma; rejected steps tighten it and retry.  The loop stops when an
 accepted step or a rejected finite trial changes eps by less than a
 relative tolerance, on an accepted-iteration budget, on a zero gradient
 (a flat surface, or m saturated on a bound), or when the damping exceeds
-a stall guard.
+a stall guard.  Its settings are the module constants below.
 """
 
 from __future__ import annotations
@@ -33,12 +33,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SolverError, ValidationError, check_numbers
+from .errors import SolverError, ValidationError
 from .params import ModelParams, ParamBounds
 from .regression import FitResult, PredictionErrorEvaluator
 
 __all__ = [
-    "AssimilationConfig",
     "IterationRecord",
     "AssimilationTrace",
     "fd_gradient",
@@ -49,38 +48,14 @@ __all__ = [
     "from_unbounded",
 ]
 
-_PROPOSAL_BUDGET = 400  # trials per run
+_LAMBDA0 = 10.0  # starting damping
 _GAMMA = 10.0  # damping factor per accepted or rejected trial
+_TOL_REL = 1e-3  # relative change of eps that ends a run ``converged``
+_MAX_ACCEPTED = 25  # accepted steps that end a run ``max_iterations``
+_C_EPS_SCALE = 0.01  # C_eps = (_C_EPS_SCALE * eps0)^2
 _LAMBDA_STALL = 1e15  # damping that ends a run ``stalled``
 _C_EPS_FLOOR = 1e-12  # floor of the starting error in C_eps
 _FD_REL_STEP = 0.01  # relative finite-difference step
-
-
-@dataclass(frozen=True)
-class AssimilationConfig:
-    """Knobs for the update loop.
-
-    ``c_eps_scale`` sets the observation covariance relative to the
-    starting error: C_eps = (c_eps_scale * eps0)^2.  ``tol_rel`` bounds
-    the relative change of eps that ends a run ``converged``: an accepted
-    step, or a rejected finite trial.
-    """
-
-    lambda0: float = 10.0
-    tol_rel: float = 1e-3
-    max_accepted: int = 25
-    c_eps_scale: float = 0.01
-
-    def __post_init__(self) -> None:
-        check_numbers(self)
-        if self.lambda0 <= 0:
-            raise ValidationError("lambda0 must be positive")
-        if not (0 < self.tol_rel < 1):
-            raise ValidationError("tol_rel must be in (0, 1)")
-        if self.max_accepted < 1:
-            raise ValidationError("max_accepted must be positive")
-        if self.c_eps_scale <= 0:
-            raise ValidationError("c_eps_scale must be positive")
 
 
 @dataclass
@@ -184,8 +159,7 @@ def lm_step(m: np.ndarray, m_pr: np.ndarray, g: np.ndarray,
 
 
 def run_assimilation(evaluator: PredictionErrorEvaluator, m0: ModelParams,
-                     bounds: ParamBounds,
-                     cfg: AssimilationConfig | None = None) -> AssimilationTrace:
+                     bounds: ParamBounds) -> AssimilationTrace:
     """Drive m from m0 toward the prediction-error minimum.
 
     ``evaluator.evaluate(m)`` returns a result with an ``eps``; the one at
@@ -193,12 +167,15 @@ def run_assimilation(evaluator: PredictionErrorEvaluator, m0: ModelParams,
     inside ``bounds``.  The loop runs in the logit coordinates of m, so
     every iterate stays inside the box.  It ends ``converged`` when an
     accepted step, or a rejected finite trial, changes eps by less than
-    ``tol_rel * eps``; ``zero_gradient`` when the gradient vanishes, which
-    also happens once m saturates on a bound; ``stalled`` when the damping
-    passes 1e15.  ``converged`` says eps stopped moving, not that m
-    reached the minimum: the prior pull toward m0 can stop it short.
+    0.1 % of eps; ``max_iterations`` after 25 accepted steps;
+    ``zero_gradient`` when the gradient vanishes, which also happens once
+    m saturates on a bound; ``stalled`` when the damping passes 1e15.
+    The damping starts at 10 and moves tenfold on every trial, so after A
+    accepted and R rejected trials it is 10^(1 + R - A), and no run
+    proposes more than 25 + 24 + 14 = 63 trials.  ``converged`` says eps
+    stopped moving, not that m reached the minimum: the prior pull toward
+    m0 can stop it short.
     """
-    cfg = cfg or AssimilationConfig()
     names = m0.names
     if names != bounds.names:
         raise ValidationError("parameter naming mismatch with bounds")
@@ -234,10 +211,10 @@ def run_assimilation(evaluator: PredictionErrorEvaluator, m0: ModelParams,
         fit = evaluator.evaluate(pack(to_nat(s0)))
     except Exception as exc:  # noqa: BLE001 - starting point must evaluate
         raise SolverError(f"objective failed at the start point: {exc}")
-    c_eps = (cfg.c_eps_scale * max(fit.eps, _C_EPS_FLOOR)) ** 2
+    c_eps = (_C_EPS_SCALE * max(fit.eps, _C_EPS_FLOOR)) ** 2
 
     s = s0.copy()
-    lam = cfg.lambda0
+    lam = _LAMBDA0
     trace.records.append(IterationRecord(pack(to_nat(s)), fit.eps, lam, True))
 
     def finish(status: str) -> AssimilationTrace:
@@ -251,12 +228,8 @@ def run_assimilation(evaluator: PredictionErrorEvaluator, m0: ModelParams,
         # Parameter-free library: the error surface is flat in m.
         return finish("zero_gradient")
 
-    proposals = 0
     accepted = 0
     while True:
-        if proposals >= _PROPOSAL_BUDGET:
-            return finish("budget_exhausted")
-        proposals += 1
         s_trial = s
         try:
             s_trial = lm_step(s, s0, g, c_m, c_eps, fit.eps, lam)
@@ -274,9 +247,9 @@ def run_assimilation(evaluator: PredictionErrorEvaluator, m0: ModelParams,
             accepted += 1
             trace.records.append(
                 IterationRecord(pack(to_nat(s)), fit.eps, lam, True))
-            if abs(prev_eps - fit.eps) < cfg.tol_rel * prev_eps:
+            if abs(prev_eps - fit.eps) < _TOL_REL * prev_eps:
                 return finish("converged")
-            if accepted >= cfg.max_accepted:
+            if accepted >= _MAX_ACCEPTED:
                 return finish("max_iterations")
             g = grad_at(s)
             if not np.any(np.abs(g) > 0.0):
@@ -286,8 +259,8 @@ def run_assimilation(evaluator: PredictionErrorEvaluator, m0: ModelParams,
             trace.records.append(
                 IterationRecord(pack(to_nat(s_trial)),
                                 eps_trial if ok else float("inf"), lam, False))
-            if ok and eps_trial - fit.eps < cfg.tol_rel * fit.eps:
-                # Flat to within tol_rel, as for an accepted step.
+            if ok and eps_trial - fit.eps < _TOL_REL * fit.eps:
+                # Flat to within _TOL_REL, as for an accepted step.
                 return finish("converged")
             if lam > _LAMBDA_STALL:
                 return finish("stalled")

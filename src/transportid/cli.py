@@ -13,7 +13,6 @@ import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .assimilation import AssimilationConfig
 from .errors import TransportIdError, ValidationError, check_numbers, from_record
 from .identification import IdentifyConfig, identify, prepare_dataset
 from .library import library_names
@@ -47,7 +46,6 @@ class ExperimentConfig:
     output_dir: str = "out"
     custom_scenario: dict | None = None
     bounds: dict | None = None
-    assimilation: dict | None = None
     smoothing: dict | None = None
 
     def __post_init__(self) -> None:
@@ -71,7 +69,6 @@ class ExperimentConfig:
                   else scenario_from_dict(self.custom_scenario))
         blocks = {block: from_record(cls, getattr(self, block), block)
                   for block, cls in (("bounds", ParamBounds),
-                                     ("assimilation", AssimilationConfig),
                                      ("smoothing", SmoothingConfig))
                   if getattr(self, block) is not None}
         built = IdentifyConfig(n_restarts=self.n_restarts,

@@ -34,8 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assimilation import (AssimilationConfig, AssimilationTrace, probe_box,
-                           run_assimilation)
+from .assimilation import AssimilationTrace, probe_box, run_assimilation
 from .chebyshev import ChebyshevInterpolant, adaptive_interpolant
 from .errors import (SolverError, TransportIdError, ValidationError,
                      check_numbers)
@@ -78,13 +77,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class IdentifyConfig:
-    """Experiment-level settings shared by every restart."""
+    """Experiment-level settings shared by every restart.  The update
+    loop's own settings are constants of ``assimilation``."""
 
     n_restarts: int = 20
     master_seed: int = 0
     split_ratio: float = 0.6
     bounds: ParamBounds = field(default_factory=ParamBounds.default)
-    assimilation: AssimilationConfig = field(default_factory=AssimilationConfig)
     smoothing: SmoothingConfig = field(default_factory=SmoothingConfig)
 
     def __post_init__(self) -> None:
@@ -297,7 +296,7 @@ def build_proxy(evaluator: PredictionErrorEvaluator,
 
 
 def run_single(evaluator, m0: ModelParams, bounds: ParamBounds,
-               assim_cfg: AssimilationConfig, run_id: int = 0) -> RunResult:
+               run_id: int = 0) -> RunResult:
     """One restart: assimilate m from m0.
 
     On a ``PredictionErrorEvaluator`` its fit is the evaluation the loop
@@ -312,7 +311,7 @@ def run_single(evaluator, m0: ModelParams, bounds: ParamBounds,
         raise ValidationError(
             f"bounds name parameters {list(bounds.names)}, but library "
             f"{evaluator.library.name!r} reads {list(reads)}")
-    trace = run_assimilation(evaluator, m0, bounds, assim_cfg)
+    trace = run_assimilation(evaluator, m0, bounds)
     fit = (evaluator.exact.evaluate(trace.m_final)
            if isinstance(evaluator, EpsProxy) else trace.fit)
     return RunResult(run_id=run_id, m0=m0, trace=trace, fit=fit)
@@ -348,7 +347,7 @@ def run_ensemble(split: DataSplit, library: LibrarySpec, cfg: IdentifyConfig):
     failures: list = []
     for i, m0 in enumerate(m0s):
         try:
-            results.append(run_single(objective, m0, bounds, cfg.assimilation, i))
+            results.append(run_single(objective, m0, bounds, i))
         except TransportIdError as exc:
             failures.append(FailedRun(run_id=i, error=str(exc)))
     return results, failures

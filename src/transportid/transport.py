@@ -268,6 +268,7 @@ class Field:
     mask: np.ndarray = dc_field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
+        check_numbers(self)
         self.values = np.asarray(self.values, dtype=float)
         if self.values.ndim != 2:
             raise ValidationError("field values must be a 2-D array (n_x, n_t)")

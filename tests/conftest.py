@@ -5,18 +5,20 @@ identification runs) are memoized per session so that unit tests and the
 acceptance gate can share them regardless of execution order.
 """
 
+import contextlib
 import json
 import os
 import time
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import transportid
-from transportid.assimilation import AssimilationConfig
+import transportid.assimilation as assim
 from transportid.identification import IdentifyConfig, identify, prepare_dataset
 from transportid.params import ModelParams
 from transportid.preprocess import DerivativeField, NoiseSpec, split_train_test
@@ -34,10 +36,24 @@ RECOVERY_STARTS = (
     (0.5, 90.0), (0.3, 130.0), (0.7, 40.0), (0.45, 60.0),
 )
 
-# Tight tolerance configuration used when the objective is noise free and
+# Tight update-loop settings used when the objective is noise free and
 # the optimum should be resolved to high precision.
-TIGHT_ASSIM = AssimilationConfig(tol_rel=1e-9, max_accepted=100,
-                                 c_eps_scale=1e-6)
+TIGHT_ASSIM = (("_TOL_REL", 1e-9), ("_MAX_ACCEPTED", 100),
+               ("_C_EPS_SCALE", 1e-6))
+
+
+@contextlib.contextmanager
+def assimilation_settings(overrides=()):
+    """Run the update loop with some of its module constants replaced.
+
+    ``overrides`` is a tuple of (name, value) pairs, such as
+    ``TIGHT_ASSIM``, so it can key a cache; an empty one patches nothing.
+    """
+    if not overrides:
+        yield
+        return
+    with mock.patch.multiple(assim, **dict(overrides)):
+        yield
 
 
 def manufactured_field(alpha_by_id, a_star=0.6, kl_star=90.0,
@@ -230,24 +246,24 @@ class PipelineCache:
                 assimilation)
 
     def report(self, name, library="basic", delta=0.0, noise_seed=0,
-               n_restarts=20, master_seed=0, assimilation=None):
+               n_restarts=20, master_seed=0, assimilation=()):
+        """``assimilation`` holds ``assimilation_settings`` overrides."""
         key = self._report_key(name, library, delta, noise_seed, n_restarts,
                                master_seed, assimilation)
         if key not in self._reports:
             data = self.dataset(name, delta, noise_seed)
             noise = NoiseSpec(delta, noise_seed) if delta > 0.0 else None
-            kwargs = dict(n_restarts=n_restarts, master_seed=master_seed)
-            if assimilation is not None:
-                kwargs["assimilation"] = assimilation
+            cfg = IdentifyConfig(n_restarts=n_restarts,
+                                 master_seed=master_seed)
             start = time.perf_counter()
-            self._reports[key] = identify(name, library=library, noise=noise,
-                                          cfg=IdentifyConfig(**kwargs),
-                                          data=data)
+            with assimilation_settings(assimilation):
+                self._reports[key] = identify(name, library=library,
+                                              noise=noise, cfg=cfg, data=data)
             self._run_time[key] = time.perf_counter() - start
         return self._reports[key]
 
     def wall_time(self, name, library="basic", delta=0.0, noise_seed=0,
-                  n_restarts=20, master_seed=0, assimilation=None):
+                  n_restarts=20, master_seed=0, assimilation=()):
         """Data preparation plus identification time for one experiment."""
         self.report(name, library, delta, noise_seed, n_restarts,
                     master_seed, assimilation)

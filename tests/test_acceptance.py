@@ -11,12 +11,12 @@ labelled details, so a full run shows the verdicts inline.
 import numpy as np
 import pytest
 
-from conftest import (M_STAR, TIGHT_ASSIM, candidate, coef,
-                      manufactured_field, point_coordinates, sorption_params,
-                      term_stat)
-from transportid.assimilation import (AssimilationConfig, _chain_factor,
-                                      fd_gradient, from_unbounded,
-                                      lm_step, run_assimilation, to_unbounded)
+from conftest import (M_STAR, TIGHT_ASSIM, assimilation_settings, candidate,
+                      coef, manufactured_field, point_coordinates,
+                      sorption_params, term_stat)
+from transportid.assimilation import (_chain_factor, fd_gradient,
+                                      from_unbounded, lm_step,
+                                      run_assimilation, to_unbounded)
 from transportid.library import LibrarySpec
 from transportid.params import ParamBounds
 from transportid.preprocess import (_filter_axis, composite_filter,
@@ -196,9 +196,10 @@ def test_criterion_8_closed_form_oracles_and_invariants(pipeline, announce):
     points = manufactured_field({"adv": -0.01, "dis": 0.01, "fsorp": -0.15})
     ev = PredictionErrorEvaluator(split_train_test(points, 0.6),
                                   basic.subset(("adv", "dis", "fsorp")))
-    worst_a = max(abs(run_assimilation(ev, sorption_params(*start),
-                                       bounds, TIGHT_ASSIM).m_final["a"] - M_STAR[0])
-                  for start in ((0.26, 31.0), (0.74, 149.0)))
+    with assimilation_settings(TIGHT_ASSIM):
+        worst_a = max(abs(run_assimilation(ev, sorption_params(*start),
+                                           bounds).m_final["a"] - M_STAR[0])
+                      for start in ((0.26, 31.0), (0.74, 149.0)))
     conds.append((f"exponent recovery {worst_a:.1e} <= 1e-3", worst_a <= 1e-3))
 
     # damped update equals the regularized normal equations
@@ -297,11 +298,11 @@ def test_criterion_8_closed_form_oracles_and_invariants(pipeline, announce):
 
 
 def test_criterion_9_solver_setting_sensitivity(pipeline, announce):
-    variants = (("base", None),
-                ("c_eps*10", AssimilationConfig(c_eps_scale=0.1)),
-                ("c_eps/10", AssimilationConfig(c_eps_scale=0.001)),
-                ("lambda0=1", AssimilationConfig(lambda0=1.0)),
-                ("lambda0=100", AssimilationConfig(lambda0=100.0)))
+    variants = (("base", ()),
+                ("c_eps*10", (("_C_EPS_SCALE", 0.1),)),
+                ("c_eps/10", (("_C_EPS_SCALE", 0.001),)),
+                ("lambda0=1", (("_LAMBDA0", 1.0),)),
+                ("lambda0=100", (("_LAMBDA0", 100.0),)))
     conds = []
     for label, assim in variants:
         for name in ("s1", "s2", "s3"):

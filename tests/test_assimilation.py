@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 
 import transportid.assimilation as assim
 from conftest import (M_STAR, RECOVERY_STARTS, TIGHT_ASSIM,
-                      manufactured_field, sorption_params)
-from transportid.assimilation import (AssimilationConfig, _chain_factor,
-                                      fd_gradient, from_unbounded, lm_step,
-                                      probe_box, run_assimilation,
-                                      to_unbounded)
+                      assimilation_settings, manufactured_field,
+                      sorption_params)
+from transportid.assimilation import (_chain_factor, fd_gradient,
+                                      from_unbounded, lm_step, probe_box,
+                                      run_assimilation, to_unbounded)
 from transportid.errors import SolverError, ValidationError
 from transportid.identification import IdentifyConfig, run_ensemble
 from transportid.library import LibrarySpec
@@ -81,17 +81,6 @@ def test_param_bounds_restrict_keeps_box_order():
     with pytest.raises(ValidationError,
                        match=r"no bounds for parameters \['rho'\]"):
         b.restrict(("a", "rho"))
-
-
-def test_assimilation_config_validation():
-    with pytest.raises(ValidationError):
-        AssimilationConfig(tol_rel=0.0)
-    with pytest.raises(ValidationError):
-        AssimilationConfig(c_eps_scale=0.0)
-    for bad in ({"c_eps_scale": np.inf}, {"lambda0": np.nan},
-                {"tol_rel": -np.inf}, {"max_accepted": 2.5}):
-        with pytest.raises(ValidationError, match=next(iter(bad))):
-            AssimilationConfig(**bad)
 
 
 # --------------------------------------------------- bounded transform
@@ -187,8 +176,7 @@ def test_assimilation_evaluates_only_parameters_the_library_reads(static,
                 if t.id in static or t.id == sorption)
     assume(ids)
     lib = EXTENDED.subset(ids)
-    cfg = IdentifyConfig(n_restarts=3,
-                         assimilation=AssimilationConfig(max_accepted=3))
+    cfg = IdentifyConfig(n_restarts=3)
     expected = tuple(n for n in cfg.bounds.names if n in lib.parameter_deps)
     seen = []
     evaluate = PredictionErrorEvaluator.evaluate
@@ -197,7 +185,8 @@ def test_assimilation_evaluates_only_parameters_the_library_reads(static,
         seen.append(m.names)
         return evaluate(self, m)
 
-    with mock.patch.object(PredictionErrorEvaluator, "evaluate", spy):
+    with mock.patch.object(PredictionErrorEvaluator, "evaluate", spy), \
+            assimilation_settings((("_MAX_ACCEPTED", 3),)):
         results, failures = run_ensemble(ADF_SPLIT, lib, cfg)
     assert not failures
     assert set(seen) == {expected}
@@ -305,7 +294,7 @@ def test_flat_objective_reports_zero_gradient():
 
 def test_kinked_objective_converges_at_start():
     """When every proposal increases the error the damping grows until a
-    trial raises it by less than tol_rel, which ends the run converged at
+    trial raises it by less than _TOL_REL, which ends the run converged at
     the untouched start point."""
 
     def vee(v):
@@ -320,17 +309,38 @@ def test_kinked_objective_converges_at_start():
     assert all(not r.accepted for r in tr.records[1:])
 
 
-def test_proposal_budget_guard(monkeypatch):
-    def vee(v):
-        d = v[0] - 0.5
-        return 1.0 + (3.0 * d if d >= 0.0 else -d)
+# After A accepted and R rejected trials the damping is _LAMBDA0 * 10^(R - A)
+# (_GAMMA = 10).  A run ends at A = _MAX_ACCEPTED, or once R - A exceeds
+# log10(_LAMBDA_STALL / _LAMBDA0) = 14, so it proposes at most
+# 25 + 24 + 14 trials.
+_MAX_TRIALS = (2 * assim._MAX_ACCEPTED - 1
+               + round(np.log10(assim._LAMBDA_STALL / assim._LAMBDA0)))
 
-    monkeypatch.setattr(assim, "_PROPOSAL_BUDGET", 5)
-    monkeypatch.setattr(assim, "_LAMBDA_STALL", 1e300)
-    tr = run_assimilation(StubObjective(vee),
-                          sorption_params(0.5, 90.0), BOUNDS)
-    assert tr.status == "budget_exhausted"
-    assert len(tr.records) == 1 + 5
+
+@settings(max_examples=200, deadline=None)
+@given(coeffs=st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6),
+       freq=st.floats(1.0, 500.0), jag=st.floats(0.0, 0.5),
+       floor=st.floats(1e-8, 3.0),
+       start=st.tuples(st.floats(0.26, 0.74), st.floats(31.0, 149.0)))
+def test_every_run_ends_within_its_trial_bound(coeffs, freq, jag, floor,
+                                               start):
+    """On rough objectives, |bowl + ripples + sawtooth| above a floor,
+    every run ends in one of the four statuses after at most 63 trials.
+    A low floor makes relative steps large, so some runs end
+    ``max_iterations`` or ``stalled``."""
+    c = np.array(coeffs)
+
+    def rough(v):
+        x = (v - BOUNDS.lower_array()) / BOUNDS.span()
+        bowl = float(np.sum((x - 0.5 - 0.4 * c[4:]) ** 2))
+        ripple = 0.5 * (c[:2] @ np.sin(freq * x + c[2:4]))
+        saw = jag * float(np.sum((freq * x) % 1.0))
+        return floor + abs(bowl + ripple + saw)
+
+    tr = run_assimilation(StubObjective(rough), sorption_params(*start), BOUNDS)
+    assert tr.status in ("converged", "stalled", "zero_gradient",
+                         "max_iterations")
+    assert len(tr.records) - 1 <= _MAX_TRIALS == 63
 
 
 def test_quartic_valley_converges():
@@ -342,9 +352,9 @@ def test_quartic_valley_converges():
 
 
 def test_iteration_cap_reports_max_iterations():
-    cfg = AssimilationConfig(tol_rel=1e-9, max_accepted=2, c_eps_scale=1e-6)
-    tr = run_assimilation(adf_evaluator(),
-                          sorption_params(0.26, 31.0), BOUNDS, cfg)
+    with assimilation_settings(TIGHT_ASSIM + (("_MAX_ACCEPTED", 2),)):
+        tr = run_assimilation(adf_evaluator(),
+                              sorption_params(0.26, 31.0), BOUNDS)
     assert tr.status == "max_iterations"
     assert tr.n_accepted == 1 + 2
 
@@ -367,8 +377,8 @@ def test_freundlich_exponent_recovered_from_any_start():
     corner and interior start."""
     ev = adf_evaluator()
     for start in RECOVERY_STARTS:
-        tr = run_assimilation(ev, sorption_params(*start), BOUNDS,
-                              TIGHT_ASSIM)
+        with assimilation_settings(TIGHT_ASSIM):
+            tr = run_assimilation(ev, sorption_params(*start), BOUNDS)
         assert abs(tr.m_final["a"] - M_STAR[0]) <= 1e-3, start
         assert tr.status in ("converged", "stalled", "max_iterations")
         assert BOUNDS.lower[0] <= tr.m_final["a"] <= BOUNDS.upper[0]
@@ -377,8 +387,8 @@ def test_freundlich_exponent_recovered_from_any_start():
 def test_langmuir_constant_recovered_from_any_start():
     ev = adl_evaluator()
     for start in RECOVERY_STARTS:
-        tr = run_assimilation(ev, sorption_params(*start), BOUNDS,
-                              TIGHT_ASSIM)
+        with assimilation_settings(TIGHT_ASSIM):
+            tr = run_assimilation(ev, sorption_params(*start), BOUNDS)
         rel = abs(tr.m_final["K_l"] - M_STAR[1]) / M_STAR[1]
         assert rel <= 1e-3, start
         assert BOUNDS.lower[1] <= tr.m_final["K_l"] <= BOUNDS.upper[1]
@@ -386,8 +396,8 @@ def test_langmuir_constant_recovered_from_any_start():
 
 def test_trace_bookkeeping_on_recovery_run():
     ev = adl_evaluator()
-    tr = run_assimilation(ev, sorption_params(0.3, 130.0), BOUNDS,
-                          TIGHT_ASSIM)
+    with assimilation_settings(TIGHT_ASSIM):
+        tr = run_assimilation(ev, sorption_params(0.3, 130.0), BOUNDS)
     eps_seq = [r.eps for r in tr.records if r.accepted]
     assert len(eps_seq) == tr.n_accepted >= 2
     assert all(b < a for a, b in zip(eps_seq, eps_seq[1:]))

@@ -11,7 +11,6 @@ import pytest
 
 from conftest import (MALFORMED_SUMMARIES, make_tiny, package_env,
                       summary_record, tiny_dict, zero_conc_split)
-from transportid.assimilation import AssimilationConfig
 from transportid.cli import ExperimentConfig, main
 from transportid.identification import IdentifyConfig, PreparedData, identify
 from transportid.errors import SolverError, ValidationError
@@ -38,7 +37,6 @@ def full_record(tmp_path) -> dict:
             "custom_scenario": tiny_dict(),
             "bounds": {"names": ["a", "K_l"], "lower": [0.3, 40.0],
                        "upper": [0.7, 140.0]},
-            "assimilation": dataclasses.asdict(AssimilationConfig()),
             "smoothing": dataclasses.asdict(SmoothingConfig())}
 
 
@@ -74,17 +72,13 @@ def test_experiment_config_builds_identify_overrides():
     cfg = ExperimentConfig(
         bounds={"names": ["a", "K_l"], "lower": [0.3, 40.0],
                 "upper": [0.7, 140.0]},
-        assimilation={"lambda0": 5.0, "max_accepted": 9},
         smoothing={"half_window_x": 4})
     id_cfg = cfg.identify_config()
     assert id_cfg.bounds.lower == (0.3, 40.0)
     assert id_cfg.bounds.upper == (0.7, 140.0)
-    assert id_cfg.assimilation.lambda0 == 5.0
-    assert id_cfg.assimilation.max_accepted == 9
     assert id_cfg.smoothing.half_window_x == 4
 
-    for block, removed in (("assimilation", "turbo"), ("assimilation", "gamma"),
-                           ("smoothing", "half_window_cheb_t"),
+    for block, removed in (("smoothing", "half_window_cheb_t"),
                            ("smoothing", "half_window_ls_t"),
                            ("smoothing", "half_window_cheb_x"),
                            ("smoothing", "half_window_ls_x"),
@@ -129,7 +123,7 @@ def _load(record):
 
 
 @pytest.mark.parametrize("name", ["config", "custom_scenario", "sorption",
-                                  "bounds", "assimilation", "smoothing"])
+                                  "bounds", "smoothing"])
 def test_every_config_value_loads_or_fails_validation(tmp_path, name):
     """Any one key of any block set to any value of the grid either loads,
     with every block built, or raises ValidationError; nothing else
@@ -375,14 +369,20 @@ def test_exit_validation_on_bad_config(tmp_path):
 
 
 # json.loads reads NaN, Infinity, 2.5 and true where a finite float or a
-# whole count belongs, gamma and half_window_ls_x are no longer settings,
-# and a block or a bound can be any JSON value; each must stop the run
-# before any work is done.
+# whole count belongs, half_window_ls_x is no longer a setting, and a block
+# or a bound can be any JSON value; each must stop the run before any work
+# is done.  The assimilation block is no longer a setting either (0.15.0):
+# an old config's block is refused whatever it holds.
 @pytest.mark.parametrize("text", [
     '{"assimilation": {"lambda0": NaN}}',
     '{"assimilation": {"c_eps_scale": Infinity}}',
     '{"assimilation": {"max_accepted": 2.5}}',
     '{"assimilation": {"gamma": 5}}',
+    '{"bounds": {"names": ["a", "K_l"], "lower": [NaN, 40.0], '
+    '"upper": [0.7, 140.0]}}',
+    '{"bounds": {"names": ["a", "K_l"], "lower": [0.3, 40.0], '
+    '"upper": [0.7, Infinity]}}',
+    '{"smoothing": {"half_window_t": 2.5}}',
     '{"smoothing": {"half_window_ls_x": NaN}}',
     '{"smoothing": {"half_window_x": NaN}}',
     '{"n_restarts": 2.5}',
@@ -461,7 +461,8 @@ def test_exit_validation_on_mistyped_scenario_value(tmp_path, capsys, key,
 
 
 # Every block is built when the config is loaded, so each subcommand
-# rejects the same malformed block before it does any work.
+# rejects the same malformed block before it does any work.  The
+# assimilation block, removed in 0.15.0, is refused whatever it holds.
 _MALFORMED_BLOCKS = {
     "scenario-key": {"custom_scenario": tiny_dict() | {"bogus": 1}},
     "sorption-key": {"custom_scenario": tiny_dict() | {
@@ -488,6 +489,17 @@ def test_every_subcommand_rejects_a_malformed_block(tmp_path, capsys, name):
         assert main([command, "--config", str(cfg_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_assimilation_block_is_an_unknown_key(tmp_path, capsys):
+    """The update loop has no settings, so a config that still carries
+    its block stops every subcommand before any work is done."""
+    cfg_path = tiny_config(tmp_path, assimilation={"lambda0": 10.0})
+    for command in ("simulate", "identify"):
+        assert main([command, "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: unknown config keys: assimilation\n")
     assert not (tmp_path / "out").exists()
 
 

@@ -175,8 +175,7 @@ def test_run_single_recovers_on_analytic_data():
     cfg = IdentifyConfig()
     ev = PredictionErrorEvaluator(split, lib)
     out = run_single(ev, ModelParams(("a",), (0.45,)),
-                     cfg.bounds.restrict(("a",)), cfg.assimilation,
-                     run_id=7)
+                     cfg.bounds.restrict(("a",)), run_id=7)
     assert out.run_id == 7
     assert out.fit.alpha_norm.term_ids == lib.term_ids
     assert out.fit.eps == ev.evaluate(out.trace.m_final).eps
@@ -208,7 +207,7 @@ def test_run_single_takes_the_fit_the_loop_accepted(monkeypatch):
                         marked_assimilation)
     ev = PredictionErrorEvaluator(split, lib)
     out = run_single(ev, ModelParams(("a",), (0.45,)),
-                     cfg.bounds.restrict(("a",)), cfg.assimilation)
+                     cfg.bounds.restrict(("a",)))
     assert events.count("evaluate") > 1
     assert events[-1] == "returned"
     assert out.fit is out.trace.fit
@@ -225,14 +224,14 @@ def test_run_single_rejects_bounds_the_library_does_not_read():
     evaluator = PredictionErrorEvaluator(split, lib)
     with pytest.raises(ValidationError, match="reads \\['a'\\]"):
         run_single(evaluator, sorption_params(0.3, 40.0),
-                   ParamBounds.default(), cfg.assimilation)
+                   ParamBounds.default())
     with pytest.raises(ValidationError, match="reads \\['a'\\]"):
         run_single(evaluator, ModelParams(("K_l",), (40.0,)),
-                   cfg.bounds.restrict(("K_l",)), cfg.assimilation)
+                   cfg.bounds.restrict(("K_l",)))
     free = PredictionErrorEvaluator(split, BASIC.subset(("adv", "dis")))
     with pytest.raises(ValidationError, match="reads \\[\\]"):
         run_single(free, ModelParams(("a",), (0.3,)),
-                   cfg.bounds.restrict(("a",)), cfg.assimilation)
+                   cfg.bounds.restrict(("a",)))
 
 
 def test_run_ensemble_layout_and_determinism():
@@ -491,8 +490,8 @@ def test_restarts_on_the_proxy_match_the_exact_path(sorption_proxy, source,
     bounds = cfg.bounds.restrict(proxy.library.parameter_deps)
     for m in sample_prior(5, cfg.bounds, cfg.master_seed):
         m0 = ModelParams(bounds.names, (m[bounds.names[0]],))
-        exact = run_single(proxy.exact, m0, bounds, cfg.assimilation)
-        fast = run_single(proxy, m0, bounds, cfg.assimilation)
+        exact = run_single(proxy.exact, m0, bounds)
+        fast = run_single(proxy, m0, bounds)
         assert fast.trace.status == exact.trace.status
         np.testing.assert_allclose(fast.trace.m_final.values,
                                    exact.trace.m_final.values, rtol=1e-8)
@@ -539,7 +538,7 @@ def test_unresolved_eps_falls_back_to_the_exact_path(monkeypatch, caplog):
     assert not failures
     assert "not resolved by 257 Chebyshev samples" in caplog.text
     for res in results:
-        by_hand = run_single(evaluator, res.m0, bounds, cfg.assimilation)
+        by_hand = run_single(evaluator, res.m0, bounds)
         assert res.trace.status == by_hand.trace.status
         assert res.trace.m_final == by_hand.trace.m_final
         assert res.fit.eps == by_hand.fit.eps

@@ -15,13 +15,12 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (MALFORMED_SUMMARIES, make_tiny, manufactured_field,
-                      summary_record)
+from conftest import (MALFORMED_SUMMARIES, assimilation_settings, make_tiny,
+                      manufactured_field, summary_record)
 from transportid.errors import ValidationError
 from transportid.identification import (FailedCandidate, IdentifyConfig,
                                         PreparedData, identify, run_single)
 from transportid.library import LibrarySpec
-from transportid.assimilation import AssimilationConfig
 from transportid.params import ModelParams, ParamBounds
 from transportid.persist import (read_summary_json, report_table,
                                  scenario_from_dict, scenario_to_dict,
@@ -49,12 +48,12 @@ def small_field() -> Field:
 def adf_runs():
     split = split_train_test(manufactured_field(ADF_ALPHA), 0.6)
     lib = LibrarySpec.from_name("basic").subset(("adv", "dis", "fsorp"))
-    cfg = AssimilationConfig(max_accepted=8)
     starts = [ModelParams(("a",), (0.3,)), ModelParams(("a",), (0.7,))]
     evaluator = PredictionErrorEvaluator(split, lib)
     bounds = ParamBounds.default().restrict(("a",))
-    return [run_single(evaluator, m0, bounds, cfg, run_id=i)
-            for i, m0 in enumerate(starts)]
+    with assimilation_settings((("_MAX_ACCEPTED", 8),)):
+        return [run_single(evaluator, m0, bounds, run_id=i)
+                for i, m0 in enumerate(starts)]
 
 
 @pytest.fixture(scope="module")
@@ -234,8 +233,7 @@ def test_runs_csv_guards(tmp_path):
 # repr round-trips every float but NaN; ModelParams holds finite values.
 _ANY_FLOAT = st.floats(allow_nan=False)
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
-_STATUSES = ("converged", "stalled", "zero_gradient", "max_iterations",
-             "budget_exhausted")
+_STATUSES = ("converged", "stalled", "zero_gradient", "max_iterations")
 
 
 @st.composite

@@ -219,6 +219,16 @@ def test_sampling_rejects_a_field_off_the_measurement_grid():
         sample_measurements(shifted, cfg)
 
 
+def test_field_rejects_non_finite_grid_values():
+    """A NaN spacing slips past a ``<= 0`` test and an infinite origin
+    makes every coordinate infinite; both are refused, as is a bool."""
+    grid = {"x0": 0.0, "dx": 1.0, "t0": 0.0, "dt": 1.0}
+    for key in grid:
+        for bad in (np.nan, np.inf, -np.inf, True):
+            with pytest.raises(ValidationError, match=f"{key}="):
+                Field(np.ones((6, 4)), **(grid | {key: bad}))
+
+
 def test_no_sorption_equals_zero_freundlich():
     base = make_tiny()
     off = make_tiny(sorption=SorptionModel.freundlich(k_f=0.0, a=0.7))

@@ -29,7 +29,6 @@ __all__ = [
     "NormalizationStats",
     "CoefficientVector",
     "term_columns",
-    "zscore_columns",
     "normalize_design",
     "denormalize_coefficients",
 ]
@@ -259,24 +258,17 @@ def term_columns(terms: tuple, deriv: DerivativeField,
     return out
 
 
-def zscore_columns(phi: np.ndarray, term_ids: tuple):
-    """Z-score every column of ``phi`` (population std).
-
-    Returns ``(phi_n, col_mean, col_std)``; a zero-variance column raises
-    :class:`DegenerateColumnError` naming its term.
-    """
-    col_mean = phi.mean(axis=0)
-    col_std = phi.std(axis=0)
+def normalize_design(dm: DesignMatrix):
+    """Z-score every column and the target (population std); returns
+    (normalized, stats).  A zero-variance column raises
+    :class:`DegenerateColumnError` naming its term."""
+    col_mean = dm.phi.mean(axis=0)
+    col_std = dm.phi.std(axis=0)
     dead = np.flatnonzero(col_std <= 0.0)
     if dead.size:
-        names = [term_ids[int(j)] for j in dead]
+        names = [dm.term_ids[int(j)] for j in dead]
         raise DegenerateColumnError(f"zero-variance columns: {names}")
-    return (phi - col_mean) / col_std, col_mean, col_std
-
-
-def normalize_design(dm: DesignMatrix):
-    """Z-score every column and the target; returns (normalized, stats)."""
-    phi_n, col_mean, col_std = zscore_columns(dm.phi, dm.term_ids)
+    phi_n = (dm.phi - col_mean) / col_std
     y_mean = float(dm.y.mean())
     y_std = float(dm.y.std())
     if y_std <= 0.0:

@@ -2,8 +2,9 @@
 ``PredictionErrorEvaluator``.
 
 The evaluator z-scores and QR-factors the parameter-independent columns
-once and adds only the parameter-dependent ones per m.  This path
-evaluates every column on each point set and composes the package's
+once and, per m, extends that factor in closed form by projecting each
+parameter-dependent column off it, with no QR and no z-scored copy.  This
+path evaluates every column on each point set and composes the package's
 steps directly: ``normalize_design`` → ``least_squares_fit`` →
 ``denormalize_coefficients`` → ``prediction_error``.
 """

@@ -253,14 +253,31 @@ def test_evaluator_matches_plain_path(ids, a, k_l):
 
 
 def test_evaluator_matches_plain_path_on_real_data(pipeline):
-    split = pipeline.dataset("s2").split
-    for ids in (("adv", "dis"), ("adv", "dis", "fsorp"),
-                ("adv", "dis", "lsorp")):
+    """s1's 83,102 training points and s2's, at q = 0, 1 and 2."""
+    for name in ("s1", "s2"):
+        split = pipeline.dataset(name).split
+        for ids in (("adv", "dis"), ("adv", "dis", "fsorp"),
+                    ("adv", "dis", "lsorp"), ("adv", "dis", "fsorp", "lsorp")):
+            lib = BASIC.subset(ids)
+            ev = PredictionErrorEvaluator(split, lib)
+            for a, k_l in ((0.3, 40.0), (0.6, 90.0), (0.74, 149.0)):
+                m = sorption_params(a, k_l)
+                assert_same_fit(ev.evaluate(m), plain_fit(split, lib, m))
+
+
+def test_evaluate_forms_no_qr(monkeypatch):
+    """Only construction factors the static block; each evaluation extends
+    that factor by projection alone, at q = 1 and at q = 2."""
+    def no_qr(*args, **kwargs):
+        raise AssertionError("evaluate called numpy.linalg.qr")
+
+    for ids in (("adv", "dis", "fsorp"), ("adv", "dis", "fsorp", "lsorp")):
         lib = BASIC.subset(ids)
-        ev = PredictionErrorEvaluator(split, lib)
-        for a, k_l in ((0.3, 40.0), (0.6, 90.0), (0.74, 149.0)):
-            m = sorption_params(a, k_l)
-            assert_same_fit(ev.evaluate(m), plain_fit(split, lib, m))
+        ev = PredictionErrorEvaluator(ORACLE_SPLIT, lib)
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "qr", no_qr)
+            fit = ev.evaluate(M_MID)
+        assert_same_fit(fit, plain_fit(ORACLE_SPLIT, lib, M_MID))
 
 
 def near_adv_library(offset, grid=manufactured_grid()):
@@ -330,6 +347,25 @@ def test_evaluator_error_parity_sorption_collinear_with_static():
     m = sorption_params(1.0, 90.0)
     for msg in raised_by_both(split, ADF, m, CollinearityError):
         assert "'adv'" in msg or "'fsorp'" in msg
+
+
+def test_evaluator_error_parity_zero_remainder():
+    """On two training points a parameter-dependent twin of the advection
+    column projects to a remainder of zero or rounding size; at points 9
+    and 10 of the manufactured field it is exactly zero.  That must end in
+    CollinearityError, not in a division by the remainder's norm.  The
+    twin returns the data's own array, which the evaluator must not
+    modify."""
+    twin = TermSpec("twin", "AUX", lambda d, m: d.c_x, ("a",))
+    lib = LibrarySpec("twin", (BASIC.terms[0], twin))
+    pts = manufactured_field({"adv": -0.01, "dis": 0.01})
+    order = np.arange(pts.n_points)
+    split = DataSplit(train=pts.select((order >= 9) & (order < 11)),
+                      test=pts.select(order >= 11))
+    c_x = split.train.c_x.copy()
+    for msg in raised_by_both(split, lib, M_MID, CollinearityError):
+        assert "'adv'" in msg and "'twin'" in msg
+    np.testing.assert_array_equal(split.train.c_x, c_x)
 
 
 def test_evaluator_error_parity_zero_variance_sorption_column():

@@ -2,18 +2,20 @@
 
 ``chebyshev_nodes`` and ``barycentric_weights`` lay out the smoother's
 local interpolation windows.  ``adaptive_interpolant`` resolves a smooth
-function of one variable on an interval to rounding level, as Chebfun
-does (Aurentz & Trefethen, ACM TOMS 43:33, 2017): it samples at n + 1
-second-kind Chebyshev points for n = 16, 32, ..., 256, which nest, so
-each doubling reuses every earlier sample, and stops once the
-``standard_chop`` rule finds the Chebyshev coefficients levelled off at
-a plateau.  The result is evaluated by the barycentric formula
-(Berrut & Trefethen, SIAM Rev. 46:501, 2004).
+function of one variable on an interval to rounding level: it samples at
+n + 1 second-kind Chebyshev points for n = 16, 32, ..., 256, which nest,
+so each doubling reuses every earlier sample.  It stops once the
+interpolant through the even-indexed samples, the previous n's points,
+predicts every odd-indexed sample within ``_SAMPLE_TOL`` times the
+largest |sample|.  For a function analytic on the interval the
+interpolation error falls geometrically with n (Trefethen, Approximation
+Theory and Approximation Practice, Thm 8.2), so doubling n roughly
+squares the relative error: a miss of 1e-7 at n / 2 leaves about 1e-14
+at n, the rounding floor of one sample.  The result is evaluated by the
+barycentric formula (Berrut & Trefethen, SIAM Rev. 46:501, 2004).
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -23,15 +25,13 @@ __all__ = [
     "chebyshev_nodes",
     "barycentric_weights",
     "chebyshev_points",
-    "chebyshev_coefficients",
-    "standard_chop",
     "ChebyshevInterpolant",
     "adaptive_interpolant",
 ]
 
 _FIRST_N = 16  # 17 points
 _MAX_N = 256  # 257 points
-_TOL = np.finfo(float).eps  # standard_chop's relative tolerance
+_SAMPLE_TOL = 1e-7  # largest accepted miss of the coarse half, relative
 
 
 def chebyshev_nodes(count: int) -> np.ndarray:
@@ -53,62 +53,15 @@ def chebyshev_points(n: int) -> np.ndarray:
     return np.cos(np.arange(n + 1) * np.pi / n)
 
 
-def chebyshev_coefficients(values: np.ndarray) -> np.ndarray:
-    """Coefficients c_0..c_n of the polynomial sum c_k T_k that takes
-    ``values`` at ``chebyshev_points(n)``."""
-    n = values.size - 1
-    even = np.concatenate([values, values[-2:0:-1]])
-    coeffs = np.fft.rfft(even).real / n
-    coeffs[0] /= 2.0
-    coeffs[n] /= 2.0
-    return coeffs
-
-
-def standard_chop(coeffs: np.ndarray) -> int:
-    """How many leading Chebyshev coefficients resolve the function.
-
-    The ``standardChop`` rule of Aurentz & Trefethen: find a plateau of
-    the normalized coefficient envelope at or above machine epsilon and
-    cut where envelope plus a linear bias toward fewer terms is least.
-    Returns ``len(coeffs)`` when no plateau shows (the function is not
-    resolved), and always so below 17 coefficients.
-    """
-    n = coeffs.size
-    if n < 17:
-        return n
-    envelope = np.maximum.accumulate(np.abs(coeffs)[::-1])[::-1]
-    if envelope[0] == 0.0:
-        return 1
-    envelope = envelope / envelope[0]
-    # 1-based indices j, j2 as in the published rule.
-    for j in range(2, n + 1):
-        j2 = math.floor(1.25 * j + 5.5)
-        if j2 > n:
-            return n
-        e1 = envelope[j - 1]
-        e2 = envelope[j2 - 1]
-        if e1 == 0.0 or e2 / e1 > 3.0 * (1.0 - math.log(e1) / math.log(_TOL)):
-            plateau = j - 1
-            break
-    if envelope[plateau - 1] == 0.0:
-        return plateau
-    floor = _TOL ** (7.0 / 6.0)
-    j3 = int(np.sum(envelope >= floor))
-    if j3 < j2:
-        j2 = j3 + 1
-        envelope[j2 - 1] = floor
-    biased = (np.log10(envelope[:j2])
-              + np.linspace(0.0, -np.log10(_TOL) / 3.0, j2))
-    return max(int(np.argmin(biased)), 1)
-
-
 class ChebyshevInterpolant:
     """The polynomial through samples at the second-kind Chebyshev points
     of [lo, hi].
 
-    ``cutoff`` is the number of coefficients ``standard_chop`` kept; it
-    accepted the rest as noise.  Calling it outside [lo, hi] raises
-    ``ValidationError``; it never extrapolates.
+    ``adaptive_interpolant`` returns one only when the polynomial through
+    every other sample predicted the rest within ``_SAMPLE_TOL``; with all
+    the samples its relative error is then about the square of that
+    relative miss.  Calling
+    it outside [lo, hi] raises ``ValidationError``; it never extrapolates.
     """
 
     def __init__(self, lo: float, hi: float, values: np.ndarray) -> None:
@@ -117,16 +70,10 @@ class ChebyshevInterpolant:
         self.values = np.asarray(values, dtype=float)
         n = self.values.size - 1
         self.points = chebyshev_points(n)
-        self.coefficients = chebyshev_coefficients(self.values)
-        self.cutoff = standard_chop(self.coefficients)
         weights = (-1.0) ** np.arange(n + 1)
         weights[0] /= 2.0
         weights[n] /= 2.0
         self._weights = weights
-
-    @property
-    def resolved(self) -> bool:
-        return self.cutoff < self.values.size
 
     def __call__(self, x: float) -> float:
         if not self.lo <= x <= self.hi:
@@ -144,10 +91,12 @@ class ChebyshevInterpolant:
 
 def adaptive_interpolant(func, lo: float, hi: float) -> ChebyshevInterpolant | None:
     """Sample ``func`` at 17, 33, ..., 257 nested Chebyshev points of
-    [lo, hi] until ``standard_chop`` finds a plateau.
+    [lo, hi] until the interpolant through the even-indexed samples
+    predicts each odd-indexed one within ``_SAMPLE_TOL`` times the
+    largest |sample|, and return the interpolant through all of them.
 
-    Returns None when 257 points do not resolve it.  An exception from
-    ``func`` propagates; a non-finite sample raises ``SolverError``.
+    Returns None when 257 points do not pass.  An exception from ``func``
+    propagates; a non-finite sample raises ``SolverError``.
     """
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
 
@@ -163,9 +112,11 @@ def adaptive_interpolant(func, lo: float, hi: float) -> ChebyshevInterpolant | N
     n = _FIRST_N
     values = sample(chebyshev_points(n))
     while True:
-        interp = ChebyshevInterpolant(lo, hi, values)
-        if interp.resolved:
-            return interp
+        coarse = ChebyshevInterpolant(lo, hi, values[0::2])
+        new = mid + half * chebyshev_points(n)[1::2]
+        miss = max(abs(coarse(x) - v) for x, v in zip(new, values[1::2]))
+        if miss <= _SAMPLE_TOL * np.max(np.abs(values)):
+            return ChebyshevInterpolant(lo, hi, values)
         if n >= _MAX_N:
             return None
         n *= 2

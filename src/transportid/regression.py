@@ -146,14 +146,7 @@ class PredictionErrorEvaluator:
         """The fit at m: normalized and physical coefficients and ``eps``.
 
         The per-m work on n points is evaluating, checking and scoring
-        the columns of D and projecting each of them twice.  On one core
-        of a 2-CPU Xeon machine with one BLAS thread, a call takes 31-42 %
-        less time than with a QR of the remainder and z-scored copies of D
-        when D has one column, and a quarter to a third of it with two
-        (s1's 83,102 and s2's 46,076 training points; on s2 with one
-        column, 0.83-1.05 ms against 1.33-1.52 ms).  Over seed-0 benchmark
-        runs the mean call fell from 2.6-2.9 to 1.5-1.9 ms on s1 through
-        the CLI and from 1.3-1.6 to 0.9 ms on clean s2.
+        the columns of D and projecting each of them twice.
         """
         train = self._split.train
         n = train.n_points

@@ -128,14 +128,6 @@ def candidate(report, name):
     return found
 
 
-def chop_tail(interp):
-    """A bound, anywhere in the interval, on the series that
-    ``standard_chop`` dropped from a ChebyshevInterpolant: the number of
-    dropped coefficients times the largest of them."""
-    dropped = np.abs(interp.coefficients[interp.cutoff:])
-    return float(dropped.size * dropped.max(initial=0.0))
-
-
 def zero_conc_split(ratio=0.6):
     """Freundlich analytic split whose first training point has C = 0.
 

@@ -98,7 +98,14 @@ class PredictionErrorEvaluator:
     Langou, Rozloznik & van den Eshof, Numer. Math. 101:87, 2005); the
     1e12 condition limit keeps that product at most 1e-4.  The
     remainder's norm is the new diagonal entry of R, and the remainder
-    over its norm the new column of Q.  With Q = [Q_s Q_d] that gives
+    over its norm the new column of Q.  Its entry of Q'y is taken against
+    the static fit's residual y - Q_s Q_s' y, kept from construction, not
+    against y: the remainder is orthogonal to Q_s only to working
+    precision, so against y it would pick up that error times |Q_s' y|,
+    which on real data is most of y.  A dependent term that explains little
+    then loses digits: on s1 at (a, K_l) = (0.3, 40), fsorp's normalized
+    coefficient of -5.9e-6 was off by 1.1e-9 relative, and against the
+    residual it is off by 2e-11.  With Q = [Q_s Q_d] that gives
 
         [S_n D_n] = Q R,   R = [[R_s, Q_s' D_n], [0, R_d]],
 
@@ -133,6 +140,7 @@ class PredictionErrorEvaluator:
         self._y_train = train_dm.y
         self._q_s, self._r_s = np.linalg.qr(train_dm.phi)
         self._qty_s = self._q_s.T @ self._y_train
+        self._y_resid = self._y_train - self._q_s @ self._qty_s
         st = self._static_stats
         self._static_test = ((term_columns(static_terms, split.test, None)
                               - st.col_mean) / st.col_std)
@@ -191,7 +199,7 @@ class PredictionErrorEvaluator:
             # reports as collinear; dividing by it would only warn.
             if norm > 0.0:
                 d /= norm
-            rhs[k + j] = np.dot(d, self._y_train)
+            rhs[k + j] = np.dot(d, self._y_resid)
         alpha_norm = least_squares_fit(DesignMatrix(
             r[:, self._order], rhs, self._library.term_ids))
 

@@ -11,20 +11,28 @@ mass flux that switches off after a finite pulse; the outlet is a
 zero-gradient boundary placed far from the plume.
 
 The discretization is a vertex-centred finite-volume scheme with central
-second-order face fluxes for both advection and dispersion, marched with
-backward Euler.  The sorption slope is handled by the modified Picard
-scheme of Celia, Bouloutas & Zarba (1990), Newton's method on the storage
-term; every sweep solves one tridiagonal system with LAPACK ``gtsv`` on
-work buffers.  A step's first sweep linearizes at an extrapolated start:
+second-order face fluxes for both advection and dispersion.  It is marched
+on the mass M = theta C + rho_b C*(C) with backward Euler,
+vdt (M^(n+1) - M^n) = face fluxes with vdt = vol / dt, or, at
+``sim_order`` 2, with BDF2, vdt (3 M^(n+1) - 4 M^n + M^(n-1)) / 2 = face
+fluxes (fixed-order BDF on this mass form: Tocci, Kelley & Miller, Adv.
+Water Resour. 20:1, 1997).  BDF2 restarts with a backward-Euler step at
+t = 0 and right after the inlet flux switches, where its history would
+straddle the switch.  So a step's storage weight is 1 or 3/2 times vdt, and
+its old mass vdt M^n or vdt (2 M^n - M^(n-1) / 2).  The sorption slope is
+handled by the modified Picard scheme of Celia, Bouloutas & Zarba (1990),
+Newton's method on the storage term; every sweep solves one tridiagonal
+system with LAPACK ``gtsv`` on work buffers.  A step's first sweep linearizes at an extrapolated start:
 3 C^n - 3 C^(n-1) + C^(n-2) once the last two steps ran under the step's
 inlet flux, except at nodes where C^n <= 0, which start, like a step after
 a single such step, from 2 C^n - C^(n-1); right after the inlet flux
 switched a step starts from C^n.  Each sweep evaluates one
 isotherm factor, which gives both the sorbed value and its slope; below
 _SLOPE_EVAL_FLOOR the solver's Freundlich isotherm is linear.
-Without sorption the system does not depend on C: its ``gttrs`` binding
-factors it once with ``gttrf``, and each step is a single ``gttrs`` solve on
-the whole column.
+Without sorption the system does not depend on C: a ``gttrs`` binding for
+each storage weight that the run uses, backward Euler's and at ``sim_order``
+2 BDF2's, factors its matrix once with ``gttrf``, and each step is a single
+``gttrs`` solve on the whole column.
 The three routines are called through ``ctypes`` from the ILP64 OpenBLAS
 (scipy-openblas64) that numpy's wheels bundle and ``numpy.linalg`` loads;
 a numpy whose LAPACK lacks them makes ``import transportid`` raise
@@ -33,7 +41,10 @@ whose one argument is a binding that checked its arrays and built their
 ctypes arguments; ``simulate`` binds its work buffers once per window of
 the grid, not once per solve.
 The scheme conserves mass discretely, which the simulator can track through
-a running flux audit.
+a running flux audit of M.  Backward Euler conserves M itself; BDF2
+conserves (3 M^(n+1) - M^n) / 2.  The audit of M still closes to rounding
+while no mass reaches the outlet: from each backward-Euler restart on,
+stored mass rises by exactly the injected flux times dt a step.
 
 With sorption each step solves only the active window [0, hi), which ends
 _GUARD nodes past the last node above the tail: a node at or below it holds
@@ -72,6 +83,10 @@ _SLOPE_EVAL_FLOOR = 1e-12
 
 _PICARD_TOL = 1e-10
 _PICARD_MAX_SWEEPS = 50
+
+# The weight of a step's new mass M^(n+1), per vol / dt: backward Euler's
+# M^(n+1) - M^n and BDF2's (3 M^(n+1) - 4 M^n + M^(n-1)) / 2.
+_STORAGE = np.array([1.0, 1.5])
 
 # Active window: each step solves only the nodes [0, hi), which end _GUARD
 # nodes past the last node above the tail (``_tail_concentration``) as a
@@ -164,6 +179,14 @@ class ScenarioConfig:
     The monitoring grid is every ``meas_dx / sim_dx``-th solver node at
     every ``meas_dt / sim_dt``-th step from ``meas_t_start``; both ratios
     must be integers.  ``sim_store_dt`` sets the mass-audit cadence.
+
+    ``sim_order`` is the order of the time step: 1, backward Euler, or 2,
+    BDF2 on the mass form, which takes a backward-Euler step at t = 0 and
+    right after the inlet flux switches.  The presets measured every 0.5 s
+    step at 0.5 s with order 2; every other config defaults to order 1.
+    The field stays only while point-wise identification on the fast
+    presets, and on a coarse custom column, depends on the smearing of
+    backward Euler's data.
     """
 
     v_x: float
@@ -183,6 +206,7 @@ class ScenarioConfig:
     meas_dt: float = 0.5
     conc_floor: float = 5e-5
     sim_store_dt: float | None = None
+    sim_order: int = 1
 
     def __post_init__(self) -> None:
         positive = {
@@ -210,6 +234,8 @@ class ScenarioConfig:
             raise ValidationError(f"c0 must be at most {_C0_MAX:g} mg/l, got {self.c0}")
         if self.meas_x_count < 2:
             raise ValidationError("meas_x_count must be >= 2")
+        if isinstance(self.sim_order, bool) or self.sim_order not in (1, 2):
+            raise ValidationError(f"sim_order must be 1 or 2, got {self.sim_order!r}")
         if self.sim_dx > self.meas_dx + 1e-12:
             raise ValidationError("sim_dx must not exceed meas_dx")
         meas_extent = (self.meas_x_count - 1) * self.meas_dx
@@ -527,6 +553,9 @@ def simulate(config: ScenarioConfig) -> tuple[Field, SimDiagnostics]:
     vol = np.full(n_nodes, dx)
     vol[0] = vol[-1] = 0.5 * dx
     vol_over_dt = vol / dt
+    # The new mass's weight, per vol / dt, in a backward-Euler step (row 0)
+    # and in a BDF2 step (row 1); a step's scheme indexes these rows.
+    storage = np.multiply.outer(_STORAGE[:config.sim_order], vol_over_dt)
 
     nonlinear = model.kind != "none"
     langmuir = model.kind == "langmuir"
@@ -535,12 +564,14 @@ def simulate(config: ScenarioConfig) -> tuple[Field, SimDiagnostics]:
     # c and sorbed_c hold the whole column; only the window [0, hi) is solved, and
     # the nodes from hi on stay exactly 0 (the isotherms all vanish at 0).
     # c_prev and c_prev2, the two steps before c, give the extrapolated
-    # start; the three arrays rotate roles after each step.
+    # start, and c_prev with sorbed_prev the mass before c's for BDF2; the
+    # arrays rotate roles after each step.
     c = np.zeros(n_nodes)
     c_prev = np.zeros(n_nodes)
     c_prev2 = np.zeros(n_nodes)
     positive = np.empty(n_nodes, dtype=bool)  # c > 0, for the quadratic start
     sorbed_c = np.zeros(n_nodes)  # rho_b * C*(c), carried along with c
+    sorbed_prev = np.zeros(n_nodes)  # rho_b * C*(c_prev)
     measured = np.zeros(_measurement_shape(config))
     tail = _tail_concentration(config)
 
@@ -582,13 +613,14 @@ def simulate(config: ScenarioConfig) -> tuple[Field, SimDiagnostics]:
     diag_flux = np.full(n_nodes, 2.0 * a_face)
     diag_flux[0] = a_face + b_face
     diag_flux[-1] = a_face + b_face
-    diag_const = vol_over_dt * theta + diag_flux
+    diag_const = storage * theta + diag_flux
 
-    # With K = K_f, or K_l * S_bar, u = vdt * rho_b * K * q and m = max(C, 0)
-    # at the iterate, vdt * rho_b * C* is u * m and its slope u * lam, with
-    # lam = a (Freundlich) or q (Langmuir).
+    # With K = K_f, or K_l * S_bar, u = w * rho_b * K * q and m = max(C, 0)
+    # at the iterate, where w is the step's storage weight, w * rho_b * C*
+    # is u * m and its slope u * lam, with lam = a (Freundlich) or q
+    # (Langmuir).
     rho_k = rho_b * (model.k_l * model.s_bar if langmuir else model.k_f)
-    w_sorb = vol_over_dt * rho_k
+    w_sorb = storage * rho_k
     # Work buffers; a window uses their leading entries.  A solve returns the
     # iterate in its right-hand side, so two alternate: no sweep overwrites
     # the iterate it reads.
@@ -601,24 +633,29 @@ def simulate(config: ScenarioConfig) -> tuple[Field, SimDiagnostics]:
         diag, *rhs_pair = buffers[7:]
         bound = tuple(_GtsvBinding(lower[:hi - 1], diag, upper[:hi - 1], rhs)
                       for rhs in rhs_pair)
-        return hi, diag_const[:hi], vol_over_dt[:hi], w_sorb[:hi], buffers, bound
+        return hi, diag_const[:, :hi], vol_over_dt[:hi], w_sorb[:, :hi], buffers, bound
 
-    def picard(window: tuple, flux_in: float, order: int, t_next: float):
-        """Backward-Euler step on ``window``'s nodes from c, the first sweep
-        linearized at the start of extrapolation ``order``: c (0), the
-        linear 2c - c_prev (1), or the quadratic 3c - 3c_prev + c_prev2 (2)
-        where c > 0 and the linear one elsewhere.  Returns the new c, the
-        m and q of its isotherm factor and the sweeps taken, in buffers
-        valid until the next call."""
+    def picard(window: tuple, flux_in: float, order: int, bdf2: int, t_next: float):
+        """Backward-Euler step, or a BDF2 step if ``bdf2`` is 1, on ``window``'s
+        nodes from c, the first sweep linearized at the start of
+        extrapolation ``order``: c (0), the linear 2c - c_prev (1), or the
+        quadratic 3c - 3c_prev + c_prev2 (2) where c > 0 and the linear one
+        elsewhere.  Returns the new c, the m and q of its isotherm factor
+        and the sweeps taken, in buffers valid until the next call."""
         nonlocal solves
-        hi, diag_c, vdt, w, buffers, bound = window
+        hi, diag_consts, vdt, w_sorbs, buffers, bound = window
+        diag_c, w = diag_consts[bdf2], w_sorbs[bdf2]
         start, m, q, u, g, diff, base, diag, *rhs_pair = buffers
         lam = q if langmuir else model.a
         c_old = c[:hi]
-        # base = vdt * (theta * c^n + rho_b * C*(c^n)), once per step; each
-        # sweep adds u * (lam * c_k - m) = vdt * rho_b * (s_k * c_k - C*_k).
-        np.multiply(np.add(np.multiply(c_old, theta, out=base), sorbed_c[:hi], out=base),
-                    vdt, out=base)
+        # With the mass M = theta * c + rho_b * C*(c), base = vdt * M^n
+        # (backward Euler) or vdt * (2 M^n - M^(n-1) / 2) (BDF2), once per
+        # step; each sweep adds u * (lam * c_k - m) = w * rho_b * (s_k * c_k - C*_k).
+        np.add(np.multiply(c_old, theta, out=base), sorbed_c[:hi], out=base)
+        if bdf2:
+            np.add(np.multiply(c_prev[:hi], theta, out=g), sorbed_prev[:hi], out=g)
+            np.subtract(np.multiply(base, 2.0, out=base), np.multiply(g, 0.5, out=g), out=base)
+        np.multiply(base, vdt, out=base)
         c_k = c_old
         if order:
             step_c = np.subtract(c_old, c_prev[:hi], out=diff)
@@ -653,41 +690,49 @@ def simulate(config: ScenarioConfig) -> tuple[Field, SimDiagnostics]:
 
     def commit(hi: int, c_k, m, q) -> None:
         """Make picard's result on [0, hi) the state, with rho_b * C* =
-        rho_k * q * m, and shift c to c_prev and c_prev to c_prev2."""
-        nonlocal c, c_prev, c_prev2
+        rho_k * q * m, and shift c to c_prev and c_prev to c_prev2, and
+        sorbed_c to sorbed_prev."""
+        nonlocal c, c_prev, c_prev2, sorbed_c, sorbed_prev
         c_prev2[:hi] = c_k
-        np.multiply(np.multiply(q, m, out=sorbed_c[:hi]), rho_k, out=sorbed_c[:hi])
+        np.multiply(np.multiply(q, m, out=sorbed_prev[:hi]), rho_k, out=sorbed_prev[:hi])
         c, c_prev, c_prev2 = c_prev2, c, c_prev
+        sorbed_c, sorbed_prev = sorbed_prev, sorbed_c
 
-    def full_grid_step(flux_in: float, order: int, t_next: float) -> int:
+    def full_grid_step(flux_in: float, order: int, bdf2: int, t_next: float) -> int:
         """A step on the whole column, after which the window opens _GUARD
         nodes past its last node above the tail, unless that reaches the
         outlet; returns the sweeps taken."""
         nonlocal hi, window
-        c_k, m, q, sweeps = picard(full_grid, flux_in, order, t_next)
+        c_k, m, q, sweeps = picard(full_grid, flux_in, order, bdf2, t_next)
         commit(n_nodes, c_k, m, q)
         above = np.flatnonzero(np.abs(c) > tail)
         hi = min(n_nodes, (int(above[-1]) + 1 if above.size else 0) + _GUARD)
         if hi < n_nodes:
-            c[hi:] = c_prev[hi:] = c_prev2[hi:] = sorbed_c[hi:] = 0.0
+            for history in (c, c_prev, c_prev2, sorbed_c, sorbed_prev):
+                history[hi:] = 0.0
             window = system(hi)
         return sweeps
 
     if nonlinear:
         full_grid = system(n_nodes)
     else:
-        # Each step is one gttrs solve with the factors of the constant
-        # matrix, on the whole column.
+        # Each step is one gttrs solve with the factors of its scheme's
+        # constant matrix, on the whole column.
         theta_c, rhs = np.empty(n_nodes), np.empty(n_nodes)
-        factored = _GttrsBinding(lower, diag_const, upper, rhs)
+        factored = tuple(_GttrsBinding(lower, diag, upper, rhs) for diag in diag_const)
 
-    def linear_step(flux_in: float, t_next: float):
+    def linear_step(flux_in: float, bdf2: int, t_next: float):
         nonlocal solves
-        # rhs = vdt * (theta * c^n + 0.0), which turns -0 into +0
-        np.multiply(c, theta, out=theta_c)
-        np.multiply(np.add(theta_c, 0.0, out=rhs), vol_over_dt, out=rhs)
+        # rhs = vdt * (theta * c^n + 0.0), which turns -0 into +0, or for
+        # BDF2 vdt * (2 (theta * c^n + 0.0) - (theta * c^(n-1) + 0.0) / 2)
+        np.add(np.multiply(c, theta, out=theta_c), 0.0, out=rhs)
+        if bdf2:
+            np.add(np.multiply(c_prev, theta, out=theta_c), 0.0, out=theta_c)
+            np.subtract(np.multiply(rhs, 2.0, out=rhs), np.multiply(theta_c, 0.5, out=theta_c),
+                        out=rhs)
+        np.multiply(rhs, vol_over_dt, out=rhs)
         rhs[0] += flux_in
-        c_new = solve_banded(factored)
+        c_new = solve_banded(factored[bdf2])
         solves += 1
         if not np.isfinite(c_new).all():
             raise SolverError(f"non-finite concentration at t = {t_next:.3f} s")
@@ -701,14 +746,19 @@ def simulate(config: ScenarioConfig) -> tuple[Field, SimDiagnostics]:
         flux_in = f0 if t_next <= config.t_pulse + 1e-9 * dt else 0.0
         order = min(order + 1, 2) if flux_in == flux_prev else 0
         flux_prev = flux_in
+        # A step right after the flux switched, the first one included, is
+        # backward Euler; at sim_order 2 every other step is BDF2.
+        bdf2 = int(order > 0 and config.sim_order == 2)
 
         if not nonlinear:
-            c[:] = linear_step(flux_in, t_next)
+            c_new = linear_step(flux_in, bdf2, t_next)
+            c, c_prev = c_prev, c
+            c[:] = c_new
             sweeps = 1
         elif hi == n_nodes:
-            sweeps = full_grid_step(flux_in, order, t_next)
+            sweeps = full_grid_step(flux_in, order, bdf2, t_next)
         else:
-            c_k, m, q, sweeps = picard(window, flux_in, order, t_next)
+            c_k, m, q, sweeps = picard(window, flux_in, order, bdf2, t_next)
             # Only the guard band is read: the last node above the tail is
             # there if it moved at all, and the window grows to end _GUARD
             # nodes past it again.
@@ -718,7 +768,7 @@ def simulate(config: ScenarioConfig) -> tuple[Field, SimDiagnostics]:
                 grow = int(np.flatnonzero(band > tail)[-1]) + 1
             if grow > _GUARD // 2:
                 # The plume outran the edge band: redo the step unwindowed.
-                sweeps = full_grid_step(flux_in, order, t_next)
+                sweeps = full_grid_step(flux_in, order, bdf2, t_next)
             else:
                 commit(hi, c_k, m, q)
                 if grow:

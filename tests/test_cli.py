@@ -449,6 +449,9 @@ def test_exit_validation_on_non_finite_scenario_value(tmp_path, capsys, key):
     ("sim_length", 1e308),
     ("c0", 1e7),
     ("c0", 1e308),
+    ("sim_order", True),
+    ("sim_order", 3),
+    ("sim_order", 2.0),
 ])
 def test_exit_validation_on_mistyped_scenario_value(tmp_path, capsys, key,
                                                     value):

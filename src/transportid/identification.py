@@ -254,13 +254,16 @@ class EpsProxy:
     interpolant of it.
 
     ``evaluate(m)`` returns a ``ProxyValue``; ``exact`` is the evaluator
-    the interpolant was sampled from.
+    the interpolant was sampled from, and ``fit(m)`` its fit at m,
+    evaluated once per distinct m: restarts that end on the same m, most
+    often on a bound, share one ``FitResult``.
     """
 
     def __init__(self, exact: PredictionErrorEvaluator,
                  interpolant: ChebyshevInterpolant) -> None:
         self.exact = exact
         self.interpolant = interpolant
+        self._fits: dict = {}
 
     @property
     def library(self) -> LibrarySpec:
@@ -269,6 +272,11 @@ class EpsProxy:
     def evaluate(self, m: ModelParams) -> ProxyValue:
         (value,) = m.values
         return ProxyValue(eps=self.interpolant(value))
+
+    def fit(self, m: ModelParams) -> FitResult:
+        if m.values not in self._fits:
+            self._fits[m.values] = self.exact.evaluate(m)
+        return self._fits[m.values]
 
 
 def build_proxy(evaluator: PredictionErrorEvaluator,
@@ -302,7 +310,7 @@ def run_single(evaluator, m0: ModelParams, bounds: ParamBounds,
     On a ``PredictionErrorEvaluator`` its fit is the evaluation the loop
     accepted last.  On an ``EpsProxy`` the loop runs on proxy values, so
     ``trace.fit`` is the last accepted proxy value and the result's fit is
-    one exact evaluation at ``m_final``.  ``bounds`` must name exactly the
+    the proxy's exact fit at ``m_final``.  ``bounds`` must name exactly the
     parameters the evaluator's library reads (``ParamBounds.restrict``
     selects them).
     """
@@ -312,7 +320,7 @@ def run_single(evaluator, m0: ModelParams, bounds: ParamBounds,
             f"bounds name parameters {list(bounds.names)}, but library "
             f"{evaluator.library.name!r} reads {list(reads)}")
     trace = run_assimilation(evaluator, m0, bounds)
-    fit = (evaluator.exact.evaluate(trace.m_final)
+    fit = (evaluator.fit(trace.m_final)
            if isinstance(evaluator, EpsProxy) else trace.fit)
     return RunResult(run_id=run_id, m0=m0, trace=trace, fit=fit)
 
@@ -459,7 +467,8 @@ def identify(scenario, library="basic", noise: NoiseSpec | None = None,
     ensemble reuses the same master seed, so rerunning with an unchanged
     term set reproduces identical coefficients.  A candidate model whose
     every restart fails is recorded in ``failed_candidates`` with its cause
-    and left out of selection; if every candidate fails, SolverError.
+    and left out of selection; if every candidate fails, SolverError.  A
+    pruning round that selects a candidate's terms reuses its ensemble.
     """
     cfg = cfg or IdentifyConfig()
     if isinstance(library, str):
@@ -503,7 +512,12 @@ def identify(scenario, library="basic", noise: NoiseSpec | None = None,
         if stable or len(rounds) == _MAX_ROUNDS:
             break
         current = current.subset(selected)
-        summary, results = _ensemble_round(data.split, current, cfg)
+        # The same terms, split and settings give the same ensemble.
+        same = [c for c in candidates if c.library.term_ids == selected]
+        if same:
+            summary, results = same[0].summary, same[0].results
+        else:
+            summary, results = _ensemble_round(data.split, current, cfg)
     return IdentificationReport(data=data, library_name=library.name,
                                 candidates=candidates,
                                 winner_name=winner.name,

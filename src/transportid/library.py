@@ -43,14 +43,26 @@ def _eval_dispersion(d: DerivativeField, m: ModelParams) -> np.ndarray:
 
 
 def _eval_freundlich(d: DerivativeField, m: ModelParams) -> np.ndarray:
-    # The detection floor keeps C > 0; at C = 0 the column is non-finite
-    # and TermSpec.column rejects it, so numpy need not warn about it.
+    # C^(a-1) as exp((a-1) ln C), with ln C taken once per point set: a
+    # third of np.power's time, and its value at C = 0 too, except at
+    # a = 1, where exp(0 * ln 0) is NaN and 0^0 is 1.  The detection
+    # floor keeps C > 0; at C = 0 and a < 1 the column is non-finite and
+    # TermSpec.column rejects it, so numpy need not warn about it.
+    exponent = m["a"] - 1.0
+    if exponent == 0.0:
+        return d.c_t.copy()
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.power(d.c, m["a"] - 1.0) * d.c_t
+        col = np.multiply(d.ln_c, exponent)
+        np.exp(col, out=col)
+        col *= d.c_t
+    return col
 
 
 def _eval_langmuir(d: DerivativeField, m: ModelParams) -> np.ndarray:
-    return d.c_t / np.square(1.0 + m["K_l"] * d.c)
+    col = np.multiply(d.c, m["K_l"])
+    col += 1.0
+    np.square(col, out=col)
+    return np.divide(d.c_t, col, out=col)
 
 
 def _eval_conc(d: DerivativeField, m: ModelParams) -> np.ndarray:
@@ -98,11 +110,21 @@ class TermSpec:
     def is_sorption(self) -> bool:
         return self.process in ("F-SORP", "L-SORP")
 
-    def column(self, deriv: DerivativeField, m: ModelParams) -> np.ndarray:
-        """Evaluate the term at every point, rejecting non-finite values."""
+    def fresh_column(self, deriv: DerivativeField,
+                     m: ModelParams) -> np.ndarray:
+        """The term at every point, in an array the caller may overwrite:
+        a copy where the evaluator returned an array of ``deriv``'s own.
+        Its values are not checked; ``column`` checks them."""
         col = np.asarray(self.evaluator(deriv, m), dtype=float)
         if col.shape != deriv.c.shape:
             raise TermEvaluationError(f"term {self.id!r} returned wrong shape")
+        if any(np.may_share_memory(col, v) for v in vars(deriv).values()):
+            col = col.copy()
+        return col
+
+    def column(self, deriv: DerivativeField, m: ModelParams) -> np.ndarray:
+        """Evaluate the term at every point, rejecting non-finite values."""
+        col = self.fresh_column(deriv, m)
         if not np.all(np.isfinite(col)):
             bad = int(np.flatnonzero(~np.isfinite(col))[0])
             raise TermEvaluationError(
@@ -264,7 +286,9 @@ def normalize_design(dm: DesignMatrix):
     :class:`DegenerateColumnError` naming its term."""
     col_mean = dm.phi.mean(axis=0)
     col_std = dm.phi.std(axis=0)
-    dead = np.flatnonzero(col_std <= 0.0)
+    # Tested exactly: a constant column whose mean is inexact has a std
+    # of rounding size, not 0.
+    dead = np.flatnonzero(np.all(dm.phi == dm.phi[:1], axis=0))
     if dead.size:
         names = [dm.term_ids[int(j)] for j in dead]
         raise DegenerateColumnError(f"zero-variance columns: {names}")

@@ -24,6 +24,7 @@ a masked entry are excluded.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields as dc_fields
+from functools import cached_property
 
 import numpy as np
 
@@ -177,6 +178,13 @@ class DerivativeField:
     def n_points(self) -> int:
         return self.c.size
 
+    @cached_property
+    def ln_c(self) -> np.ndarray:
+        """ln C at every point, taken once for the Freundlich column;
+        -inf where C = 0 and NaN where C < 0."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.log(self.c)
+
     def select(self, which: np.ndarray) -> "DerivativeField":
         return DerivativeField(**{
             f.name: getattr(self, f.name)[which] for f in dc_fields(self)
@@ -205,28 +213,54 @@ def compute_derivatives(field: Field) -> DerivativeField:
     if not valid.any():
         raise ValidationError("no grid point keeps a full derivative stencil")
     kk, ii = np.nonzero(valid.T)
-    i, k = ii, kk
-
+    # Gather each stencil entry by its flat index i * n_t + k, and keep
+    # few point arrays alive at once.
+    p = ii * n_t + kk
+    flat = v.ravel()
     dx, dt = field.dx, field.dt
-    s = v * v
-    c_t = (v[i, k + 1] - v[i, k - 1]) / (2.0 * dt)
-    c_x = (v[i + 1, k] - v[i - 1, k]) / (2.0 * dx)
-    c_xx = (v[i + 1, k] - 2.0 * v[i, k] + v[i - 1, k]) / dx ** 2
-    c_xxx = (0.5 * v[i + 2, k] - v[i + 1, k] + v[i - 1, k] - 0.5 * v[i - 2, k]) / dx ** 3
-    c2_x = (s[i + 1, k] - s[i - 1, k]) / (2.0 * dx)
-    c2_xx = (s[i + 1, k] - 2.0 * s[i, k] + s[i - 1, k]) / dx ** 2
-    c2_xxx = (0.5 * s[i + 2, k] - s[i + 1, k] + s[i - 1, k] - 0.5 * s[i - 2, k]) / dx ** 3
 
+    def at(offset: int) -> np.ndarray:
+        return flat.take(p + offset)
+
+    def at_sq(offset: int) -> np.ndarray:
+        u = at(offset)
+        u *= u
+        return u
+
+    def spatial(u: np.ndarray, gather) -> tuple:
+        """The x stencils of the field whose entries ``gather`` returns
+        and whose values at the points are ``u``."""
+        east, west = gather(n_t), gather(-n_t)
+        d1 = (east - west) / (2.0 * dx)
+        d2 = (east - 2.0 * u + west) / dx ** 2
+        d3 = gather(2 * n_t)
+        d3 *= 0.5
+        d3 -= east
+        d3 += west
+        del east, west  # freed before the last gather
+        far = gather(-2 * n_t)
+        far *= 0.5
+        d3 -= far
+        d3 /= dx ** 3
+        return d1, d2, d3
+
+    c = at(0)
+    c2_x, c2_xx, c2_xxx = spatial(c * c, at_sq)
+    c_x, c_xx, c_xxx = spatial(c, at)
+    c_t = (at(1) - at(-1)) / (2.0 * dt)
     return DerivativeField(
-        x_index=i, t_index=k,
-        c=v[i, k], c_t=c_t, c_x=c_x, c_xx=c_xx, c_xxx=c_xxx,
+        x_index=ii, t_index=kk,
+        c=c, c_t=c_t, c_x=c_x, c_xx=c_xx, c_xxx=c_xxx,
         c2_x=c2_x, c2_xx=c2_xx, c2_xxx=c2_xxx,
     )
 
 
-@dataclass
+@dataclass(eq=False)
 class DataSplit:
-    """Chronological train/test partition of a derivative point set."""
+    """Chronological train/test partition of a derivative point set.
+
+    Splits compare and hash by identity, so the regression can cache work
+    per split."""
 
     train: DerivativeField
     test: DerivativeField

@@ -9,14 +9,17 @@ statistics for the transform, so the error is comparable across m).
 ``PredictionErrorEvaluator`` is the one fit path: it computes that fit for
 many m on one split by variable projection (Golub & Pereyra, SIAM J.
 Numer. Anal. 10:413, 1973).  The parameter-independent block is z-scored
-and QR-factored once; each evaluation extends that factor in closed form
-by the columns that depend on m, with no QR and no z-scored copy of the
-design.  ``prediction_error`` scores a fit on a held-out design matrix;
-the tests' plain reference path composes it with the other steps.
+and QR-factored once per split and set of static terms, and shared by
+every evaluator on them; each evaluation extends that factor in closed
+form by the columns that depend on m, centring and scaling each within
+one projection, with no QR and no z-scored copy of the design.
+``prediction_error`` scores a fit on a held-out design matrix; the tests'
+plain reference path composes it with the other steps.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,29 +86,91 @@ def prediction_error(test_dm: DesignMatrix, alpha_norm: CoefficientVector,
     return float(np.dot(r, r))
 
 
+@dataclass(frozen=True, eq=False)
+class _StaticBlock:
+    """What an evaluator needs of its static columns S on one split.
+
+    ``basis`` is B = [1/sqrt(n), Q_s], with S_n = Q_s R_s the z-scored
+    training columns; Q_s is kept only there, as its last k columns.  ``qty``
+    is Q_s' y and ``y_resid`` the static fit's residual y - Q_s Q_s' y, on
+    the normalized training target y.  ``test`` and ``y_test`` are the
+    static test columns and the test target, normalized with the training
+    statistics ``stats``.
+    """
+
+    basis: np.ndarray
+    r_s: np.ndarray
+    qty: np.ndarray
+    y_resid: np.ndarray
+    test: np.ndarray
+    y_test: np.ndarray
+    stats: NormalizationStats
+
+
+def _build_static_block(split: DataSplit, terms: tuple) -> _StaticBlock:
+    train_dm, stats = normalize_design(DesignMatrix(
+        term_columns(terms, split.train, None), split.train.c_t,
+        tuple(t.id for t in terms)))
+    n, k = train_dm.phi.shape
+    basis = np.empty((n, k + 1))
+    basis[:, 0] = 1.0 / np.sqrt(n)
+    basis[:, 1:], r_s = np.linalg.qr(train_dm.phi)
+    y = train_dm.y
+    qty = basis[:, 1:].T @ y
+    y_resid = y - basis[:, 1:] @ qty
+    test = ((term_columns(terms, split.test, None) - stats.col_mean)
+            / stats.col_std)
+    y_test = (split.test.c_t - stats.y_mean) / stats.y_std
+    return _StaticBlock(basis, r_s, qty, y_resid, test, y_test, stats)
+
+
+# Static blocks by split, then by static terms.  Weak keys: a block lives
+# as long as its split and never keeps one alive.
+_STATIC_BLOCKS: "weakref.WeakKeyDictionary[DataSplit, dict]" = (
+    weakref.WeakKeyDictionary())
+
+
+def _static_block(split: DataSplit, terms: tuple) -> _StaticBlock:
+    """The block of ``terms`` on ``split``, built on first use."""
+    blocks = _STATIC_BLOCKS.setdefault(split, {})
+    if terms not in blocks:
+        blocks[terms] = _build_static_block(split, terms)
+    return blocks[terms]
+
+
 class PredictionErrorEvaluator:
     """Maps m to a full fit (coefficients plus test error) on one split.
 
     Only the parameter-dependent columns D change with m, so the work on
-    the k static columns S is done once, at construction: they are
-    evaluated, checked, z-scored and QR-factored, S_n = Q_s R_s, and the
-    normalized static test block, both normalized targets and Q_s' y are
-    kept.  Each evaluation extends the factor one column of D at a time,
-    as Gram-Schmidt does: the column d is centred and scaled to d_n, and
-    projected off Q_s and off the directions of the earlier columns of D,
-    twice, so the remainder stays orthogonal to working precision while
+    the k static columns S is done once per split and static-term set,
+    and shared by every evaluator on them (the candidate models, and a
+    pruning round that keeps their static terms): S is evaluated, checked,
+    z-scored and QR-factored, S_n = Q_s R_s, and the normalized static
+    test block, both normalized targets and Q_s' y are kept.
+
+    Each evaluation extends the factor one column of D at a time, as
+    Gram-Schmidt does.  The raw column d is projected off
+    B = [1/sqrt(n), Q_s] and off the directions of the earlier columns of
+    D, twice, so the remainder stays orthogonal to working precision while
     the condition number times the unit roundoff is far below one (Giraud,
     Langou, Rozloznik & van den Eshof, Numer. Math. 101:87, 2005); the
-    1e12 condition limit keeps that product at most 1e-4.  The
-    remainder's norm is the new diagonal entry of R, and the remainder
-    over its norm the new column of Q.  Its entry of Q'y is taken against
-    the static fit's residual y - Q_s Q_s' y, kept from construction, not
-    against y: the remainder is orthogonal to Q_s only to working
-    precision, so against y it would pick up that error times |Q_s' y|,
-    which on real data is most of y.  A dependent term that explains little
-    then loses digits: on s1 at (a, K_l) = (0.3, 40), fsorp's normalized
-    coefficient of -5.9e-6 was off by 1.1e-9 relative, and against the
-    residual it is off by 2e-11.  With Q = [Q_s Q_d] that gives
+    1e12 condition limit keeps that product at most 1e-4.  Projecting off
+    1/sqrt(n) centres d: its mean is that coefficient over sqrt(n), and
+    since the pieces are orthogonal its standard deviation is
+    sqrt((|remainder|^2 + |coefficients on Q_s and Q_d|^2) / n), a sum with
+    no cancellation.  Dividing by that std z-scores d without forming
+    d_n: the coefficients over the std are d_n's column of R above the
+    diagonal, the remainder's norm over the std the new diagonal entry,
+    and the remainder over its norm the new column of Q.
+
+    Its entry of Q'y is taken against the static fit's residual
+    y - Q_s Q_s' y, not against y: the remainder is orthogonal to Q_s only
+    to working precision, so against y it would pick up that error times
+    |Q_s' y|, which on real data is most of y.  A dependent term that
+    explains little then loses digits: on s1 at (a, K_l) = (0.3, 40),
+    fsorp's normalized coefficient of -5.9e-6 was off by 1.1e-9 relative,
+    and against the residual by 2e-11 (measured in 0.16.0).  With
+    Q = [Q_s Q_d] that gives
 
         [S_n D_n] = Q R,   R = [[R_s, Q_s' D_n], [0, R_d]],
 
@@ -115,6 +180,14 @@ class PredictionErrorEvaluator:
     ``CollinearityError`` name the same terms, as on the full design.  The
     test window is scored from the cached static block plus the raw test
     columns of D, with each column's scale and shift folded into scalars.
+
+    Checks are those of the plain path, with its exceptions and messages:
+    a non-finite column shows as a non-finite first coefficient, or test
+    residual, and ``TermSpec.column`` then names its first bad point; a
+    constant column raises ``DegenerateColumnError`` (its computed std is
+    rounding noise, so one at most 1e-12 of the mean is tested for exact
+    constancy); a zero remainder leaves R singular, which
+    ``least_squares_fit`` reports as collinear.
     """
 
     def __init__(self, split: DataSplit, library: LibrarySpec) -> None:
@@ -130,21 +203,10 @@ class PredictionErrorEvaluator:
         self._static = np.array(static, dtype=int)
         self._dep = np.array(dep, dtype=int)
         self._dep_terms = tuple(library.terms[j] for j in dep)
-        self._dep_ids = tuple(t.id for t in self._dep_terms)
         # Columns of [S D] back to library order.
         self._order = np.argsort(static + dep)
-        static_terms = tuple(library.terms[j] for j in static)
-        train_dm, self._static_stats = normalize_design(DesignMatrix(
-            term_columns(static_terms, split.train, None), split.train.c_t,
-            tuple(t.id for t in static_terms)))
-        self._y_train = train_dm.y
-        self._q_s, self._r_s = np.linalg.qr(train_dm.phi)
-        self._qty_s = self._q_s.T @ self._y_train
-        self._y_resid = self._y_train - self._q_s @ self._qty_s
-        st = self._static_stats
-        self._static_test = ((term_columns(static_terms, split.test, None)
-                              - st.col_mean) / st.col_std)
-        self._y_test = (split.test.c_t - st.y_mean) / st.y_std
+        self._block = _static_block(
+            split, tuple(library.terms[j] for j in static))
 
     @property
     def library(self) -> LibrarySpec:
@@ -153,65 +215,81 @@ class PredictionErrorEvaluator:
     def evaluate(self, m: ModelParams) -> FitResult:
         """The fit at m: normalized and physical coefficients and ``eps``.
 
-        The per-m work on n points is evaluating, checking and scoring
-        the columns of D and projecting each of them twice.
+        The per-m work on n points is evaluating each column of D on both
+        windows, projecting it twice and scoring it.
         """
+        block = self._block
         train = self._split.train
         n = train.n_points
-        q_s = self._q_s
-        k, q = q_s.shape[1], len(self._dep_terms)
+        basis = block.basis
+        k, q = basis.shape[1] - 1, len(self._dep_terms)
         r = np.zeros((k + q, k + q))
-        r[:k, :k] = self._r_s
-        rhs = np.empty(k + q)
-        rhs[:k] = self._qty_s
+        r[:k, :k] = block.r_s
+        rhs = np.zeros(k + q)
+        rhs[:k] = block.qty
         d_mean = np.empty(q)
         d_std = np.empty(q)
-        # Centre each column into a fresh array (a term may return the
-        # data itself), and check every scale before projecting any.
-        q_d = []
+        dead = []
+        q_d = []  # the directions of D's columns in Q
+        work = np.empty(n)
         for j, term in enumerate(self._dep_terms):
-            col = term.column(train, m)
-            d_mean[j] = col.mean()
-            d = col - d_mean[j]
-            d_std[j] = np.sqrt(np.dot(d, d) / n)
-            q_d.append(d)
-        dead = np.flatnonzero(d_std <= 0.0)
-        if dead.size:
-            names = [self._dep_ids[int(j)] for j in dead]
-            raise DegenerateColumnError(f"zero-variance columns: {names}")
-        # Turn each column, in place, into its direction in Q: project it
-        # off Q_s and off the earlier directions twice, since the second
-        # pass removes what rounding left of the first.
-        for j, d in enumerate(q_d):
-            d /= d_std[j]
-            coupling = r[:k + j, k + j]  # a view: R above the new diagonal
-            for _ in range(2):
-                c = q_s.T @ d
-                d -= q_s @ c
-                coupling[:k] += c
-                for i, e in enumerate(q_d[:j]):
+            # In place, d becomes the remainder; coef sums its coefficients
+            # on B and on the earlier directions over both passes.
+            d = term.fresh_column(train, m)
+            coef = np.zeros(k + 1 + j)
+            for sweep in range(2):
+                c = basis.T @ d
+                if sweep == 0 and not np.isfinite(c[0]):
+                    # c[0] sums the column, so it is non-finite when any
+                    # entry is; TermSpec.column names the first.
+                    term.column(train, m)
+                d -= np.matmul(basis, c, out=work)
+                coef[:k + 1] += c
+                for i, e in enumerate(q_d):
                     c = np.dot(e, d)
                     d -= c * e
-                    coupling[k + i] += c
-            norm = np.sqrt(np.dot(d, d))
-            r[k + j, k + j] = norm
+                    coef[k + 1 + i] += c
+            rem2 = np.dot(d, d)
+            d_mean[j] = coef[0] / np.sqrt(n)
+            d_std[j] = np.sqrt((rem2 + np.dot(coef[1:], coef[1:])) / n)
+            if d_std[j] <= 1e-12 * abs(d_mean[j]):
+                raw = term.fresh_column(train, m)
+                if np.all(raw == raw[0]):
+                    dead.append(term.id)
+                    continue
+            r[:k + j, k + j] = coef[1:] / d_std[j]
+            norm = np.sqrt(rem2)
+            r[k + j, k + j] = norm / d_std[j]
             # A zero remainder leaves R singular, which least_squares_fit
             # reports as collinear; dividing by it would only warn.
             if norm > 0.0:
-                d /= norm
-            rhs[k + j] = np.dot(d, self._y_resid)
+                rhs[k + j] = np.dot(d, block.y_resid) / norm
+                if j + 1 < q:  # a later column projects off this direction
+                    d /= norm
+            q_d.append(d)
+        if dead:
+            raise DegenerateColumnError(f"zero-variance columns: {dead}")
         alpha_norm = least_squares_fit(DesignMatrix(
             r[:, self._order], rhs, self._library.term_ids))
 
-        st = self._static_stats
+        st = block.stats
         alpha_phys = denormalize_coefficients(
-            alpha_norm, np.concatenate([st.col_std, d_std])[self._order], st.y_std)
+            alpha_norm, np.concatenate([st.col_std, d_std])[self._order],
+            st.y_std)
 
         a = alpha_norm.values
         scale = a[self._dep] / d_std
-        resid = self._y_test - self._static_test @ a[self._static]
+        resid = block.test @ -a[self._static]
+        resid += block.y_test
         resid += np.dot(scale, d_mean)
+        test = self._split.test
         for term, s in zip(self._dep_terms, scale):
-            resid -= s * term.column(self._split.test, m)
+            col = term.fresh_column(test, m)
+            col *= s
+            resid -= col
+        eps = float(np.dot(resid, resid))
+        if not np.isfinite(eps):
+            for term in self._dep_terms:
+                term.column(test, m)
         return FitResult(alpha_norm=alpha_norm, alpha_phys=alpha_phys,
-                         eps=float(np.dot(resid, resid)))
+                         eps=eps)

@@ -375,6 +375,60 @@ def test_unsettled_pruning_fits_no_ensemble_it_does_not_report(monkeypatch):
     assert report.selected_term_ids == report.final_summary.term_ids[:-1]
 
 
+def test_pruning_to_a_candidate_reuses_its_ensemble(monkeypatch):
+    """A pruning round that selects a candidate's terms takes that
+    candidate's ensemble, which is the one a refit would give, and fits
+    no ensemble of its own."""
+    fitted = []
+    real_run_ensemble = identification.run_ensemble
+
+    def counting(split, library, cfg):
+        fitted.append(library.term_ids)
+        return real_run_ensemble(split, library, cfg)
+
+    monkeypatch.setattr(identification, "run_ensemble", counting)
+    monkeypatch.setattr(identification, "prune_terms",
+                        lambda library, summary: ("adv", "dis"))
+    cfg = IdentifyConfig(n_restarts=3)
+    data = manufactured_data()
+    report = identify(make_tiny(), BASIC, cfg=cfg, data=data)
+    assert report.winner_name == "fsorp"
+    assert [r.library.term_ids for r in report.rounds] == [
+        ("adv", "dis", "fsorp"), ("adv", "dis")]
+    assert report.stable
+    assert fitted == [c.library.term_ids for c in report.candidates]
+    none = candidate(report, "none")
+    assert report.final_summary is none.summary
+    assert report.final_results is none.results
+    refit, _ = identification._ensemble_round(data.split,
+                                              report.rounds[-1].library, cfg)
+    for f in dataclasses.fields(refit):
+        np.testing.assert_array_equal(getattr(report.final_summary, f.name),
+                                      getattr(refit, f.name))
+
+
+def test_restarts_ending_on_one_m_share_one_exact_fit(pipeline, monkeypatch):
+    """On s1 several fsorp restarts end on the same m, on a bound: each
+    distinct end is fitted exactly once, and its restarts share the fit."""
+    calls = []
+    evaluate = PredictionErrorEvaluator.evaluate
+
+    def counting(self, m):
+        calls.append(m)
+        return evaluate(self, m)
+
+    monkeypatch.setattr(PredictionErrorEvaluator, "evaluate", counting)
+    results, failures = run_ensemble(pipeline.dataset("s1").split,
+                                     BASIC.subset(("adv", "dis", "fsorp")),
+                                     IdentifyConfig())
+    assert not failures
+    fits = {}
+    for res in results:
+        assert fits.setdefault(res.trace.m_final.values, res.fit) is res.fit
+    assert len(fits) < len(results)
+    assert len(calls) == 33 + len(fits)
+
+
 @st.composite
 def tiny_columns(draw):
     """A tiny column with random transport constants, inlet and sorption."""

@@ -3,6 +3,7 @@ chronological train/test split."""
 
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.ndimage import correlate1d
 
 from conftest import make_tiny, package_env, point_coordinates
+from reference_derivatives import plain_compute_derivatives
 import transportid.preprocess as preprocess
 from transportid.errors import ValidationError
 from transportid.identification import prepare_dataset
@@ -524,6 +526,33 @@ def test_derivative_field_select():
     assert sub.n_points == int(keep.sum())
     np.testing.assert_array_equal(sub.c, d.c[keep])
     np.testing.assert_array_equal(sub.t_index, d.t_index[keep])
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_x=st.integers(5, 14), n_t=st.integers(3, 14),
+       keep=st.floats(0.6, 1.0), seed=st.integers(0, 2 ** 32 - 1),
+       column_major=st.booleans())
+def test_derivatives_match_the_plain_gathers(n_x, n_t, keep, seed,
+                                             column_major):
+    """On random values and masks, flat gathers give the plain 2-D
+    gathers' fields bit for bit, or the same error."""
+    rng = np.random.default_rng(seed)
+    vals = rng.uniform(-1.0, 1.0, size=(n_x, n_t))
+    if column_major:
+        vals = np.asfortranarray(vals)
+    field = grid_field(vals, dx=rng.uniform(0.1, 2.0),
+                       dt=rng.uniform(0.1, 2.0),
+                       mask=rng.random((n_x, n_t)) < keep)
+    try:
+        want = plain_compute_derivatives(field)
+    except ValidationError as exc:
+        with pytest.raises(ValidationError, match=str(exc)):
+            compute_derivatives(field)
+        return
+    got = compute_derivatives(field)
+    for f in fields(want):
+        assert np.array_equal(getattr(got, f.name), getattr(want, f.name)), \
+            f.name
 
 
 def test_too_small_grid_rejected():

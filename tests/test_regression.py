@@ -1,10 +1,12 @@
 """Least-squares term fitting and the held-out prediction error."""
 
+import gc
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import transportid.regression as regression
@@ -199,6 +201,27 @@ def test_evaluator_rejects_non_finite_sorption_column(capfd):
     assert "DLASCL" not in capfd.readouterr().err
 
 
+def test_freundlich_column_at_zero_concentration_follows_power():
+    """The column is exp((a-1) ln C) C_t, and at C = 0 it is what
+    np.power's C^(a-1) C_t is: infinite for a < 1, C_t at a = 1, where
+    exp(0 * ln 0) would be NaN, and 0 above.  So at a = 1 the evaluator
+    fits the split that it rejects at a < 1."""
+    split = zero_conc_split()
+    assert split.train.c[0] == 0.0
+    fsorp = BASIC.terms[2]
+    for a in (0.3, 0.6, 1.0, 1.2):
+        m = sorption_params(a, 90.0)
+        for points in (split.train, split.test):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                want = np.power(points.c, a - 1.0) * points.c_t
+            np.testing.assert_allclose(fsorp.fresh_column(points, m), want,
+                                       rtol=1e-14)
+        assert np.isfinite(fsorp.fresh_column(split.train, m)[0]) == (a >= 1)
+    fit = PredictionErrorEvaluator(split, ADF).evaluate(
+        sorption_params(1.0, 90.0))
+    assert fit.eps < 1e-20
+
+
 def test_evaluator_rejects_non_finite_static_column():
     split = split_train_test(
         manufactured_field({"adv": -0.01, "dis": 0.01}), 0.6)
@@ -250,6 +273,22 @@ def test_evaluator_matches_plain_path(ids, a, k_l):
     m = sorption_params(a, k_l)
     ev = PredictionErrorEvaluator(ORACLE_SPLIT, lib)
     assert_same_fit(ev.evaluate(m), plain_fit(ORACLE_SPLIT, lib, m))
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(("s1", "s2")),
+       ids=st.sampled_from((("adv", "dis", "fsorp"), ("adv", "dis", "lsorp"),
+                            ("adv", "dis", "fsorp", "lsorp"))),
+       a=st.floats(BOUNDS.lower[0], BOUNDS.upper[0]),
+       k_l=st.floats(BOUNDS.lower[1], BOUNDS.upper[1]))
+def test_evaluator_matches_plain_path_over_m(pipeline, name, ids, a, k_l):
+    """Anywhere in the prior box, at q = 1 and at q = 2 (the full basic
+    library), on the real splits."""
+    split = pipeline.dataset(name).split
+    lib = BASIC.subset(ids)
+    m = sorption_params(a, k_l)
+    assert_same_fit(PredictionErrorEvaluator(split, lib).evaluate(m),
+                    plain_fit(split, lib, m))
 
 
 def test_evaluator_matches_plain_path_on_real_data(pipeline):
@@ -378,6 +417,23 @@ def test_evaluator_error_parity_zero_variance_sorption_column():
     assert plain == fast == "zero-variance columns: ['flat']"
 
 
+@settings(max_examples=30, deadline=None)
+@given(a=st.floats(BOUNDS.lower[0], BOUNDS.upper[0]))
+@example(a=0.3)
+def test_evaluator_error_parity_rounding_level_variance(a):
+    """A constant sorption column whose mean is inexact: numpy's std of
+    it, and the evaluator's, come out at rounding level, not 0 (at
+    a = 0.3 among others).  Both paths still call it zero-variance."""
+    flat = TermSpec("flat", "F-SORP",
+                    lambda d, m: np.full(d.c.shape, m["a"]), ("a",))
+    lib = LibrarySpec("flat", BASIC.terms[:2] + (flat,))
+    split = split_train_test(
+        manufactured_field({"adv": -0.01, "dis": 0.01}), 0.6)
+    plain, fast = raised_by_both(split, lib, sorption_params(a, 90.0),
+                                 DegenerateColumnError)
+    assert plain == fast == "zero-variance columns: ['flat']"
+
+
 def test_evaluator_error_parity_too_few_points_and_empty_test():
     pts = manufactured_field({"adv": -0.01, "dis": 0.01, "fsorp": -0.15})
     lib = BASIC
@@ -388,3 +444,24 @@ def test_evaluator_error_parity_too_few_points_and_empty_test():
     empty = DataSplit(train=pts, test=pts.select(order < 0))
     assert raised_by_both(empty, lib, M_MID, ValidationError) == (
         "empty test set",) * 2
+
+
+# ------------------------------------------------------ shared static block
+
+def test_candidate_evaluators_share_one_static_block():
+    """The candidate models on one split share their static block, built
+    once; other static terms get their own, and a block lives no longer
+    than its split."""
+    split = split_train_test(
+        manufactured_field({"adv": -0.01, "dis": 0.01, "fsorp": -0.15}), 0.6)
+    evaluators = [PredictionErrorEvaluator(split, BASIC.subset(ids))
+                  for ids in (("adv", "dis"), ("adv", "dis", "fsorp"),
+                              ("adv", "dis", "lsorp"))]
+    blocks = {id(ev._block) for ev in evaluators}
+    assert len(blocks) == 1
+    other = PredictionErrorEvaluator(split, BASIC.subset(("adv", "fsorp")))
+    assert id(other._block) not in blocks
+    block = weakref.ref(evaluators[0]._block)
+    del evaluators, other, split
+    gc.collect()
+    assert block() is None

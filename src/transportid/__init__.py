@@ -23,7 +23,7 @@ from .scenarios import (get_scenario, scenario_names, true_coefficients,
 from .transport import (Field, ScenarioConfig, SorptionModel, isotherm_value,
                         sample_measurements, simulate)
 
-__version__ = "0.19.0"
+__version__ = "0.20.0"
 
 __all__ = [
     "AssimilationTrace", "run_assimilation",

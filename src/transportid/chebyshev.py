@@ -95,18 +95,22 @@ def adaptive_interpolant(func, lo: float, hi: float) -> ChebyshevInterpolant | N
     predicts each odd-indexed one within ``_SAMPLE_TOL`` times the
     largest |sample|, and return the interpolant through all of them.
 
-    Returns None when 257 points do not pass.  An exception from ``func``
-    propagates; a non-finite sample raises ``SolverError``.
+    ``func`` maps an array of points to an array of their values; it is
+    called once per level, with the 17 first points and then with each
+    level's new points, in descending order.  Returns None when 257
+    points do not pass.  An exception from ``func`` propagates; a
+    non-finite sample raises ``SolverError`` naming the first.
     """
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
 
     def sample(t: np.ndarray) -> np.ndarray:
-        out = np.empty(t.size)
-        for i, ti in enumerate(t):
-            x = mid + half * float(ti)
-            out[i] = func(x)
-            if not np.isfinite(out[i]):
-                raise SolverError(f"non-finite sample {out[i]!r} at {x!r}")
+        x = mid + half * t
+        out = np.asarray(func(x), dtype=float)
+        bad = np.flatnonzero(~np.isfinite(out))
+        if bad.size:
+            i = bad[0]
+            raise SolverError(
+                f"non-finite sample {float(out[i])!r} at {float(x[i])!r}")
         return out
 
     n = _FIRST_N

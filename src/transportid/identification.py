@@ -254,16 +254,13 @@ class EpsProxy:
     interpolant of it.
 
     ``evaluate(m)`` returns a ``ProxyValue``; ``exact`` is the evaluator
-    the interpolant was sampled from, and ``fit(m)`` its fit at m,
-    evaluated once per distinct m: restarts that end on the same m, most
-    often on a bound, share one ``FitResult``.
+    the interpolant was sampled from.
     """
 
     def __init__(self, exact: PredictionErrorEvaluator,
                  interpolant: ChebyshevInterpolant) -> None:
         self.exact = exact
         self.interpolant = interpolant
-        self._fits: dict = {}
 
     @property
     def library(self) -> LibrarySpec:
@@ -273,29 +270,33 @@ class EpsProxy:
         (value,) = m.values
         return ProxyValue(eps=self.interpolant(value))
 
-    def fit(self, m: ModelParams) -> FitResult:
-        if m.values not in self._fits:
-            self._fits[m.values] = self.exact.evaluate(m)
-        return self._fits[m.values]
-
 
 def build_proxy(evaluator: PredictionErrorEvaluator,
                 bounds: ParamBounds) -> EpsProxy | None:
     """The proxy of ``evaluator``'s eps over ``bounds`` (one parameter),
     widened so that every gradient probe lands inside.
 
+    Each level of samples is fitted in one ``evaluate_many`` call.
     Returns None when 257 samples do not resolve eps.  A sample that
-    raises or is not finite raises ``SolverError`` naming its cause.
+    fails or is not finite raises ``SolverError`` naming its cause, and
+    the first such sample in level order.
     """
     (name,) = bounds.names
     lo, hi = (float(v[0]) for v in probe_box(bounds))
 
-    def eps_at(x: float) -> float:
+    def eps_at(xs: np.ndarray) -> np.ndarray:
+        xs = [float(x) for x in xs]
         try:
-            return evaluator.evaluate(ModelParams((name,), (x,))).eps
+            fits = evaluator.evaluate_many(
+                [ModelParams((name,), (x,)) for x in xs])
         except Exception as exc:  # noqa: BLE001 - every sample must evaluate
-            raise SolverError(
-                f"objective failed at {name} = {x!r}: {exc}") from exc
+            raise SolverError(f"objective failed for {name} in "
+                              f"[{xs[-1]!r}, {xs[0]!r}]: {exc}") from exc
+        for x, fit in zip(xs, fits):
+            if isinstance(fit, TransportIdError):
+                raise SolverError(
+                    f"objective failed at {name} = {x!r}: {fit}") from fit
+        return np.array([fit.eps for fit in fits])
 
     interpolant = adaptive_interpolant(eps_at, lo, hi)
     if interpolant is None:
@@ -310,7 +311,7 @@ def run_single(evaluator, m0: ModelParams, bounds: ParamBounds,
     On a ``PredictionErrorEvaluator`` its fit is the evaluation the loop
     accepted last.  On an ``EpsProxy`` the loop runs on proxy values, so
     ``trace.fit`` is the last accepted proxy value and the result's fit is
-    the proxy's exact fit at ``m_final``.  ``bounds`` must name exactly the
+    the exact fit at ``m_final``.  ``bounds`` must name exactly the
     parameters the evaluator's library reads (``ParamBounds.restrict``
     selects them).
     """
@@ -320,7 +321,7 @@ def run_single(evaluator, m0: ModelParams, bounds: ParamBounds,
             f"bounds name parameters {list(bounds.names)}, but library "
             f"{evaluator.library.name!r} reads {list(reads)}")
     trace = run_assimilation(evaluator, m0, bounds)
-    fit = (evaluator.fit(trace.m_final)
+    fit = (evaluator.exact.evaluate(trace.m_final)
            if isinstance(evaluator, EpsProxy) else trace.fit)
     return RunResult(run_id=run_id, m0=m0, trace=trace, fit=fit)
 
@@ -333,8 +334,12 @@ def run_ensemble(split: DataSplit, library: LibrarySpec, cfg: IdentifyConfig):
     dropped.  A library that reads none has nothing to assimilate and is
     fitted once.  A library that reads one parameter runs every restart on
     one ``EpsProxy``, unless 257 samples do not resolve eps, and then on
-    the evaluator; a proxy sample that fails fails every restart.  A
-    restart that fails is recorded, not fatal.
+    the evaluator; a proxy sample that fails fails every restart.  On the
+    proxy, every restart runs first, and then the distinct ``m_final``s
+    are fitted as one batch: restarts that end on the same m, most often
+    on a bound, share one ``FitResult``, and an end that fails to fit
+    fails only the restarts that end on it.  A restart that fails is
+    recorded, not fatal.
     """
     bounds = cfg.bounds.restrict(library.parameter_deps)
     evaluator = PredictionErrorEvaluator(split, library)
@@ -353,11 +358,24 @@ def run_ensemble(split: DataSplit, library: LibrarySpec, cfg: IdentifyConfig):
                          "restarts run on the exact evaluator", library.name)
     results: list = []
     failures: list = []
+    runs = []  # (run id, m0, trace) of each restart on the proxy
     for i, m0 in enumerate(m0s):
         try:
-            results.append(run_single(objective, m0, bounds, i))
+            if objective is evaluator:
+                results.append(run_single(evaluator, m0, bounds, i))
+            else:
+                runs.append((i, m0, run_assimilation(objective, m0, bounds)))
         except TransportIdError as exc:
             failures.append(FailedRun(run_id=i, error=str(exc)))
+    ends = list(dict.fromkeys(trace.m_final for _, _, trace in runs))
+    fits = dict(zip(ends, evaluator.evaluate_many(ends)))
+    for i, m0, trace in runs:
+        fit = fits[trace.m_final]
+        if isinstance(fit, TransportIdError):
+            failures.append(FailedRun(run_id=i, error=str(fit)))
+        else:
+            results.append(RunResult(run_id=i, m0=m0, trace=trace, fit=fit))
+    failures.sort(key=lambda f: f.run_id)
     return results, failures
 
 

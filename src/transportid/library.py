@@ -110,21 +110,18 @@ class TermSpec:
     def is_sorption(self) -> bool:
         return self.process in ("F-SORP", "L-SORP")
 
-    def fresh_column(self, deriv: DerivativeField,
-                     m: ModelParams) -> np.ndarray:
-        """The term at every point, in an array the caller may overwrite:
-        a copy where the evaluator returned an array of ``deriv``'s own.
-        Its values are not checked; ``column`` checks them."""
+    def values(self, deriv: DerivativeField, m: ModelParams) -> np.ndarray:
+        """The term at every point, possibly an array of ``deriv``'s own,
+        which the caller must not overwrite.  Only its shape is checked;
+        ``column`` checks the values too."""
         col = np.asarray(self.evaluator(deriv, m), dtype=float)
         if col.shape != deriv.c.shape:
             raise TermEvaluationError(f"term {self.id!r} returned wrong shape")
-        if any(np.may_share_memory(col, v) for v in vars(deriv).values()):
-            col = col.copy()
         return col
 
     def column(self, deriv: DerivativeField, m: ModelParams) -> np.ndarray:
-        """Evaluate the term at every point, rejecting non-finite values."""
-        col = self.fresh_column(deriv, m)
+        """``values``, rejecting non-finite ones."""
+        col = self.values(deriv, m)
         if not np.all(np.isfinite(col)):
             bad = int(np.flatnonzero(~np.isfinite(col))[0])
             raise TermEvaluationError(

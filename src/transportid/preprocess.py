@@ -190,6 +190,13 @@ class DerivativeField:
             f.name: getattr(self, f.name)[which] for f in dc_fields(self)
         })
 
+    def rows(self, start: int, stop: int) -> "DerivativeField":
+        """Points start..stop-1, as views of these points' arrays; their
+        ``ln_c`` is a view of this field's, taken here if not yet."""
+        part = self.select(slice(start, stop))
+        part.ln_c = self.ln_c[start:stop]
+        return part
+
 
 def compute_derivatives(field: Field) -> DerivativeField:
     """Evaluate the central stencils at every fully supported grid point.
@@ -268,16 +275,26 @@ class DataSplit:
 
 def split_train_test(points: DerivativeField, ratio: float = 0.6) -> DataSplit:
     """Split by time sequence: the first floor(ratio * n_steps) time steps
-    train the regression, the remainder scores it."""
+    train the regression, the remainder scores it.
+
+    The points must be ordered by time index, as ``compute_derivatives``
+    orders them, so the training window is a prefix; both windows are
+    views of ``points``, not copies.
+    """
     if not 0.0 < ratio < 1.0:
         raise ValidationError(f"split ratio must be in (0, 1), got {ratio}")
-    steps = np.unique(points.t_index)
+    t = points.t_index
+    step = np.diff(t)
+    if np.any(step < 0):
+        raise ValidationError("points must be ordered by time index")
+    # The distinct time steps: the first point's, and each point's that
+    # differs from its predecessor's.
+    steps = np.concatenate((t[:1], t[1:][step != 0]))
     n_train = int(np.floor(ratio * steps.size))
     if n_train == 0 or n_train == steps.size:
         raise ValidationError(
             f"split ratio {ratio} leaves an empty partition for {steps.size} time steps"
         )
-    cutoff = steps[n_train]
-    in_train = points.t_index < cutoff
-    return DataSplit(train=points.select(in_train),
-                     test=points.select(~in_train))
+    cut = int(np.searchsorted(t, steps[n_train]))
+    return DataSplit(train=points.select(slice(0, cut)),
+                     test=points.select(slice(cut, None)))

@@ -83,13 +83,18 @@ def manufactured_field(alpha_by_id, a_star=0.6, kl_star=90.0,
     c_t = (alpha_by_id.get("adv", 0.0) * d1
            + alpha_by_id.get("dis", 0.0) * d2) / weight
     i_idx, k_idx = np.meshgrid(np.arange(n_x), np.arange(n_t), indexing="ij")
+
+    def points(values):
+        # Time-major, as compute_derivatives orders its points.
+        return values.T.ravel()
+
     return DerivativeField(
-        x_index=i_idx.ravel(), t_index=k_idx.ravel(),
-        c=conc.ravel(), c_t=c_t.ravel(), c_x=d1.ravel(),
-        c_xx=d2.ravel(), c_xxx=d3.ravel(),
-        c2_x=(2.0 * conc * d1).ravel(),
-        c2_xx=(2.0 * (d1 ** 2 + conc * d2)).ravel(),
-        c2_xxx=(2.0 * (3.0 * d1 * d2 + conc * d3)).ravel(),
+        x_index=points(i_idx), t_index=points(k_idx),
+        c=points(conc), c_t=points(c_t), c_x=points(d1),
+        c_xx=points(d2), c_xxx=points(d3),
+        c2_x=points(2.0 * conc * d1),
+        c2_xx=points(2.0 * (d1 ** 2 + conc * d2)),
+        c2_xxx=points(2.0 * (3.0 * d1 * d2 + conc * d3)),
     )
 
 

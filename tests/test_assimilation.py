@@ -179,13 +179,13 @@ def test_assimilation_evaluates_only_parameters_the_library_reads(static,
     cfg = IdentifyConfig(n_restarts=3)
     expected = tuple(n for n in cfg.bounds.names if n in lib.parameter_deps)
     seen = []
-    evaluate = PredictionErrorEvaluator.evaluate
+    evaluate_many = PredictionErrorEvaluator.evaluate_many
 
-    def spy(self, m):
-        seen.append(m.names)
-        return evaluate(self, m)
+    def spy(self, ms):
+        seen.extend(m.names for m in ms)
+        return evaluate_many(self, ms)
 
-    with mock.patch.object(PredictionErrorEvaluator, "evaluate", spy), \
+    with mock.patch.object(PredictionErrorEvaluator, "evaluate_many", spy), \
             assimilation_settings((("_MAX_ACCEPTED", 3),)):
         results, failures = run_ensemble(ADF_SPLIT, lib, cfg)
     assert not failures

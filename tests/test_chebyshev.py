@@ -14,14 +14,17 @@ from transportid.errors import SolverError, ValidationError
 
 
 class Counted:
-    """A callable that records every point it is sampled at."""
+    """A function of an array of points that records every point it is
+    sampled at, and how many each call asked for."""
 
     def __init__(self, fn):
         self.fn = fn
         self.points = []
+        self.calls = []
 
     def __call__(self, x):
-        self.points.append(x)
+        self.points.extend(x.tolist())
+        self.calls.append(x.size)
         return self.fn(x)
 
 
@@ -35,8 +38,10 @@ def test_points_nest_when_n_doubles():
 def test_adaptive_interpolant_reuses_every_sample():
     runge = Counted(lambda x: 1.0 / (1.0 + 25.0 * x * x))
     interp = adaptive_interpolant(runge, -1.0, 1.0)
-    # Runge's function needs all 257 points; each is sampled once.
+    # Runge's function needs all 257 points; each is sampled once, and
+    # each level of points in one call.
     assert interp is not None and interp.values.size == 257
+    assert runge.calls == [17, 16, 32, 64, 128]
     assert len(runge.points) == interp.values.size
     assert len(set(runge.points)) == len(runge.points)
     xs = np.linspace(-1.0, 1.0, 301)
@@ -73,9 +78,14 @@ def test_non_smooth_function_is_not_resolved():
 
 
 def test_non_finite_sample_raises():
-    with pytest.raises(SolverError, match="non-finite sample"):
-        adaptive_interpolant(lambda x: 1.0 / x if x > 0.5 else np.inf,
-                             0.0, 1.0)
+    """The first non-finite sample of a level, in descending order, is
+    named: of the 17 points of [0, 1], the ninth is 0.5."""
+    def step(x):
+        return np.where(x > 0.5, 1.0 / np.maximum(x, 0.5), np.inf)
+
+    with pytest.raises(SolverError) as err:
+        adaptive_interpolant(step, 0.0, 1.0)
+    assert str(err.value) == "non-finite sample inf at 0.5"
 
 
 def test_evaluation_outside_the_interval_raises():

@@ -15,7 +15,9 @@ from conftest import (candidate, coef, make_tiny,
                       manufactured_field, sorption_params, term_stat,
                       zero_conc_split)
 from transportid.assimilation import probe_box
-from transportid.errors import SolverError, TransportIdError, ValidationError
+from transportid.chebyshev import chebyshev_points
+from transportid.errors import (SolverError, TermEvaluationError,
+                               TransportIdError, ValidationError)
 from transportid.identification import (EnsembleSummary, EpsProxy,
                                         IdentifyConfig, PreparedData,
                                         aggregate_summary, build_proxy,
@@ -24,7 +26,7 @@ from transportid.identification import (EnsembleSummary, EpsProxy,
                                         run_ensemble, run_single,
                                         sample_prior,
                                         screen_by_prediction_error)
-from transportid.library import LibrarySpec
+from transportid.library import LibrarySpec, TermSpec
 from transportid.params import ModelParams, ParamBounds
 from transportid.persist import summary_dict
 from transportid.preprocess import NoiseSpec, split_train_test
@@ -190,18 +192,19 @@ def test_run_single_takes_the_fit_the_loop_accepted(monkeypatch):
     cfg = IdentifyConfig()
     events = []
     evaluate = PredictionErrorEvaluator.evaluate
+    evaluate_many = PredictionErrorEvaluator.evaluate_many
     assimilate = identification.run_assimilation
 
-    def counted_evaluate(self, m):
-        events.append("evaluate")
-        return evaluate(self, m)
+    def counted_evaluate(self, ms):
+        events.extend("evaluate" for _ in ms)
+        return evaluate_many(self, ms)
 
     def marked_assimilation(*args, **kwargs):
         trace = assimilate(*args, **kwargs)
         events.append("returned")
         return trace
 
-    monkeypatch.setattr(PredictionErrorEvaluator, "evaluate",
+    monkeypatch.setattr(PredictionErrorEvaluator, "evaluate_many",
                         counted_evaluate)
     monkeypatch.setattr(identification, "run_assimilation",
                         marked_assimilation)
@@ -409,15 +412,16 @@ def test_pruning_to_a_candidate_reuses_its_ensemble(monkeypatch):
 
 def test_restarts_ending_on_one_m_share_one_exact_fit(pipeline, monkeypatch):
     """On s1 several fsorp restarts end on the same m, on a bound: each
-    distinct end is fitted exactly once, and its restarts share the fit."""
+    distinct end is fitted exactly once, all of them in one batch after
+    the proxy's two levels, and its restarts share the fit."""
     calls = []
-    evaluate = PredictionErrorEvaluator.evaluate
+    evaluate_many = PredictionErrorEvaluator.evaluate_many
 
-    def counting(self, m):
-        calls.append(m)
-        return evaluate(self, m)
+    def counting(self, ms):
+        calls.append(list(ms))
+        return evaluate_many(self, ms)
 
-    monkeypatch.setattr(PredictionErrorEvaluator, "evaluate", counting)
+    monkeypatch.setattr(PredictionErrorEvaluator, "evaluate_many", counting)
     results, failures = run_ensemble(pipeline.dataset("s1").split,
                                      BASIC.subset(("adv", "dis", "fsorp")),
                                      IdentifyConfig())
@@ -426,7 +430,8 @@ def test_restarts_ending_on_one_m_share_one_exact_fit(pipeline, monkeypatch):
     for res in results:
         assert fits.setdefault(res.trace.m_final.values, res.fit) is res.fit
     assert len(fits) < len(results)
-    assert len(calls) == 33 + len(fits)
+    assert [len(ms) for ms in calls] == [17, 16, len(fits)]
+    assert [m.values for m in calls[-1]] == list(fits)
 
 
 @st.composite
@@ -548,15 +553,15 @@ def test_s1_proxy_ignores_rounding_noise(pipeline, monkeypatch, term):
     bounds = IdentifyConfig().bounds.restrict(lib.parameter_deps)
     evaluator = PredictionErrorEvaluator(split, lib)
     assert build_proxy(evaluator, bounds).interpolant.values.size == 33
-    evaluate = PredictionErrorEvaluator.evaluate
+    evaluate_many = PredictionErrorEvaluator.evaluate_many
     rng = np.random.default_rng(0)
 
-    def noisy(self, m):
-        fit = evaluate(self, m)
-        return dataclasses.replace(
-            fit, eps=fit.eps * (1.0 + rng.uniform(-1e-11, 1e-11)))
+    def noisy(self, ms):
+        return [dataclasses.replace(
+                    fit, eps=fit.eps * (1.0 + rng.uniform(-1e-11, 1e-11)))
+                for fit in evaluate_many(self, ms)]
 
-    monkeypatch.setattr(PredictionErrorEvaluator, "evaluate", noisy)
+    monkeypatch.setattr(PredictionErrorEvaluator, "evaluate_many", noisy)
     for _ in range(3):
         assert build_proxy(evaluator, bounds).interpolant.values.size == 33
 
@@ -595,19 +600,68 @@ def test_proxy_refuses_points_outside_its_interval():
             proxy.evaluate(ModelParams(("a",), (a,)))
 
 
+def test_proxy_names_its_first_failing_sample_in_level_order():
+    """A column that is not finite below a = 0.5 fails the first level's
+    samples there; build_proxy names the first of them in the level's
+    descending order, with the evaluator's own message."""
+    def below_half(d, m):
+        return d.c * (np.inf if m["a"] < 0.5 else m["a"])
+
+    lib = LibrarySpec("odd", BASIC.terms[:2] + (
+        TermSpec("odd", "AUX", below_half, ("a",)),))
+    bounds = IdentifyConfig().bounds.restrict(("a",))
+    lo, hi = (float(v[0]) for v in probe_box(bounds))
+    level = 0.5 * (hi + lo) + 0.5 * (hi - lo) * chebyshev_points(16)
+    first = float(level[level < 0.5][0])
+    with pytest.raises(SolverError) as err:
+        build_proxy(PredictionErrorEvaluator(adf_split(), lib), bounds)
+    assert str(err.value) == (f"objective failed at a = {first!r}: term "
+                              f"'odd' evaluated non-finite at point 0")
+
+
+def test_an_end_that_fails_to_fit_fails_only_its_restarts(monkeypatch):
+    """The distinct ends are fitted in one batch; when one end's fit fails,
+    the restarts that end on it fail with its message, and every other
+    restart keeps the fit it has without the failure."""
+    split = adf_split()
+    lib = BASIC.subset(("adv", "dis", "fsorp"))
+    cfg = IdentifyConfig(n_restarts=6)
+    clean, _ = run_ensemble(split, lib, cfg)
+    evaluate_many = PredictionErrorEvaluator.evaluate_many
+
+    def failing_first_end(self, ms):
+        fits = evaluate_many(self, ms)
+        if len(ms) <= cfg.n_restarts:  # not a proxy level: the ends
+            fits[0] = TermEvaluationError("injected")
+        return fits
+
+    monkeypatch.setattr(PredictionErrorEvaluator, "evaluate_many",
+                        failing_first_end)
+    results, failures = run_ensemble(split, lib, cfg)
+    first_end = clean[0].trace.m_final
+    failing = [r.run_id for r in clean if r.trace.m_final == first_end]
+    assert [f.run_id for f in failures] == failing
+    assert all(f.error == "injected" for f in failures)
+    kept = [r for r in clean if r.run_id not in failing]
+    assert [r.run_id for r in results] == [r.run_id for r in kept]
+    for res, ref in zip(results, kept):
+        assert res.trace.m_final == ref.trace.m_final
+        assert res.fit.eps == ref.fit.eps
+
+
 def test_unresolved_eps_falls_back_to_the_exact_path(monkeypatch, caplog):
     """An eps with a kink is not resolved by 257 samples: every restart
     then runs on the exact evaluator, as run_single does by hand."""
-    evaluate = PredictionErrorEvaluator.evaluate
+    evaluate_many = PredictionErrorEvaluator.evaluate_many
     calls = []
 
-    def kinked(self, m):
-        calls.append(m)
-        fit = evaluate(self, m)
-        return dataclasses.replace(
-            fit, eps=fit.eps * (1.0 + abs(m.values[0] - 0.5)))
+    def kinked(self, ms):
+        calls.extend(ms)
+        return [dataclasses.replace(
+                    fit, eps=fit.eps * (1.0 + abs(m.values[0] - 0.5)))
+                for m, fit in zip(ms, evaluate_many(self, ms))]
 
-    monkeypatch.setattr(PredictionErrorEvaluator, "evaluate", kinked)
+    monkeypatch.setattr(PredictionErrorEvaluator, "evaluate_many", kinked)
     split = adf_split()
     lib = BASIC.subset(("adv", "dis", "fsorp"))
     cfg = IdentifyConfig(n_restarts=3)

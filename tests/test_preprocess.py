@@ -580,7 +580,9 @@ def test_noisy_tiny_column_too_narrow_for_a_stencil_is_rejected_by_name():
 # -------------------------------------------------------------- split
 
 def synthetic_points(n_steps=10, n_x=3):
-    i, k = np.meshgrid(np.arange(n_x), np.arange(n_steps), indexing="ij")
+    """Points ordered by time index, then space index, as
+    compute_derivatives orders them."""
+    k, i = np.meshgrid(np.arange(n_steps), np.arange(n_x), indexing="ij")
     flat = i.ravel().astype(float)
     return DerivativeField(x_index=i.ravel(), t_index=k.ravel(),
                            c=flat + 1.0, c_t=flat, c_x=flat, c_xx=flat,
@@ -614,3 +616,20 @@ def test_split_ratio_guards():
         split_train_test(pts, 1.0)
     with pytest.raises(ValidationError):
         split_train_test(synthetic_points(n_steps=3, n_x=3), 0.05)
+
+
+def test_split_windows_are_views_of_the_points():
+    pts = synthetic_points(n_steps=10, n_x=3)
+    split = split_train_test(pts, 0.5)
+    assert np.shares_memory(split.train.c, pts.c)
+    assert np.shares_memory(split.test.c, pts.c)
+    np.testing.assert_array_equal(
+        np.concatenate([split.train.t_index, split.test.t_index]), pts.t_index)
+
+
+def test_split_rejects_points_out_of_time_order():
+    pts = synthetic_points(n_steps=10, n_x=3)
+    x_major = pts.select(np.lexsort((pts.t_index, pts.x_index)))
+    assert np.any(np.diff(x_major.t_index) < 0)
+    with pytest.raises(ValidationError, match="ordered by time index"):
+        split_train_test(x_major, 0.5)

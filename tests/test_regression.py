@@ -14,7 +14,8 @@ from conftest import (coef, manufactured_field, manufactured_grid,
                       point_coordinates, sorption_params, zero_conc_split)
 from reference_regression import evaluate_terms, plain_fit
 from transportid.errors import (CollinearityError, DegenerateColumnError,
-                                TermEvaluationError, ValidationError)
+                                TermEvaluationError, TransportIdError,
+                                ValidationError)
 from transportid.library import (DesignMatrix, LibrarySpec, TermSpec,
                                  normalize_design)
 from transportid.params import ParamBounds
@@ -214,9 +215,9 @@ def test_freundlich_column_at_zero_concentration_follows_power():
         for points in (split.train, split.test):
             with np.errstate(divide="ignore", invalid="ignore"):
                 want = np.power(points.c, a - 1.0) * points.c_t
-            np.testing.assert_allclose(fsorp.fresh_column(points, m), want,
+            np.testing.assert_allclose(fsorp.values(points, m), want,
                                        rtol=1e-14)
-        assert np.isfinite(fsorp.fresh_column(split.train, m)[0]) == (a >= 1)
+        assert np.isfinite(fsorp.values(split.train, m)[0]) == (a >= 1)
     fit = PredictionErrorEvaluator(split, ADF).evaluate(
         sorption_params(1.0, 90.0))
     assert fit.eps < 1e-20
@@ -319,13 +320,16 @@ def test_evaluate_forms_no_qr(monkeypatch):
         assert_same_fit(fit, plain_fit(ORACLE_SPLIT, lib, M_MID))
 
 
-def near_adv_library(offset, grid=manufactured_grid()):
-    """adv, dis and an a-dependent column ``offset`` stds away from adv, on
-    points of a manufactured field on ``grid``."""
+def near_adv_library(offset, train, grid=manufactured_grid()):
+    """adv, dis and an a-dependent column ``offset`` stds of the training
+    adv column away from adv, on points of a manufactured field on
+    ``grid``.  Like every term, it maps each point alone."""
+    step = offset * np.std(train.c_x)
+
     def near_adv(d, m):
         x, t = point_coordinates(d, grid)
         wiggle = np.sin(40.0 * x + 3.0 * t)
-        return d.c_x + offset * np.std(d.c_x) * m["a"] * wiggle
+        return d.c_x + step * m["a"] * wiggle
 
     near = TermSpec("near", "AUX", near_adv, ("a",))
     return LibrarySpec("near", BASIC.terms[:2] + (near,))
@@ -334,9 +338,9 @@ def near_adv_library(offset, grid=manufactured_grid()):
 def test_evaluator_matches_plain_path_near_collinearity():
     """A parameter-dependent column within 1e-4 of a static one: its
     projection off the static factor must stay orthogonal to it."""
-    lib = near_adv_library(1e-4)
     split = split_train_test(
         manufactured_field({"adv": -0.01, "dis": 0.01, "fsorp": -0.15}), 0.6)
+    lib = near_adv_library(1e-4, split.train)
     ev = PredictionErrorEvaluator(split, lib)
     assert_same_fit(ev.evaluate(M_MID), plain_fit(split, lib, M_MID))
 
@@ -350,14 +354,14 @@ def test_condition_limit_holds_on_tall_designs():
     default_limit = 1.0 / (np.finfo(float).eps * split.train.n_points)
     grid = manufactured_grid(n_x=100, n_t=200)
     for offset in (6e-12, 1e-11):
-        lib = near_adv_library(offset, grid)
+        lib = near_adv_library(offset, split.train, grid)
         dm, _ = normalize_design(evaluate_terms(split.train, M_MID, lib))
         sv = np.linalg.svd(dm.phi, compute_uv=False)
         assert default_limit < sv[0] / sv[-1] < 1e12
         least_squares_fit(dm)
         PredictionErrorEvaluator(split, lib).evaluate(M_MID)
-    for msg in raised_by_both(split, near_adv_library(1e-12, grid), M_MID,
-                              CollinearityError):
+    lib = near_adv_library(1e-12, split.train, grid)
+    for msg in raised_by_both(split, lib, M_MID, CollinearityError):
         assert "'near'" in msg
 
 
@@ -390,17 +394,16 @@ def test_evaluator_error_parity_sorption_collinear_with_static():
 
 def test_evaluator_error_parity_zero_remainder():
     """On two training points a parameter-dependent twin of the advection
-    column projects to a remainder of zero or rounding size; at points 9
-    and 10 of the manufactured field it is exactly zero.  That must end in
-    CollinearityError, not in a division by the remainder's norm.  The
-    twin returns the data's own array, which the evaluator must not
-    modify."""
+    column projects to a remainder of zero or rounding size; at x = 0 and
+    time steps 9 and 10 of the manufactured field it is exactly zero.
+    That must end in CollinearityError, not in a division by the
+    remainder's norm.  The twin returns the data's own array, which the
+    evaluator must not modify."""
     twin = TermSpec("twin", "AUX", lambda d, m: d.c_x, ("a",))
     lib = LibrarySpec("twin", (BASIC.terms[0], twin))
     pts = manufactured_field({"adv": -0.01, "dis": 0.01})
-    order = np.arange(pts.n_points)
-    split = DataSplit(train=pts.select((order >= 9) & (order < 11)),
-                      test=pts.select(order >= 11))
+    two = (pts.x_index == 0) & np.isin(pts.t_index, (9, 10))
+    split = DataSplit(train=pts.select(two), test=pts.select(pts.t_index > 10))
     c_x = split.train.c_x.copy()
     for msg in raised_by_both(split, lib, M_MID, CollinearityError):
         assert "'adv'" in msg and "'twin'" in msg
@@ -444,6 +447,84 @@ def test_evaluator_error_parity_too_few_points_and_empty_test():
     empty = DataSplit(train=pts, test=pts.select(order < 0))
     assert raised_by_both(empty, lib, M_MID, ValidationError) == (
         "empty test set",) * 2
+
+
+# ------------------------------------------------------------ batches
+
+@st.composite
+def batches(draw):
+    """A library with q = 0, 1 or 2 parameter-dependent terms, and a batch
+    of 1 to 40 m's drawn, in any order and with repeats, from a few."""
+    ids = draw(st.sampled_from(ORACLE_LIBRARIES))
+    pool = draw(st.lists(st.tuples(st.floats(BOUNDS.lower[0], BOUNDS.upper[0]),
+                                   st.floats(BOUNDS.lower[1], BOUNDS.upper[1])),
+                         min_size=1, max_size=12))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1,
+                          max_size=40))
+    return ids, [sorption_params(*pool[i]) for i in picks]
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=batches())
+def test_a_batch_fits_each_m_as_a_batch_of_one(case):
+    """Each m's fit in a batch is its one-m fit, to 1e-12: batching, its
+    order and its repeats change rounding only."""
+    ids, ms = case
+    ev = PredictionErrorEvaluator(ORACLE_SPLIT, EXTENDED.subset(ids))
+    fits = ev.evaluate_many(ms)
+    assert len(fits) == len(ms)
+    for m, fit in zip(ms, fits):
+        assert_same_fit(fit, ev.evaluate(m), rtol=1e-12)
+
+
+def moody(d, m):
+    """The Freundlich column, except at some values of a where it fails:
+    constant at 0.3, equal to adv at 0.35, non-finite at the first point
+    with C_x > 0 at 0.4 and on the test window (t_index >= 24) at 0.45,
+    and one point short at 0.55."""
+    a = m["a"]
+    if a == 0.55:
+        return d.c[1:]
+    if a == 0.3:
+        return np.full(d.c.shape, a)
+    if a == 0.35:
+        return d.c_x.copy()
+    if a == 0.4:
+        return np.where(d.c_x > 0.0, np.inf, d.c)
+    if a == 0.45:
+        return np.where(d.t_index >= 24, np.inf, d.c)
+    return d.c ** (a - 1.0) * d.c_t
+
+
+def test_a_failing_m_fails_alone_in_its_batch():
+    """An m whose fit fails gets the exception, type and message, that
+    evaluate raises for it; the other m's of the batch are fitted as
+    alone.  Of a collinear design's message, the condition number is
+    rounding noise, and only the terms it names are compared."""
+    lib = LibrarySpec("moody", BASIC.terms[:2] + (
+        TermSpec("moody", "AUX", moody, ("a",)),))
+    split = split_train_test(
+        manufactured_field({"adv": -0.01, "dis": 0.01, "fsorp": -0.15}), 0.6)
+    ev = PredictionErrorEvaluator(split, lib)
+    values = (0.5, 0.3, 0.6, 0.35, 0.4, 0.5, 0.45, 0.55, 0.7)
+    ms = [sorption_params(a, 90.0) for a in values]
+    fits = ev.evaluate_many(ms)
+    failed = {}
+    for a, m, fit in zip(values, ms, fits):
+        try:
+            alone = ev.evaluate(m)
+        except TransportIdError as exc:
+            assert type(fit) is type(exc)
+            assert str(fit).split(", condition")[0] == str(exc).split(
+                ", condition")[0]
+            failed[a] = type(exc)
+        else:
+            assert_same_fit(fit, alone, rtol=1e-12)
+    assert failed == {0.3: DegenerateColumnError, 0.35: CollinearityError,
+                      0.4: TermEvaluationError, 0.45: TermEvaluationError,
+                      0.55: TermEvaluationError}
+    assert "'moody' evaluated non-finite at point" in str(fits[4])
+    assert str(fits[7]) == "term 'moody' returned wrong shape"
 
 
 # ------------------------------------------------------ shared static block
